@@ -8,8 +8,8 @@ process Bayesian optimization over a bounded gain box.
 
 Layers, bottom up:
 
-- :mod:`axistune.plant` -- transfer functions and state-space models of
-  the motor plus two-mass drivetrain.
+- :mod:`axistune.plant` -- the state-space model of the motor plus
+  two-mass drivetrain.
 - :mod:`axistune.refgen` -- setpoints to reference trajectories.
 - :mod:`axistune.simloop` -- the sampled cascade simulator.
 - :mod:`axistune.metrics` -- step-response metrics and the scalar cost.
@@ -31,7 +31,7 @@ from .baselines import (
     relay_tune,
     ziegler_nichols,
 )
-from .bench import BENCH_MOVE, TuningBench, benchmark_profile
+from .bench import BENCH_MOVE, SetOracle, TuningBench, benchmark_profile
 from .gpr import (
     Dataset,
     GpHyperparams,
@@ -46,18 +46,7 @@ from .gpr import (
     predict_many,
 )
 from .metrics import CostWeights, MetricVector, cost, extract_metrics, itae
-from .plant import (
-    ModelError,
-    PlantParams,
-    StateSpaceModel,
-    TransferFunction,
-    drivetrain_tfs,
-    full_tf,
-    motor_tf,
-    physical_state_model,
-    rational_equal,
-    to_state_space,
-)
+from .plant import ModelError, PlantParams, StateSpaceModel, physical_state_model
 from .presets import (
     DEFAULT_PRESET,
     FEASIBLE_PRESETS,
@@ -65,7 +54,6 @@ from .presets import (
     LAB_SERVO_CURRENT,
     PRESETS,
     Preset,
-    SIM_PRESETS,
     TRAJECTORY_PRESETS,
     WEIGHT_PRESETS,
     get_preset,

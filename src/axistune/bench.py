@@ -5,16 +5,22 @@ search, and the classical baselines -- scores candidate gains through
 one :class:`TuningBench` so their costs are directly comparable and
 repeated queries hit a memo instead of the simulator.  The bench owns
 the reference trajectory, the cost weights, and the simulation
-configuration; a gain triple (kp, kv, ki) in it has exactly one cost.
+configuration.  Search strategies work in a feasible set's coordinates,
+where the third axis may be the reset time Tn; `TuningBench.oracle`
+is the one place those points become controller triples (kp, kv, ki).
 
 Batch evaluation (`evaluate_many`) runs the vectorized simulator and is
 the intended path for grids; single queries fall back to the scalar
-simulator.  Both paths share the memo, so a point is never simulated
-twice regardless of which strategy asked first.
+simulator.  Both paths share the memo, so a triple is simulated at most
+once per bench.  The two simulators round differently, though, and on
+runs that touch a rail their costs can differ well beyond roundoff (see
+:func:`~axistune.simloop.simulate_batch`): the memoized cost of a triple
+is that of whichever path simulated it first.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -37,8 +43,9 @@ from .simloop import (
     simulate_batch,
     stability_probe,
 )
+from .tuner import FeasibleSet
 
-__all__ = ["BENCH_MOVE", "TuningBench", "benchmark_profile"]
+__all__ = ["BENCH_MOVE", "SetOracle", "TuningBench", "benchmark_profile"]
 
 # Default scoring move: 0.1 m point-to-point at 0.25 m/s with 5 m/s^2
 # ramps, then a 1 s dwell so the settling and terminal-error metrics
@@ -154,6 +161,23 @@ class TuningBench:
             self.profile, self.cfg,
         )
 
+    def oracle(self, fset: FeasibleSet) -> SetOracle:
+        """This bench's costs addressed by points of the feasible set ``fset``."""
+        return SetOracle(self, fset)
+
+    @property
+    def fingerprint(self) -> str:
+        """Digest of everything that decides a cost besides the gains:
+        plant, current loop, weights, simulation config, metric options
+        and the sampled reference trajectory."""
+        h = hashlib.sha256(repr((
+            self.plant, self.current_gains, self.weights, self.cfg,
+            self.settle_band, self.overshoot_percent,
+        )).encode())
+        for arr in (self.profile.t, self.profile.position, self.profile.speed):
+            h.update(arr.tobytes())
+        return h.hexdigest()
+
     # -- probe runs for the classical autotuners --------------------------------
 
     def speed_step(self, kv: float, ki: float, speed: float,
@@ -207,3 +231,29 @@ class TuningBench:
     def _extract(self, trace: SimTrace) -> MetricVector:
         return extract_metrics(trace, self.profile, settle_band=self.settle_band,
                                overshoot_percent=self.overshoot_percent)
+
+
+class SetOracle:
+    """A bench's cost oracle in the coordinates of one feasible set.
+
+    Search points are (kp, kv, third) rows of ``fset``; every query maps
+    them through ``fset.canonical`` to the controller triple the bench
+    scores, so a reset-time axis is never read as an integral gain.
+    """
+
+    def __init__(self, bench: TuningBench, fset: FeasibleSet):
+        self.bench = bench
+        self.fset = fset
+
+    def gains(self, point) -> tuple[float, float, float]:
+        """Controller triple (kp, kv, ki) of one set-space point."""
+        kp, kv, ki = self.fset.canonical(point).reshape(3)
+        return float(kp), float(kv), float(ki)
+
+    def __call__(self, point) -> float:
+        """Cost of one set-space point."""
+        return self.bench.cost(self.gains(point))
+
+    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        """Costs of an (N, 3) array of set-space points, batch-simulated."""
+        return self.bench.evaluate_many(self.fset.canonical(points))

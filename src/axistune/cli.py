@@ -32,13 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import TuningError, itae_tune, relay_tune, ziegler_nichols
-from .bench import TuningBench
+from .bench import SetOracle, TuningBench
 from .metrics import MetricVector, cost as metric_cost
 from .presets import DEFAULT_PRESET, PRESETS, Preset, get_preset, get_weights
 from .simloop import SimTrace
 from .tuner import (
     BoState,
-    FeasibleSet,
     OracleAbort,
     grid_search,
     load_grid_table,
@@ -136,6 +135,7 @@ class Resolved:
     config: dict[str, str]
     preset: Preset
     bench: TuningBench
+    oracle: SetOracle   # the bench in the preset's feasible-set coordinates
     seed: int
     out: Path
 
@@ -156,11 +156,13 @@ def _resolve(command: str, args: argparse.Namespace) -> Resolved:
     seed = preset.bo.seed if seed is None else seed
     out = Path(getattr(args, "out", None) or ".")
     out.mkdir(parents=True, exist_ok=True)
+    bench = preset.bench(weights)
     return Resolved(
         command=command,
         config=cfg,
         preset=preset,
-        bench=preset.bench(weights),
+        bench=bench,
+        oracle=bench.oracle(preset.feasible),
         seed=seed,
         out=out,
     )
@@ -223,13 +225,6 @@ def _fmt_gains(point) -> str:
     return f"({kp:g}, {kv:g}, {third:g})"
 
 
-def _canonical_gains(fset: FeasibleSet, point) -> tuple[float, float, float]:
-    kp, kv, ki = np.asarray(
-        fset.canonical(np.asarray(point, dtype=float).reshape(1, 3))
-    ).reshape(3)
-    return float(kp), float(kv), float(ki)
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -244,7 +239,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"gains {native} outside the feasible box "
             f"kp={fset.kp}, kv={fset.kv}, {fset.third_axis}={fset.third}"
         )
-    gains = _canonical_gains(fset, native)
+    gains = res.oracle.gains(native)
     trace = res.bench.trace(gains)
     metrics = res.bench.metrics(gains)
     total = metric_cost(metrics, res.bench.weights)
@@ -271,7 +266,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     bo = _bo_config(res)
     fset = res.preset.feasible
     try:
-        state = run_bo(res.bench.cost, fset, bo)
+        state = run_bo(res.oracle, fset, bo)
     except OracleAbort as e:
         raise RunFailure(f"oracle failed during tuning: {e}") from e
 
@@ -292,7 +287,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
                 rec.mu + 3.0 * rec.sigma,
             )) + "\n")
 
-    gains = _canonical_gains(fset, state.incumbent_point)
+    gains = res.oracle.gains(state.incumbent_point)
     metrics = res.bench.metrics(gains)
     total = metric_cost(metrics, res.bench.weights)
     trace_path = res.out / "trace_tune.csv"
@@ -328,11 +323,11 @@ def _grid_with_cache(res: Resolved) -> tuple[np.ndarray, float, np.ndarray]:
     """Exhaustive cost table, served from the on-disk cache when valid."""
     fset = res.preset.feasible
     cache = res.out / f"grid_cache_{res.preset.name.replace('-', '_')}.npz"
-    table = load_grid_table(cache, fset)
-    cached = table is not None
-    if not cached:
-        _, _, table = grid_search(fset, batch_oracle=res.bench.evaluate_many)
-        save_grid_table(cache, fset, table)
+    key = res.bench.fingerprint
+    table = load_grid_table(cache, fset, key)
+    if table is None:
+        _, _, table = grid_search(fset, batch_oracle=res.oracle.evaluate_many)
+        save_grid_table(cache, fset, table, key)
     best_flat = int(np.argmin(table[:, 3]))
     return table[best_flat, :3].copy(), float(table[best_flat, 3]), table
 
@@ -349,7 +344,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
     _write_record(res, {
         "best_gains_native": [float(v) for v in best],
-        "best_gains": list(_canonical_gains(fset, best)),
+        "best_gains": list(res.oracle.gains(best)),
         "best_cost": best_cost,
         "grid_shape": list(fset.shape),
         "traces": [csv_path.name],
@@ -368,7 +363,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     def add_row(method: str, native_point, cost_value: float,
                 clamped: bool = False) -> None:
-        kp, kv, ki = _canonical_gains(fset, native_point)
+        kp, kv, ki = res.oracle.gains(native_point)
         trace_path = res.out / f"trace_{method.replace('-', '_')}.csv"
         _write_trace_csv(trace_path, bench.trace((kp, kv, ki)))
         traces.append(trace_path.name)
@@ -397,7 +392,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     bo_cfg = _bo_config(res)
     try:
-        state = run_bo(bench.cost, fset, bo_cfg)
+        state = run_bo(res.oracle, fset, bo_cfg)
     except OracleAbort as e:
         raise RunFailure(f"oracle failed during tuning: {e}") from e
     add_row("bo", state.incumbent_point, state.incumbent_cost)
@@ -448,7 +443,7 @@ def cmd_sweep_m0(args: argparse.Namespace) -> int:
             seed = res.seed + i * repeats + r
             bo = dataclasses.replace(base, m0=m0, seed=seed)
             try:
-                state = run_bo(res.bench.cost, fset, bo)
+                state = run_bo(res.oracle, fset, bo)
             except OracleAbort as e:
                 raise RunFailure(f"oracle failed during tuning: {e}") from e
             iters.append(state.iterations)

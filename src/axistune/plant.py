@@ -1,4 +1,4 @@
-"""Ball-screw servo axis models.
+"""Ball-screw servo axis model.
 
 The drive is a permanent-magnet synchronous motor in the dq frame (the
 d-axis current is regulated to zero, so only the q-axis dynamics remain)
@@ -14,18 +14,16 @@ Mechanical side (angles theta, speeds w = d theta/dt)::
     Jm * dw_m/dt = tau_m - Bm*w_m - Bml*(w_m - w_l) - Ks*(th_m - th_l)
     Jl * dw_l/dt = tau_l - Bl*w_l + Bml*(w_m - w_l) + Ks*(th_m - th_l)
 
-The module offers both rational transfer-function models (motor speed per
-voltage, load angle per motor angle, and their product, the full
-voltage-to-load-speed path) and state-space realizations: a canonical
-form derived from any transfer function, plus the physical five-state
-model used by the time-domain simulator.  The ball-screw lead ``Q``
-converts rotation to linear travel: one revolution moves the nut by Q
-meters, so linear position is ``theta * Q / (2*pi)``.
+:func:`physical_state_model` writes these equations as the five-state
+model (i_q, w_m, th_m, w_l, th_l) with voltage and load-torque inputs;
+it is the one place the plant's A and B matrices are defined, and the
+time-domain simulator builds its drive from it.  The ball-screw lead
+``Q`` converts rotation to linear travel: one revolution moves the nut
+by Q meters, so linear position is ``theta * Q / (2*pi)``.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,19 +31,14 @@ import numpy as np
 __all__ = [
     "ModelError",
     "PlantParams",
-    "TransferFunction",
     "StateSpaceModel",
-    "motor_tf",
-    "drivetrain_tfs",
-    "full_tf",
-    "to_state_space",
     "physical_state_model",
 ]
 
 
 class ModelError(ValueError):
-    """Raised for degenerate model algebra (zero denominators, improper
-    realization requests, non-physical parameter combinations)."""
+    """Raised for non-physical parameters and inconsistent model
+    dimensions."""
 
 
 @dataclass(frozen=True)
@@ -83,195 +76,6 @@ class PlantParams:
         return self.Q / (2.0 * np.pi)
 
 
-def _trim(coeffs) -> tuple[float, ...]:
-    """Drop leading (highest-order) zero coefficients."""
-    arr = [float(c) for c in coeffs]
-    while len(arr) > 1 and arr[0] == 0.0:
-        arr.pop(0)
-    return tuple(arr)
-
-
-@dataclass(frozen=True)
-class TransferFunction:
-    """Rational transfer function with real coefficients, highest order first.
-
-    The denominator's leading coefficient must be nonzero.  Improper
-    fractions (numerator degree above denominator degree) are permitted as
-    intermediate algebra -- e.g. a mechanical impedance torque/speed -- but
-    cannot be realized in state space.
-    """
-
-    num: tuple[float, ...]
-    den: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "num", _trim(self.num))
-        object.__setattr__(self, "den", _trim(self.den))
-        if not any(self.den):
-            raise ModelError("zero denominator polynomial")
-        if not np.all(np.isfinite(self.num)) or not np.all(np.isfinite(self.den)):
-            raise ModelError("non-finite coefficient")
-
-    @property
-    def degree(self) -> tuple[int, int]:
-        return (len(self.num) - 1, len(self.den) - 1)
-
-    @property
-    def is_proper(self) -> bool:
-        return len(self.num) <= len(self.den)
-
-    def __call__(self, s: complex) -> complex:
-        """Evaluate at a complex frequency via Horner's rule."""
-        num = _horner(self.num, s)
-        den = _horner(self.den, s)
-        if den == 0:
-            raise ModelError(f"evaluation at a pole: s={s}")
-        return num / den
-
-    def frequency_response(self, omega) -> np.ndarray:
-        """Evaluate at s = j*omega for an array of angular frequencies."""
-        return np.array([self(1j * float(w)) for w in np.atleast_1d(omega)])
-
-    def dc_gain(self) -> float:
-        return float(np.real(self(0.0)))
-
-    def __mul__(self, other: "TransferFunction") -> "TransferFunction":
-        return TransferFunction(
-            tuple(np.polymul(self.num, other.num)),
-            tuple(np.polymul(self.den, other.den)),
-        )
-
-    def reciprocal(self) -> "TransferFunction":
-        if not any(self.num):
-            raise ModelError("reciprocal of zero transfer function")
-        return TransferFunction(self.den, self.num)
-
-    def normalized(self) -> "TransferFunction":
-        """Scale so the denominator is monic."""
-        lead = self.den[0]
-        return TransferFunction(
-            tuple(c / lead for c in self.num), tuple(c / lead for c in self.den)
-        )
-
-
-def _horner(coeffs, s: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs:
-        acc = acc * s + c
-    return acc
-
-
-def rational_equal(a: TransferFunction, b: TransferFunction, tol: float = 1e-12) -> bool:
-    """Whether two fractions represent the same rational function.
-
-    Checked by cross-multiplication, so common factors on either side do
-    not matter.  ``tol`` is relative to the largest cross-product
-    coefficient.
-    """
-    lhs = np.polymul(a.num, b.den)
-    rhs = np.polymul(b.num, a.den)
-    width = max(len(lhs), len(rhs))
-    lhs = np.pad(lhs, (width - len(lhs), 0))
-    rhs = np.pad(rhs, (width - len(rhs), 0))
-    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
-    return bool(np.abs(lhs - rhs).max() <= tol * scale)
-
-
-# -- drivetrain and motor models ---------------------------------------------
-
-
-def drivetrain_tfs(p: PlantParams) -> tuple[TransferFunction, TransferFunction, TransferFunction]:
-    """Two-mass drivetrain transfer functions (F1, F2, F3).
-
-    Writing the coupled torque balances in the Laplace domain as
-
-        A(s)*Th_m - C(s)*Th_l = Tm,    -C(s)*Th_m + B(s)*Th_l = 0
-
-    with A = Jm s^2 + (Bm+Bml) s + Ks, B = Jl s^2 + (Bml+Bl) s + Ks and
-    C = Bml s + Ks, elimination gives
-
-        F1 = w_m/tau_m = B/D,   F2 = w_l/tau_m = C/D,   F3 = w_l/w_m = C/B
-
-    where D = (A*B - C^2)/s.  The determinant A*B - C^2 always has a zero
-    constant term (Ks^2 - Ks^2), which is the free rigid-body rotation; the
-    division by s is exact and leaves D a cubic.
-
-    Returns
-    -------
-    (F1, F2, F3) : tuple of TransferFunction
-    """
-    A = (p.Jm, p.Bm + p.Bml, p.Ks)
-    B = (p.Jl, p.Bml + p.Bl, p.Ks)
-    C = (p.Bml, p.Ks)
-    det = np.polysub(np.polymul(A, B), np.polymul(C, C))
-    scale = np.abs(det).max()
-    if abs(det[-1]) > 1e-9 * scale:
-        raise ModelError("drivetrain determinant has nonzero constant term")
-    D = tuple(det[:-1])  # exact division by s
-    f1 = TransferFunction(B, D)
-    f2 = TransferFunction(C, D)
-    f3 = TransferFunction(C, B)
-    return f1, f2, f3
-
-
-def motor_tf(p: PlantParams, mech_load: TransferFunction) -> TransferFunction:
-    """Voltage-to-motor-speed transfer function for a given mechanical load.
-
-    ``mech_load`` is the torque-per-speed impedance Z(s) = tau_m/w_m seen at
-    the motor shaft (an improper fraction for any inertia, which is fine
-    here).  Eliminating the q-current from the electrical equation yields
-
-        M(s) = w_m/v_q = Kt / (Kt*Kb + (Ls*s + Rs) * Z(s))
-
-    Parameters
-    ----------
-    p : PlantParams
-    mech_load : TransferFunction
-        Shaft impedance tau_m(s)/w_m(s).
-
-    Returns
-    -------
-    TransferFunction
-    """
-    zn, zd = mech_load.num, mech_load.den
-    num = tuple(p.Kt * c for c in zd)
-    den = np.polyadd(
-        np.polymul((p.Ls, p.Rs), zn),
-        tuple(p.Kt * p.Kb * c for c in zd),
-    )
-    if not any(den):
-        raise ModelError("degenerate motor denominator")
-    return TransferFunction(num, tuple(den))
-
-
-def full_tf(p: PlantParams, approximate: bool = False) -> TransferFunction:
-    """Voltage-to-load-speed transfer function G(s) = M(s) * F3(s).
-
-    With the exact two-mass impedance Z = 1/F1 the shared B(s) factor
-    cancels and
-
-        G = Kt * C(s) / (Kt*Kb*B(s) + (Ls*s + Rs) * D(s)).
-
-    With ``approximate=True`` the impedance is replaced by the rigid lump
-    (Jm+Jl)*s + Bm, which is accurate well below the axial resonance and
-    gives a lower-order model.
-
-    Both forms share the DC gain Kt / (Kt*Kb + Rs*Bm).
-    """
-    f1, _f2, f3 = drivetrain_tfs(p)
-    B, C, D = f1.num, f3.num, f1.den
-    if approximate:
-        rigid = TransferFunction((p.Jm + p.Jl, p.Bm), (1.0,))
-        m = motor_tf(p, rigid)
-        return m * f3
-    num = tuple(p.Kt * c for c in C)
-    den = np.polyadd(
-        tuple(p.Kt * p.Kb * c for c in np.asarray(B, dtype=float)),
-        np.polymul((p.Ls, p.Rs), D),
-    )
-    return TransferFunction(num, tuple(den))
-
-
 # -- state space --------------------------------------------------------------
 
 
@@ -284,7 +88,6 @@ class StateSpaceModel:
     C: np.ndarray
     D: np.ndarray
     state_labels: tuple[str, ...] = field(default=())
-    input_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         for name in ("A", "B", "C", "D"):
@@ -295,15 +98,10 @@ class StateSpaceModel:
         if self.D.shape != (self.C.shape[0], self.B.shape[1]):
             raise ModelError("inconsistent feedthrough dimensions")
 
-    @property
-    def order(self) -> int:
-        return self.A.shape[0]
-
     def frequency_response(self, omega, input_index: int = 0, output_index: int = 0) -> np.ndarray:
         """C (jwI - A)^-1 B + D for each angular frequency."""
         out = []
-        n = self.order
-        eye = np.eye(n)
+        eye = np.eye(self.A.shape[0])
         b = self.B[:, input_index]
         c = self.C[output_index, :]
         d = self.D[output_index, input_index]
@@ -312,76 +110,13 @@ class StateSpaceModel:
             out.append(c @ sol + d)
         return np.asarray(out)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A)
 
-
-def to_state_space(tf: TransferFunction) -> StateSpaceModel:
-    """Controllable-canonical realization of a proper transfer function.
-
-    Raises
-    ------
-    ModelError
-        If the fraction is improper (would need derivatives of the input).
-    """
-    if not tf.is_proper:
-        raise ModelError("cannot realize an improper transfer function")
-    den = np.asarray(tf.den, dtype=float)
-    a = den / den[0]
-    n = len(a) - 1
-    b = np.zeros(n + 1)
-    b[n + 1 - len(tf.num):] = np.asarray(tf.num, dtype=float) / den[0]
-    if n == 0:
-        return StateSpaceModel(
-            np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[b[0]]]
-        )
-    A = np.zeros((n, n))
-    A[0, :] = -a[1:]
-    A[1:, :-1] = np.eye(n - 1)
-    B = np.zeros((n, 1))
-    B[0, 0] = 1.0
-    # y = (b_i - b_0 * a_i) x + b_0 u with descending powers
-    C = (b[1:] - b[0] * a[1:]).reshape(1, n)
-    D = np.array([[b[0]]])
-    return StateSpaceModel(A, B, C, D)
-
-
-def physical_state_model(p: PlantParams, rigid: bool = False) -> StateSpaceModel:
+def physical_state_model(p: PlantParams) -> StateSpaceModel:
     """State-space servo axis with voltage and load-torque inputs.
 
-    States are (i_q, w_m, th_m, w_l, th_l); all five are exposed as
-    outputs.  With ``rigid=True`` the spring is treated as infinitely
-    stiff: both inertias lump into one and the model reduces to
-    (i_q, w, th), with the load outputs duplicating the motor ones.  The
-    rigid variant removes the axial resonance, which permits much larger
-    integration steps.
+    States are (i_q, w_m, th_m, w_l, th_l), all five exposed as outputs;
+    inputs are (v_q, tau_l).
     """
-    if rigid:
-        J = p.Jm + p.Jl
-        Bsum = p.Bm + p.Bl
-        A = np.array(
-            [
-                [-p.Rs / p.Ls, -p.Kb / p.Ls, 0.0],
-                [p.Kt / J, -Bsum / J, 0.0],
-                [0.0, 1.0, 0.0],
-            ]
-        )
-        B = np.array([[1.0 / p.Ls, 0.0], [0.0, 1.0 / J], [0.0, 0.0]])
-        C = np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-                [0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        D = np.zeros((5, 2))
-        return StateSpaceModel(
-            A, B, C, D,
-            state_labels=("i_q", "w", "th"),
-            input_labels=("v_q", "tau_l"),
-        )
     A = np.array(
         [
             [-p.Rs / p.Ls, -p.Kb / p.Ls, 0.0, 0.0, 0.0],
@@ -397,7 +132,5 @@ def physical_state_model(p: PlantParams, rigid: bool = False) -> StateSpaceModel
     C = np.eye(5)
     D = np.zeros((5, 2))
     return StateSpaceModel(
-        A, B, C, D,
-        state_labels=("i_q", "w_m", "th_m", "w_l", "th_l"),
-        input_labels=("v_q", "tau_l"),
+        A, B, C, D, state_labels=("i_q", "w_m", "th_m", "w_l", "th_l"),
     )

@@ -13,9 +13,6 @@ Presets
     28 x 10 x 10 gain grid.  Small enough that the exhaustive grid
     search finishes in well under a minute, which makes it the default
     for comparisons and tests.
-``desk-fast``
-    Same benchmark with the coarse integrator and the rigid-screw
-    approximation; an order of magnitude faster, for smoke runs.
 ``fine``
     The desk benchmark on the full 280 x 90 x 100 grid.  Exhaustive
     search at this resolution is a long-running job; the grid cache (see
@@ -47,7 +44,6 @@ __all__ = [
     "WEIGHT_PRESETS",
     "FEASIBLE_PRESETS",
     "TRAJECTORY_PRESETS",
-    "SIM_PRESETS",
     "get_preset",
     "get_weights",
 ]
@@ -145,16 +141,6 @@ TRAJECTORY_PRESETS: dict[str, TrajectorySpec] = {
 }
 
 
-# -- simulation configs --------------------------------------------------
-
-SIM_PRESETS: dict[str, SimConfig] = {
-    "accurate": SimConfig(),
-    # coarse integrator is only valid without the screw resonance, so
-    # the fast preset pins the rigid-coupling approximation
-    "fast": SimConfig(substep=1e-5, rigid=True),
-}
-
-
 # -- bundles -------------------------------------------------------------
 
 
@@ -189,17 +175,7 @@ PRESETS: dict[str, Preset] = {
         plant=LAB_SERVO,
         current=LAB_SERVO_CURRENT,
         trajectory=TRAJECTORY_PRESETS["bench-move"],
-        sim=SIM_PRESETS["accurate"],
-        weights="sim-tracking",
-        feasible=FEASIBLE_PRESETS["desk"],
-        bo=BoConfig(m0=20, max_iterations=60),
-    ),
-    "desk-fast": Preset(
-        name="desk-fast",
-        plant=LAB_SERVO,
-        current=LAB_SERVO_CURRENT,
-        trajectory=TRAJECTORY_PRESETS["bench-move"],
-        sim=SIM_PRESETS["fast"],
+        sim=SimConfig(),
         weights="sim-tracking",
         feasible=FEASIBLE_PRESETS["desk"],
         bo=BoConfig(m0=20, max_iterations=60),
@@ -209,7 +185,7 @@ PRESETS: dict[str, Preset] = {
         plant=LAB_SERVO,
         current=LAB_SERVO_CURRENT,
         trajectory=TRAJECTORY_PRESETS["bench-move"],
-        sim=SIM_PRESETS["accurate"],
+        sim=SimConfig(),
         weights="sim-tracking",
         feasible=FEASIBLE_PRESETS["fine"],
         bo=BoConfig(m0=20, max_iterations=60),
@@ -219,7 +195,7 @@ PRESETS: dict[str, Preset] = {
         plant=LAB_SERVO,
         current=LAB_SERVO_CURRENT,
         trajectory=TRAJECTORY_PRESETS["long-stroke"],
-        sim=SIM_PRESETS["accurate"],
+        sim=SimConfig(),
         weights="exp-tracking",
         feasible=FEASIBLE_PRESETS["plc"],
         bo=BoConfig(m0=20, max_iterations=60),

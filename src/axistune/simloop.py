@@ -32,11 +32,11 @@ inside the rails take a precomputed linear step instead -- between
 saturation events the drive is exactly the continuous linear model.
 
 Between updates the inputs are zero-order-held and the linear servo
-model advances by classical fixed-step fourth-order integration at the
-substep.  Because a held input makes every substep the same affine map,
-per-tick and per-segment transitions are precomputed as matrix powers
-once per configuration -- numerically identical to stepping the
-integrator substep by substep, at a fraction of the cost.
+model advances by classical fixed-step fourth-order integration at
+``RK4_STEP``.  Because a held input makes every step the same affine
+map, per-tick and per-segment transitions are precomputed as matrix
+powers once per configuration.  They agree with stepping the integrator
+step by step only to roundoff: the composed products round differently.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import PlantParams
+from .plant import PlantParams, physical_state_model
 from .refgen import ReferenceProfile, TrajectorySpec, generate_profile
 
 __all__ = [
@@ -59,6 +59,13 @@ __all__ = [
     "simulate_batch",
     "stability_probe",
 ]
+
+# Integrator step of the drive maps [s].  At 1 us, RK4 damps the screw's
+# 1.08e6 rad/s axial mode (h*|lambda| = 1.08) by |R| = 0.9904 per step
+# against the physical 0.9996, i.e. about 1e4 times more per millisecond
+# than the plant does.  Exact zero-order-hold maps are planned to
+# replace it (see ROADMAP.md).
+RK4_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,11 +125,10 @@ class CurrentControllerGains:
 class SimConfig:
     """Simulation knobs.
 
-    ``dt`` is the controller tick, ``substep`` the integrator step; the
-    substep must divide the tick.  ``segments_per_tick`` is the drive's
-    voltage-update rate used while the supply rail is active (it must
-    divide the substep count; it is reduced to the largest common
-    divisor otherwise).  Noise levels are standard deviations per
+    ``dt`` is the controller tick; it must be a whole number of
+    ``RK4_STEP`` integrator steps.  ``segments_per_tick`` is the drive's
+    voltage-update rate used while the supply rail is active; it must
+    divide that step count.  Noise levels are standard deviations per
     measurement channel (position [m], speed [m/s], current [A]);
     ``disturbances`` is a schedule of (time, torque) load impulses, each
     applied for one tick.  ``mode`` selects which loops are closed:
@@ -150,7 +156,6 @@ class SimConfig:
     """
 
     dt: float = 1e-3
-    substep: float = 1e-6
     segments_per_tick: int = 20
     voltage_limit: float = 325.0
     current_limit: float = 10.0
@@ -163,19 +168,20 @@ class SimConfig:
     noise_current: float = 0.0
     noise_seed: int = 0
     disturbances: tuple[tuple[float, float], ...] = ()
-    rigid: bool = False
     relay_amplitude: float | None = None
     relay_hysteresis: float = 0.0
     divergence_limit: float = 1e12
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0 or self.substep <= 0.0:
-            raise ValueError("dt and substep must be positive")
-        n = self.dt / self.substep
-        if abs(n - round(n)) > 1e-6 or round(n) < 1:
-            raise ValueError("substep must divide the controller tick")
-        if self.segments_per_tick < 1:
-            raise ValueError("segments_per_tick must be positive")
+        if self.dt <= 0.0:
+            raise ValueError("dt must be positive")
+        steps = self.dt / RK4_STEP
+        if abs(steps - round(steps)) > 1e-6 or round(steps) < 1:
+            raise ValueError(f"dt must be a whole number of {RK4_STEP:g} s "
+                             "integrator steps")
+        if self.segments_per_tick < 1 or round(steps) % self.segments_per_tick:
+            raise ValueError("segments_per_tick must divide the integrator "
+                             "steps per tick")
         if self.voltage_limit <= 0.0 or self.current_limit <= 0.0:
             raise ValueError("saturation limits must be positive")
         if self.mode not in ("position", "speed", "current"):
@@ -186,14 +192,6 @@ class SimConfig:
             self, "disturbances",
             tuple((float(t), float(tq)) for t, tq in self.disturbances),
         )
-
-    @property
-    def substeps_per_tick(self) -> int:
-        return int(round(self.dt / self.substep))
-
-    @property
-    def effective_segments(self) -> int:
-        return math.gcd(self.segments_per_tick, self.substeps_per_tick)
 
 
 @dataclass
@@ -239,7 +237,7 @@ class SimTrace:
 
 
 def _rk4_step_maps(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """One-substep transition (M, N) of classical RK4 on dx = Ax + Bu, u held."""
+    """One-step transition (M, N) of classical RK4 on dx = Ax + Bu, u held."""
     n = A.shape[0]
     eye = np.eye(n)
     Ah = A * h
@@ -252,7 +250,7 @@ def _rk4_step_maps(A: np.ndarray, B: np.ndarray, h: float) -> tuple[np.ndarray, 
 
 
 def _compose(M: np.ndarray, N: np.ndarray, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composition of n_steps identical affine substeps under a held input."""
+    """Composition of n_steps identical affine steps under a held input."""
     n = M.shape[0]
     S = np.zeros((n, n))
     P = np.eye(n)
@@ -271,29 +269,11 @@ class _Drive:
 
     def __init__(self, p: PlantParams, cc: CurrentControllerGains, cfg: SimConfig):
         self.lead = p.lead_per_rad
-        if cfg.rigid:
-            J, Bsum = p.Jm + p.Jl, p.Bm + p.Bl
-            mech = np.array(
-                [
-                    [p.Kt / J, -Bsum / J, 0.0],
-                    [0.0, 1.0, 0.0],
-                ]
-            )
-            n_pl, self.i_w, self.i_th = 3, 1, 2
-            self.i_wl, self.i_thl = 1, 2
-            load_J = J
-        else:
-            mech = np.array(
-                [
-                    [p.Kt / p.Jm, -(p.Bm + p.Bml) / p.Jm, -p.Ks / p.Jm, p.Bml / p.Jm, p.Ks / p.Jm],
-                    [0.0, 1.0, 0.0, 0.0, 0.0],
-                    [0.0, p.Bml / p.Jl, p.Ks / p.Jl, -(p.Bml + p.Bl) / p.Jl, -p.Ks / p.Jl],
-                    [0.0, 0.0, 0.0, 1.0, 0.0],
-                ]
-            )
-            n_pl, self.i_w, self.i_th = 5, 1, 2
-            self.i_wl, self.i_thl = 3, 4
-            load_J = p.Jl
+        plant = physical_state_model(p)
+        n_pl = plant.A.shape[0]
+        labels = plant.state_labels
+        self.i_w, self.i_th = labels.index("w_m"), labels.index("th_m")
+        self.i_wl, self.i_thl = labels.index("w_l"), labels.index("th_l")
 
         nx = n_pl + 1
         self.nx = nx
@@ -308,13 +288,10 @@ class _Drive:
         def base_matrices() -> tuple[np.ndarray, np.ndarray]:
             """Drive with the voltage as an external input: u = [v, tau, i_ref]."""
             A = np.zeros((nx, nx))
-            A[0, 0] = -p.Rs / p.Ls
-            A[0, self.i_w] = -p.Kb / p.Ls
-            A[1:n_pl, :n_pl] = mech
+            A[:n_pl, :n_pl] = plant.A
             A[i_ci, 0] = -1.0
             B = np.zeros((nx, 3))
-            B[0, 0] = 1.0 / p.Ls
-            B[self.i_wl, 1] = 1.0 / load_J
+            B[:n_pl, :2] = plant.B
             B[i_ci, 2] = 1.0
             return A, B
 
@@ -332,9 +309,9 @@ class _Drive:
         A_frz[i_ci, 0] = 0.0
         B_frz[i_ci, 2] = 0.0
 
-        h = cfg.substep
-        n_sub = cfg.substeps_per_tick
-        n_seg = cfg.effective_segments
+        h = RK4_STEP
+        n_sub = round(cfg.dt / h)
+        n_seg = cfg.segments_per_tick
         self.n_seg = n_seg
         per_seg = n_sub // n_seg
 
@@ -607,8 +584,11 @@ def simulate_batch(
 
     Yields one :class:`SimTrace` per row of ``gain_triples`` (columns kp,
     kv, ki), in order.  The physics and controller logic are those of
-    :func:`simulate` evaluated with matrix-batch arithmetic; results
-    agree with the scalar path to solver roundoff.  Only the full
+    :func:`simulate` evaluated with matrix-batch arithmetic, whose
+    rounding differs from the scalar path's.  On rail-free runs the two
+    agree to roundoff; once a rail engages, switching instants amplify
+    that roundoff, and costs can differ well beyond it (on the desk
+    grid, most points differ by more than 1e-6 relative).  Only the full
     position cascade is supported (no relay or partial-loop modes).
     Load traces and drive-internal channels are not recorded; the traces
     carry the reference/measurement channels the tracking metrics read.

@@ -440,20 +440,26 @@ def grid_search(
     return grid[best].copy(), float(costs[best]), table
 
 
-def _set_key(fset: FeasibleSet) -> str:
-    return repr(fset)
+def _table_key(fset: FeasibleSet, bench_key: str) -> str:
+    return repr((fset, bench_key))
 
 
-def save_grid_table(path, fset: FeasibleSet, table: np.ndarray) -> None:
-    """Persist a grid-search table for cached-oracle replay."""
-    np.savez_compressed(path, key=np.array(_set_key(fset)), table=table)
+def save_grid_table(path, fset: FeasibleSet, table: np.ndarray,
+                    bench_key: str) -> None:
+    """Persist a grid-search table for cached-oracle replay.
+
+    ``bench_key`` identifies the oracle that scored the table (for a
+    :class:`~axistune.bench.TuningBench`, its ``fingerprint``).
+    """
+    np.savez_compressed(path, key=np.array(_table_key(fset, bench_key)),
+                        table=table)
 
 
-def load_grid_table(path, fset: FeasibleSet) -> np.ndarray | None:
-    """Load a table saved for this exact feasible set, else None."""
+def load_grid_table(path, fset: FeasibleSet, bench_key: str) -> np.ndarray | None:
+    """Load a table saved for this exact feasible set and oracle, else None."""
     try:
         with np.load(path, allow_pickle=False) as data:
-            if str(data["key"]) != _set_key(fset):
+            if str(data["key"]) != _table_key(fset, bench_key):
                 return None
             table = np.array(data["table"], dtype=float)
     except (OSError, KeyError, ValueError):

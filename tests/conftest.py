@@ -1,9 +1,8 @@
 """Shared fixtures.
 
-The expensive fixtures are session-scoped: one full exhaustive grid
-evaluation on the accurate desk bench backs both the acceptance suite
-and every test that needs a reference cost table, and the cheap rigid
-bench covers tests that only need a working closed loop.
+The expensive fixtures are session-scoped: one desk bench serves every
+test that needs a working closed loop, and one full exhaustive grid
+evaluation on it backs every test that needs a reference cost table.
 """
 
 from __future__ import annotations
@@ -31,14 +30,8 @@ def desk_fset():
 
 @pytest.fixture(scope="session")
 def desk_bench():
-    """Accurate-simulation cost oracle for the default benchmark."""
+    """Cost oracle for the default benchmark."""
     return get_preset("desk").bench()
-
-
-@pytest.fixture(scope="session")
-def fast_bench():
-    """Rigid coarse-step bench; an order of magnitude faster."""
-    return get_preset("desk-fast").bench()
 
 
 @pytest.fixture(scope="session")

@@ -67,9 +67,9 @@ def test_limit_cycle_degenerate_signals():
 # -- ultimate-gain methods ---------------------------------------------------------
 
 
-def test_ziegler_nichols_finds_the_oscillation_boundary(fast_bench):
-    fset = get_preset("desk-fast").feasible
-    res = ziegler_nichols(fast_bench, fset)
+def test_ziegler_nichols_finds_the_oscillation_boundary(desk_bench):
+    fset = get_preset("desk").feasible
+    res = ziegler_nichols(desk_bench, fset)
     assert isinstance(res, TuningResult)
     assert res.method == "ziegler-nichols"
     ku, tu = res.diagnostics["ku"], res.diagnostics["tu"]
@@ -91,13 +91,13 @@ def test_ziegler_nichols_finds_the_oscillation_boundary(fast_bench):
     assert ki == pytest.approx(res.diagnostics["table_ki"], rel=1e-9)
     # this plant tolerates full position gain at that speed tuning
     assert kp == fset.kp[1]
-    assert res.cost == fast_bench.cost(res.gains)
+    assert res.cost == desk_bench.cost(res.gains)
 
 
-def test_ziegler_nichols_is_deterministic(fast_bench):
-    fset = get_preset("desk-fast").feasible
-    a = ziegler_nichols(fast_bench, fset)
-    b = ziegler_nichols(fast_bench, fset)
+def test_ziegler_nichols_is_deterministic(desk_bench):
+    fset = get_preset("desk").feasible
+    a = ziegler_nichols(desk_bench, fset)
+    b = ziegler_nichols(desk_bench, fset)
     assert a.gains == b.gains
     assert [p["kv"] for p in a.diagnostics["probes"]] == [
         p["kv"] for p in b.diagnostics["probes"]
@@ -105,10 +105,10 @@ def test_ziegler_nichols_is_deterministic(fast_bench):
     assert a.diagnostics["tu"] == b.diagnostics["tu"]
 
 
-def test_relay_agrees_with_ziegler_nichols(fast_bench):
-    fset = get_preset("desk-fast").feasible
-    zn = ziegler_nichols(fast_bench, fset)
-    ry = relay_tune(fast_bench, fset)
+def test_relay_agrees_with_ziegler_nichols(desk_bench):
+    fset = get_preset("desk").feasible
+    zn = ziegler_nichols(desk_bench, fset)
+    ry = relay_tune(desk_bench, fset)
     assert ry.method == "relay"
     assert ry.diagnostics["d"] == pytest.approx(1.0)  # 10% of the 10 A limit
     assert ry.diagnostics["n_cycles"] >= 5
@@ -121,12 +121,12 @@ def test_relay_agrees_with_ziegler_nichols(fast_bench):
     assert fset.contains(ry.gains)
 
 
-def test_relay_respects_a_reset_time_axis(fast_bench):
-    pre = get_preset("desk-fast")
+def test_relay_respects_a_reset_time_axis(desk_bench):
+    pre = get_preset("desk")
     f = pre.feasible
     tn_set = FeasibleSet(kp=f.kp, kv=f.kv, third=(0.5, 5.0),
                          n_kp=4, n_kv=4, n_third=4, third_axis="tn")
-    res = relay_tune(fast_bench, tn_set)
+    res = relay_tune(desk_bench, tn_set)
     kp, kv, ki = res.gains
     # the clamp works in reset-time units: tn = kv/ki must sit in the box
     assert tn_set.contains((kp, kv, kv / ki))
@@ -142,7 +142,7 @@ def test_never_oscillating_plant_raises_with_diagnostics():
             e = speed * np.exp(-t / 0.05)  # pure decay at any gain
             return SimpleNamespace(e_speed=e, diverged=False, dt=self.cfg.dt)
 
-    fset = get_preset("desk-fast").feasible
+    fset = get_preset("desk").feasible
     with pytest.raises(TuningError) as exc:
         ziegler_nichols(DeadBench(), fset)
     assert "no oscillation boundary" in str(exc.value)
@@ -156,7 +156,7 @@ def test_never_oscillating_plant_raises_with_diagnostics():
 def test_relay_without_a_limit_cycle_raises():
     class StuckBench:
         cfg = SimConfig()
-        plant = get_preset("desk-fast").plant
+        plant = get_preset("desk").plant
 
         def relay_run(self, amplitude, duration, hysteresis=0.0, speed=0.0):
             n = int(duration / self.cfg.dt)
@@ -164,7 +164,7 @@ def test_relay_without_a_limit_cycle_raises():
                 e_speed=np.zeros(n), diverged=False, dt=self.cfg.dt
             )
 
-    fset = get_preset("desk-fast").feasible
+    fset = get_preset("desk").feasible
     with pytest.raises(TuningError) as exc:
         relay_tune(StuckBench(), fset)
     assert "no limit cycle" in str(exc.value)

@@ -130,3 +130,15 @@ def test_probe_delegates_to_the_stability_check(plant, cc):
     stable, decay = bench.probe((150.0, 0.5, 90.0))
     assert stable
     assert decay < 1.0
+
+
+def test_desk_optimum_costs_are_pinned():
+    # (150, 0.5, 90) never touches a rail, so its cost is not chaotic; any
+    # change to the drive maps shows up here and must be a deliberate edit
+    from axistune.presets import get_preset
+
+    triple = (150.0, 0.5, 90.0)
+    single = get_preset("desk").bench().cost(triple)
+    batch = get_preset("desk").bench().evaluate_many([triple])[0]
+    assert single == pytest.approx(61.99755248867308, rel=1e-12)
+    assert batch == pytest.approx(61.997552488659736, rel=1e-12)

@@ -3,10 +3,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from axistune.cli import main
 from axistune.presets import get_preset
+from axistune.tuner import FeasibleSet
 
 
 def _load_record(path):
@@ -25,7 +27,7 @@ def cli_out(tmp_path_factory):
 
 
 def test_simulate_writes_trace_and_record(tmp_path, capsys):
-    rc = main(["simulate", "--preset", "desk-fast", "--gains", "150,0.5,90",
+    rc = main(["simulate", "--preset", "desk", "--gains", "150,0.5,90",
                "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -44,24 +46,24 @@ def test_simulate_writes_trace_and_record(tmp_path, capsys):
 
 
 def test_simulate_rejects_gains_outside_the_box(tmp_path, capsys):
-    rc = main(["simulate", "--preset", "desk-fast", "--gains", "1,1,1",
+    rc = main(["simulate", "--preset", "desk", "--gains", "1,1,1",
                "--out", str(tmp_path)])
     assert rc == 2
     assert "outside the feasible box" in capsys.readouterr().err
 
 
 def test_simulate_requires_gains(tmp_path, capsys):
-    rc = main(["simulate", "--preset", "desk-fast", "--out", str(tmp_path)])
+    rc = main(["simulate", "--preset", "desk", "--out", str(tmp_path)])
     assert rc == 2
     assert "--gains" in capsys.readouterr().err
 
 
 def test_simulate_divergence_exits_1(tmp_path, capsys, monkeypatch):
-    real = get_preset("desk-fast")
+    real = get_preset("desk")
     broken = dataclasses.replace(
         real, sim=dataclasses.replace(real.sim, divergence_limit=1e-9))
     monkeypatch.setattr("axistune.cli.get_preset", lambda name: broken)
-    rc = main(["simulate", "--preset", "desk-fast", "--gains", "150,0.5,90",
+    rc = main(["simulate", "--preset", "desk", "--gains", "150,0.5,90",
                "--out", str(tmp_path)])
     assert rc == 1
     assert "diverged" in capsys.readouterr().err
@@ -76,7 +78,7 @@ def test_simulate_divergence_exits_1(tmp_path, capsys, monkeypatch):
 def test_config_file_merging_and_flag_priority(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# smoke config\nseed = 11\ngains=150,0.5,90\n")
-    rc = main(["simulate", "--preset", "desk-fast", "--config", str(cfg),
+    rc = main(["simulate", "--preset", "desk", "--config", str(cfg),
                "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0
     rec = _load_record(tmp_path / "record_simulate.json")
@@ -110,17 +112,17 @@ def test_config_error_paths(tmp_path, capsys):
 
     bad_seed = tmp_path / "bad_seed.cfg"
     bad_seed.write_text("seed=three\ngains=150,0.5,90\n")
-    assert main(["simulate", "--preset", "desk-fast", "--config",
+    assert main(["simulate", "--preset", "desk", "--config",
                  str(bad_seed), "--out", str(tmp_path)]) == 2
     assert "seed must be an integer" in capsys.readouterr().err
 
 
 def test_malformed_gains_and_bo_overrides(tmp_path, capsys):
-    assert main(["simulate", "--preset", "desk-fast", "--gains", "1,2",
+    assert main(["simulate", "--preset", "desk", "--gains", "1,2",
                  "--out", str(tmp_path)]) == 2
     assert "three comma-separated" in capsys.readouterr().err
     # the initial design must support a hyperparameter fit
-    assert main(["tune", "--preset", "desk-fast", "--m0", "2",
+    assert main(["tune", "--preset", "desk", "--m0", "2",
                  "--out", str(tmp_path)]) == 2
     assert "m0" in capsys.readouterr().err
 
@@ -129,7 +131,7 @@ def test_malformed_gains_and_bo_overrides(tmp_path, capsys):
 
 
 def test_tune_is_reproducible_bitwise(tmp_path, capsys):
-    args = ["tune", "--preset", "desk-fast", "--seed", "7", "--m0", "5",
+    args = ["tune", "--preset", "desk", "--seed", "7", "--m0", "5",
             "--max-iters", "3"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
@@ -149,7 +151,7 @@ def test_tune_is_reproducible_bitwise(tmp_path, capsys):
     assert ra["bo"]["evaluations"] <= 5 + 3
     assert len(ra["iteration_log"]) == ra["bo"]["iterations"]
     kp, kv, ki = ra["gains"]
-    fset = get_preset("desk-fast").feasible
+    fset = get_preset("desk").feasible
     assert fset.contains((kp, kv, ki))
     assert (a / "trace_tune.csv").is_file()
 
@@ -158,10 +160,10 @@ def test_tune_is_reproducible_bitwise(tmp_path, capsys):
 
 
 def test_grid_command_and_cache(cli_out, capsys):
-    assert main(["grid", "--preset", "desk-fast", "--out", str(cli_out)]) == 0
+    assert main(["grid", "--preset", "desk", "--out", str(cli_out)]) == 0
     first = capsys.readouterr().out
     assert "grid best" in first
-    assert (cli_out / "grid_cache_desk_fast.npz").is_file()
+    assert (cli_out / "grid_cache_desk.npz").is_file()
     rec1 = _load_record(cli_out / "record_grid.json")
     lines = (cli_out / "grid.csv").read_text().splitlines()
     assert lines[0] == "kp,kv,ki,cost"
@@ -171,14 +173,14 @@ def test_grid_command_and_cache(cli_out, capsys):
     assert rec1["best_cost"] == min(costs)
 
     # the second run is served from the cache and reproduces the record
-    assert main(["grid", "--preset", "desk-fast", "--out", str(cli_out)]) == 0
+    assert main(["grid", "--preset", "desk", "--out", str(cli_out)]) == 0
     capsys.readouterr()
     rec2 = _load_record(cli_out / "record_grid.json")
     assert rec1 == rec2
 
 
 def test_compare_lists_all_methods(cli_out, capsys):
-    rc = main(["compare", "--preset", "desk-fast", "--seed", "0", "--m0", "5",
+    rc = main(["compare", "--preset", "desk", "--seed", "0", "--m0", "5",
                "--max-iters", "2", "--out", str(cli_out)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -205,7 +207,7 @@ def test_compare_lists_all_methods(cli_out, capsys):
 
 
 def test_sweep_m0_summary(tmp_path, capsys):
-    rc = main(["sweep-m0", "--preset", "desk-fast", "--m0", "3,4",
+    rc = main(["sweep-m0", "--preset", "desk", "--m0", "3,4",
                "--repeats", "1", "--max-iters", "2", "--seed", "1",
                "--out", str(tmp_path)])
     assert rc == 0
@@ -221,6 +223,63 @@ def test_sweep_m0_summary(tmp_path, capsys):
         # a single repeat collapses the quantiles
         assert row["cost_q10"] == row["cost_q50"] == row["cost_q90"]
 
-    bad = main(["sweep-m0", "--preset", "desk-fast", "--m0", "3;4",
+    bad = main(["sweep-m0", "--preset", "desk", "--m0", "3;4",
                 "--out", str(tmp_path)])
     assert bad == 2
+
+
+# -- search-space mapping and the grid cache ------------------------------------------
+
+
+def _desk_with(monkeypatch, **changes):
+    """The desk preset with some fields replaced, served for every name."""
+    pre = dataclasses.replace(get_preset("desk"), **changes)
+    monkeypatch.setattr("axistune.cli.get_preset", lambda name: pre)
+    return pre
+
+
+def test_reset_time_points_are_scored_as_their_gains(tmp_path, monkeypatch,
+                                                      capsys):
+    # a reset-time axis over the desk bench: ki = kv/tn spans 60 to 500
+    tn_set = FeasibleSet(kp=(150.0, 450.0), kv=(0.3, 0.5), third=(1e-3, 5e-3),
+                         n_kp=3, n_kv=3, n_third=3, third_axis="tn")
+    pre = _desk_with(monkeypatch, feasible=tn_set)
+    bench = pre.bench()
+
+    tune, grid = tmp_path / "tune", tmp_path / "grid"
+    assert main(["tune", "--seed", "0", "--m0", "5", "--max-iters", "3",
+                 "--out", str(tune)]) == 0
+    assert main(["grid", "--out", str(grid)]) == 0
+    capsys.readouterr()
+
+    rec = _load_record(tune / "record_tune.json")
+    assert rec["iteration_log"]
+    for it in rec["iteration_log"]:
+        kp, kv, tn = it["point"]
+        assert it["y"] == bench.cost((kp, kv, kv / tn))
+    assert rec["cost"] == rec["iteration_log"][-1]["incumbent_cost"]
+
+    lines = (grid / "grid.csv").read_text().splitlines()
+    assert lines[0] == "kp,kv,tn,cost"
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    # a fresh bench: the one above memoized single-run costs, and on railed
+    # points those differ from the batch path's
+    expected = pre.bench().evaluate_many(tn_set.canonical(table[:, :3]))
+    assert np.array_equal(table[:, 3], expected)
+
+
+def test_grid_cache_is_keyed_on_the_bench(tmp_path, monkeypatch, capsys):
+    small = FeasibleSet(kp=(150.0, 450.0), kv=(0.3, 0.5), third=(90.0, 270.0),
+                        n_kp=3, n_kv=3, n_third=3)
+    _desk_with(monkeypatch, feasible=small)
+    shared, cold = tmp_path / "shared", tmp_path / "cold"
+    assert main(["grid", "--out", str(shared)]) == 0
+    sim = _load_record(shared / "record_grid.json")
+    # other weights into the same directory must not replay the cached table
+    assert main(["grid", "--weights", "exp-tracking", "--out", str(shared)]) == 0
+    assert main(["grid", "--weights", "exp-tracking", "--out", str(cold)]) == 0
+    capsys.readouterr()
+    warm = _load_record(shared / "record_grid.json")
+    fresh = _load_record(cold / "record_grid.json")
+    assert warm["best_cost"] == fresh["best_cost"] != sim["best_cost"]
+    assert (shared / "grid.csv").read_bytes() == (cold / "grid.csv").read_bytes()

@@ -1,115 +1,78 @@
-"""Transfer-function and state-space model checks."""
+"""State-space model checks."""
 
 import numpy as np
 import pytest
 
-from axistune.plant import (
-    ModelError,
-    PlantParams,
-    TransferFunction,
-    drivetrain_tfs,
-    full_tf,
-    motor_tf,
-    physical_state_model,
-    rational_equal,
-    to_state_space,
-)
+from axistune.plant import ModelError, physical_state_model
+
+
+def _dc_magnitude(plant, output):
+    """|voltage -> output| at 1e-3 rad/s, five decades below the slowest
+    pole: the DC gain to ~1e-10.  The phase there is still ~1e-5 rad, so
+    only magnitudes are compared, and the resolvent solve limits them to
+    ~1e-8 (see the transfer-function check below)."""
+    ss = physical_state_model(plant)
+    h = ss.frequency_response(
+        [1e-3], input_index=0, output_index=ss.state_labels.index(output)
+    )
+    return float(np.abs(h[0]))
 
 
 def test_load_follows_motor_at_dc(plant):
-    _f1, _f2, f3 = drivetrain_tfs(plant)
-    assert abs(f3.dc_gain() - 1.0) <= 1e-9
+    ratio = _dc_magnitude(plant, "w_l") / _dc_magnitude(plant, "w_m")
+    assert abs(ratio - 1.0) <= 1e-8
 
 
 def test_speed_dc_gain_matches_lumped_constants(plant):
-    g = full_tf(plant)
+    g = _dc_magnitude(plant, "w_l")
     expected = plant.Kt / (plant.Kt * plant.Kb + plant.Rs * plant.Bm)
-    assert abs(g.dc_gain() - expected) <= 1e-9 * expected
+    assert abs(g - expected) <= 1e-8 * expected
     assert expected == pytest.approx(1.4714, rel=1e-4)
 
 
 def test_motor_and_load_paths_factor_the_full_model(plant):
-    f1, _f2, f3 = drivetrain_tfs(plant)
-    m = motor_tf(plant, f1.reciprocal())
-    assert rational_equal(m * f3, full_tf(plant), tol=1e-9)
-
-
-def test_rigid_approximation_matches_in_the_low_band(plant):
-    exact = full_tf(plant)
-    approx = full_tf(plant, approximate=True)
-    # DC plus two decades up to 1 kHz
-    freqs = np.concatenate([[0.0], np.logspace(0.0, 3.0, 200)])
-    omega = 2.0 * np.pi * freqs[1:]
-    mag_e = np.abs(exact.frequency_response(omega))
-    mag_a = np.abs(approx.frequency_response(omega))
-    assert abs(exact.dc_gain() - approx.dc_gain()) <= 0.01 * abs(exact.dc_gain())
-    assert np.all(np.abs(mag_e - mag_a) <= 0.01 * mag_e)
-
-
-def test_canonical_realization_reproduces_the_response(plant):
-    g = full_tf(plant).normalized()
-    ss = to_state_space(g)
-    omega = np.logspace(-1, 4, 50)
-    h_tf = g.frequency_response(omega)
-    h_ss = ss.frequency_response(omega)
-    assert np.all(np.abs(h_ss - h_tf) <= 1e-9 * np.abs(h_tf))
+    # load speed = motor speed * C(s)/B(s): the spring-damper coupling
+    # C = Bml s + Ks drives the load inertia B = Jl s^2 + (Bml+Bl) s + Ks;
+    # the band spans the axial resonance near 1.08e6 rad/s
+    p = plant
+    ss = physical_state_model(p)
+    omega = np.logspace(0, 6.5, 60)
+    s = 1j * omega
+    h_m, h_l = (ss.frequency_response(omega, input_index=0,
+                                      output_index=ss.state_labels.index(name))
+                for name in ("w_m", "w_l"))
+    f3 = np.polyval([p.Bml, p.Ks], s) / np.polyval([p.Jl, p.Bml + p.Bl, p.Ks], s)
+    assert np.all(np.abs(h_l - h_m * f3) <= 1e-6 * np.abs(h_l))
 
 
 def test_physical_model_load_speed_matches_transfer_function(plant):
-    ss = physical_state_model(plant)
+    # Closed form of the voltage-to-load-speed path: with the two-mass
+    # polynomials A = Jm s^2 + (Bm+Bml) s + Ks, B = Jl s^2 + (Bml+Bl) s + Ks,
+    # C = Bml s + Ks and D = (A*B - C^2)/s (the constant term cancels),
+    #     G(s) = Kt*C(s) / (Kt*Kb*B(s) + (Ls*s + Rs)*D(s)).
+    p = plant
+    A = [p.Jm, p.Bm + p.Bml, p.Ks]
+    B = [p.Jl, p.Bml + p.Bl, p.Ks]
+    C = [p.Bml, p.Ks]
+    det = np.polysub(np.polymul(A, B), np.polymul(C, C))
+    assert abs(det[-1]) <= 1e-9 * np.abs(det).max()
+    D = det[:-1]
+    num = p.Kt * np.asarray(C)
+    den = np.polyadd(p.Kt * p.Kb * np.asarray(B), np.polymul([p.Ls, p.Rs], D))
+
+    ss = physical_state_model(p)
     assert ss.state_labels.index("w_l") == 3
-    g = full_tf(plant)
     omega = np.logspace(0, 4, 40)
+    s = 1j * omega
+    h_tf = np.polyval(num, s) / np.polyval(den, s)
     h_ss = ss.frequency_response(omega, input_index=0, output_index=3)
-    h_tf = g.frequency_response(omega)
     # the stiff spring spreads the A-matrix entries over ~12 decades, so the
     # resolvent solve keeps ~7 significant digits here, not machine precision
     assert np.all(np.abs(h_ss - h_tf) <= 1e-6 * np.abs(h_tf))
 
 
-def test_rigid_physical_model_matches_rigid_fraction(plant):
-    ss = physical_state_model(plant, rigid=True)
-    rigid_load = TransferFunction((plant.Jm + plant.Jl, plant.Bm), (1.0,))
-    m = motor_tf(plant, rigid_load)
-    omega = np.logspace(0, 3, 30)
-    h_ss = ss.frequency_response(omega, input_index=0, output_index=1)
-    h_tf = m.frequency_response(omega)
-    assert np.all(np.abs(h_ss - h_tf) <= 1e-9 * np.abs(h_tf))
-
-
 def test_sampled_lead_conversion(plant):
     assert plant.lead_per_rad == pytest.approx(0.018 / (2.0 * np.pi), rel=1e-12)
-
-
-def test_transfer_function_algebra():
-    a = TransferFunction((2.0, 1.0), (1.0, 3.0, 2.0))
-    b = TransferFunction((4.0, 2.0), (2.0, 6.0, 4.0))
-    assert rational_equal(a, b)
-    assert not rational_equal(a, TransferFunction((1.0,), (1.0, 1.0)))
-    prod = a * a.reciprocal()
-    assert rational_equal(prod, TransferFunction((1.0,), (1.0,)))
-
-
-def test_leading_zero_coefficients_are_trimmed():
-    tf = TransferFunction((0.0, 0.0, 3.0), (0.0, 1.0, 2.0))
-    assert tf.num == (3.0,)
-    assert tf.den == (1.0, 2.0)
-
-
-def test_degenerate_fractions_are_rejected():
-    with pytest.raises(ModelError):
-        TransferFunction((1.0,), (0.0, 0.0))
-    with pytest.raises(ModelError):
-        TransferFunction((0.0,), (1.0,)).reciprocal()
-    improper = TransferFunction((1.0, 0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ModelError):
-        to_state_space(improper)
-
-
-def test_evaluation_at_a_pole_is_an_error():
-    tf = TransferFunction((1.0,), (1.0, 1.0))  # pole at s = -1
-    with pytest.raises(ModelError):
-        tf(-1.0)
 
 
 def test_nonphysical_parameters_are_rejected(plant):

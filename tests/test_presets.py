@@ -11,12 +11,12 @@ from axistune.presets import (
     LAB_SERVO,
     LAB_SERVO_CURRENT,
     PRESETS,
-    SIM_PRESETS,
     TRAJECTORY_PRESETS,
     WEIGHT_PRESETS,
     get_preset,
     get_weights,
 )
+from axistune.simloop import SimConfig
 
 
 def test_lab_servo_constants():
@@ -40,11 +40,10 @@ def test_current_loop_constants():
 
 
 def test_registry_names():
-    assert set(PRESETS) == {"desk", "desk-fast", "fine", "plc"}
+    assert set(PRESETS) == {"desk", "fine", "plc"}
     assert DEFAULT_PRESET in PRESETS
     assert set(WEIGHT_PRESETS) == {"sim-tracking", "exp-tracking"}
     assert set(FEASIBLE_PRESETS) == {"desk", "fine", "plc"}
-    assert set(SIM_PRESETS) == {"accurate", "fast"}
     assert set(TRAJECTORY_PRESETS) == {"bench-move", "long-stroke"}
 
 
@@ -88,20 +87,10 @@ def test_weight_presets_are_selective():
 def test_desk_uses_the_benchmark_move_and_accurate_solver():
     pre = get_preset("desk")
     assert pre.trajectory is BENCH_MOVE
-    assert pre.sim.substep == pytest.approx(1e-6)
-    assert not pre.sim.rigid
+    assert pre.sim == SimConfig()
     assert pre.weights == "sim-tracking"
     assert pre.bo.m0 == 20
     assert pre.bo.max_iterations == 60
-
-
-def test_fast_preset_only_changes_the_solver():
-    slow, fast = get_preset("desk"), get_preset("desk-fast")
-    assert fast.sim.rigid
-    assert fast.sim.substep == pytest.approx(1e-5)
-    assert fast.trajectory == slow.trajectory
-    assert fast.feasible == slow.feasible
-    assert fast.weights == slow.weights
 
 
 def test_plc_preset_is_the_long_stroke_bundle():
@@ -112,13 +101,13 @@ def test_plc_preset_is_the_long_stroke_bundle():
     assert pre.feasible.third_axis == "tn"
 
 
-def test_bench_assembly(fast_bench):
-    pre = get_preset("desk-fast")
-    assert isinstance(fast_bench, TuningBench)
-    assert fast_bench.cfg is pre.sim
-    assert fast_bench.plant is LAB_SERVO
+def test_bench_assembly(desk_bench):
+    pre = get_preset("desk")
+    assert isinstance(desk_bench, TuningBench)
+    assert desk_bench.cfg is pre.sim
+    assert desk_bench.plant is LAB_SERVO
     # profile ticks match the configured move
-    assert fast_bench.profile.dt == pytest.approx(pre.sim.dt)
+    assert desk_bench.profile.dt == pytest.approx(pre.sim.dt)
     # a weights override is honored without touching the preset
     custom = get_weights("exp-tracking")
     b2 = pre.bench(weights=custom)

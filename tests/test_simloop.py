@@ -56,7 +56,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.0)
     with pytest.raises(ValueError):
-        SimConfig(substep=2e-3)  # coarser than the tick
+        SimConfig(dt=1.5e-6)  # not a whole number of integrator steps
+    with pytest.raises(ValueError):
+        SimConfig(segments_per_tick=3)  # does not divide 1000 steps per tick
+    with pytest.raises(ValueError):
+        SimConfig(segments_per_tick=0)
 
 
 def test_profile_tick_mismatch_is_rejected(plant, cc):
@@ -250,14 +254,3 @@ def test_trace_is_a_plain_record(plant, cc):
     assert trace.dt == 1e-3
     assert np.array_equal(trace.e_pos, trace.r_pos - trace.y_pos)
     assert np.array_equal(trace.e_speed, trace.r_speed - trace.y_speed)
-
-
-def test_rigid_model_tracks_the_same_move(plant, cc):
-    profile = benchmark_profile()
-    full = simulate(plant, WELL_DAMPED, cc, profile)
-    rigid = simulate(
-        plant, WELL_DAMPED, cc, profile, SimConfig(substep=1e-5, rigid=True)
-    )
-    assert not rigid.diverged
-    # the stiff-screw idealization stays close to the two-mass response
-    assert np.max(np.abs(full.y_pos - rigid.y_pos)) <= 1e-3

@@ -321,18 +321,19 @@ def test_grid_table_cache_round_trip(tmp_path):
         SMALL, batch_oracle=lambda X: np.array([oracle(x) for x in X])
     )
     path = tmp_path / "table.npz"
-    save_grid_table(path, SMALL, table)
-    loaded = load_grid_table(path, SMALL)
+    save_grid_table(path, SMALL, table, "bench-a")
+    loaded = load_grid_table(path, SMALL, "bench-a")
     assert loaded is not None
     assert np.array_equal(loaded, table)
 
-    # a different feasible set must refuse the cache
+    # a different feasible set or a different oracle must refuse the cache
     other = FeasibleSet(kp=(1.0, 4.0), kv=(0.1, 0.5), third=(10.0, 40.0),
                         n_kp=5, n_kv=5, n_third=4)
-    assert load_grid_table(path, other) is None
+    assert load_grid_table(path, other, "bench-a") is None
+    assert load_grid_table(path, SMALL, "bench-b") is None
 
     # missing or corrupt files load as None
-    assert load_grid_table(tmp_path / "absent.npz", SMALL) is None
+    assert load_grid_table(tmp_path / "absent.npz", SMALL, "bench-a") is None
     bad = tmp_path / "bad.npz"
     bad.write_bytes(b"not an archive")
-    assert load_grid_table(bad, SMALL) is None
+    assert load_grid_table(bad, SMALL, "bench-a") is None
