@@ -40,10 +40,8 @@ from .gpr import (
     default_hyper_bounds,
     fit,
     fit_hyperparams,
-    kernel,
     nlml,
     predict,
-    predict_many,
 )
 from .metrics import CostWeights, MetricVector, cost, extract_metrics, itae
 from .plant import ModelError, PlantParams, StateSpaceModel, physical_state_model
@@ -74,7 +72,6 @@ from .simloop import (
     SimTrace,
     simulate,
     simulate_batch,
-    stability_probe,
 )
 from .tuner import (
     BoConfig,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from .bench import TuningBench
+from .bench import SetOracle, TuningBench
 from .metrics import MetricVector
 from .simloop import SimTrace
 from .tuner import FeasibleSet
@@ -320,13 +320,14 @@ def itae_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
     still reported for comparison against the other methods) and keeps
     the first minimizer in grid order.
     """
-    triples = fset.canonical(fset.grid())
-    table = bench.metric_table(triples)
+    oracle = SetOracle(bench, fset)
+    grid = fset.grid()
+    table = oracle.metric_table(grid)
     vals = np.array(
         [math.inf if m.is_diverged else m.pos_itae + m.spd_itae for m in table]
     )
     best = int(np.argmin(vals))
-    kp, kv, ki = (float(v) for v in triples[best])
+    kp, kv, ki = oracle.gains(grid[best])
     return _finish(bench, "itae", kp, kv, ki, {
         "itae": float(vals[best]), "criterion": "pos_itae + spd_itae",
         "grid_index": best,

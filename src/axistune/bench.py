@@ -41,7 +41,6 @@ from .simloop import (
     SimTrace,
     simulate,
     simulate_batch,
-    stability_probe,
 )
 from .tuner import FeasibleSet
 
@@ -71,14 +70,15 @@ class TuningBench:
     ----------
     plant, current_gains : electromechanical model and drive-internal
         current-loop gains, fixed for the life of the bench.
+    weights : CostWeights
+        Scalarization of the metric vector; every metric is extracted
+        with the fixed settling band ``metrics.SETTLE_BAND``.
     profile : ReferenceProfile, optional
         Scoring trajectory; defaults to :func:`benchmark_profile`.
-    weights : CostWeights
-        Scalarization of the metric vector.
     sim_config : SimConfig, optional
         Must be in position mode for cost queries; the probe helpers
-        derive their own speed-mode variants from it.
-    settle_band, overshoot_percent : forwarded to metric extraction.
+        (`speed_step`, `relay_run`) derive their speed-mode variants
+        from it.
     """
 
     def __init__(
@@ -88,8 +88,6 @@ class TuningBench:
         weights: CostWeights,
         profile: ReferenceProfile | None = None,
         sim_config: SimConfig | None = None,
-        settle_band: float = 0.02,
-        overshoot_percent: bool = False,
     ):
         cfg = sim_config if sim_config is not None else SimConfig()
         if cfg.mode != "position":
@@ -100,8 +98,6 @@ class TuningBench:
         self.weights = weights
         self.cfg = cfg
         self.profile = profile if profile is not None else benchmark_profile(cfg.dt)
-        self.settle_band = settle_band
-        self.overshoot_percent = overshoot_percent
         self._memo: dict[tuple[float, float, float], MetricVector] = {}
         self.n_sims = 0
 
@@ -168,11 +164,10 @@ class TuningBench:
     @property
     def fingerprint(self) -> str:
         """Digest of everything that decides a cost besides the gains:
-        plant, current loop, weights, simulation config, metric options
-        and the sampled reference trajectory."""
+        plant, current loop, weights, simulation config and the sampled
+        reference trajectory."""
         h = hashlib.sha256(repr((
             self.plant, self.current_gains, self.weights, self.cfg,
-            self.settle_band, self.overshoot_percent,
         )).encode())
         for arr in (self.profile.t, self.profile.position, self.profile.speed):
             h.update(arr.tobytes())
@@ -212,14 +207,7 @@ class TuningBench:
         if m.is_diverged:
             return math.inf
         move = float(np.max(np.abs(self.profile.position)))
-        if self.overshoot_percent:
-            return m.pos_overshoot
         return 100.0 * m.pos_overshoot / move if move > 0.0 else 0.0
-
-    def probe(self, triple) -> tuple[bool, float]:
-        """Stability verdict for a gain triple from a short test move."""
-        return stability_probe(self.plant, GainVector(*self._key(triple)),
-                               self.current_gains, self.cfg)
 
     # -- internals ---------------------------------------------------------------
 
@@ -229,8 +217,7 @@ class TuningBench:
         return kp, kv, ki
 
     def _extract(self, trace: SimTrace) -> MetricVector:
-        return extract_metrics(trace, self.profile, settle_band=self.settle_band,
-                               overshoot_percent=self.overshoot_percent)
+        return extract_metrics(trace, self.profile)
 
 
 class SetOracle:
@@ -257,3 +244,7 @@ class SetOracle:
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Costs of an (N, 3) array of set-space points, batch-simulated."""
         return self.bench.evaluate_many(self.fset.canonical(points))
+
+    def metric_table(self, points: np.ndarray) -> list[MetricVector]:
+        """Metric vectors of an (N, 3) array of set-space points, batch-simulated."""
+        return self.bench.metric_table(self.fset.canonical(points))

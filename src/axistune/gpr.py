@@ -30,10 +30,8 @@ __all__ = [
     "Dataset",
     "GpPosterior",
     "HyperparamSearchError",
-    "kernel",
     "fit",
     "predict",
-    "predict_many",
     "nlml",
     "fit_hyperparams",
     "default_hyper_bounds",
@@ -41,6 +39,7 @@ __all__ = [
 
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
+_PREDICT_CHUNK = 262_144  # query rows per block in `predict`
 
 
 @dataclass(frozen=True)
@@ -100,21 +99,12 @@ class Dataset:
         return self.X.shape[1]
 
 
-def kernel(x: np.ndarray, xp: np.ndarray, h: GpHyperparams) -> float:
-    """Squared-exponential covariance of two points."""
-    s = 0.0
-    for a, b, l in zip(x, xp, h.lengthscales):
-        d = (a - b) / l
-        s += d * d
-    return h.sigma_f * h.sigma_f * math.exp(-0.5 * s)
-
-
 def _scaled(X: np.ndarray, h: GpHyperparams) -> np.ndarray:
     return X / np.asarray(h.lengthscales)
 
 
 def _kernel_matrix(Xs: np.ndarray, h: GpHyperparams) -> np.ndarray:
-    """Dense K over pre-scaled inputs, built row by row from the kernel sum."""
+    """Dense K over pre-scaled inputs."""
     sq = np.sum(Xs * Xs, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
     np.maximum(d2, 0.0, out=d2)
@@ -215,43 +205,13 @@ def fit(
     )
 
 
-def predict(g: GpPosterior, x: np.ndarray) -> tuple[float, float]:
-    """Posterior mean and variance at one point (original units).
+def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance at the rows of X (original units).
 
     The variance is clamped at zero from below; it never exceeds the
-    prior variance sigma_f^2 by more than factorization roundoff.
-    """
-    xn = (np.asarray(x, dtype=float) - g.input_shift) / g.input_span
-    xs = xn / np.asarray(g.h.lengthscales)
-    diff = g.X_scaled - xs
-    k_star = g.h.sigma_f * g.h.sigma_f * np.exp(-0.5 * np.sum(diff * diff, axis=1))
-    mu = float(k_star @ g.alpha)
-    v = np.linalg.solve(g.L, k_star)
-    var = g.h.sigma_f * g.h.sigma_f - float(v @ v)
-    if var < 0.0:
-        var = 0.0
-    return mu * g.y_scale + g.y_mean, var * (g.y_scale * g.y_scale)
-
-
-def predict_many(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise :func:`predict` over the rows of X (identical results)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    mu = np.empty(X.shape[0])
-    var = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        mu[i], var[i] = predict(g, X[i])
-    return mu, var
-
-
-def _mu_var_grid(
-    g: GpPosterior, X: np.ndarray, chunk: int = 262_144
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch posterior for acquisition sweeps over large grids.
-
-    Same mathematics as :func:`predict`; results agree with the pointwise
-    path to solver roundoff (~1e-12 relative), not bitwise.  Query rows
-    are processed in chunks so peak memory stays bounded on grids with
-    millions of candidates.
+    prior variance sigma_f^2 by more than factorization roundoff.  Query
+    rows are processed ``_PREDICT_CHUNK`` at a time, so peak memory stays
+    bounded on acquisition grids with millions of candidates.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -260,8 +220,8 @@ def _mu_var_grid(
     sq_b = np.sum(g.X_scaled * g.X_scaled, axis=1)
     sf2 = g.h.sigma_f * g.h.sigma_f
     ell = np.asarray(g.h.lengthscales)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
+    for start in range(0, n, _PREDICT_CHUNK):
+        sl = slice(start, min(start + _PREDICT_CHUNK, n))
         Xs = ((X[sl] - g.input_shift) / g.input_span) / ell
         d2 = np.sum(Xs * Xs, axis=1)[:, None] + sq_b[None, :] - 2.0 * (Xs @ g.X_scaled.T)
         np.maximum(d2, 0.0, out=d2)

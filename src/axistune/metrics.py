@@ -25,7 +25,13 @@ import numpy as np
 
 from .refgen import ReferenceProfile
 
-__all__ = ["MetricVector", "CostWeights", "itae", "extract_metrics", "cost"]
+__all__ = [
+    "SETTLE_BAND", "MetricVector", "CostWeights", "itae", "extract_metrics", "cost",
+]
+
+# Settling band as a fraction of the move distance (position) and of the
+# speed setpoint (speed).
+SETTLE_BAND = 0.02
 
 
 def itae(e: np.ndarray, t_i: float, t_f: float) -> float:
@@ -156,12 +162,7 @@ def _plateau_stats(
     return over, under
 
 
-def extract_metrics(
-    trace,
-    profile: ReferenceProfile,
-    settle_band: float = 0.02,
-    overshoot_percent: bool = False,
-) -> MetricVector:
+def extract_metrics(trace, profile: ReferenceProfile) -> MetricVector:
     """Condense a simulation trace into the metric vector.
 
     Parameters
@@ -172,14 +173,8 @@ def extract_metrics(
     profile : ReferenceProfile
         Supplies the phase windows: the forward plateau for position
         metrics, the cruise span for speed metrics, the terminal dwell for
-        the zero-position error.
-    settle_band : float
-        Settling band as a fraction of the move distance (position) and of
-        the speed setpoint (speed).
-    overshoot_percent : bool
-        When true, both overshoot and undershoot are reported as a
-        percentage of the move distance / speed plateau instead of in
-        absolute units.
+        the zero-position error.  Settling is judged against
+        ``SETTLE_BAND``.
 
     Returns
     -------
@@ -209,10 +204,8 @@ def extract_metrics(
 
     if move > 0.0:
         over, under = _plateau_stats(y_p, r_fin, sign, p_start, p_stop, i0)
-        band_p = settle_band * move
+        band_p = SETTLE_BAND * move
         out["pos_settling"] = _settling_time(e_p, band_p, i0, p_stop, dt)
-        if overshoot_percent:
-            over, under = 100.0 * over / move, 100.0 * under / move
         out["pos_overshoot"], out["pos_undershoot"] = over, under
         if p_stop > p_start:
             n10 = max(1, (p_stop - p_start) // 10)
@@ -234,17 +227,15 @@ def extract_metrics(
         v_base = abs(profile.spec.speed_setpoint) if profile.spec else abs(v_fin)
         s_sign = 1.0 if v_fin >= 0 else -1.0
         over, under = _plateau_stats(y_s, v_fin, s_sign, c_start, c_stop, i0)
-        if overshoot_percent and abs(v_fin) > 0:
-            over, under = 100.0 * over / abs(v_fin), 100.0 * under / abs(v_fin)
         out["spd_overshoot"], out["spd_undershoot"] = over, under
-        out["spd_settling"] = _settling_time(e_s, settle_band * v_base, i0,
+        out["spd_settling"] = _settling_time(e_s, SETTLE_BAND * v_base, i0,
                                              c_stop, dt)
         n10 = max(1, (c_stop - c_start) // 10)
         out["spd_ss"] = float(np.abs(e_s[c_stop - n10:c_stop]).mean())
     elif move > 0.0 and profile.spec is not None:
         # triangular move: no cruise plateau, settle against the setpoint band
         v_base = abs(profile.spec.speed_setpoint)
-        out["spd_settling"] = _settling_time(e_s, settle_band * v_base, i0, p_start, dt)
+        out["spd_settling"] = _settling_time(e_s, SETTLE_BAND * v_base, i0, p_start, dt)
 
     out["spd_inf"] = float(np.abs(e_s[i0:]).max()) if i0 < n else 0.0
     out["spd_itae"] = itae(e_s[i0:], float(t[i0]), float(t[-1]))

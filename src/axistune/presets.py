@@ -68,9 +68,8 @@ LAB_SERVO = PlantParams(
     omega_max=8000.0 * 2.0 * math.pi / 60.0,  # speed rail [rad/s]
 )
 
-# The drive's internal current-loop PI; the derivative entry exists in
-# the drive's parameter page but is not part of the applied control law.
-LAB_SERVO_CURRENT = CurrentControllerGains(kp=60.0, ki=1000.0, kd=18.0)
+# The drive's internal current-loop PI.
+LAB_SERVO_CURRENT = CurrentControllerGains(kp=60.0, ki=1000.0)
 
 
 # -- cost weights --------------------------------------------------------

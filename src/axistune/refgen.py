@@ -135,11 +135,6 @@ class ReferenceProfile:
     def has_return(self) -> bool:
         return any(ph.leg == 1 for ph in self.phases)
 
-    def to_csv(self, path) -> None:
-        header = "t,r_pos,r_speed"
-        data = np.column_stack([self.t, self.position, self.speed])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def _snapped_leg(spec: TrajectorySpec, dt: float) -> tuple[int, int, int, float]:
     """Tick counts (accel, cruise, decel) and peak speed for one leg."""

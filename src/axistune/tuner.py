@@ -5,11 +5,11 @@ to a finite grid (`FeasibleSet`).  `run_bo` minimizes a black-box cost
 over that grid with a Gaussian-process surrogate and the lower-
 confidence-bound acquisition rule: evaluate a seeded Latin-hypercube
 batch, fit kernel hyperparameters on it, then repeatedly evaluate the
-grid point minimizing mu - beta * sigma.  The loop stops when proposals
-keep landing on or next to the reigning best point: once the incumbent
-survives `repeat_threshold` consecutive iterations whose proposals fall
-within `stop_radius` grid cells of it (or tie its cost exactly), the
-search is considered locked in.
+grid point minimizing mu - beta * sigma with a constant beta.  The loop
+stops when proposals keep landing on or next to the reigning best point:
+once the incumbent survives `REPEAT_THRESHOLD` consecutive iterations
+whose proposals fall within `STOP_RADIUS` grid cells of it (or tie its
+cost exactly), the search is considered locked in.
 
 `grid_search` scores every grid point through a batch oracle and is the
 ground truth the optimizer is judged against; its table can be saved
@@ -28,9 +28,9 @@ from .gpr import (
     Dataset,
     GpHyperparams,
     GpPosterior,
-    _mu_var_grid,
     fit,
     fit_hyperparams,
+    predict,
 )
 
 __all__ = [
@@ -182,51 +182,38 @@ def _grid_cached(s: FeasibleSet) -> np.ndarray:
 
 # -- optimizer configuration and state -----------------------------------------
 
+# The stopping rule: this many consecutive proposals within STOP_RADIUS
+# grid cells of an unchanged incumbent (or tying its cost) end the search.
+REPEAT_THRESHOLD = 3
+STOP_RADIUS = 1
+# Kernel hyperparameters are refitted every REFIT_EVERY iterations, each
+# fit a multi-start descent from N_HYPER_STARTS starting points.
+REFIT_EVERY = 10
+N_HYPER_STARTS = 8
+
 
 @dataclass(frozen=True)
 class BoConfig:
     """Knobs of the GP-LCB loop.
 
-    ``beta_schedule`` is "constant" (use ``beta`` as-is) or "sqrt-log"
-    (beta * sqrt(ln(e + m)) at evaluation count m, slowly widening the
-    bound).  ``variance_form`` scores mu - beta * variance instead of
-    mu - beta * sigma.  ``stop_radius`` is the proposal-to-incumbent
-    distance, in grid cells, that still counts as sampling "around" the
-    incumbent for the stopping rule.
+    ``m0`` is the size of the Latin-hypercube design, ``beta`` the
+    constant confidence multiplier of the bound mu - beta * sigma,
+    ``max_iterations`` the budget of proposals after the design, and
+    ``seed`` seeds the design and the hyperparameter starts.
     """
 
     m0: int = 20
     beta: float = 2.0
-    beta_schedule: str = "constant"
-    variance_form: bool = False
     max_iterations: int = 60
-    repeat_threshold: int = 3
-    stop_radius: int = 1
-    refit_every: int = 10
     seed: int = 0
-    standardize_targets: bool = True
-    n_hyper_starts: int = 8
 
     def __post_init__(self) -> None:
         if self.m0 < 3:
             raise ValueError("m0 must be at least 3 (hyperparameter fit needs it)")
         if self.beta < 0.0:
             raise ValueError("beta must be non-negative")
-        if self.beta_schedule not in ("constant", "sqrt-log"):
-            raise ValueError("beta_schedule must be 'constant' or 'sqrt-log'")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.repeat_threshold < 1:
-            raise ValueError("repeat_threshold must be at least 1")
-        if self.stop_radius < 0:
-            raise ValueError("stop_radius must be non-negative")
-        if self.refit_every < 1:
-            raise ValueError("refit_every must be at least 1")
-
-    def beta_at(self, m: int) -> float:
-        if self.beta_schedule == "constant":
-            return self.beta
-        return self.beta * math.sqrt(math.log(math.e + m))
 
 
 @dataclass(frozen=True)
@@ -302,20 +289,17 @@ class OracleAbort(RuntimeError):
 # -- acquisition ---------------------------------------------------------------
 
 
-def lcb(mu: np.ndarray, var: np.ndarray, beta: float,
-        variance_form: bool = False) -> np.ndarray:
-    """Lower confidence bound mu - beta * sigma (or - beta * variance)."""
+def lcb(mu: np.ndarray, var: np.ndarray, beta: float) -> np.ndarray:
+    """Lower confidence bound mu - beta * sigma."""
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
-    spread = var if variance_form else np.sqrt(np.maximum(var, 0.0))
-    return mu - beta * spread
+    return mu - beta * np.sqrt(np.maximum(var, 0.0))
 
 
 def next_point(
     posterior: GpPosterior,
     fset: FeasibleSet,
     beta: float,
-    variance_form: bool = False,
 ) -> tuple[np.ndarray, float, float, int]:
     """Grid point minimizing the LCB; first flat index wins ties.
 
@@ -324,8 +308,8 @@ def next_point(
     signal the stopping rule listens for.
     """
     grid = fset.grid()
-    mu, var = _mu_var_grid(posterior, grid)
-    idx = int(np.argmin(lcb(mu, var, beta, variance_form)))
+    mu, var = predict(posterior, grid)
+    idx = int(np.argmin(lcb(mu, var, beta)))
     return grid[idx].copy(), float(mu[idx]), float(math.sqrt(max(var[idx], 0.0))), idx
 
 
@@ -350,14 +334,16 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
 
     1. evaluate a seeded Latin-hypercube design of ``m0`` grid points;
     2. fit kernel hyperparameters on that design (refreshed every
-       ``refit_every`` iterations thereafter);
+       ``REFIT_EVERY`` iterations thereafter);
     3. until stopped, propose the LCB argmin over the grid, evaluate it,
        and update the incumbent (strict improvement moves it, so ties
        keep the earliest observation).
 
-    Stops with reason "repeat" once ``repeat_threshold`` consecutive
-    proposals land within ``stop_radius`` grid cells of an unchanged
-    incumbent or tie its cost exactly, or with "max_iterations".
+    The GP always sees inputs scaled to the unit box and standardized
+    targets.  Stops with reason "repeat" once ``REPEAT_THRESHOLD``
+    consecutive proposals land within ``STOP_RADIUS`` grid cells of an
+    unchanged incumbent or tie its cost exactly, or with
+    "max_iterations".
     An oracle exception raises :class:`OracleAbort` carrying the partial
     state.
     """
@@ -369,44 +355,42 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
     bounds = fset.bounds()
     h = fit_hyperparams(
         Dataset(X=state.X, y=state.y), _INIT_HYPERPARAMS,
-        input_bounds=bounds, standardize_targets=config.standardize_targets,
-        n_starts=config.n_hyper_starts, seed=config.seed + 1,
+        input_bounds=bounds, standardize_targets=True,
+        n_starts=N_HYPER_STARTS, seed=config.seed + 1,
     )
     state.hyperparams = h
 
     for t in range(1, config.max_iterations + 1):
         posterior = fit(Dataset(X=state.X, y=state.y), h, input_bounds=bounds,
-                        standardize_targets=config.standardize_targets)
+                        standardize_targets=True)
         state.posterior = posterior
-        beta_t = config.beta_at(state.evaluations)
-        point, mu, sigma, _ = next_point(posterior, fset, beta_t,
-                                         config.variance_form)
+        point, mu, sigma, _ = next_point(posterior, fset, config.beta)
         y = _evaluate(oracle, point, state)
         moved = state._observe(point, y)
         near = (fset.index_distance(point, state.incumbent_point)
-                <= config.stop_radius) or y == state.incumbent_cost
+                <= STOP_RADIUS) or y == state.incumbent_cost
         state.repeat_count = state.repeat_count + 1 if (not moved and near) else 0
         state.iterations = t
         state.records.append(IterationRecord(
             m=state.evaluations, point=state.points[-1], y=y, mu=mu,
-            sigma=sigma, beta=beta_t, incumbent_cost=state.incumbent_cost,
+            sigma=sigma, beta=config.beta, incumbent_cost=state.incumbent_cost,
             repeat_count=state.repeat_count,
         ))
-        if state.repeat_count >= config.repeat_threshold:
+        if state.repeat_count >= REPEAT_THRESHOLD:
             state.stop_reason = "repeat"
             break
-        if t < config.max_iterations and t % config.refit_every == 0:
+        if t < config.max_iterations and t % REFIT_EVERY == 0:
             h = fit_hyperparams(
                 Dataset(X=state.X, y=state.y), h, input_bounds=bounds,
-                standardize_targets=config.standardize_targets,
-                n_starts=config.n_hyper_starts, seed=config.seed + 1 + t,
+                standardize_targets=True,
+                n_starts=N_HYPER_STARTS, seed=config.seed + 1 + t,
             )
             state.hyperparams = h
     else:
         state.stop_reason = "max_iterations"
 
     state.posterior = fit(Dataset(X=state.X, y=state.y), h, input_bounds=bounds,
-                          standardize_targets=config.standardize_targets)
+                          standardize_targets=True)
     return state
 
 

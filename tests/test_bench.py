@@ -125,13 +125,6 @@ def test_position_overshoot_percentage(plant, cc):
     assert math.isinf(diverging.position_overshoot_pct(triple))
 
 
-def test_probe_delegates_to_the_stability_check(plant, cc):
-    bench = _new_bench(plant, cc)
-    stable, decay = bench.probe((150.0, 0.5, 90.0))
-    assert stable
-    assert decay < 1.0
-
-
 def test_desk_optimum_costs_are_pinned():
     # (150, 0.5, 90) never touches a rail, so its cost is not chaotic; any
     # change to the drive maps shows up here and must be a deliberate edit

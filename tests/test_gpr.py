@@ -11,11 +11,18 @@ from axistune.gpr import (
     HyperparamSearchError,
     fit,
     fit_hyperparams,
-    kernel,
     nlml,
     predict,
-    predict_many,
 )
+
+
+def kernel(x, xp, h):
+    """Squared-exponential covariance of two points, summed term by term."""
+    s = 0.0
+    for a, b, l in zip(x, xp, h.lengthscales):
+        d = (a - b) / l
+        s += d * d
+    return h.sigma_f * h.sigma_f * math.exp(-0.5 * s)
 
 
 def _dense_kernel_matrix(X, h):
@@ -66,6 +73,13 @@ def test_kernel_basic_identities():
     far = kernel(x, x + 100.0, h)
     assert 0.0 <= far < 1e-10
 
+    # the fitted factor reproduces the dense regularized kernel matrix
+    rng = np.random.default_rng(3)
+    data = _random_dataset(rng, 12, 2)
+    g = fit(data, h)
+    K = _dense_kernel_matrix(data.X, h) + h.sigma_w**2 * np.eye(data.m)
+    assert np.allclose(g.L @ g.L.T, K, rtol=0.0, atol=1e-12)
+
 
 def test_posterior_matches_the_dense_oracle():
     rng = np.random.default_rng(5)
@@ -74,12 +88,12 @@ def test_posterior_matches_the_dense_oracle():
         data = _random_dataset(rng, int(rng.integers(3, 30)), 3)
         g = fit(data, h)
         assert g.jitter_used == 0.0
-        for _ in range(5):
-            x = rng.uniform(-2.0, 2.0, size=3)
-            mu, var = predict(g, x)
+        probes = rng.uniform(-2.0, 2.0, size=(5, 3))
+        mu, var = predict(g, probes)
+        for i, x in enumerate(probes):
             mu_o, var_o = _oracle_predict(data.X, data.y, h, x)
-            assert mu == pytest.approx(mu_o, abs=1e-8)
-            assert var == pytest.approx(var_o, abs=1e-8)
+            assert mu[i] == pytest.approx(mu_o, abs=1e-8)
+            assert var[i] == pytest.approx(var_o, abs=1e-8)
 
 
 def test_nlml_matches_the_dense_oracle():
@@ -109,13 +123,12 @@ def test_interpolation_with_small_noise():
     X = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
     y = np.sin(3.0 * X[:, 0])
     g = fit(Dataset(X, y), h)
-    for xi, yi in zip(X, y):
-        mu, var = predict(g, xi)
-        assert abs(mu - yi) <= 3.0 * h.sigma_w + 1e-6
-        assert -1e-12 <= var <= h.sigma_f**2 + 1e-10
+    mu, var = predict(g, X)
+    assert np.all(np.abs(mu - y) <= 3.0 * h.sigma_w + 1e-6)
+    assert np.all((-1e-12 <= var) & (var <= h.sigma_f**2 + 1e-10))
     # away from data the variance recovers toward the prior
     _, var_far = predict(g, np.array([40.0]))
-    assert var_far == pytest.approx(h.sigma_f**2, rel=1e-6)
+    assert var_far[0] == pytest.approx(h.sigma_f**2, rel=1e-6)
     del rng
 
 
@@ -125,22 +138,9 @@ def test_variance_bounds_everywhere():
     data = _random_dataset(rng, 40, 2)
     g = fit(data, h)
     probes = rng.uniform(-3.0, 3.0, size=(200, 2))
-    _, var = predict_many(g, probes)
+    _, var = predict(g, probes)
     assert np.all(var >= 0.0)
     assert np.all(var <= h.sigma_f**2 + 1e-10)
-
-
-def test_batch_prediction_is_pointwise_identical():
-    rng = np.random.default_rng(41)
-    h = GpHyperparams(1.1, (0.6, 0.9, 0.5), 0.1)
-    data = _random_dataset(rng, 25, 3)
-    g = fit(data, h)
-    probes = rng.uniform(-2.0, 2.0, size=(50, 3))
-    mu_b, var_b = predict_many(g, probes)
-    for i, x in enumerate(probes):
-        mu, var = predict(g, x)
-        assert mu_b[i] == mu
-        assert var_b[i] == var
 
 
 def test_posterior_mean_inherits_data_symmetry():
@@ -149,12 +149,12 @@ def test_posterior_mean_inherits_data_symmetry():
     X = np.array([[-1.5], [-0.5], [0.5], [1.5]])
     y = np.array([-2.0, -1.0, 1.0, 2.0])
     g = fit(Dataset(X, y), h)
-    for xv in (0.2, 0.9, 1.7):
-        mu_p, _ = predict(g, np.array([xv]))
-        mu_n, _ = predict(g, np.array([-xv]))
-        assert abs(mu_p + mu_n) <= 1e-10
+    xv = np.array([[0.2], [0.9], [1.7]])
+    mu_p, _ = predict(g, xv)
+    mu_n, _ = predict(g, -xv)
+    assert np.all(np.abs(mu_p + mu_n) <= 1e-10)
     mu0, _ = predict(g, np.array([0.0]))
-    assert abs(mu0) <= 1e-10
+    assert abs(mu0[0]) <= 1e-10
 
 
 def test_standardized_fit_returns_original_units():
@@ -165,11 +165,11 @@ def test_standardized_fit_returns_original_units():
     bounds = np.array([[-2.0, 2.0], [-2.0, 2.0]])
     g = fit(shifted, h, input_bounds=bounds, standardize_targets=True)
     mu, var = predict(g, data.X[0])
-    assert abs(mu - shifted.y[0]) <= 3.0  # right neighborhood, original units
-    assert var >= 0.0
+    assert abs(mu[0] - shifted.y[0]) <= 3.0  # right neighborhood, original units
+    assert var[0] >= 0.0
     # far from data the mean reverts to the target average, not to zero
     mu_far, _ = predict(g, np.array([50.0, 50.0]))
-    assert abs(mu_far - shifted.y.mean()) <= 1e-6
+    assert abs(mu_far[0] - shifted.y.mean()) <= 1e-6
 
 
 def test_fitted_lengthscale_tracks_the_data_roughness():
@@ -198,8 +198,8 @@ def test_constant_targets_still_yield_a_usable_posterior():
     h = fit_hyperparams(data, init, standardize_targets=True, seed=1)
     g = fit(data, h, standardize_targets=True)
     mu, var = predict(g, np.array([0.5]))
-    assert mu == pytest.approx(3.7, abs=1e-3)
-    assert 0.0 <= var <= 1e-2
+    assert mu[0] == pytest.approx(3.7, abs=1e-3)
+    assert 0.0 <= var[0] <= 1e-2
 
 
 def test_fit_hyperparams_needs_enough_points():

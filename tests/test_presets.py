@@ -36,7 +36,6 @@ def test_lab_servo_constants():
 
 def test_current_loop_constants():
     assert (LAB_SERVO_CURRENT.kp, LAB_SERVO_CURRENT.ki) == (60.0, 1000.0)
-    assert LAB_SERVO_CURRENT.kd == 18.0  # present on the drive, unused in the law
 
 
 def test_registry_names():

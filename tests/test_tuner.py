@@ -1,12 +1,11 @@
 """Feasible-set geometry, the GP-LCB loop, and grid search."""
 
-import math
-
 import numpy as np
 import pytest
 
 from axistune.gpr import Dataset, GpHyperparams, fit
 from axistune.tuner import (
+    REPEAT_THRESHOLD,
     BoConfig,
     FeasibleSet,
     OracleAbort,
@@ -137,15 +136,8 @@ def test_bo_config_validation():
     with pytest.raises(ValueError):
         BoConfig(beta=-0.1)
     with pytest.raises(ValueError):
-        BoConfig(beta_schedule="linear")
-    with pytest.raises(ValueError):
-        BoConfig(repeat_threshold=0)
-    with pytest.raises(ValueError):
-        BoConfig(refit_every=0)
-    assert BoConfig().beta_at(50) == 2.0
-    sched = BoConfig(beta=2.0, beta_schedule="sqrt-log")
-    assert sched.beta_at(10) == pytest.approx(2.0 * math.sqrt(math.log(math.e + 10)))
-    assert sched.beta_at(100) > sched.beta_at(10) > 2.0
+        BoConfig(max_iterations=-1)
+    assert BoConfig() == BoConfig(m0=20, beta=2.0, max_iterations=60, seed=0)
 
 
 # -- acquisition ----------------------------------------------------------------
@@ -155,7 +147,6 @@ def test_lcb_closed_form():
     mu = np.array([1.0, 2.0])
     var = np.array([0.25, 4.0])
     assert np.allclose(lcb(mu, var, 2.0), [0.0, -2.0])
-    assert np.allclose(lcb(mu, var, 2.0, variance_form=True), [0.5, -6.0])
     assert np.allclose(lcb(mu, var, 0.0), mu)
 
 
@@ -190,8 +181,8 @@ def test_constant_cost_stops_by_the_repeat_rule():
     cfg = BoConfig(m0=8, max_iterations=30, seed=4)
     state = run_bo(oracle, SMALL, cfg)
     assert state.stop_reason == "repeat"
-    assert len(calls) == cfg.m0 + cfg.repeat_threshold
-    assert state.iterations == cfg.repeat_threshold
+    assert len(calls) == cfg.m0 + REPEAT_THRESHOLD
+    assert state.iterations == REPEAT_THRESHOLD
     assert state.costs == [5.0] * len(calls)
     # ties keep the earliest observation as incumbent
     assert state.incumbent_index == 0
@@ -245,7 +236,7 @@ def test_loop_invariants_hold():
 def test_cost_scale_invariance_of_the_search_path():
     oracle1 = _quadratic_oracle(SMALL, scale=1.0)
     oracle4 = _quadratic_oracle(SMALL, scale=4.0)
-    cfg = BoConfig(m0=6, max_iterations=20, seed=2, standardize_targets=True)
+    cfg = BoConfig(m0=6, max_iterations=20, seed=2)
     s1 = run_bo(oracle1, SMALL, cfg)
     s4 = run_bo(oracle4, SMALL, cfg)
     assert [SMALL.flat_index(p) for p in s1.points] == [
