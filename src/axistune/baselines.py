@@ -3,10 +3,12 @@
 All three produce a `TuningResult` whose cost comes from the same bench
 as the optimizer's, so the methods are directly comparable.  The two
 frequency-domain methods probe the speed loop (the innermost tunable
-loop, tuned first as in standard cascade commissioning): Ziegler-
-Nichols bisects the proportional gain to the sustained-oscillation
-boundary, relay feedback induces a limit cycle and applies the
-describing-function relation Ku = 4d / (pi * a).  Both then map
+loop, tuned first as in standard cascade commissioning) with the
+position loop open, kp = 0: Ziegler-Nichols bisects the proportional
+speed gain to the sustained-oscillation boundary of a step to
+``PROBE_SPEED``, relay feedback induces a limit cycle at standstill
+and applies the describing-function relation Ku = 4d / (pi * a).  The
+probe settings are the module constants below.  Both then map
 (Ku, Tu) through the classic PI table Kv = 0.45 Ku, Ti = Tu / 1.2 and
 raise the position gain to the largest value keeping overshoot under
 25 %.
@@ -43,6 +45,14 @@ _PI_TABLE_KV = 0.45     # Kv = 0.45 * Ku
 _PI_TABLE_TI = 1.2      # Ti = Tu / 1.2
 _OVERSHOOT_LIMIT = 25.0  # percent of the move
 
+PROBE_SPEED = 0.1         # Ziegler-Nichols step setpoint [m/s]
+PROBE_DURATION = 2.0      # horizon of every speed-loop probe [s]
+PROBE_GAIN_REACH = 100.0  # upward search limit, in feasible kv ceilings
+BISECT_REL_TOL = 1e-3     # relative width that ends a gain bisection
+RELAY_FRACTION = 0.1      # relay amplitude, as a share of the current limit
+LIMIT_CYCLES = 5          # cycles a period measurement averages over
+TRANSIENT_FRACTION = 0.4  # leading share of a probe treated as transient
+
 
 @dataclass(frozen=True)
 class TuningResult:
@@ -73,8 +83,7 @@ class TuningError(RuntimeError):
 # -- oscillation measurement ----------------------------------------------------
 
 
-def _oscillation(trace: SimTrace, floor: float,
-                 settle_frac: float = 0.4) -> tuple[bool, float, float | None]:
+def _oscillation(trace: SimTrace, floor: float) -> tuple[bool, float, float | None]:
     """Classify the tail of a speed-loop probe.
 
     Returns (oscillating, amplitude, period).  The verdict compares the
@@ -87,7 +96,7 @@ def _oscillation(trace: SimTrace, floor: float,
     if trace.diverged:
         return True, math.inf, None
     e = np.asarray(trace.e_speed, dtype=float)
-    tail = e[int(settle_frac * len(e)):]
+    tail = e[int(TRANSIENT_FRACTION * len(e)):]
     if len(tail) < 8:
         return False, 0.0, None
     tail = tail - np.mean(tail)
@@ -99,13 +108,13 @@ def _oscillation(trace: SimTrace, floor: float,
     return oscillating, amplitude, period
 
 
-def measure_limit_cycle(signal: np.ndarray, dt: float,
-                        min_cycles: int = 5) -> tuple[float, float | None, int]:
+def measure_limit_cycle(signal: np.ndarray,
+                        dt: float) -> tuple[float, float | None, int]:
     """Amplitude and period of a steady oscillation.
 
     Amplitude is half the peak-to-peak span; the period is the mean
-    spacing of the last ``min_cycles`` prominent positive peaks (None if
-    fewer are visible).  Returns (amplitude, period, n_peaks).
+    spacing of the last ``LIMIT_CYCLES`` prominent positive peaks (None
+    if fewer are visible).  Returns (amplitude, period, n_peaks).
     """
     w = np.asarray(signal, dtype=float)
     w = w - np.mean(w)
@@ -113,9 +122,9 @@ def measure_limit_cycle(signal: np.ndarray, dt: float,
     if amplitude <= 0.0:
         return 0.0, None, 0
     peaks, _ = find_peaks(w, prominence=0.3 * amplitude)
-    if len(peaks) < min_cycles + 1:
+    if len(peaks) < LIMIT_CYCLES + 1:
         return amplitude, None, len(peaks)
-    last = peaks[-(min_cycles + 1):]
+    last = peaks[-(LIMIT_CYCLES + 1):]
     period = float(np.mean(np.diff(last))) * dt
     return amplitude, period, len(peaks)
 
@@ -131,21 +140,20 @@ def _pi_from_ultimate(ku: float, tu: float) -> tuple[float, float]:
 
 def _clamp_speed_gains(fset: FeasibleSet, kv: float,
                        ki: float) -> tuple[float, float, bool]:
-    """Force (kv, ki) into the feasible box, honoring a tn-quantized axis."""
+    """Force (kv, ki) into the feasible box.
+
+    The clamp works in the set's coordinates: kv first, then the third
+    axis of (kv clamped, ki), so a reset-time axis bounds kv / ki.
+    """
     kv_f = float(np.clip(kv, *fset.kv))
-    if fset.third_axis == "tn":
-        tn = kv_f / ki if ki > 0.0 else fset.third[1]
-        tn_f = float(np.clip(tn, *fset.third))
-        ki_f = kv_f / tn_f
-        clamped = kv_f != kv or tn_f != tn
-    else:
-        ki_f = float(np.clip(ki, *fset.third))
-        clamped = kv_f != kv or ki_f != ki
-    return kv_f, ki_f, clamped
+    third = float(fset.native([0.0, kv_f, ki])[0, 2])
+    third_f = float(np.clip(third, *fset.third))
+    ki_f = float(fset.canonical([0.0, kv_f, third_f])[0, 2])
+    return kv_f, ki_f, kv_f != kv or third_f != third
 
 
-def _position_gain(bench: TuningBench, fset: FeasibleSet, kv: float, ki: float,
-                   rel_tol: float = 1e-3) -> tuple[float, list[tuple[float, float]]]:
+def _position_gain(bench: TuningBench, fset: FeasibleSet, kv: float,
+                   ki: float) -> tuple[float, list[tuple[float, float]]]:
     """Largest feasible kp keeping position overshoot under the 25 % bound."""
     lo, hi = fset.kp
     history: list[tuple[float, float]] = []
@@ -163,7 +171,7 @@ def _position_gain(bench: TuningBench, fset: FeasibleSet, kv: float, ki: float,
             f"smallest feasible kp with speed gains ({kv:.4g}, {ki:.4g})",
             diagnostics={"overshoot_history": history},
         )
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if overshoot(mid) < _OVERSHOOT_LIMIT:
             lo = mid
@@ -188,20 +196,13 @@ def _finish(bench: TuningBench, method: str, kp: float, kv: float, ki: float,
 # -- the three methods ----------------------------------------------------------
 
 
-def ziegler_nichols(
-    bench: TuningBench,
-    fset: FeasibleSet,
-    speed: float = 0.1,
-    duration: float = 2.0,
-    probe_cap: float = 100.0,
-    rel_tol: float = 1e-3,
-) -> TuningResult:
+def ziegler_nichols(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
     """Ultimate-gain tuning of the cascade.
 
     With the position loop open and the speed integral off, bisects the
     speed gain to the sustained-oscillation boundary of a step probe at
-    ``speed`` m/s.  The upward search doubles from the feasible ceiling
-    and gives up past ``probe_cap`` times it.
+    ``PROBE_SPEED``.  The upward search doubles from the feasible
+    ceiling and gives up past ``PROBE_GAIN_REACH`` times it.
 
     Raises
     ------
@@ -210,11 +211,12 @@ def ziegler_nichols(
         sustained at the smallest feasible gain, or no measurable period
         at the boundary.
     """
-    floor = 1e-4 * speed
+    floor = 1e-4 * PROBE_SPEED
     probes: list[dict] = []
 
     def probe(kv: float) -> tuple[bool, float, float | None, SimTrace]:
-        trace = bench.speed_step(kv, 0.0, speed=speed, duration=duration)
+        trace = bench.speed_step(kv, 0.0, speed=PROBE_SPEED,
+                                 duration=PROBE_DURATION)
         osc, amp, period = _oscillation(trace, floor)
         probes.append({"kv": kv, "oscillating": osc, "amplitude": amp,
                        "period": period})
@@ -228,7 +230,7 @@ def ziegler_nichols(
             diagnostics={"probes": probes}, trace=trace,
         )
     hi = fset.kv[1]
-    cap = probe_cap * fset.kv[1]
+    cap = PROBE_GAIN_REACH * fset.kv[1]
     boundary_period: float | None = None
     while True:
         osc, _, period, trace = probe(hi)
@@ -240,10 +242,10 @@ def ziegler_nichols(
         if hi > cap:
             raise TuningError(
                 f"no oscillation boundary found below {cap:.4g} "
-                f"({probe_cap:.0f}x the feasible speed-gain ceiling)",
+                f"({PROBE_GAIN_REACH:.0f}x the feasible speed-gain ceiling)",
                 diagnostics={"probes": probes}, trace=trace,
             )
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         osc, _, period, trace = probe(mid)
         if osc:
@@ -266,18 +268,11 @@ def ziegler_nichols(
     }, clamped)
 
 
-def relay_tune(
-    bench: TuningBench,
-    fset: FeasibleSet,
-    amplitude: float | None = None,
-    duration: float = 2.0,
-    hysteresis: float = 0.0,
-    speed: float = 0.0,
-) -> TuningResult:
+def relay_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
     """Relay-feedback tuning of the cascade.
 
-    Replaces the speed controller with an ideal relay of the given
-    current amplitude (default 10 % of the current limit), measures the
+    Replaces the speed controller with an ideal relay of amplitude
+    ``RELAY_FRACTION`` of the current limit at standstill, measures the
     limit cycle of the speed error, and converts it to an ultimate gain
     via the describing function Ku = 4d / (pi * a), with ``a`` in the
     angular units the speed gain acts on.  The PI table and position
@@ -288,8 +283,8 @@ def relay_tune(
     TuningError
         Fewer than five limit cycles visible within the horizon.
     """
-    d = 0.1 * bench.cfg.current_limit if amplitude is None else float(amplitude)
-    trace = bench.relay_run(d, duration, hysteresis=hysteresis, speed=speed)
+    d = RELAY_FRACTION * bench.cfg.current_limit
+    trace = bench.relay_run(d, PROBE_DURATION)
     if trace.diverged:
         raise TuningError("relay probe diverged", trace=trace)
     e = np.asarray(trace.e_speed, dtype=float)

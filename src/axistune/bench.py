@@ -76,9 +76,9 @@ class TuningBench:
     profile : ReferenceProfile, optional
         Scoring trajectory; defaults to :func:`benchmark_profile`.
     sim_config : SimConfig, optional
-        Must be in position mode for cost queries; the probe helpers
-        (`speed_step`, `relay_run`) derive their speed-mode variants
-        from it.
+        Must not configure the relay: the bench scores the PI cascade.
+        The probe helpers run it with the position loop open (kp = 0),
+        and `relay_run` adds the relay.
     """
 
     def __init__(
@@ -90,9 +90,9 @@ class TuningBench:
         sim_config: SimConfig | None = None,
     ):
         cfg = sim_config if sim_config is not None else SimConfig()
-        if cfg.mode != "position":
-            raise ValueError("the bench scores the position cascade; "
-                             "probe helpers build their own speed-mode configs")
+        if cfg.relay_amplitude is not None:
+            raise ValueError("the bench scores the PI cascade; "
+                             "relay_run adds the relay itself")
         self.plant = plant
         self.current_gains = current_gains
         self.weights = weights
@@ -112,7 +112,7 @@ class TuningBench:
                 self.plant, GainVector(*key), self.current_gains, self.profile, self.cfg
             )
             self.n_sims += 1
-            m = self._extract(trace)
+            m = self.score(trace)
             self._memo[key] = m
         return m
 
@@ -138,7 +138,7 @@ class TuningBench:
                 simulate_batch(self.plant, batch, self.current_gains,
                                self.profile, self.cfg),
             ):
-                self._memo[key] = self._extract(trace)
+                self._memo[key] = self.score(trace)
             self.n_sims += len(fresh)
         return np.array(
             [metric_cost(self._memo[k], self.weights) for k in keys], dtype=float
@@ -156,6 +156,10 @@ class TuningBench:
             self.plant, GainVector(*self._key(triple)), self.current_gains,
             self.profile, self.cfg,
         )
+
+    def score(self, trace: SimTrace) -> MetricVector:
+        """Metric vector of a trace of this bench's profile."""
+        return extract_metrics(trace, self.profile)
 
     def oracle(self, fset: FeasibleSet) -> SetOracle:
         """This bench's costs addressed by points of the feasible set ``fset``."""
@@ -179,25 +183,22 @@ class TuningBench:
                    duration: float) -> SimTrace:
         """Speed-loop step response with the position loop open.
 
-        Drives the speed cascade (PI with the given gains; ki = 0 is a
-        pure P loop) toward a constant linear-speed setpoint.
+        Drives the speed cascade (kp = 0; PI with the given gains, ki = 0
+        is a pure P loop) toward a constant linear-speed setpoint.
         """
-        cfg = replace(self.cfg, mode="speed")
-        profile = constant_speed_profile(speed, duration, cfg.dt)
+        profile = constant_speed_profile(speed, duration, self.cfg.dt)
         return simulate(self.plant, GainVector(0.0, kv, ki), self.current_gains,
-                        profile, cfg)
+                        profile, self.cfg)
 
-    def relay_run(self, amplitude: float, duration: float,
-                  hysteresis: float = 0.0, speed: float = 0.0) -> SimTrace:
-        """Replace the speed controller with an ideal relay.
+    def relay_run(self, amplitude: float, duration: float) -> SimTrace:
+        """Replace the speed controller with an ideal relay at standstill.
 
-        The current reference switches between +/- `amplitude` on the
-        sign of the angular speed error (with the given hysteresis, in
-        rad/s), inducing a limit cycle around the setpoint.
+        With the position loop open, the current reference switches
+        between +/- `amplitude` on the sign of the angular speed error,
+        inducing a limit cycle around zero speed.
         """
-        cfg = replace(self.cfg, mode="speed", relay_amplitude=float(amplitude),
-                      relay_hysteresis=float(hysteresis))
-        profile = constant_speed_profile(speed, duration, cfg.dt)
+        cfg = replace(self.cfg, relay_amplitude=float(amplitude))
+        profile = constant_speed_profile(0.0, duration, cfg.dt)
         return simulate(self.plant, GainVector(0.0, 1.0, 0.0), self.current_gains,
                         profile, cfg)
 
@@ -215,9 +216,6 @@ class TuningBench:
     def _key(triple) -> tuple[float, float, float]:
         kp, kv, ki = (float(v) for v in np.asarray(triple, dtype=float).reshape(3))
         return kp, kv, ki
-
-    def _extract(self, trace: SimTrace) -> MetricVector:
-        return extract_metrics(trace, self.profile)
 
 
 class SetOracle:

@@ -241,7 +241,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     gains = res.oracle.gains(native)
     trace = res.bench.trace(gains)
-    metrics = res.bench.metrics(gains)
+    metrics = res.bench.score(trace)
     total = metric_cost(metrics, res.bench.weights)
 
     trace_path = res.out / "trace_simulate.csv"
@@ -319,9 +319,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_with_cache(res: Resolved) -> tuple[np.ndarray, float, np.ndarray]:
-    """Exhaustive cost table, served from the on-disk cache when valid."""
+def cmd_grid(args: argparse.Namespace) -> int:
+    res = _resolve("grid", args)
     fset = res.preset.feasible
+    # the cost table is served from the on-disk cache when it is valid
     cache = res.out / f"grid_cache_{res.preset.name.replace('-', '_')}.npz"
     key = res.bench.fingerprint
     table = load_grid_table(cache, fset, key)
@@ -329,13 +330,7 @@ def _grid_with_cache(res: Resolved) -> tuple[np.ndarray, float, np.ndarray]:
         _, _, table = grid_search(fset, batch_oracle=res.oracle.evaluate_many)
         save_grid_table(cache, fset, table, key)
     best_flat = int(np.argmin(table[:, 3]))
-    return table[best_flat, :3].copy(), float(table[best_flat, 3]), table
-
-
-def cmd_grid(args: argparse.Namespace) -> int:
-    res = _resolve("grid", args)
-    fset = res.preset.feasible
-    best, best_cost, table = _grid_with_cache(res)
+    best, best_cost = table[best_flat, :3], float(table[best_flat, 3])
     csv_path = res.out / "grid.csv"
     third = fset.third_axis
     with csv_path.open("w") as f:
@@ -361,19 +356,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     traces: list[str] = []
 
-    def add_row(method: str, native_point, cost_value: float,
+    def add_row(method: str, gains, cost_value: float,
                 clamped: bool = False) -> None:
-        kp, kv, ki = res.oracle.gains(native_point)
+        kp, kv, ki = gains
         trace_path = res.out / f"trace_{method.replace('-', '_')}.csv"
-        _write_trace_csv(trace_path, bench.trace((kp, kv, ki)))
+        _write_trace_csv(trace_path, bench.trace(gains))
         traces.append(trace_path.name)
         rows.append({
             "method": method, "kp": kp, "kv": kv, "ki": ki,
             "cost": float(cost_value), "clamped": clamped,
         })
 
-    best, best_cost, _ = _grid_with_cache(res)
-    add_row("grid", best, best_cost)
+    # scored through the bench memo, which the ITAE baseline reads too
+    best, best_cost, _ = grid_search(fset, batch_oracle=res.oracle.evaluate_many)
+    add_row("grid", res.oracle.gains(best), best_cost)
 
     for tuner_fn in (ziegler_nichols, itae_tune, relay_tune):
         try:
@@ -381,21 +377,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         except TuningError as e:
             raise RunFailure(f"{tuner_fn.__name__} failed: {e}") from e
         # TuningResult gains are already canonical (kp, kv, ki)
-        kp, kv, ki = result.gains
-        trace_path = res.out / f"trace_{result.method.replace('-', '_')}.csv"
-        _write_trace_csv(trace_path, bench.trace((kp, kv, ki)))
-        traces.append(trace_path.name)
-        rows.append({
-            "method": result.method, "kp": kp, "kv": kv, "ki": ki,
-            "cost": result.cost, "clamped": result.clamped,
-        })
+        add_row(result.method, result.gains, result.cost, result.clamped)
 
     bo_cfg = _bo_config(res)
     try:
         state = run_bo(res.oracle, fset, bo_cfg)
     except OracleAbort as e:
         raise RunFailure(f"oracle failed during tuning: {e}") from e
-    add_row("bo", state.incumbent_point, state.incumbent_cost)
+    add_row("bo", res.oracle.gains(state.incumbent_point), state.incumbent_cost)
 
     table_path = res.out / "comparison.csv"
     with table_path.open("w") as f:

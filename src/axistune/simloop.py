@@ -33,9 +33,13 @@ map, per-tick and per-segment transitions are precomputed as matrix
 powers once per configuration.  They agree with stepping the integrator
 step by step only to roundoff: the composed products round differently.
 
-``mode="speed"`` opens the position loop so the speed channel tracks the
-profile's speed; with ``relay_amplitude`` set, an ideal relay replaces
-the speed PI.  The classical autotuners probe the axis that way.
+Speed probing is the same cascade with kp = 0: the position loop is
+open and the speed channel tracks the profile's speed.  With
+``relay_amplitude`` set, an ideal relay replaces the speed PI; the
+classical autotuners probe the axis that way.  `simulate` (one run) and
+`simulate_batch` (many runs, vectorized) take the same gain rows and
+return the same trace channels; they differ only in the relay, which
+only `simulate` runs, and in their arithmetic, which rounds differently.
 """
 
 from __future__ import annotations
@@ -110,12 +114,10 @@ class SimConfig:
     ``dt`` is the controller tick; it must be a whole number of
     ``RK4_STEP`` integrator steps.  ``segments_per_tick`` is the drive's
     voltage-update rate used while the supply rail is active; it must
-    divide that step count.  ``mode`` selects which loops are closed:
-    "position" (full cascade) or "speed" (position loop off, the speed
-    channel tracks the profile's speed).  ``relay_amplitude`` replaces
-    the speed PI with an ideal relay of that amplitude, switching with
-    ``relay_hysteresis`` [rad/s] on the angular speed error (speed mode
-    only), for limit-cycle probing.
+    divide that step count.  ``relay_amplitude`` replaces the speed PI
+    with an ideal relay of that current amplitude, switching on the sign
+    of the speed error, for limit-cycle probing; only `simulate` runs
+    it, and only with the position loop open (kp = 0).
 
     ``command_delay_ticks`` models the transport latency of the control
     architecture: the outer loops run in a PLC and their current command
@@ -140,10 +142,8 @@ class SimConfig:
     segments_per_tick: int = 20
     voltage_limit: float = 325.0
     current_limit: float = 10.0
-    mode: str = "position"
     command_delay_ticks: int = 1
     relay_amplitude: float | None = None
-    relay_hysteresis: float = 0.0
     divergence_limit: float = 1e12
 
     def __post_init__(self) -> None:
@@ -158,10 +158,8 @@ class SimConfig:
                              "steps per tick")
         if self.voltage_limit <= 0.0 or self.current_limit <= 0.0:
             raise ValueError("saturation limits must be positive")
-        if self.mode not in ("position", "speed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.relay_amplitude is not None and self.mode != "speed":
-            raise ValueError("relay probing needs speed mode")
+        if self.relay_amplitude is not None and self.relay_amplitude <= 0.0:
+            raise ValueError("relay_amplitude must be positive")
         if self.command_delay_ticks < 0:
             raise ValueError("command_delay_ticks must be non-negative")
 
@@ -180,8 +178,6 @@ class SimTrace:
     y_pos: np.ndarray
     r_speed: np.ndarray
     y_speed: np.ndarray
-    y_pos_load: np.ndarray
-    y_speed_load: np.ndarray
     i_q: np.ndarray
     i_ref: np.ndarray
     v_q: np.ndarray
@@ -240,7 +236,6 @@ class _Drive:
         n_pl = plant.A.shape[0]
         labels = plant.state_labels
         self.i_w, self.i_th = labels.index("w_m"), labels.index("th_m")
-        self.i_wl, self.i_thl = labels.index("w_l"), labels.index("th_l")
 
         nx = n_pl + 1
         self.nx = nx
@@ -311,6 +306,26 @@ def _check_tick(profile: ReferenceProfile, cfg: SimConfig) -> None:
         raise ValueError("profile sampling does not match the controller tick")
 
 
+def _trace(profile: ReferenceProfile, dt: float, div_at: int | None,
+           y_pos: np.ndarray, y_speed: np.ndarray, i_q: np.ndarray,
+           i_ref: np.ndarray, v_q: np.ndarray) -> SimTrace:
+    """One run's record from its per-tick channels.
+
+    A run that diverged on reaching tick ``div_at`` is truncated before
+    that tick and stamped with its time.
+    """
+    end = len(profile) if div_at is None else div_at
+    t, r_pos, r_spd, y_pos, y_speed, i_q, i_ref, v_q = (
+        a[:end].copy() for a in (profile.t, profile.position, profile.speed,
+                                 y_pos, y_speed, i_q, i_ref, v_q))
+    return SimTrace(
+        t=t, r_pos=r_pos, y_pos=y_pos, r_speed=r_spd, y_speed=y_speed,
+        i_q=i_q, i_ref=i_ref, v_q=v_q, e_pos=r_pos - y_pos,
+        e_speed=r_spd - y_speed, dt=dt, diverged=div_at is not None,
+        t_diverged=None if div_at is None else float(profile.t[div_at]),
+    )
+
+
 # -- the loop ------------------------------------------------------------------
 
 
@@ -325,7 +340,8 @@ def simulate(
 
     Parameters
     ----------
-    p, gains, cc : models and controller gains.
+    p, gains, cc : models and controller gains.  With a relay configured,
+        kp must be 0 and the speed gains are unused.
     profile : ReferenceProfile
         Must be sampled at the configured controller tick.
     cfg : SimConfig
@@ -339,6 +355,10 @@ def simulate(
         raising.
     """
     _check_tick(profile, cfg)
+    relay = cfg.relay_amplitude
+    if relay is not None and gains.kp != 0.0:
+        raise ValueError("the relay replaces the speed PI only with the "
+                         "position loop open (kp = 0)")
     kp, kv, ki = gains.kp, gains.kv, gains.ki
     drive = _drive_for(p, cc, cfg)
     lead = drive.lead
@@ -346,22 +366,12 @@ def simulate(
     n = len(profile)
     dt = cfg.dt
 
-    r_pos = profile.position
-    r_spd = profile.speed
-    t = profile.t
-
-    cols = {
-        name: np.zeros(n)
-        for name in ("y_pos", "y_speed", "y_pos_load", "y_speed_load", "i_q", "i_ref", "v_q")
-    }
-    y_pos_a, y_speed_a = cols["y_pos"], cols["y_speed"]
-    y_posl_a, y_speedl_a = cols["y_pos_load"], cols["y_speed_load"]
-    i_q_a, i_ref_a, v_q_a = cols["i_q"], cols["i_ref"], cols["v_q"]
+    r_pos, r_spd = profile.position, profile.speed
+    y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a = (np.zeros(n) for _ in range(5))
 
     M_cl, n_cl = drive.M_cl, drive.n_cl
     c_v, d_v = drive.c_v, drive.d_v
     i_w, i_th = drive.i_w, drive.i_th
-    i_wl, i_thl = drive.i_wl, drive.i_thl
     n_seg = drive.n_seg
     seg_cl, seg_cl_i = drive.seg_cl, drive.seg_cl_i
     seg_ol, seg_ol_v, seg_ol_i = drive.seg_ol, drive.seg_ol_v, drive.seg_ol_i
@@ -369,18 +379,13 @@ def simulate(
 
     vmax, imax, wmax = cfg.voltage_limit, cfg.current_limit, p.omega_max
     div_lim = cfg.divergence_limit
-    position_mode = cfg.mode == "position"
-    relay = cfg.relay_amplitude
-    hyst = cfg.relay_hysteresis
 
     x = np.zeros(drive.nx)
     integ = 0.0  # speed-loop integral of angular speed error [rad]
     delay = cfg.command_delay_ticks
     cmd_hist = np.zeros(n)  # clamped current commands, by tick
     relay_sign = 1.0
-    diverged = False
-    t_div: float | None = None
-    end = n
+    div_at: int | None = None
 
     def segment_tick(x: np.ndarray, i_ref: float) -> np.ndarray:
         """One tick at the drive's voltage-update rate, rails observed."""
@@ -404,16 +409,13 @@ def simulate(
         y_pos = x[i_th] * lead
         y_spd = x[i_w] * lead
 
-        # outer loops
-        if position_mode:
-            v_cmd = kp * (r_pos[k] - y_pos) + r_spd[k]
-        else:
-            v_cmd = r_spd[k]
+        # outer loops; the relay keeps its last sign on a zero error
+        v_cmd = kp * (r_pos[k] - y_pos) + r_spd[k]
         w_err = (v_cmd - y_spd) * inv_lead
         if relay is not None:
-            if w_err > hyst:
+            if w_err > 0.0:
                 relay_sign = 1.0
-            elif w_err < -hyst:
+            elif w_err < 0.0:
                 relay_sign = -1.0
             i_raw = relay * relay_sign
         else:
@@ -425,9 +427,8 @@ def simulate(
             i_cmd = -imax
         else:
             i_cmd = i_raw
-        if relay is None:
-            if i_raw == i_cmd or (i_raw > 0.0) != (w_err > 0.0):
-                integ += w_err * dt
+        if relay is None and (i_raw == i_cmd or (i_raw > 0.0) != (w_err > 0.0)):
+            integ += w_err * dt
 
         # the drive acts on the command issued ``delay`` ticks ago
         cmd_hist[k] = i_cmd
@@ -437,8 +438,6 @@ def simulate(
 
         y_pos_a[k] = y_pos
         y_speed_a[k] = y_spd
-        y_posl_a[k] = x[i_thl] * lead
-        y_speedl_a[k] = x[i_wl] * lead
         i_q_a[k] = x[0]
         i_ref_a[k] = i_ref
         v_q_a[k] = v_pred if -vmax <= v_pred <= vmax else math.copysign(vmax, v_pred)
@@ -463,31 +462,10 @@ def simulate(
 
         peak = float(np.abs(x).max())
         if not peak < div_lim:
-            diverged = True
-            t_div = float(t[k + 1])
-            end = k + 1
+            div_at = k + 1
             break
 
-    sl = slice(0, end)
-    e_pos = r_pos[sl] - y_pos_a[sl]
-    e_speed = r_spd[sl] - y_speed_a[sl]
-    return SimTrace(
-        t=t[sl].copy(),
-        r_pos=r_pos[sl].copy(),
-        y_pos=y_pos_a[sl],
-        r_speed=r_spd[sl].copy(),
-        y_speed=y_speed_a[sl],
-        y_pos_load=y_posl_a[sl],
-        y_speed_load=y_speedl_a[sl],
-        i_q=i_q_a[sl],
-        i_ref=i_ref_a[sl],
-        v_q=v_q_a[sl],
-        e_pos=e_pos,
-        e_speed=e_speed,
-        dt=dt,
-        diverged=diverged,
-        t_diverged=t_div,
-    )
+    return _trace(profile, dt, div_at, y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a)
 
 
 def simulate_batch(
@@ -500,25 +478,27 @@ def simulate_batch(
     """Run many gain vectors against one profile, vectorized across runs.
 
     Yields one :class:`SimTrace` per row of ``gain_triples`` (columns kp,
-    kv, ki), in order.  The physics and controller logic are those of
+    kv, ki; every row must be a valid :class:`GainVector`, and kp = 0
+    rows are speed probes), in order, with the channels of
+    :func:`simulate`.  The physics and controller logic are those of
     :func:`simulate` evaluated with matrix-batch arithmetic, whose
     rounding differs from the scalar path's.  On rail-free runs the two
     agree to roundoff; once a rail engages, switching instants amplify
     that roundoff, and costs can differ well beyond it (on the desk
-    grid, most points differ by more than 1e-6 relative).  Only the full
-    position cascade is supported (no relay or speed mode).  Load traces
-    are not recorded; the traces carry the reference/measurement
-    channels the tracking metrics read.
+    grid, most points differ by more than 1e-6 relative).  The relay is
+    not supported.
 
     Runs are simulated ``BATCH_CHUNK`` at a time, so peak memory does not
     grow with the batch size.
     """
-    if cfg.mode != "position":
-        raise ValueError("batched runs support position mode only")
+    if cfg.relay_amplitude is not None:
+        raise ValueError("batched runs do not support the relay")
     _check_tick(profile, cfg)
     triples = np.atleast_2d(np.asarray(gain_triples, dtype=float))
     if triples.shape[1] != 3:
         raise ValueError("gain_triples must have columns kp, kv, ki")
+    for row in triples:
+        GainVector(*row)
     for start in range(0, triples.shape[0], BATCH_CHUNK):
         yield from _run_chunk(p, triples[start:start + BATCH_CHUNK], cc, profile, cfg)
 
@@ -538,7 +518,7 @@ def _run_chunk(
     m = triples.shape[0]
     kp, kv, ki = triples[:, 0], triples[:, 1], triples[:, 2]
 
-    r_pos, r_spd, t = profile.position, profile.speed, profile.t
+    r_pos, r_spd = profile.position, profile.speed
 
     M_clT = drive.M_cl.T.copy()
     n_cl = drive.n_cl
@@ -632,22 +612,5 @@ def _run_chunk(
             integ[newly] = 0.0
 
     for i in range(m):
-        end = div_at[i] if div_at[i] >= 0 else n
-        sl = slice(0, end)
-        yield SimTrace(
-            t=t[sl].copy(),
-            r_pos=r_pos[sl].copy(),
-            y_pos=rec_y_pos[i, sl].copy(),
-            r_speed=r_spd[sl].copy(),
-            y_speed=rec_y_spd[i, sl].copy(),
-            y_pos_load=np.zeros(end),
-            y_speed_load=np.zeros(end),
-            i_q=rec_iq[i, sl].copy(),
-            i_ref=rec_iref[i, sl].copy(),
-            v_q=rec_v[i, sl].copy(),
-            e_pos=r_pos[sl] - rec_y_pos[i, sl],
-            e_speed=r_spd[sl] - rec_y_spd[i, sl],
-            dt=dt,
-            diverged=div_at[i] >= 0,
-            t_diverged=float(t[div_at[i]]) if div_at[i] >= 0 else None,
-        )
+        yield _trace(profile, dt, int(div_at[i]) if div_at[i] >= 0 else None,
+                     rec_y_pos[i], rec_y_spd[i], rec_iq[i], rec_iref[i], rec_v[i])

@@ -141,6 +141,19 @@ class FeasibleSet:
             pts[:, 2] = pts[:, 1] / pts[:, 2]
         return pts
 
+    def native(self, triples: np.ndarray) -> np.ndarray:
+        """Map controller triples (kp, kv, ki) to set-space rows.
+
+        The inverse of :meth:`canonical`.  On a reset-time axis, ki = 0
+        (no integral action) maps to the longest reset time in the box.
+        """
+        pts = np.atleast_2d(np.asarray(triples, dtype=float)).copy()
+        if self.third_axis == "tn":
+            ki = pts[:, 2].copy()
+            pts[:, 2] = self.third[1]
+            np.divide(pts[:, 1], ki, out=pts[:, 2], where=ki > 0.0)
+        return pts
+
     def lhs_sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """Latin-hypercube draw of ``m`` distinct grid points.
 

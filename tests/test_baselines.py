@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from axistune.baselines import (
+    PROBE_GAIN_REACH,
     TuningError,
     TuningResult,
     itae_tune,
@@ -132,6 +133,37 @@ def test_relay_respects_a_reset_time_axis(desk_bench):
     assert tn_set.contains((kp, kv, kv / ki))
 
 
+def test_ziegler_nichols_respects_a_reset_time_axis(desk_bench):
+    f = get_preset("desk").feasible
+    # at the clamped kv = 0.5 the table's ki gives kv / ki = 4.5 ms,
+    # below this box, so the reset time is raised to its floor
+    tn_set = FeasibleSet(kp=f.kp, kv=f.kv, third=(0.01, 0.1),
+                         n_kp=4, n_kv=4, n_third=4, third_axis="tn")
+    res = ziegler_nichols(desk_bench, tn_set)
+    kp, kv, ki = res.gains
+    assert res.clamped
+    assert tn_set.contains(tn_set.native(res.gains)[0])
+    assert kv / ki == pytest.approx(0.01, rel=1e-12)
+
+
+def test_probe_results_are_pinned():
+    # the speed-loop probes on a fresh desk bench, so every cost is a
+    # single run; any change to the probe loop shows up here
+    fset = get_preset("desk").feasible
+    zn = ziegler_nichols(get_preset("desk").bench(), fset)
+    assert zn.diagnostics["ku"] == 1.4384765625
+    assert zn.diagnostics["tu"] == 0.007
+    assert len(zn.diagnostics["probes"]) == 14
+    assert zn.gains == pytest.approx((4200.0, 0.5, 110.96819196428571), rel=1e-9)
+    assert zn.cost == pytest.approx(146805.5145177589, rel=1e-9)
+
+    ry = relay_tune(get_preset("desk").bench(), fset)
+    assert ry.diagnostics["a"] == pytest.approx(1.1478873487281793, rel=1e-9)
+    assert ry.diagnostics["tu"] == 0.008
+    assert ry.gains == pytest.approx((4200.0, 0.49914113590122, 90.0), rel=1e-9)
+    assert ry.cost == pytest.approx(147062.21450160624, rel=1e-9)
+
+
 def test_never_oscillating_plant_raises_with_diagnostics():
     class DeadBench:
         cfg = SimConfig()
@@ -150,7 +182,7 @@ def test_never_oscillating_plant_raises_with_diagnostics():
     assert len(probes) >= 3
     assert all(not p["oscillating"] for p in probes)
     # the upward sweep doubled past the ceiling before giving up
-    assert probes[-1]["kv"] > 100.0 * fset.kv[1] / 2.0
+    assert probes[-1]["kv"] > PROBE_GAIN_REACH * fset.kv[1] / 2.0
 
 
 def test_relay_without_a_limit_cycle_raises():
@@ -158,7 +190,7 @@ def test_relay_without_a_limit_cycle_raises():
         cfg = SimConfig()
         plant = get_preset("desk").plant
 
-        def relay_run(self, amplitude, duration, hysteresis=0.0, speed=0.0):
+        def relay_run(self, amplitude, duration):
             n = int(duration / self.cfg.dt)
             return SimpleNamespace(
                 e_speed=np.zeros(n), diverged=False, dt=self.cfg.dt

@@ -26,9 +26,10 @@ def test_default_profile_is_the_benchmark_move(plant, cc):
     assert bench.profile.spec == BENCH_MOVE
 
 
-def test_speed_mode_config_is_rejected(plant, cc):
+def test_relay_config_is_rejected(plant, cc):
+    # the bench scores the PI cascade; only relay_run adds the relay
     with pytest.raises(ValueError):
-        _new_bench(plant, cc, sim_config=SimConfig(mode="speed"))
+        _new_bench(plant, cc, sim_config=SimConfig(relay_amplitude=1.0))
 
 
 def test_cost_queries_are_memoized(plant, cc):
@@ -106,7 +107,7 @@ def test_speed_step_probe(plant, cc):
 
 def test_relay_run_switches_the_current(plant, cc):
     bench = _new_bench(plant, cc)
-    trace = bench.relay_run(amplitude=2.0, duration=1.0, hysteresis=0.01)
+    trace = bench.relay_run(amplitude=2.0, duration=1.0)
     applied = np.unique(trace.i_ref)
     assert set(applied) <= {-2.0, 0.0, 2.0}
     flips = np.sum(np.abs(np.diff(np.sign(trace.i_ref[5:]))) > 0)

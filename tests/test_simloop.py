@@ -47,13 +47,15 @@ def test_gain_vector_integral_time_conversion():
         GainVector(100.0, 0.5, ki=-1.0)
 
 
-def test_config_validation():
+def test_config_validation(plant, cc):
     with pytest.raises(ValueError):
-        SimConfig(mode="torque")
+        SimConfig(relay_amplitude=0.0)
     with pytest.raises(ValueError):
-        SimConfig(mode="current")
+        SimConfig(relay_amplitude=-1.0)
     with pytest.raises(ValueError):
-        SimConfig(relay_amplitude=1.0)  # relay probing needs speed mode
+        # the relay replaces the speed PI only with the position loop open
+        simulate(plant, WELL_DAMPED, cc, constant_speed_profile(0.0, 0.1, 1e-3),
+                 SimConfig(relay_amplitude=1.0))
     with pytest.raises(ValueError):
         SimConfig(command_delay_ticks=-1)
     with pytest.raises(ValueError):
@@ -101,8 +103,6 @@ def test_tracking_quality_at_reference_gains(plant, cc):
     assert abs(trace.y_pos[-1] - 0.1) <= 1e-9
     assert np.max(np.abs(trace.y_speed[-100:])) <= 1e-6
     assert np.max(np.abs(trace.i_ref)) < SimConfig().current_limit
-    # the stiff screw keeps load and motor side within a few microns
-    assert np.max(np.abs(trace.y_pos - trace.y_pos_load)) <= 1e-5
 
     # removing the lag entirely changes nothing qualitative
     ideal = simulate(plant, WELL_DAMPED, cc, profile, SimConfig(command_delay_ticks=0))
@@ -120,15 +120,15 @@ def test_actuator_limits_are_respected(plant, cc):
     assert np.max(np.abs(trace.i_ref)) == pytest.approx(cfg.current_limit)
 
 
-# A pure P speed loop stepped to 0.2 m/s asks for far more than the
-# current rail, so the drive sees the railed command for at least the
-# first RAIL_TICKS ticks after it arrives.
+# A pure P speed loop (position loop open) stepped to 0.2 m/s asks for
+# far more than the current rail, so the drive sees the railed command
+# for at least the first RAIL_TICKS ticks after it arrives.
 STEP_GAINS = GainVector(0.0, 0.5, 0.0)
 RAIL_TICKS = 9
 
 
 def _speed_step(plant, cc, delay):
-    cfg = SimConfig(mode="speed", command_delay_ticks=delay)
+    cfg = SimConfig(command_delay_ticks=delay)
     profile = constant_speed_profile(0.2, duration=0.05, dt=1e-3)
     return cfg, simulate(plant, STEP_GAINS, cc, profile, cfg)
 
@@ -158,10 +158,11 @@ def test_batch_matches_scalar_runs(plant, cc):
             [150.0, 0.50, 90.0],
             [300.0, 0.45, 90.0],
             [150.0, 0.35, 90.0],
+            [0.0, 0.50, 90.0],  # position loop open: a speed probe
         ]
     )
     batch = list(simulate_batch(plant, triples, cc, profile, cfg))
-    assert len(batch) == 3
+    assert len(batch) == 4
     for row, bt in zip(triples, batch):
         st = simulate(plant, GainVector(*row), cc, profile, cfg)
         assert not bt.diverged and not st.diverged
@@ -175,15 +176,23 @@ def test_batch_matches_scalar_runs(plant, cc):
 def test_batch_rejects_unsupported_modes(plant, cc):
     profile = benchmark_profile()
     with pytest.raises(ValueError):
-        list(simulate_batch(plant, np.zeros((1, 3)), cc, profile, SimConfig(mode="speed")))
-    with pytest.raises(ValueError):
-        list(
-            simulate_batch(
-                plant, np.zeros((1, 3)), cc, profile, SimConfig(relay_amplitude=1.0)
-            )
-        )
+        list(simulate_batch(plant, [[0.0, 0.5, 90.0]], cc, profile,
+                            SimConfig(relay_amplitude=1.0)))
     with pytest.raises(ValueError):
         list(simulate_batch(plant, np.zeros((1, 2)), cc, profile))
+
+
+@pytest.mark.parametrize("row", [
+    [-150.0, 0.5, 90.0],
+    [150.0, -0.5, 90.0],
+    [150.0, 0.0, 90.0],
+    [150.0, 0.5, -90.0],
+])
+def test_batch_rejects_rows_the_gain_vector_rejects(plant, cc, row):
+    # a row a single run cannot take is refused, not simulated
+    with pytest.raises(ValueError):
+        list(simulate_batch(plant, [[150.0, 0.5, 90.0], row], cc,
+                            benchmark_profile()))
 
 
 def test_divergence_truncates_and_flags(plant, cc):
@@ -202,9 +211,9 @@ def test_divergence_truncates_and_flags(plant, cc):
 
 
 def test_relay_probe_produces_a_limit_cycle(plant, cc):
-    cfg = SimConfig(mode="speed", relay_amplitude=2.0, relay_hysteresis=0.01)
+    cfg = SimConfig(relay_amplitude=2.0)
     profile = constant_speed_profile(0.2, duration=1.0, dt=1e-3)
-    trace = simulate(plant, WELL_DAMPED, cc, profile, cfg)
+    trace = simulate(plant, GainVector(0.0, 0.5, 90.0), cc, profile, cfg)
     applied = set(np.unique(trace.i_ref))
     assert applied <= {-2.0, 0.0, 2.0}
     assert 2.0 in applied and -2.0 in applied
