@@ -5,11 +5,14 @@ Implements exactly what the tuner needs, from first principles:
 * anisotropic squared-exponential kernel
   k(x, x') = sigma_f^2 * exp(-1/2 * sum_i (x_i - x'_i)^2 / l_i^2),
 * exact posterior mean/variance through a Cholesky factorization of
-  K + sigma_w^2 I, with jitter escalation if the factorization fails,
+  K + sigma_w^2 I, with jitter escalation if the factorization fails;
+  every solve against the factor is a triangular one,
 * the negative log marginal likelihood
-  1/2 y^T alpha + sum_i log L_ii + m/2 log(2 pi),
-* multi-start hyperparameter fitting by Nelder-Mead descents in
-  log-parameter space.
+  1/2 y^T alpha + sum_i log L_ii + m/2 log(2 pi)
+  and its analytic gradient in log-parameter space (Rasmussen &
+  Williams, *Gaussian Processes for Machine Learning*, 2006, sec. 5.4),
+* multi-start hyperparameter fitting by L-BFGS-B descents on that
+  gradient, bounded to the hyperparameter box.
 
 Inputs may be normalized to the unit box of given bounds and targets
 standardized to zero mean / unit deviation before fitting; both are
@@ -18,10 +21,13 @@ opt-in and undone transparently at prediction time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
@@ -40,6 +46,18 @@ __all__ = [
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
 _PREDICT_CHUNK = 262_144  # query rows per block in `predict`
+# Scaled squared distances are capped here before the kernel's exp, so no
+# kernel entry falls below sigma_f^2 e^-300 (about 5e-131 sigma_f^2):
+# far below roundoff of any sum it enters, and products of two entries
+# stay normal numbers.  Subnormal results make exp and the factorization
+# tens of times slower.
+_MAX_SQ_DIST = 600.0
+# Stopping rule of each L-BFGS-B hyperfit descent: relative NLML decrease,
+# largest projected-gradient component, iteration cap.  scipy's default
+# factr (ftol about 2.2e-9) stops some desk fits at a worse NLML.
+HYPERFIT_FTOL = 1e-12
+HYPERFIT_GTOL = 1e-6
+HYPERFIT_MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -75,7 +93,11 @@ class GpHyperparams:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed inputs (m, d) and targets (m,)."""
+    """Observed inputs (m, d) and targets (m,).
+
+    Treated as immutable: quantities derived from it are computed once
+    and cached on it.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -98,33 +120,45 @@ class Dataset:
     def dim(self) -> int:
         return self.X.shape[1]
 
+    @functools.cached_property
+    def standardized(self) -> tuple[np.ndarray, float, float]:
+        """Targets as (y - mean) / deviation, with that mean and deviation.
 
-def _scaled(X: np.ndarray, h: GpHyperparams) -> np.ndarray:
-    return X / np.asarray(h.lengthscales)
+        A constant-y dataset keeps deviation 1.
+        """
+        y_mean = float(self.y.mean())
+        sd = float(self.y.std())
+        y_scale = sd if sd > 0.0 else 1.0
+        return (self.y - y_mean) / y_scale, y_mean, y_scale
 
+    @functools.cached_property
+    def sq_diffs(self) -> np.ndarray:
+        """Squared differences between the rows of X, per dimension.
 
-def _kernel_matrix(Xs: np.ndarray, h: GpHyperparams) -> np.ndarray:
-    """Dense K over pre-scaled inputs."""
-    sq = np.sum(Xs * Xs, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
-    np.maximum(d2, 0.0, out=d2)
-    return h.sigma_f * h.sigma_f * np.exp(-0.5 * d2)
+        A (d, m * m) array whose row i holds the m x m matrix of
+        (x_ai - x_bi)^2.  Computed once per dataset: every kernel matrix
+        and NLML gradient on it only rescales these rows.
+        """
+        cols = self.X.T.copy()
+        diff = cols[:, :, None] - cols[:, None, :]
+        np.square(diff, out=diff)
+        return diff.reshape(self.dim, -1)
 
 
 def _chol_with_jitter(K: np.ndarray, sigma_w: float) -> tuple[np.ndarray, float]:
     """Cholesky of K + sigma_w^2 I, escalating extra jitter tenfold as needed."""
     m = K.shape[0]
-    eye = np.eye(m)
-    base = K + (sigma_w * sigma_w) * eye
+    diag = K.diagonal() + sigma_w * sigma_w
+    Ky = K.copy()
     jitter = 0.0
     while True:
-        try:
-            L = np.linalg.cholesky(base + jitter * eye)
+        Ky.flat[::m + 1] = diag + jitter
+        L, info = dpotrf(Ky, lower=1, clean=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
-            if jitter > _JITTER_MAX:
-                raise
+        jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
+        if jitter > _JITTER_MAX:
+            raise np.linalg.LinAlgError("kernel matrix is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -164,6 +198,11 @@ def _input_transform(bounds: np.ndarray | None, dim: int) -> tuple[np.ndarray, n
     return b[:, 0].copy(), span
 
 
+def _inv_sq_lengths(h: GpHyperparams, span: np.ndarray) -> np.ndarray:
+    """1 / l_i^2 in input units: lengthscales are in unit-box units."""
+    return 1.0 / np.square(span * np.asarray(h.lengthscales))
+
+
 def fit(
     data: Dataset,
     h: GpHyperparams,
@@ -177,24 +216,33 @@ def fit(
     ``standardize_targets`` fits on (y - mean)/std and undoes the affine
     map at prediction time (a constant-y dataset keeps scale 1).
     """
+    return _condition(data, h, input_bounds, standardize_targets)[0]
+
+
+def _condition(
+    data: Dataset,
+    h: GpHyperparams,
+    input_bounds: np.ndarray | None,
+    standardize_targets: bool,
+) -> tuple[GpPosterior, np.ndarray, np.ndarray]:
+    """The posterior of :func:`fit`, plus the noise-free K and the
+    targets as fitted, which the NLML and its gradient reuse."""
     if h.dim != data.dim:
         raise ValueError("hyperparameter dimension does not match the data")
     shift, span = _input_transform(input_bounds, data.dim)
-    Xn = (data.X - shift) / span
-    y_mean, y_scale = 0.0, 1.0
-    y = data.y
-    if standardize_targets:
-        y_mean = float(np.mean(y))
-        sd = float(np.std(y))
-        y_scale = sd if sd > 0.0 else 1.0
-        y = (y - y_mean) / y_scale
-    Xs = _scaled(Xn, h)
-    K = _kernel_matrix(Xs, h)
+    y, y_mean, y_scale = data.standardized if standardize_targets \
+        else (data.y, 0.0, 1.0)
+    d2 = _inv_sq_lengths(h, span) @ data.sq_diffs
+    np.minimum(d2, _MAX_SQ_DIST, out=d2)
+    K = np.exp(-0.5 * d2).reshape(data.m, data.m)
+    K *= h.sigma_f * h.sigma_f
     L, jitter = _chol_with_jitter(K, h.sigma_w)
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
-    return GpPosterior(
+    # LAPACK's Cholesky solve, the routine behind scipy's cho_solve,
+    # called directly: the wrapper's checks cost more than the solve
+    alpha, _ = dpotrs(L, y, lower=1)
+    g = GpPosterior(
         h=h,
-        X_scaled=Xs,
+        X_scaled=(data.X - shift) / span / np.asarray(h.lengthscales),
         L=L,
         alpha=alpha,
         jitter_used=jitter,
@@ -203,6 +251,7 @@ def fit(
         y_mean=y_mean,
         y_scale=y_scale,
     )
+    return g, K, y
 
 
 def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,10 +273,11 @@ def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sl = slice(start, min(start + _PREDICT_CHUNK, n))
         Xs = ((X[sl] - g.input_shift) / g.input_span) / ell
         d2 = np.sum(Xs * Xs, axis=1)[:, None] + sq_b[None, :] - 2.0 * (Xs @ g.X_scaled.T)
-        np.maximum(d2, 0.0, out=d2)
+        np.clip(d2, 0.0, _MAX_SQ_DIST, out=d2)
         Kxs = sf2 * np.exp(-0.5 * d2)  # (chunk, m)
         mu[sl] = Kxs @ g.alpha
-        V = np.linalg.solve(g.L, Kxs.T)  # (m, chunk)
+        V = solve_triangular(g.L, Kxs.T, lower=True, overwrite_b=True,
+                             check_finite=False)  # (m, chunk)
         v = sf2 - np.sum(V * V, axis=0)
         np.maximum(v, 0.0, out=v)
         var[sl] = v
@@ -239,15 +289,30 @@ def nlml(
     h: GpHyperparams,
     input_bounds: np.ndarray | None = None,
     standardize_targets: bool = False,
-) -> float:
-    """Negative log marginal likelihood of the data under h."""
-    g = fit(data, h, input_bounds=input_bounds, standardize_targets=standardize_targets)
-    y = data.y
-    if standardize_targets:
-        y = (y - g.y_mean) / g.y_scale
+) -> tuple[float, np.ndarray]:
+    """Negative log marginal likelihood of the data under h, and its gradient.
+
+    The gradient is with respect to the log hyperparameters, in the
+    order of :meth:`GpHyperparams.to_log_vector` (sigma_f, lengthscales,
+    sigma_w): component j is 1/2 tr((K_y^-1 - alpha alpha^T) dK_y/dtheta_j),
+    with K_y the regularized kernel matrix.
+    """
+    g, K, y = _condition(data, h, input_bounds, standardize_targets)
     fit_term = 0.5 * float(y @ g.alpha)
     logdet = float(np.sum(np.log(np.diag(g.L))))
-    return fit_term + logdet + 0.5 * data.m * math.log(2.0 * math.pi)
+    value = fit_term + logdet + 0.5 * data.m * math.log(2.0 * math.pi)
+
+    # W = K_y^-1 - alpha alpha^T; dK_y/dlog sigma_f = 2 K,
+    # dK_y/dlog l_i = K * D_i / l_i^2 and dK_y/dlog sigma_w = 2 sigma_w^2 I
+    L_inv, _ = dtrtri(g.L, lower=1)  # a Cholesky factor is never singular
+    W = L_inv.T @ L_inv
+    W -= g.alpha[:, None] * g.alpha
+    grad = np.empty(h.dim + 2)
+    grad[-1] = h.sigma_w * h.sigma_w * np.trace(W)
+    W *= K
+    grad[0] = np.sum(W)
+    grad[1:-1] = 0.5 * _inv_sq_lengths(h, g.input_span) * (data.sq_diffs @ W.ravel())
+    return value, grad
 
 
 def default_hyper_bounds(dim: int) -> np.ndarray:
@@ -272,15 +337,16 @@ def fit_hyperparams(
     hyper_bounds: np.ndarray | None = None,
     n_starts: int = 8,
     seed: int = 0,
-    max_iter: int = 200,
 ) -> GpHyperparams:
     """Pick hyperparameters by multi-start NLML descent.
 
-    Runs Nelder-Mead in log-parameter space from ``init`` (clipped into
-    ``hyper_bounds``) plus ``n_starts - 1`` low-discrepancy starts spread
-    over the bounded box, and returns the best candidate found -- never
-    worse than the clipped ``init``.  Candidates outside the box score
-    infinitely badly, so descents stay coordinate-bounded.
+    Runs L-BFGS-B on the analytic NLML gradient in log-parameter space,
+    bounded to ``hyper_bounds``, from ``init`` (clipped into the box)
+    plus ``n_starts - 1`` scrambled Sobol starts spread over the box,
+    and returns the best result -- never worse than the clipped
+    ``init``, since each descent only decreases the NLML.  A start at
+    which the NLML is not finite, or cannot be evaluated, has a zero
+    projected gradient there and fails.
 
     Raises
     ------
@@ -297,35 +363,38 @@ def fit_hyperparams(
             or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("hyper_bounds must be (dim + 2, 2) positive intervals")
     lb, ub = np.log(box[:, 0]), np.log(box[:, 1])
-    _BAD = 1e12
 
-    def objective(logv: np.ndarray) -> float:
-        if np.any(logv < lb) or np.any(logv > ub):
-            return _BAD
+    def objective(logv: np.ndarray) -> tuple[float, np.ndarray]:
+        # a failed evaluation is an infinite NLML with a flat gradient, so
+        # a descent that starts there stops at once
         try:
-            hh = GpHyperparams.from_log_vector(logv)
-            return nlml(data, hh, input_bounds=input_bounds,
-                        standardize_targets=standardize_targets)
-        except (np.linalg.LinAlgError, ValueError, FloatingPointError, OverflowError):
-            return _BAD
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                f, grad = nlml(data, GpHyperparams.from_log_vector(logv),
+                               input_bounds=input_bounds,
+                               standardize_targets=standardize_targets)
+        except (np.linalg.LinAlgError, ValueError):
+            f = math.inf
+        if math.isfinite(f) and np.isfinite(grad).all():
+            return f, grad
+        return math.inf, np.zeros_like(logv)
 
-    v0 = np.clip(init.to_log_vector(), lb, ub)
-    starts = [v0]
+    starts = [np.clip(init.to_log_vector(), lb, ub)]
     if n_starts > 1:
-        sampler = qmc.Sobol(d=len(v0), scramble=True, seed=seed)
+        sampler = qmc.Sobol(d=len(lb), scramble=True, seed=seed)
         n_extra = n_starts - 1
         n_draw = 1 << max(0, (n_extra - 1).bit_length())  # next power of two
         unit = sampler.random(n_draw)[:n_extra]
         starts.extend(lb + unit * (ub - lb))
 
-    best_v, best_f = v0, objective(v0)
+    best_v, best_f = None, math.inf
     for s in starts:
-        res = minimize(objective, s, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "xatol": 1e-4, "fatol": 1e-6})
-        f = float(res.fun)
-        if f < best_f and not np.any(res.x < lb) and not np.any(res.x > ub):
-            best_v, best_f = res.x, f
-    if best_f >= _BAD:
+        res = minimize(objective, s, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(lb, ub)),
+                       options={"maxiter": HYPERFIT_MAXITER,
+                                "ftol": HYPERFIT_FTOL, "gtol": HYPERFIT_GTOL})
+        if float(res.fun) < best_f:
+            best_v, best_f = res.x, float(res.fun)
+    if best_v is None:
         raise HyperparamSearchError(
             "no hyperparameter start produced a finite marginal likelihood"
         )

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,7 +231,8 @@ class _Drive:
     reference.
     """
 
-    def __init__(self, p: PlantParams, cc: CurrentControllerGains, cfg: SimConfig):
+    def __init__(self, p: PlantParams, cc: CurrentControllerGains, dt: float,
+                 segments_per_tick: int):
         self.lead = p.lead_per_rad
         plant = physical_state_model(p)
         n_pl = plant.A.shape[0]
@@ -276,8 +278,8 @@ class _Drive:
         B_frz[i_ci, 2] = 0.0
 
         h = RK4_STEP
-        n_sub = round(cfg.dt / h)
-        self.n_seg = cfg.segments_per_tick
+        n_sub = round(dt / h)
+        self.n_seg = segments_per_tick
         per_seg = n_sub // self.n_seg
 
         def col(N: np.ndarray, j: int) -> np.ndarray:
@@ -296,9 +298,16 @@ class _Drive:
         self.seg_frz_v = col(N_seg, 0)
 
 
-@functools.lru_cache(maxsize=64)
 def _drive_for(p: PlantParams, cc: CurrentControllerGains, cfg: SimConfig) -> _Drive:
-    return _Drive(p, cc, cfg)
+    """The drive of ``cfg``, shared by every config with its tick and
+    voltage-update rate (the only fields a drive reads)."""
+    return _drive_cached(p, cc, cfg.dt, cfg.segments_per_tick)
+
+
+@functools.lru_cache(maxsize=64)
+def _drive_cached(p: PlantParams, cc: CurrentControllerGains, dt: float,
+                  segments_per_tick: int) -> _Drive:
+    return _Drive(p, cc, dt, segments_per_tick)
 
 
 def _check_tick(profile: ReferenceProfile, cfg: SimConfig) -> None:
@@ -307,17 +316,17 @@ def _check_tick(profile: ReferenceProfile, cfg: SimConfig) -> None:
 
 
 def _trace(profile: ReferenceProfile, dt: float, div_at: int | None,
-           y_pos: np.ndarray, y_speed: np.ndarray, i_q: np.ndarray,
-           i_ref: np.ndarray, v_q: np.ndarray) -> SimTrace:
-    """One run's record from its per-tick channels.
+           y_pos, y_speed, i_q, i_ref, v_q) -> SimTrace:
+    """One run's record from its per-tick channels (numpy or C-double arrays).
 
     A run that diverged on reaching tick ``div_at`` is truncated before
     that tick and stamped with its time.
     """
     end = len(profile) if div_at is None else div_at
     t, r_pos, r_spd, y_pos, y_speed, i_q, i_ref, v_q = (
-        a[:end].copy() for a in (profile.t, profile.position, profile.speed,
-                                 y_pos, y_speed, i_q, i_ref, v_q))
+        np.array(a[:end], dtype=float)
+        for a in (profile.t, profile.position, profile.speed,
+                  y_pos, y_speed, i_q, i_ref, v_q))
     return SimTrace(
         t=t, r_pos=r_pos, y_pos=y_pos, r_speed=r_spd, y_speed=y_speed,
         i_q=i_q, i_ref=i_ref, v_q=v_q, e_pos=r_pos - y_pos,
@@ -366,8 +375,11 @@ def simulate(
     n = len(profile)
     dt = cfg.dt
 
-    r_pos, r_spd = profile.position, profile.speed
-    y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a = (np.zeros(n) for _ in range(5))
+    # the per-tick arithmetic runs on Python floats: the same IEEE
+    # operations as on numpy scalars, without their overhead; arrays of
+    # C doubles hold them at 8 bytes each
+    r_pos, r_spd = array("d", profile.position), array("d", profile.speed)
+    y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a = (array("d") for _ in range(5))
 
     M_cl, n_cl = drive.M_cl, drive.n_cl
     c_v, d_v = drive.c_v, drive.d_v
@@ -383,31 +395,38 @@ def simulate(
     x = np.zeros(drive.nx)
     integ = 0.0  # speed-loop integral of angular speed error [rad]
     delay = cfg.command_delay_ticks
-    cmd_hist = np.zeros(n)  # clamped current commands, by tick
+    cmd_hist = array("d")  # clamped current commands, by tick
     relay_sign = 1.0
     div_at: int | None = None
 
+    # the held rail voltage times its input columns, formed once; the
+    # sign flip is exact, so these are the products a segment would form
+    frz_v = {True: vmax * seg_frz_v, False: -vmax * seg_frz_v}
+    ol_v = {True: vmax * seg_ol_v, False: -vmax * seg_ol_v}
+
     def segment_tick(x: np.ndarray, i_ref: float) -> np.ndarray:
         """One tick at the drive's voltage-update rate, rails observed."""
+        v_ref = d_v * i_ref
+        cl_i, ol_i = i_ref * seg_cl_i, i_ref * seg_ol_i
         for _ in range(n_seg):
-            v = float(c_v @ x) + d_v * i_ref
+            v = float(c_v @ x) + v_ref
             if v > vmax or v < -vmax:
-                v_s = vmax if v > 0.0 else -vmax
                 if (i_ref > x[0]) == (v > 0.0):
                     x = seg_frz @ x
-                    x += v_s * seg_frz_v
+                    x += frz_v[v > 0.0]
                 else:
                     x = seg_ol @ x
-                    x += v_s * seg_ol_v
-                    x += i_ref * seg_ol_i
+                    x += ol_v[v > 0.0]
+                    x += ol_i
             else:
                 x = seg_cl @ x
-                x += i_ref * seg_cl_i
+                x += cl_i
         return x
 
     for k in range(n):
-        y_pos = x[i_th] * lead
-        y_spd = x[i_w] * lead
+        xs = x.tolist()
+        y_pos = xs[i_th] * lead
+        y_spd = xs[i_w] * lead
 
         # outer loops; the relay keeps its last sign on a zero error
         v_cmd = kp * (r_pos[k] - y_pos) + r_spd[k]
@@ -431,16 +450,16 @@ def simulate(
             integ += w_err * dt
 
         # the drive acts on the command issued ``delay`` ticks ago
-        cmd_hist[k] = i_cmd
+        cmd_hist.append(i_cmd)
         i_ref = cmd_hist[k - delay] if k >= delay else 0.0
 
         v_pred = float(c_v @ x) + d_v * i_ref
 
-        y_pos_a[k] = y_pos
-        y_speed_a[k] = y_spd
-        i_q_a[k] = x[0]
-        i_ref_a[k] = i_ref
-        v_q_a[k] = v_pred if -vmax <= v_pred <= vmax else math.copysign(vmax, v_pred)
+        y_pos_a.append(y_pos)
+        y_speed_a.append(y_spd)
+        i_q_a.append(xs[0])
+        i_ref_a.append(i_ref)
+        v_q_a.append(v_pred if -vmax <= v_pred <= vmax else math.copysign(vmax, v_pred))
 
         if k == n - 1:
             break

@@ -136,3 +136,17 @@ def test_desk_optimum_costs_are_pinned():
     batch = get_preset("desk").bench().evaluate_many([triple])[0]
     assert single == pytest.approx(61.99755248867308, rel=1e-12)
     assert batch == pytest.approx(61.997552488659736, rel=1e-12)
+
+
+@pytest.mark.parametrize("preset, point, cost", [
+    ("desk", (450.0, 0.25, 720.0), 128295.7015940294),
+    ("desk", (600.0, 0.3, 360.0), 1447.7328627847298),
+    ("plc", (1000.0, 100.0, 10000.0), 10236680.955415053),
+])
+def test_railed_single_run_costs_are_pinned(preset, point, cost):
+    # the rails amplify roundoff, so these costs move with any change to
+    # the single-run arithmetic or its order; they must hold bitwise
+    from axistune.presets import get_preset
+
+    pre = get_preset(preset)
+    assert pre.bench().oracle(pre.feasible)(np.array(point)) == cost

@@ -9,6 +9,7 @@ from axistune.gpr import (
     Dataset,
     GpHyperparams,
     HyperparamSearchError,
+    default_hyper_bounds,
     fit,
     fit_hyperparams,
     nlml,
@@ -101,7 +102,7 @@ def test_nlml_matches_the_dense_oracle():
     h = GpHyperparams(1.2, (0.7, 0.9), 0.15)
     for _ in range(15):
         data = _random_dataset(rng, int(rng.integers(3, 40)), 2)
-        ours = nlml(data, h)
+        ours = nlml(data, h)[0]
         ref = _oracle_nlml(data.X, data.y, h)
         assert ours == pytest.approx(ref, abs=1e-8)
 
@@ -114,7 +115,7 @@ def test_single_zero_observation_closed_form():
     expected = 0.5 * math.log(h.sigma_f**2 + h.sigma_w**2) + 0.5 * math.log(
         2.0 * math.pi
     )
-    assert nlml(data, h) == pytest.approx(expected, rel=1e-12)
+    assert nlml(data, h)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_interpolation_with_small_noise():
@@ -184,8 +185,8 @@ def test_fitted_lengthscale_tracks_the_data_roughness():
     h_fast = fit_hyperparams(fast, init, seed=3)
     h_slow = fit_hyperparams(slow, init, seed=3)
     assert h_slow.lengthscales[0] >= 2.0 * h_fast.lengthscales[0]
-    assert nlml(fast, h_fast) <= nlml(fast, init) + 1e-9
-    assert nlml(slow, h_slow) <= nlml(slow, init) + 1e-9
+    assert nlml(fast, h_fast)[0] <= nlml(fast, init)[0] + 1e-9
+    assert nlml(slow, h_slow)[0] <= nlml(slow, init)[0] + 1e-9
 
 
 def test_constant_targets_still_yield_a_usable_posterior():
@@ -200,6 +201,48 @@ def test_constant_targets_still_yield_a_usable_posterior():
     mu, var = predict(g, np.array([0.5]))
     assert mu[0] == pytest.approx(3.7, abs=1e-3)
     assert 0.0 <= var[0] <= 1e-2
+
+
+BOX3 = default_hyper_bounds(3)
+
+
+@pytest.mark.parametrize("h", [
+    GpHyperparams(1.3, (0.4, 0.7, 0.25), 0.1),
+    # next to the box: a lengthscale just above its lower bound, and
+    # sigma_w just below its upper bound
+    GpHyperparams(0.8, (1.01 * BOX3[1, 0], 0.5, 0.6), 0.05),
+    GpHyperparams(2.0, (0.3, 0.2, 0.4), 0.999 * BOX3[4, 1]),
+])
+def test_nlml_gradient_matches_central_differences(h):
+    rng = np.random.default_rng(12)
+    bounds = np.array([[150.0, 600.0], [0.05, 0.5], [90.0, 900.0]])
+    X = bounds[:, 0] + rng.uniform(0.0, 1.0, size=(25, 3)) * (bounds[:, 1] - bounds[:, 0])
+    u = (X - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
+    y = 300.0 + 200.0 * np.sin(4.0 * u[:, 0]) * np.cos(3.0 * u[:, 1]) + 50.0 * u[:, 2]
+    data = Dataset(X, y + rng.standard_normal(25))
+
+    def value(v):
+        return nlml(data, GpHyperparams.from_log_vector(v), input_bounds=bounds,
+                    standardize_targets=True)[0]
+
+    v = h.to_log_vector()
+    step = 1e-5
+    central = np.array([(value(v + step * e) - value(v - step * e)) / (2.0 * step)
+                        for e in np.eye(len(v))])
+    _, grad = nlml(data, h, input_bounds=bounds, standardize_targets=True)
+    assert grad == pytest.approx(central, rel=1e-5)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_fit_hyperparams_raises_when_no_start_has_a_finite_nlml(bad, standardize):
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0.0, 1.0, size=(10, 2))
+    y = np.sin(3.0 * X[:, 0]) + X[:, 1]
+    y[3] = bad
+    with pytest.raises(HyperparamSearchError):
+        fit_hyperparams(Dataset(X, y), GpHyperparams(1.0, (0.3, 0.3), 1e-2),
+                        standardize_targets=standardize)
 
 
 def test_fit_hyperparams_needs_enough_points():

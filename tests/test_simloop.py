@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from axistune import simloop
 from axistune.bench import BENCH_MOVE, benchmark_profile
 from axistune.refgen import constant_speed_profile, generate_profile
 from axistune.simloop import (
@@ -227,3 +228,12 @@ def test_trace_is_a_plain_record(plant, cc):
     assert trace.dt == 1e-3
     assert np.array_equal(trace.e_pos, trace.r_pos - trace.y_pos)
     assert np.array_equal(trace.e_speed, trace.r_speed - trace.y_speed)
+
+
+def test_configs_with_one_tick_and_update_rate_share_a_drive(plant, cc):
+    # a drive reads only dt and segments_per_tick from its config
+    default = simloop._drive_for(plant, cc, SimConfig())
+    relay = SimConfig(relay_amplitude=2.0, command_delay_ticks=2,
+                      current_limit=5.0, divergence_limit=1e9)
+    assert simloop._drive_for(plant, cc, relay) is default
+    assert simloop._drive_for(plant, cc, SimConfig(segments_per_tick=10)) is not default
