@@ -12,10 +12,9 @@ is the one place those points become controller triples (kp, kv, ki).
 Batch evaluation (`evaluate_many`) runs the vectorized simulator and is
 the intended path for grids; single queries fall back to the scalar
 simulator.  Both paths share the memo, so a triple is simulated at most
-once per bench.  The two simulators round differently, though, and on
-runs that touch a rail their costs can differ well beyond roundoff (see
-:func:`~axistune.simloop.simulate_batch`): the memoized cost of a triple
-is that of whichever path simulated it first.
+once per bench, and both do the same arithmetic (see
+:mod:`~axistune.simloop`), so a triple's cost does not depend on which
+path simulated it first.
 """
 
 from __future__ import annotations

@@ -39,7 +39,12 @@ open and the speed channel tracks the profile's speed.  With
 classical autotuners probe the axis that way.  `simulate` (one run) and
 `simulate_batch` (many runs, vectorized) take the same gain rows and
 return the same trace channels; they differ only in the relay, which
-only `simulate` runs, and in their arithmetic, which rounds differently.
+only `simulate` runs.  For one run they do the same IEEE operations in
+the same order: the voltage as two products summed in a fixed order,
+and every drive map as a gemm of at least two rows, whose rows do not
+depend on the row count.  That last is a property of the BLAS build,
+not a BLAS guarantee; the test suite checks it.  So a gain triple has
+one trace, bitwise, whichever path or chunk ran it.
 """
 
 from __future__ import annotations
@@ -70,8 +75,10 @@ __all__ = [
 # replace it (see ROADMAP.md).
 RK4_STEP = 1e-6
 
-# Runs per vectorized chunk in `simulate_batch`; peak memory scales with it.
-BATCH_CHUNK = 256
+# Run-ticks (runs times profile ticks) per vectorized chunk in
+# `simulate_batch`; peak memory scales with it.  256 runs of the
+# 1,451-tick desk move; a 25,009-tick plc chunk holds 14 runs.
+BATCH_RUN_TICKS = 256 * 1451
 
 
 @dataclass(frozen=True)
@@ -223,12 +230,14 @@ class _Drive:
     """Precomputed transition maps of the plant plus continuous current PI.
 
     States: plant states, then the current-loop integral ``x_ci``.  The
-    applied voltage is v = kp (i_ref - i) + ki x_ci.  Maps: ``M_cl`` and
-    ``n_cl`` advance a rail-free tick; the ``seg_*`` maps advance one
-    voltage-update segment in closed loop (``cl``), railed (``ol``), and
-    railed with the current integrator frozen (``frz``); ``*_v`` and
-    ``*_i`` are the input columns of the held voltage and current
-    reference.
+    applied voltage is v = kp (i_ref - i) + ki x_ci, i.e.
+    ``(cv0 * x[0] + cv_ci * x[i_ci]) + d_v * i_ref``.  Each map is one
+    augmented ``(nx + 2, nx)`` matrix taking a row ``[x | v | i_ref]``
+    (the held voltage and current reference after the state) to the
+    next state row: ``T_cl`` advances a rail-free tick; ``S_cl``,
+    ``S_ol`` and ``S_frz`` advance one voltage-update segment in closed
+    loop, railed, and railed with the current integrator frozen.  A map
+    that an input does not drive has a zero row for it.
     """
 
     def __init__(self, p: PlantParams, cc: CurrentControllerGains, dt: float,
@@ -241,12 +250,8 @@ class _Drive:
 
         nx = n_pl + 1
         self.nx = nx
-        i_ci = n_pl
-
-        c_v = np.zeros(nx)
-        c_v[0] = -cc.kp
-        c_v[i_ci] = cc.ki
-        self.c_v, self.d_v = c_v, cc.kp
+        i_ci = self.i_ci = n_pl
+        self.cv0, self.cv_ci, self.d_v = -cc.kp, cc.ki, cc.kp
 
         def base_matrices() -> tuple[np.ndarray, np.ndarray]:
             """Drive with the voltage as an external input: u = [v, tau, i_ref].
@@ -266,7 +271,8 @@ class _Drive:
         # closed loop: v follows from the state, inputs [i_ref, tau]
         A_ol, B_ol = base_matrices()
         A_cl = A_ol.copy()
-        A_cl[0] += c_v / p.Ls
+        A_cl[0, 0] += self.cv0 / p.Ls
+        A_cl[0, i_ci] += self.cv_ci / p.Ls
         B_cl = np.zeros((nx, 2))
         B_cl[:, 0] = B_ol[:, 2]
         B_cl[0, 0] += self.d_v / p.Ls
@@ -282,20 +288,24 @@ class _Drive:
         self.n_seg = segments_per_tick
         per_seg = n_sub // self.n_seg
 
-        def col(N: np.ndarray, j: int) -> np.ndarray:
-            return np.ascontiguousarray(N[:, j])
+        def augmented(M: np.ndarray, N: np.ndarray, v: int | None,
+                      i: int | None) -> np.ndarray:
+            """[M^T; column v of N; column i of N], a zero row for None."""
+            T = np.zeros((nx + 2, nx))
+            T[:nx] = M.T
+            if v is not None:
+                T[nx] = N[:, v]
+            if i is not None:
+                T[nx + 1] = N[:, i]
+            return T
 
         M, N = _rk4_step_maps(A_cl, B_cl, h)
-        self.M_cl, N_tick = _compose(M, N, n_sub)
-        self.n_cl = col(N_tick, 0)
-        self.seg_cl, N_seg = _compose(M, N, per_seg)
-        self.seg_cl_i = col(N_seg, 0)
+        self.T_cl = augmented(*_compose(M, N, n_sub), None, 0)
+        self.S_cl = augmented(*_compose(M, N, per_seg), None, 0)
         M, N = _rk4_step_maps(A_ol, B_ol, h)
-        self.seg_ol, N_seg = _compose(M, N, per_seg)
-        self.seg_ol_v, self.seg_ol_i = col(N_seg, 0), col(N_seg, 2)
+        self.S_ol = augmented(*_compose(M, N, per_seg), 0, 2)
         M, N = _rk4_step_maps(A_frz, B_frz, h)
-        self.seg_frz, N_seg = _compose(M, N, per_seg)
-        self.seg_frz_v = col(N_seg, 0)
+        self.S_frz = augmented(*_compose(M, N, per_seg), 0, None)
 
 
 def _drive_for(p: PlantParams, cc: CurrentControllerGains, cfg: SimConfig) -> _Drive:
@@ -381,50 +391,44 @@ def simulate(
     r_pos, r_spd = array("d", profile.position), array("d", profile.speed)
     y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a = (array("d") for _ in range(5))
 
-    M_cl, n_cl = drive.M_cl, drive.n_cl
-    c_v, d_v = drive.c_v, drive.d_v
-    i_w, i_th = drive.i_w, drive.i_th
+    T_cl, S_cl, S_ol, S_frz = drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz
+    cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
+    i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
     n_seg = drive.n_seg
-    seg_cl, seg_cl_i = drive.seg_cl, drive.seg_cl_i
-    seg_ol, seg_ol_v, seg_ol_i = drive.seg_ol, drive.seg_ol_v, drive.seg_ol_i
-    seg_frz, seg_frz_v = drive.seg_frz, drive.seg_frz_v
 
     vmax, imax, wmax = cfg.voltage_limit, cfg.current_limit, p.omega_max
     div_lim = cfg.divergence_limit
 
-    x = np.zeros(drive.nx)
+    xs = [0.0] * drive.nx
     integ = 0.0  # speed-loop integral of angular speed error [rad]
     delay = cfg.command_delay_ticks
     cmd_hist = array("d")  # clamped current commands, by tick
     relay_sign = 1.0
     div_at: int | None = None
 
-    # the held rail voltage times its input columns, formed once; the
-    # sign flip is exact, so these are the products a segment would form
-    frz_v = {True: vmax * seg_frz_v, False: -vmax * seg_frz_v}
-    ol_v = {True: vmax * seg_ol_v, False: -vmax * seg_ol_v}
+    # each map multiplies a two-row block [x | v | i_ref] whose second
+    # row stays zero: a gemm row does not depend on the block's row
+    # count, so this is the arithmetic `simulate_batch` does for the row
+    # (``dot`` is the same gemm as ``@`` without the ufunc dispatch)
+    rows = np.zeros((2, drive.nx + 2))
 
-    def segment_tick(x: np.ndarray, i_ref: float) -> np.ndarray:
+    def advance(S: np.ndarray, xs: list, v: float, i_ref: float) -> list:
+        rows[0] = (*xs, v, i_ref)
+        return rows.dot(S)[0].tolist()
+
+    def segment_tick(xs: list, i_ref: float) -> list:
         """One tick at the drive's voltage-update rate, rails observed."""
         v_ref = d_v * i_ref
-        cl_i, ol_i = i_ref * seg_cl_i, i_ref * seg_ol_i
         for _ in range(n_seg):
-            v = float(c_v @ x) + v_ref
+            v = (cv0 * xs[0] + cv_ci * xs[i_ci]) + v_ref
             if v > vmax or v < -vmax:
-                if (i_ref > x[0]) == (v > 0.0):
-                    x = seg_frz @ x
-                    x += frz_v[v > 0.0]
-                else:
-                    x = seg_ol @ x
-                    x += ol_v[v > 0.0]
-                    x += ol_i
+                S = S_frz if (i_ref > xs[0]) == (v > 0.0) else S_ol
+                xs = advance(S, xs, math.copysign(vmax, v), i_ref)
             else:
-                x = seg_cl @ x
-                x += cl_i
-        return x
+                xs = advance(S_cl, xs, v, i_ref)
+        return xs
 
     for k in range(n):
-        xs = x.tolist()
         y_pos = xs[i_th] * lead
         y_spd = xs[i_w] * lead
 
@@ -453,34 +457,32 @@ def simulate(
         cmd_hist.append(i_cmd)
         i_ref = cmd_hist[k - delay] if k >= delay else 0.0
 
-        v_pred = float(c_v @ x) + d_v * i_ref
+        v_pred = (cv0 * xs[0] + cv_ci * xs[i_ci]) + d_v * i_ref
+        in_rails = -vmax <= v_pred <= vmax
 
         y_pos_a.append(y_pos)
         y_speed_a.append(y_spd)
         i_q_a.append(xs[0])
         i_ref_a.append(i_ref)
-        v_q_a.append(v_pred if -vmax <= v_pred <= vmax else math.copysign(vmax, v_pred))
+        v_q_a.append(v_pred if in_rails else math.copysign(vmax, v_pred))
 
         if k == n - 1:
             break
 
-        if -vmax <= v_pred <= vmax:
-            x_next = M_cl @ x
-            x_next += i_ref * n_cl
-            v_end = float(c_v @ x_next) + d_v * i_ref
-            if not -vmax <= v_end <= vmax:
-                x_next = segment_tick(x, i_ref)
-            x = x_next
+        if in_rails:
+            x_next = advance(T_cl, xs, v_pred, i_ref)
+            v_end = (cv0 * x_next[0] + cv_ci * x_next[i_ci]) + d_v * i_ref
+            xs = x_next if -vmax <= v_end <= vmax else segment_tick(xs, i_ref)
         else:
-            x = segment_tick(x, i_ref)
+            xs = segment_tick(xs, i_ref)
 
-        if x[i_w] > wmax:
-            x[i_w] = wmax
-        elif x[i_w] < -wmax:
-            x[i_w] = -wmax
+        if xs[i_w] > wmax:
+            xs[i_w] = wmax
+        elif xs[i_w] < -wmax:
+            xs[i_w] = -wmax
 
-        peak = float(np.abs(x).max())
-        if not peak < div_lim:
+        # a NaN fails the comparison, so it flags divergence too
+        if not all(abs(v) < div_lim for v in xs):
             div_at = k + 1
             break
 
@@ -500,15 +502,13 @@ def simulate_batch(
     kv, ki; every row must be a valid :class:`GainVector`, and kp = 0
     rows are speed probes), in order, with the channels of
     :func:`simulate`.  The physics and controller logic are those of
-    :func:`simulate` evaluated with matrix-batch arithmetic, whose
-    rounding differs from the scalar path's.  On rail-free runs the two
-    agree to roundoff; once a rail engages, switching instants amplify
-    that roundoff, and costs can differ well beyond it (on the desk
-    grid, most points differ by more than 1e-6 relative).  The relay is
-    not supported.
+    :func:`simulate`, row for row in the same arithmetic, so each trace
+    equals that run's :func:`simulate` trace bitwise, railed runs
+    included.  The relay is not supported.
 
-    Runs are simulated ``BATCH_CHUNK`` at a time, so peak memory does not
-    grow with the batch size.
+    Runs are simulated in chunks of ``BATCH_RUN_TICKS // len(profile)``
+    runs (at least one), so peak memory grows with neither the batch
+    size nor the profile length.
     """
     if cfg.relay_amplitude is not None:
         raise ValueError("batched runs do not support the relay")
@@ -518,8 +518,9 @@ def simulate_batch(
         raise ValueError("gain_triples must have columns kp, kv, ki")
     for row in triples:
         GainVector(*row)
-    for start in range(0, triples.shape[0], BATCH_CHUNK):
-        yield from _run_chunk(p, triples[start:start + BATCH_CHUNK], cc, profile, cfg)
+    per_chunk = max(1, BATCH_RUN_TICKS // len(profile))
+    for start in range(0, triples.shape[0], per_chunk):
+        yield from _run_chunk(p, triples[start:start + per_chunk], cc, profile, cfg)
 
 
 def _run_chunk(
@@ -539,21 +540,18 @@ def _run_chunk(
 
     r_pos, r_spd = profile.position, profile.speed
 
-    M_clT = drive.M_cl.T.copy()
-    n_cl = drive.n_cl
-    seg_clT = drive.seg_cl.T.copy()
-    seg_olT = drive.seg_ol.T.copy()
-    seg_frzT = drive.seg_frz.T.copy()
-    seg_cl_i = drive.seg_cl_i
-    seg_ol_v, seg_ol_i = drive.seg_ol_v, drive.seg_ol_i
-    seg_frz_v = drive.seg_frz_v
-    c_v, d_v = drive.c_v, drive.d_v
-    i_w, i_th = drive.i_w, drive.i_th
+    T_cl, S_cl, S_ol, S_frz = drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz
+    cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
+    i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
     n_seg = drive.n_seg
+    nx = drive.nx
     vmax, imax, wmax = cfg.voltage_limit, cfg.current_limit, p.omega_max
     div_lim = cfg.divergence_limit
 
-    X = np.zeros((m, drive.nx))
+    # rows [x | v | i_ref] and one zero pad row, so every map is a gemm
+    # of at least two rows, whose rows are those of a single run
+    Z = np.zeros((m + 1, nx + 2))
+    X = Z[:m, :nx]
     integ = np.zeros(m)
     delay = cfg.command_delay_ticks
     cmd_hist = np.zeros((m, n))  # clamped current commands, by tick
@@ -580,47 +578,44 @@ def _run_chunk(
         cmd_hist[:, k] = i_cmd
         i_ref = cmd_hist[:, k - delay] if k >= delay else np.zeros(m)
 
-        v_pred = X @ c_v + d_v * i_ref
+        v_pred = (cv0 * X[:, 0] + cv_ci * X[:, i_ci]) + d_v * i_ref
+        v_q = np.clip(v_pred, -vmax, vmax)
         rec_y_pos[:, k] = y_pos
         rec_y_spd[:, k] = y_spd
         rec_iq[:, k] = X[:, 0]
         rec_iref[:, k] = i_ref
-        rec_v[:, k] = np.clip(v_pred, -vmax, vmax)
+        rec_v[:, k] = v_q
 
         if k == n - 1:
             break
 
-        Xn = X @ M_clT + i_ref[:, None] * n_cl
-        v_end = Xn @ c_v + d_v * i_ref
+        Z[:m, nx] = v_q
+        Z[:m, nx + 1] = i_ref
+        Xn = Z.dot(T_cl)[:m]
+        v_end = (cv0 * Xn[:, 0] + cv_ci * Xn[:, i_ci]) + d_v * i_ref
         need = alive & ~(
             (np.abs(v_pred) <= vmax) & (np.abs(v_end) <= vmax)
         )
         if need.any():
-            Xs = X[need]
-            ir = i_ref[need]
-            ir_col = ir[:, None]
+            # the pad row rides along: zero state and i_ref, never railed
+            Zs = Z[np.append(np.flatnonzero(need), m)]
+            ir = Zs[:, nx + 1]
+            v_ref = d_v * ir
             for _ in range(n_seg):
-                v = Xs @ c_v + d_v * ir
+                v = (cv0 * Zs[:, 0] + cv_ci * Zs[:, i_ci]) + v_ref
                 railed = (v > vmax) | (v < -vmax)
-                X_lin = Xs @ seg_clT + ir_col * seg_cl_i
+                Zs[:, nx] = np.clip(v, -vmax, vmax)
+                X_next = Zs.dot(S_cl)
                 if railed.any():
-                    v_s = np.clip(v, -vmax, vmax)[:, None]
-                    frozen = railed & ((ir > Xs[:, 0]) == (v > 0.0))
-                    X_ol = Xs @ seg_olT + v_s * seg_ol_v + ir_col * seg_ol_i
+                    frozen = railed & ((ir > Zs[:, 0]) == (v > 0.0))
+                    X_next = np.where(railed[:, None], Zs.dot(S_ol), X_next)
                     if frozen.any():
-                        X_frz = Xs @ seg_frzT + v_s * seg_frz_v
-                        Xs = np.where(
-                            frozen[:, None], X_frz,
-                            np.where(railed[:, None], X_ol, X_lin),
-                        )
-                    else:
-                        Xs = np.where(railed[:, None], X_ol, X_lin)
-                else:
-                    Xs = X_lin
-            Xn[need] = Xs
+                        X_next = np.where(frozen[:, None], Zs.dot(S_frz), X_next)
+                Zs[:, :nx] = X_next
+            Xn[need] = Zs[:-1, :nx]
         if not alive.all():
             Xn[~alive] = X[~alive]
-        X = Xn
+        X[:] = Xn
         np.clip(X[:, i_w], -wmax, wmax, out=X[:, i_w])
         peak = np.abs(X).max(axis=1)
         newly = alive & ~(peak < div_lim)

@@ -262,9 +262,9 @@ def test_reset_time_points_are_scored_as_their_gains(tmp_path, monkeypatch,
     lines = (grid / "grid.csv").read_text().splitlines()
     assert lines[0] == "kp,kv,tn,cost"
     table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    # a fresh bench: the one above memoized single-run costs, and on railed
-    # points those differ from the batch path's
-    expected = pre.bench().evaluate_many(tn_set.canonical(table[:, :3]))
+    # the bench above memoized single-run costs; a triple has one cost,
+    # whichever path scored it
+    expected = bench.evaluate_many(tn_set.canonical(table[:, :3]))
     assert np.array_equal(table[:, 3], expected)
 
 
