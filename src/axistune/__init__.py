@@ -61,7 +61,6 @@ from .refgen import (
     PhaseSpan,
     ReferenceProfile,
     TrajectorySpec,
-    bidirectional_step,
     constant_speed_profile,
     generate_profile,
 )

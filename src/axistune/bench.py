@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -75,9 +74,9 @@ class TuningBench:
     profile : ReferenceProfile, optional
         Scoring trajectory; defaults to :func:`benchmark_profile`.
     sim_config : SimConfig, optional
-        Must not configure the relay: the bench scores the PI cascade.
-        The probe helpers run it with the position loop open (kp = 0),
-        and `relay_run` adds the relay.
+        The bench scores the PI cascade; the probe helpers run it with
+        the position loop open (kp = 0), and `relay_run` swaps the speed
+        PI for a relay.
     """
 
     def __init__(
@@ -89,9 +88,6 @@ class TuningBench:
         sim_config: SimConfig | None = None,
     ):
         cfg = sim_config if sim_config is not None else SimConfig()
-        if cfg.relay_amplitude is not None:
-            raise ValueError("the bench scores the PI cascade; "
-                             "relay_run adds the relay itself")
         self.plant = plant
         self.current_gains = current_gains
         self.weights = weights
@@ -196,10 +192,9 @@ class TuningBench:
         between +/- `amplitude` on the sign of the angular speed error,
         inducing a limit cycle around zero speed.
         """
-        cfg = replace(self.cfg, relay_amplitude=float(amplitude))
-        profile = constant_speed_profile(0.0, duration, cfg.dt)
+        profile = constant_speed_profile(0.0, duration, self.cfg.dt)
         return simulate(self.plant, GainVector(0.0, 1.0, 0.0), self.current_gains,
-                        profile, cfg)
+                        profile, self.cfg, relay=float(amplitude))
 
     def position_overshoot_pct(self, triple) -> float:
         """Position overshoot as a percentage of the commanded move."""

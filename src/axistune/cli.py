@@ -33,11 +33,11 @@ import numpy as np
 
 from .baselines import TuningError, itae_tune, relay_tune, ziegler_nichols
 from .bench import SetOracle, TuningBench
-from .metrics import MetricVector, cost as metric_cost
+from .metrics import cost as metric_cost
 from .presets import DEFAULT_PRESET, PRESETS, Preset, get_preset, get_weights
 from .simloop import SimTrace
 from .tuner import (
-    BoState,
+    BoConfig,
     OracleAbort,
     grid_search,
     load_grid_table,
@@ -153,7 +153,7 @@ def _resolve(command: str, args: argparse.Namespace) -> Resolved:
     except KeyError as e:
         raise UsageError(str(e).strip('"')) from None
     seed = _as_int(cfg, "seed")
-    seed = preset.bo.seed if seed is None else seed
+    seed = BoConfig().seed if seed is None else seed
     out = Path(getattr(args, "out", None) or ".")
     out.mkdir(parents=True, exist_ok=True)
     bench = preset.bench(weights)
@@ -169,7 +169,7 @@ def _resolve(command: str, args: argparse.Namespace) -> Resolved:
 
 
 def _bo_config(res: Resolved, skip_m0: bool = False):
-    """Preset BO config with any m0/beta/max_iters/seed overrides."""
+    """Default BO config with any m0/beta/max_iters/seed overrides."""
     cfg = res.config
     changes: dict[str, object] = {"seed": res.seed}
     if not skip_m0:
@@ -183,7 +183,7 @@ def _bo_config(res: Resolved, skip_m0: bool = False):
     if iters is not None:
         changes["max_iterations"] = iters
     try:
-        return dataclasses.replace(res.preset.bo, **changes)
+        return BoConfig(**changes)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -200,10 +200,6 @@ def _write_trace_csv(path: Path, trace: SimTrace) -> None:
         f.write(",".join(_TRACE_COLUMNS) + "\n")
         for row in zip(*cols):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def _metric_dict(m: MetricVector) -> dict[str, float]:
-    return {name: float(getattr(m, name)) for name in MetricVector.names()}
 
 
 def _write_record(res: Resolved, payload: dict) -> Path:
@@ -248,12 +244,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_trace_csv(trace_path, trace)
     _write_record(res, {
         "gains": list(gains),
-        "metrics": _metric_dict(metrics),
+        "metrics": metrics.as_dict(),
         "cost": total,
         "diverged": bool(trace.diverged),
         "traces": [trace_path.name],
     })
-    for name, value in _metric_dict(metrics).items():
+    for name, value in metrics.as_dict().items():
         print(f"{name} = {value!r}")
     print(f"cost = {total!r}")
     if trace.diverged:
@@ -308,7 +304,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
             for rec in state.records
         ],
         "gains": list(gains),
-        "metrics": _metric_dict(metrics),
+        "metrics": metrics.as_dict(),
         "cost": total,
         "traces": [trace_path.name, conv_path.name],
     })

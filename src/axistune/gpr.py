@@ -14,9 +14,9 @@ Implements exactly what the tuner needs, from first principles:
 * multi-start hyperparameter fitting by L-BFGS-B descents on that
   gradient, bounded to the hyperparameter box.
 
-Inputs may be normalized to the unit box of given bounds and targets
-standardized to zero mean / unit deviation before fitting; both are
-opt-in and undone transparently at prediction time.
+Inputs are normalized to the unit box of given bounds and targets
+standardized to zero mean / unit deviation before fitting; prediction
+undoes both.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ _MAX_SQ_DIST = 600.0
 HYPERFIT_FTOL = 1e-12
 HYPERFIT_GTOL = 1e-6
 HYPERFIT_MAXITER = 500
+# Descent starts per hyperparameter fit: the initial guess plus Sobol
+# points.  A power of two, so the Sobol draw stays balanced.
+N_HYPER_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -186,9 +189,7 @@ class GpPosterior:
         return self.X_scaled.shape[0]
 
 
-def _input_transform(bounds: np.ndarray | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    if bounds is None:
-        return np.zeros(dim), np.ones(dim)
+def _input_transform(bounds: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(bounds, dtype=float)
     if b.shape != (dim, 2):
         raise ValueError("input_bounds must be (dim, 2)")
@@ -203,35 +204,28 @@ def _inv_sq_lengths(h: GpHyperparams, span: np.ndarray) -> np.ndarray:
     return 1.0 / np.square(span * np.asarray(h.lengthscales))
 
 
-def fit(
-    data: Dataset,
-    h: GpHyperparams,
-    input_bounds: np.ndarray | None = None,
-    standardize_targets: bool = False,
-) -> GpPosterior:
+def fit(data: Dataset, h: GpHyperparams, input_bounds: np.ndarray) -> GpPosterior:
     """Condition a GP on the dataset.
 
     ``input_bounds`` (shape (d, 2)) maps inputs to the unit box before the
-    kernel sees them, so lengthscales are in normalized units.
-    ``standardize_targets`` fits on (y - mean)/std and undoes the affine
-    map at prediction time (a constant-y dataset keeps scale 1).
+    kernel sees them, so lengthscales are in normalized units.  The GP is
+    fitted on the standardized targets (see :attr:`Dataset.standardized`)
+    and :func:`predict` undoes that affine map.
     """
-    return _condition(data, h, input_bounds, standardize_targets)[0]
+    return _condition(data, h, input_bounds)[0]
 
 
 def _condition(
     data: Dataset,
     h: GpHyperparams,
-    input_bounds: np.ndarray | None,
-    standardize_targets: bool,
+    input_bounds: np.ndarray,
 ) -> tuple[GpPosterior, np.ndarray, np.ndarray]:
     """The posterior of :func:`fit`, plus the noise-free K and the
     targets as fitted, which the NLML and its gradient reuse."""
     if h.dim != data.dim:
         raise ValueError("hyperparameter dimension does not match the data")
     shift, span = _input_transform(input_bounds, data.dim)
-    y, y_mean, y_scale = data.standardized if standardize_targets \
-        else (data.y, 0.0, 1.0)
+    y, y_mean, y_scale = data.standardized
     d2 = _inv_sq_lengths(h, span) @ data.sq_diffs
     np.minimum(d2, _MAX_SQ_DIST, out=d2)
     K = np.exp(-0.5 * d2).reshape(data.m, data.m)
@@ -284,20 +278,19 @@ def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu * g.y_scale + g.y_mean, var * (g.y_scale * g.y_scale)
 
 
-def nlml(
-    data: Dataset,
-    h: GpHyperparams,
-    input_bounds: np.ndarray | None = None,
-    standardize_targets: bool = False,
-) -> tuple[float, np.ndarray]:
+def nlml(data: Dataset, h: GpHyperparams,
+         input_bounds: np.ndarray) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood of the data under h, and its gradient.
+
+    Of the targets as :func:`fit` sees them: standardized, with inputs
+    in the unit box of ``input_bounds``.
 
     The gradient is with respect to the log hyperparameters, in the
     order of :meth:`GpHyperparams.to_log_vector` (sigma_f, lengthscales,
     sigma_w): component j is 1/2 tr((K_y^-1 - alpha alpha^T) dK_y/dtheta_j),
     with K_y the regularized kernel matrix.
     """
-    g, K, y = _condition(data, h, input_bounds, standardize_targets)
+    g, K, y = _condition(data, h, input_bounds)
     fit_term = 0.5 * float(y @ g.alpha)
     logdet = float(np.sum(np.log(np.diag(g.L))))
     value = fit_term + logdet + 0.5 * data.m * math.log(2.0 * math.pi)
@@ -332,19 +325,17 @@ class HyperparamSearchError(RuntimeError):
 def fit_hyperparams(
     data: Dataset,
     init: GpHyperparams,
-    input_bounds: np.ndarray | None = None,
-    standardize_targets: bool = False,
-    hyper_bounds: np.ndarray | None = None,
-    n_starts: int = 8,
-    seed: int = 0,
+    input_bounds: np.ndarray,
+    seed: int,
 ) -> GpHyperparams:
     """Pick hyperparameters by multi-start NLML descent.
 
     Runs L-BFGS-B on the analytic NLML gradient in log-parameter space,
-    bounded to ``hyper_bounds``, from ``init`` (clipped into the box)
-    plus ``n_starts - 1`` scrambled Sobol starts spread over the box,
-    and returns the best result -- never worse than the clipped
-    ``init``, since each descent only decreases the NLML.  A start at
+    bounded to :func:`default_hyper_bounds`, from ``init`` (clipped into
+    the box) plus ``N_HYPER_STARTS - 1`` scrambled Sobol starts spread
+    over the box, seeded by ``seed``, and returns the best result --
+    never worse than the clipped ``init``, since each descent only
+    decreases the NLML.  A start at
     which the NLML is not finite, or cannot be evaluated, has a zero
     projected gradient there and fails.
 
@@ -357,11 +348,7 @@ def fit_hyperparams(
     """
     if data.m < 3:
         raise ValueError("hyperparameter fitting needs at least 3 observations")
-    box = default_hyper_bounds(data.dim) if hyper_bounds is None else \
-        np.asarray(hyper_bounds, dtype=float)
-    if box.shape != (data.dim + 2, 2) or np.any(box[:, 0] <= 0.0) \
-            or np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("hyper_bounds must be (dim + 2, 2) positive intervals")
+    box = default_hyper_bounds(data.dim)
     lb, ub = np.log(box[:, 0]), np.log(box[:, 1])
 
     def objective(logv: np.ndarray) -> tuple[float, np.ndarray]:
@@ -370,21 +357,16 @@ def fit_hyperparams(
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 f, grad = nlml(data, GpHyperparams.from_log_vector(logv),
-                               input_bounds=input_bounds,
-                               standardize_targets=standardize_targets)
+                               input_bounds)
         except (np.linalg.LinAlgError, ValueError):
             f = math.inf
         if math.isfinite(f) and np.isfinite(grad).all():
             return f, grad
         return math.inf, np.zeros_like(logv)
 
-    starts = [np.clip(init.to_log_vector(), lb, ub)]
-    if n_starts > 1:
-        sampler = qmc.Sobol(d=len(lb), scramble=True, seed=seed)
-        n_extra = n_starts - 1
-        n_draw = 1 << max(0, (n_extra - 1).bit_length())  # next power of two
-        unit = sampler.random(n_draw)[:n_extra]
-        starts.extend(lb + unit * (ub - lb))
+    sampler = qmc.Sobol(d=len(lb), scramble=True, seed=seed)
+    unit = sampler.random(N_HYPER_STARTS)[:N_HYPER_STARTS - 1]
+    starts = [np.clip(init.to_log_vector(), lb, ub), *(lb + unit * (ub - lb))]
 
     best_v, best_f = None, math.inf
     for s in starts:

@@ -26,12 +26,15 @@ import numpy as np
 from .refgen import ReferenceProfile
 
 __all__ = [
-    "SETTLE_BAND", "MetricVector", "CostWeights", "itae", "extract_metrics", "cost",
+    "SETTLE_BAND", "DIVERGENCE_PENALTY", "MetricVector", "CostWeights", "itae",
+    "extract_metrics", "cost",
 ]
 
 # Settling band as a fraction of the move distance (position) and of the
 # speed setpoint (speed).
 SETTLE_BAND = 0.02
+# Cost of a diverged run, whatever the weights.
+DIVERGENCE_PENALTY = 1e9
 
 
 def itae(e: np.ndarray, t_i: float, t_f: float) -> float:
@@ -91,7 +94,7 @@ class MetricVector:
 @dataclass(frozen=True)
 class CostWeights:
     """Per-metric weights of the scalar cost, same field names as
-    MetricVector, plus the penalty charged for a diverged run."""
+    MetricVector."""
 
     pos_overshoot: float = 0.0
     pos_undershoot: float = 0.0
@@ -106,7 +109,6 @@ class CostWeights:
     spd_inf: float = 0.0
     spd_itae: float = 0.0
     spd_ss: float = 0.0
-    divergence_penalty: float = 1e9
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -115,9 +117,10 @@ class CostWeights:
 
 
 def cost(m: MetricVector, w: CostWeights) -> float:
-    """Weighted sum of the metric vector; the penalty for diverged runs."""
+    """Weighted sum of the metric vector; ``DIVERGENCE_PENALTY`` for a
+    diverged run."""
     if m.is_diverged:
-        return w.divergence_penalty
+        return DIVERGENCE_PENALTY
     return float(
         sum(getattr(w, name) * getattr(m, name) for name in MetricVector.names())
     )

@@ -81,33 +81,27 @@ class PlantParams:
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Continuous LTI model dx/dt = A x + B u, y = C x + D u."""
+    """Continuous LTI model dx/dt = A x + B u; every state is an output."""
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
     state_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        for name in ("A", "B", "C", "D"):
+        for name in ("A", "B"):
             object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         n = self.A.shape[0]
-        if self.A.shape != (n, n) or self.B.shape[0] != n or self.C.shape[1] != n:
+        if self.A.shape != (n, n) or self.B.shape[0] != n:
             raise ModelError("inconsistent state-space dimensions")
-        if self.D.shape != (self.C.shape[0], self.B.shape[1]):
-            raise ModelError("inconsistent feedthrough dimensions")
 
     def frequency_response(self, omega, input_index: int = 0, output_index: int = 0) -> np.ndarray:
-        """C (jwI - A)^-1 B + D for each angular frequency."""
+        """State ``output_index`` of (jwI - A)^-1 B for each angular frequency."""
         out = []
         eye = np.eye(self.A.shape[0])
         b = self.B[:, input_index]
-        c = self.C[output_index, :]
-        d = self.D[output_index, input_index]
         for w in np.atleast_1d(omega):
             sol = np.linalg.solve(1j * float(w) * eye - self.A, b)
-            out.append(c @ sol + d)
+            out.append(sol[output_index])
         return np.asarray(out)
 
 
@@ -129,8 +123,4 @@ def physical_state_model(p: PlantParams) -> StateSpaceModel:
     B = np.zeros((5, 2))
     B[0, 0] = 1.0 / p.Ls
     B[3, 1] = 1.0 / p.Jl
-    C = np.eye(5)
-    D = np.zeros((5, 2))
-    return StateSpaceModel(
-        A, B, C, D, state_labels=("i_q", "w_m", "th_m", "w_l", "th_l"),
-    )
+    return StateSpaceModel(A, B, state_labels=("i_q", "w_m", "th_m", "w_l", "th_l"))

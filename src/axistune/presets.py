@@ -1,10 +1,11 @@
 """Named configuration presets.
 
-Every experiment in this package is assembled from the same small set of
-building blocks: a plant, the drive's internal current-loop gains, a
-reference trajectory, a simulation configuration, cost weights, and a
-feasible gain box.  This module gives the canonical combinations names
-so command-line runs are reproducible from a preset string plus a seed.
+Every experiment in this package runs the same axis: the ``LAB_SERVO``
+plant under the ``LAB_SERVO_CURRENT`` current loop, simulated with the
+default ``SimConfig``.  What varies is the reference trajectory, the
+cost weights, and the feasible gain box.  This module gives the
+canonical combinations names so command-line runs are reproducible
+from a preset string plus a seed.
 
 Presets
 -------
@@ -26,14 +27,14 @@ Presets
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bench import BENCH_MOVE, TuningBench
 from .metrics import CostWeights
 from .plant import PlantParams
 from .refgen import TrajectorySpec, generate_profile
 from .simloop import CurrentControllerGains, SimConfig
-from .tuner import BoConfig, FeasibleSet
+from .tuner import FeasibleSet
 
 __all__ = [
     "Preset",
@@ -145,59 +146,45 @@ TRAJECTORY_PRESETS: dict[str, TrajectorySpec] = {
 
 @dataclass(frozen=True)
 class Preset:
-    """A complete, named experiment configuration."""
+    """A named experiment: the move, the cost weights and the gain box.
+
+    The axis, its current loop and the simulation configuration are the
+    same for every preset (see the module docstring), and every command
+    searches with the default ``BoConfig``.
+    """
 
     name: str
-    plant: PlantParams
-    current: CurrentControllerGains
     trajectory: TrajectorySpec
-    sim: SimConfig
     weights: str                  # key into WEIGHT_PRESETS
     feasible: FeasibleSet
-    bo: BoConfig = field(default_factory=BoConfig)
 
     def bench(self, weights: CostWeights | None = None) -> TuningBench:
         """Assemble the memoized cost oracle this preset describes."""
         w = weights if weights is not None else WEIGHT_PRESETS[self.weights]
-        return TuningBench(
-            self.plant,
-            self.current,
-            w,
-            profile=generate_profile(self.trajectory, self.sim.dt),
-            sim_config=self.sim,
-        )
+        cfg = SimConfig()
+        return TuningBench(LAB_SERVO, LAB_SERVO_CURRENT, w,
+                           profile=generate_profile(self.trajectory, cfg.dt),
+                           sim_config=cfg)
 
 
 PRESETS: dict[str, Preset] = {
     "desk": Preset(
         name="desk",
-        plant=LAB_SERVO,
-        current=LAB_SERVO_CURRENT,
         trajectory=TRAJECTORY_PRESETS["bench-move"],
-        sim=SimConfig(),
         weights="sim-tracking",
         feasible=FEASIBLE_PRESETS["desk"],
-        bo=BoConfig(m0=20, max_iterations=60),
     ),
     "fine": Preset(
         name="fine",
-        plant=LAB_SERVO,
-        current=LAB_SERVO_CURRENT,
         trajectory=TRAJECTORY_PRESETS["bench-move"],
-        sim=SimConfig(),
         weights="sim-tracking",
         feasible=FEASIBLE_PRESETS["fine"],
-        bo=BoConfig(m0=20, max_iterations=60),
     ),
     "plc": Preset(
         name="plc",
-        plant=LAB_SERVO,
-        current=LAB_SERVO_CURRENT,
         trajectory=TRAJECTORY_PRESETS["long-stroke"],
-        sim=SimConfig(),
         weights="exp-tracking",
         feasible=FEASIBLE_PRESETS["plc"],
-        bo=BoConfig(m0=20, max_iterations=60),
     ),
 }
 

@@ -29,7 +29,6 @@ __all__ = [
     "PhaseSpan",
     "ReferenceProfile",
     "generate_profile",
-    "bidirectional_step",
     "constant_speed_profile",
 ]
 
@@ -103,10 +102,6 @@ class ReferenceProfile:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1])
-
     # -- phase queries used by the metric layer --
 
     def motion_start_index(self) -> int:
@@ -129,11 +124,7 @@ class ReferenceProfile:
         return self._first("cruise", leg)
 
     def terminal_dwell(self) -> PhaseSpan | None:
-        ph = self._first("dwell", 1)
-        return ph
-
-    def has_return(self) -> bool:
-        return any(ph.leg == 1 for ph in self.phases)
+        return self._first("dwell", 1)
 
 
 def _snapped_leg(spec: TrajectorySpec, dt: float) -> tuple[int, int, int, float]:
@@ -218,30 +209,6 @@ def generate_profile(spec: TrajectorySpec, dt: float) -> ReferenceProfile:
     return ReferenceProfile(t, position, speed, dt, tuple(phases), spec)
 
 
-def bidirectional_step(
-    move: float,
-    dwell: float,
-    speed: float,
-    accel: float,
-    dt: float,
-    decel: float | None = None,
-) -> ReferenceProfile:
-    """Out-and-back move: travel ``move`` meters, hold, return, hold again.
-
-    High accelerations give a near-step speed reference, which is the
-    harshest profile the cascade sees in service.
-    """
-    spec = TrajectorySpec(
-        position_setpoint=move,
-        speed_setpoint=speed,
-        acceleration=accel,
-        deceleration=accel if decel is None else decel,
-        dwell_time=dwell,
-        return_to_zero=True,
-    )
-    return generate_profile(spec, dt)
-
-
 def constant_speed_profile(speed: float, duration: float, dt: float) -> ReferenceProfile:
     """Flat speed reference from t=0, for speed-loop probing.
 
@@ -253,7 +220,6 @@ def constant_speed_profile(speed: float, duration: float, dt: float) -> Referenc
     n = max(1, int(round(duration / dt)))
     t = np.arange(n + 1) * dt
     spd = np.full(n + 1, float(speed))
-    spd[0] = float(speed)
     pos = np.concatenate([[0.0], np.cumsum(0.5 * (spd[1:] + spd[:-1]) * dt)])
     phases = (PhaseSpan("cruise", 0, 0, n + 1),)
     return ReferenceProfile(t, pos, spd, dt, phases, None)

@@ -34,17 +34,17 @@ powers once per configuration.  They agree with stepping the integrator
 step by step only to roundoff: the composed products round differently.
 
 Speed probing is the same cascade with kp = 0: the position loop is
-open and the speed channel tracks the profile's speed.  With
-``relay_amplitude`` set, an ideal relay replaces the speed PI; the
-classical autotuners probe the axis that way.  `simulate` (one run) and
-`simulate_batch` (many runs, vectorized) take the same gain rows and
-return the same trace channels; they differ only in the relay, which
-only `simulate` runs.  For one run they do the same IEEE operations in
-the same order: the voltage as two products summed in a fixed order,
-and every drive map as a gemm of at least two rows, whose rows do not
-depend on the row count.  That last is a property of the BLAS build,
-not a BLAS guarantee; the test suite checks it.  So a gain triple has
-one trace, bitwise, whichever path or chunk ran it.
+open and the speed channel tracks the profile's speed.  The relay
+probe of the classical autotuners replaces the speed PI with an ideal
+relay; only `simulate` runs it, through its ``relay`` argument.
+`simulate` (one run) and `simulate_batch` (many runs, vectorized) take
+the same gain rows and return the same trace channels.  For one run
+they do the same IEEE operations in the same order: the voltage as two
+products summed in a fixed order, and every drive map as a gemm of at
+least two rows, whose rows do not depend on the row count.  That last
+is a property of the BLAS build, not a BLAS guarantee; the test suite
+checks it.  So a gain triple has one trace, bitwise, whichever path or
+chunk ran it.
 """
 
 from __future__ import annotations
@@ -122,10 +122,7 @@ class SimConfig:
     ``dt`` is the controller tick; it must be a whole number of
     ``RK4_STEP`` integrator steps.  ``segments_per_tick`` is the drive's
     voltage-update rate used while the supply rail is active; it must
-    divide that step count.  ``relay_amplitude`` replaces the speed PI
-    with an ideal relay of that current amplitude, switching on the sign
-    of the speed error, for limit-cycle probing; only `simulate` runs
-    it, and only with the position loop open (kp = 0).
+    divide that step count.
 
     ``command_delay_ticks`` models the transport latency of the control
     architecture: the outer loops run in a PLC and their current command
@@ -151,7 +148,6 @@ class SimConfig:
     voltage_limit: float = 325.0
     current_limit: float = 10.0
     command_delay_ticks: int = 1
-    relay_amplitude: float | None = None
     divergence_limit: float = 1e12
 
     def __post_init__(self) -> None:
@@ -166,8 +162,6 @@ class SimConfig:
                              "steps per tick")
         if self.voltage_limit <= 0.0 or self.current_limit <= 0.0:
             raise ValueError("saturation limits must be positive")
-        if self.relay_amplitude is not None and self.relay_amplitude <= 0.0:
-            raise ValueError("relay_amplitude must be positive")
         if self.command_delay_ticks < 0:
             raise ValueError("command_delay_ticks must be non-negative")
 
@@ -354,16 +348,21 @@ def simulate(
     cc: CurrentControllerGains,
     profile: ReferenceProfile,
     cfg: SimConfig = SimConfig(),
+    relay: float | None = None,
 ) -> SimTrace:
     """Run the cascade against a reference profile.
 
     Parameters
     ----------
-    p, gains, cc : models and controller gains.  With a relay configured,
-        kp must be 0 and the speed gains are unused.
+    p, gains, cc : models and controller gains.  With a relay, kp must
+        be 0 and the speed gains are unused.
     profile : ReferenceProfile
         Must be sampled at the configured controller tick.
     cfg : SimConfig
+    relay : float, optional
+        Replaces the speed PI with an ideal relay of this positive
+        current amplitude, switching on the sign of the speed error, for
+        limit-cycle probing.
 
     Returns
     -------
@@ -374,7 +373,8 @@ def simulate(
         raising.
     """
     _check_tick(profile, cfg)
-    relay = cfg.relay_amplitude
+    if relay is not None and relay <= 0.0:
+        raise ValueError("the relay amplitude must be positive")
     if relay is not None and gains.kp != 0.0:
         raise ValueError("the relay replaces the speed PI only with the "
                          "position loop open (kp = 0)")
@@ -504,14 +504,12 @@ def simulate_batch(
     :func:`simulate`.  The physics and controller logic are those of
     :func:`simulate`, row for row in the same arithmetic, so each trace
     equals that run's :func:`simulate` trace bitwise, railed runs
-    included.  The relay is not supported.
+    included.
 
     Runs are simulated in chunks of ``BATCH_RUN_TICKS // len(profile)``
     runs (at least one), so peak memory grows with neither the batch
     size nor the profile length.
     """
-    if cfg.relay_amplitude is not None:
-        raise ValueError("batched runs do not support the relay")
     _check_tick(profile, cfg)
     triples = np.atleast_2d(np.asarray(gain_triples, dtype=float))
     if triples.shape[1] != 3:

@@ -200,9 +200,8 @@ def _grid_cached(s: FeasibleSet) -> np.ndarray:
 REPEAT_THRESHOLD = 3
 STOP_RADIUS = 1
 # Kernel hyperparameters are refitted every REFIT_EVERY iterations, each
-# fit a multi-start descent from N_HYPER_STARTS starting points.
+# fit a multi-start descent (see `gpr.fit_hyperparams`).
 REFIT_EVERY = 10
-N_HYPER_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -352,8 +351,8 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
        and update the incumbent (strict improvement moves it, so ties
        keep the earliest observation).
 
-    The GP always sees inputs scaled to the unit box and standardized
-    targets.  Stops with reason "repeat" once ``REPEAT_THRESHOLD``
+    The GP sees inputs scaled to the feasible box and standardized
+    targets (see :mod:`~axistune.gpr`).  Stops with reason "repeat" once ``REPEAT_THRESHOLD``
     consecutive proposals land within ``STOP_RADIUS`` grid cells of an
     unchanged incumbent or tie its cost exactly, or with
     "max_iterations".
@@ -366,16 +365,12 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
         state._observe(point, _evaluate(oracle, point, state))
 
     bounds = fset.bounds()
-    h = fit_hyperparams(
-        Dataset(X=state.X, y=state.y), _INIT_HYPERPARAMS,
-        input_bounds=bounds, standardize_targets=True,
-        n_starts=N_HYPER_STARTS, seed=config.seed + 1,
-    )
+    h = fit_hyperparams(Dataset(X=state.X, y=state.y), _INIT_HYPERPARAMS,
+                        bounds, seed=config.seed + 1)
     state.hyperparams = h
 
     for t in range(1, config.max_iterations + 1):
-        posterior = fit(Dataset(X=state.X, y=state.y), h, input_bounds=bounds,
-                        standardize_targets=True)
+        posterior = fit(Dataset(X=state.X, y=state.y), h, bounds)
         state.posterior = posterior
         point, mu, sigma, _ = next_point(posterior, fset, config.beta)
         y = _evaluate(oracle, point, state)
@@ -393,17 +388,13 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
             state.stop_reason = "repeat"
             break
         if t < config.max_iterations and t % REFIT_EVERY == 0:
-            h = fit_hyperparams(
-                Dataset(X=state.X, y=state.y), h, input_bounds=bounds,
-                standardize_targets=True,
-                n_starts=N_HYPER_STARTS, seed=config.seed + 1 + t,
-            )
+            h = fit_hyperparams(Dataset(X=state.X, y=state.y), h, bounds,
+                                seed=config.seed + 1 + t)
             state.hyperparams = h
     else:
         state.stop_reason = "max_iterations"
 
-    state.posterior = fit(Dataset(X=state.X, y=state.y), h, input_bounds=bounds,
-                          standardize_targets=True)
+    state.posterior = fit(Dataset(X=state.X, y=state.y), h, bounds)
     return state
 
 
@@ -412,24 +403,17 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
 
 def grid_search(
     fset: FeasibleSet,
-    oracle=None,
-    batch_oracle=None,
+    batch_oracle,
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Score every grid point; returns (best point, best cost, table).
 
-    ``batch_oracle`` maps an (N, 3) array to (N,) costs in one call and
-    is preferred; ``oracle`` is the pointwise fallback.  The table has
-    rows [x1, x2, x3, cost] aligned with ``fset.grid()``, and the best
-    row is the first flat index among cost ties (lexicographically
-    lowest point).
+    ``batch_oracle`` maps an (N, 3) array to (N,) costs in one call.
+    The table has rows [x1, x2, x3, cost] aligned with ``fset.grid()``,
+    and the best row is the first flat index among cost ties
+    (lexicographically lowest point).
     """
     grid = fset.grid()
-    if batch_oracle is not None:
-        costs = np.asarray(batch_oracle(grid), dtype=float)
-    elif oracle is not None:
-        costs = np.array([float(oracle(row)) for row in grid])
-    else:
-        raise ValueError("provide an oracle or a batch_oracle")
+    costs = np.asarray(batch_oracle(grid), dtype=float)
     if costs.shape != (fset.size,):
         raise ValueError("oracle returned the wrong number of costs")
     best = int(np.argmin(costs))

@@ -16,7 +16,7 @@ from axistune.baselines import (
     ziegler_nichols,
 )
 from axistune.metrics import MetricVector
-from axistune.presets import get_preset
+from axistune.presets import LAB_SERVO, get_preset
 from axistune.simloop import SimConfig
 from axistune.tuner import FeasibleSet
 
@@ -188,7 +188,7 @@ def test_never_oscillating_plant_raises_with_diagnostics():
 def test_relay_without_a_limit_cycle_raises():
     class StuckBench:
         cfg = SimConfig()
-        plant = get_preset("desk").plant
+        plant = LAB_SERVO
 
         def relay_run(self, amplitude, duration):
             n = int(duration / self.cfg.dt)

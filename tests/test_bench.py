@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
-from axistune.metrics import CostWeights
+from axistune.metrics import DIVERGENCE_PENALTY, CostWeights
 from axistune.simloop import SimConfig
 
 
@@ -24,12 +24,6 @@ def test_default_profile_is_the_benchmark_move(plant, cc):
     assert len(bench.profile) == len(prof)
     assert np.array_equal(bench.profile.position, prof.position)
     assert bench.profile.spec == BENCH_MOVE
-
-
-def test_relay_config_is_rejected(plant, cc):
-    # the bench scores the PI cascade; only relay_run adds the relay
-    with pytest.raises(ValueError):
-        _new_bench(plant, cc, sim_config=SimConfig(relay_amplitude=1.0))
 
 
 def test_cost_queries_are_memoized(plant, cc):
@@ -86,14 +80,14 @@ def test_trace_is_not_memoized(plant, cc):
 
 
 def test_divergent_point_costs_the_penalty(plant, cc):
-    weights = CostWeights(pos_settling=1e5, divergence_penalty=1e9)
+    weights = CostWeights(pos_settling=1e5)
     bench = _new_bench(
         plant, cc, weights=weights, sim_config=SimConfig(divergence_limit=1e-9)
     )
-    assert bench.cost((150.0, 0.5, 90.0)) == 1e9
+    assert bench.cost((150.0, 0.5, 90.0)) == DIVERGENCE_PENALTY == 1e9
     assert bench.metrics((150.0, 0.5, 90.0)).is_diverged
     batch = bench.evaluate_many(np.array([[150.0, 0.5, 90.0], [600.0, 0.3, 360.0]]))
-    assert np.all(batch == 1e9)
+    assert np.all(batch == DIVERGENCE_PENALTY)
 
 
 def test_speed_step_probe(plant, cc):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from axistune.cli import main
-from axistune.presets import get_preset
+from axistune.presets import Preset, get_preset
 from axistune.tuner import FeasibleSet
 
 
@@ -59,10 +59,14 @@ def test_simulate_requires_gains(tmp_path, capsys):
 
 
 def test_simulate_divergence_exits_1(tmp_path, capsys, monkeypatch):
-    real = get_preset("desk")
-    broken = dataclasses.replace(
-        real, sim=dataclasses.replace(real.sim, divergence_limit=1e-9))
-    monkeypatch.setattr("axistune.cli.get_preset", lambda name: broken)
+    real_bench = Preset.bench
+
+    def diverging_bench(self, weights=None):
+        bench = real_bench(self, weights)
+        bench.cfg = dataclasses.replace(bench.cfg, divergence_limit=1e-9)
+        return bench
+
+    monkeypatch.setattr(Preset, "bench", diverging_bench)
     rc = main(["simulate", "--preset", "desk", "--gains", "150,0.5,90",
                "--out", str(tmp_path)])
     assert rc == 1
@@ -154,6 +158,22 @@ def test_tune_is_reproducible_bitwise(tmp_path, capsys):
     fset = get_preset("desk").feasible
     assert fset.contains((kp, kv, ki))
     assert (a / "trace_tune.csv").is_file()
+
+
+def test_desk_tune_seed_0_is_pinned(tmp_path, capsys):
+    # the whole search path of one default run, bitwise: any change to
+    # the GP arithmetic, the design or the stopping rule moves it
+    assert main(["tune", "--preset", "desk", "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rec = _load_record(tmp_path / "record_tune.json")
+    assert rec["bo"]["evaluations"] == 28
+    assert rec["bo"]["stop_reason"] == "repeat"
+    assert rec["gains"] == [300.0, 0.5, 90.0]
+    assert rec["cost"] == 562.6692477212425
+    last = rec["iteration_log"][-1]
+    assert last["mu"] == 562.6692432324635
+    assert last["sigma"] == 0.007164213829885256
 
 
 # -- grid and compare ---------------------------------------------------------------

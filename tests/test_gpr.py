@@ -1,4 +1,9 @@
-"""Gaussian-process regression checks against dense linear-algebra oracles."""
+"""Gaussian-process regression checks against dense linear-algebra oracles.
+
+The GP always works on inputs scaled to the unit box of given bounds and
+on standardized targets, so the oracles run the textbook equations on
+both and map predictions back to target units.
+"""
 
 import math
 
@@ -35,24 +40,43 @@ def _dense_kernel_matrix(X, h):
     return K
 
 
-def _oracle_predict(X, y, h, x):
+def _box(d, lo=-2.0, hi=2.0):
+    return np.array([[lo, hi]] * d)
+
+
+def _unit(X, bounds):
+    """Inputs mapped to the unit box of ``bounds``."""
+    return (np.asarray(X, dtype=float) - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
+
+
+def _standardized(y):
+    sd = float(np.std(y))
+    sd = sd if sd > 0.0 else 1.0
+    return (y - np.mean(y)) / sd, float(np.mean(y)), sd
+
+
+def _oracle_predict(X, y, h, bounds, x):
     """Textbook GP equations with an explicit dense inverse."""
-    K = _dense_kernel_matrix(X, h) + h.sigma_w**2 * np.eye(len(X))
+    U, u = _unit(X, bounds), _unit(x, bounds)
+    z, mean, sd = _standardized(y)
+    K = _dense_kernel_matrix(U, h) + h.sigma_w**2 * np.eye(len(U))
     K_inv = np.linalg.inv(K)
-    k_star = np.array([kernel(xi, x, h) for xi in X])
-    mu = float(k_star @ K_inv @ y)
-    var = float(kernel(x, x, h) - k_star @ K_inv @ k_star)
-    return mu, var
+    k_star = np.array([kernel(ui, u, h) for ui in U])
+    mu = float(k_star @ K_inv @ z)
+    var = float(kernel(u, u, h) - k_star @ K_inv @ k_star)
+    return mean + sd * mu, sd * sd * var
 
 
-def _oracle_nlml(X, y, h):
-    K = _dense_kernel_matrix(X, h) + h.sigma_w**2 * np.eye(len(X))
+def _oracle_nlml(X, y, h, bounds):
+    U = _unit(X, bounds)
+    z, _, _ = _standardized(y)
+    K = _dense_kernel_matrix(U, h) + h.sigma_w**2 * np.eye(len(U))
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
     return float(
-        0.5 * y @ np.linalg.solve(K, y)
+        0.5 * z @ np.linalg.solve(K, z)
         + 0.5 * logdet
-        + 0.5 * len(y) * math.log(2.0 * math.pi)
+        + 0.5 * len(z) * math.log(2.0 * math.pi)
     )
 
 
@@ -75,10 +99,11 @@ def test_kernel_basic_identities():
     assert 0.0 <= far < 1e-10
 
     # the fitted factor reproduces the dense regularized kernel matrix
+    # of the unit-box inputs
     rng = np.random.default_rng(3)
     data = _random_dataset(rng, 12, 2)
-    g = fit(data, h)
-    K = _dense_kernel_matrix(data.X, h) + h.sigma_w**2 * np.eye(data.m)
+    g = fit(data, h, _box(2))
+    K = _dense_kernel_matrix(_unit(data.X, _box(2)), h) + h.sigma_w**2 * np.eye(data.m)
     assert np.allclose(g.L @ g.L.T, K, rtol=0.0, atol=1e-12)
 
 
@@ -87,12 +112,12 @@ def test_posterior_matches_the_dense_oracle():
     h = GpHyperparams(1.5, (0.8, 0.6, 1.2), 0.2)
     for _ in range(10):
         data = _random_dataset(rng, int(rng.integers(3, 30)), 3)
-        g = fit(data, h)
+        g = fit(data, h, _box(3))
         assert g.jitter_used == 0.0
         probes = rng.uniform(-2.0, 2.0, size=(5, 3))
         mu, var = predict(g, probes)
         for i, x in enumerate(probes):
-            mu_o, var_o = _oracle_predict(data.X, data.y, h, x)
+            mu_o, var_o = _oracle_predict(data.X, data.y, h, _box(3), x)
             assert mu[i] == pytest.approx(mu_o, abs=1e-8)
             assert var[i] == pytest.approx(var_o, abs=1e-8)
 
@@ -102,8 +127,8 @@ def test_nlml_matches_the_dense_oracle():
     h = GpHyperparams(1.2, (0.7, 0.9), 0.15)
     for _ in range(15):
         data = _random_dataset(rng, int(rng.integers(3, 40)), 2)
-        ours = nlml(data, h)[0]
-        ref = _oracle_nlml(data.X, data.y, h)
+        ours = nlml(data, h, _box(2))[0]
+        ref = _oracle_nlml(data.X, data.y, h, _box(2))
         assert ours == pytest.approx(ref, abs=1e-8)
 
 
@@ -115,21 +140,23 @@ def test_single_zero_observation_closed_form():
     expected = 0.5 * math.log(h.sigma_f**2 + h.sigma_w**2) + 0.5 * math.log(
         2.0 * math.pi
     )
-    assert nlml(data, h)[0] == pytest.approx(expected, rel=1e-12)
+    assert nlml(data, h, _box(1, 0.0, 1.0))[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_interpolation_with_small_noise():
     rng = np.random.default_rng(21)
-    h = GpHyperparams(1.0, (0.5,), 1e-3)
+    h = GpHyperparams(1.0, (0.25,), 1e-3)
     X = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
     y = np.sin(3.0 * X[:, 0])
-    g = fit(Dataset(X, y), h)
+    g = fit(Dataset(X, y), h, _box(1, -1.0, 1.0))
     mu, var = predict(g, X)
-    assert np.all(np.abs(mu - y) <= 3.0 * h.sigma_w + 1e-6)
-    assert np.all((-1e-12 <= var) & (var <= h.sigma_f**2 + 1e-10))
+    # the noise and the prior variance are in standardized units
+    sd = float(np.std(y))
+    assert np.all(np.abs(mu - y) <= 3.0 * sd * h.sigma_w + 1e-6)
+    assert np.all((-1e-12 <= var) & (var <= sd**2 * h.sigma_f**2 + 1e-10))
     # away from data the variance recovers toward the prior
     _, var_far = predict(g, np.array([40.0]))
-    assert var_far[0] == pytest.approx(h.sigma_f**2, rel=1e-6)
+    assert var_far[0] == pytest.approx(sd**2 * h.sigma_f**2, rel=1e-6)
     del rng
 
 
@@ -137,11 +164,11 @@ def test_variance_bounds_everywhere():
     rng = np.random.default_rng(33)
     h = GpHyperparams(2.5, (0.4, 0.7), 0.05)
     data = _random_dataset(rng, 40, 2)
-    g = fit(data, h)
+    g = fit(data, h, _box(2))
     probes = rng.uniform(-3.0, 3.0, size=(200, 2))
     _, var = predict(g, probes)
     assert np.all(var >= 0.0)
-    assert np.all(var <= h.sigma_f**2 + 1e-10)
+    assert np.all(var <= float(np.std(data.y))**2 * h.sigma_f**2 + 1e-10)
 
 
 def test_posterior_mean_inherits_data_symmetry():
@@ -149,7 +176,7 @@ def test_posterior_mean_inherits_data_symmetry():
     h = GpHyperparams(1.0, (0.7,), 0.1)
     X = np.array([[-1.5], [-0.5], [0.5], [1.5]])
     y = np.array([-2.0, -1.0, 1.0, 2.0])
-    g = fit(Dataset(X, y), h)
+    g = fit(Dataset(X, y), h, _box(1))  # symmetric about zero
     xv = np.array([[0.2], [0.9], [1.7]])
     mu_p, _ = predict(g, xv)
     mu_n, _ = predict(g, -xv)
@@ -163,8 +190,7 @@ def test_standardized_fit_returns_original_units():
     h = GpHyperparams(1.0, (0.5, 0.5), 0.1)
     data = _random_dataset(rng, 20, 2)
     shifted = Dataset(data.X, data.y + 500.0)
-    bounds = np.array([[-2.0, 2.0], [-2.0, 2.0]])
-    g = fit(shifted, h, input_bounds=bounds, standardize_targets=True)
+    g = fit(shifted, h, _box(2))
     mu, var = predict(g, data.X[0])
     assert abs(mu[0] - shifted.y[0]) <= 3.0  # right neighborhood, original units
     assert var[0] >= 0.0
@@ -182,11 +208,12 @@ def test_fitted_lengthscale_tracks_the_data_roughness():
     init = GpHyperparams(1.0, (0.3,), 1e-2)
     fast = Dataset(X, 2.0 * np.sin(8.0 * X[:, 0]) + noise)
     slow = Dataset(X, 2.0 * np.sin(0.8 * X[:, 0]) + noise)
-    h_fast = fit_hyperparams(fast, init, seed=3)
-    h_slow = fit_hyperparams(slow, init, seed=3)
+    box = _box(1)
+    h_fast = fit_hyperparams(fast, init, box, seed=3)
+    h_slow = fit_hyperparams(slow, init, box, seed=3)
     assert h_slow.lengthscales[0] >= 2.0 * h_fast.lengthscales[0]
-    assert nlml(fast, h_fast)[0] <= nlml(fast, init)[0] + 1e-9
-    assert nlml(slow, h_slow)[0] <= nlml(slow, init)[0] + 1e-9
+    assert nlml(fast, h_fast, box)[0] <= nlml(fast, init, box)[0] + 1e-9
+    assert nlml(slow, h_slow, box)[0] <= nlml(slow, init, box)[0] + 1e-9
 
 
 def test_constant_targets_still_yield_a_usable_posterior():
@@ -196,8 +223,9 @@ def test_constant_targets_still_yield_a_usable_posterior():
     X = np.linspace(0.0, 1.0, 12).reshape(-1, 1)
     data = Dataset(X, np.full(12, 3.7))
     init = GpHyperparams(1.0, (0.3,), 1e-2)
-    h = fit_hyperparams(data, init, standardize_targets=True, seed=1)
-    g = fit(data, h, standardize_targets=True)
+    box = _box(1, 0.0, 1.0)
+    h = fit_hyperparams(data, init, box, seed=1)
+    g = fit(data, h, box)
     mu, var = predict(g, np.array([0.5]))
     assert mu[0] == pytest.approx(3.7, abs=1e-3)
     assert 0.0 <= var[0] <= 1e-2
@@ -222,33 +250,37 @@ def test_nlml_gradient_matches_central_differences(h):
     data = Dataset(X, y + rng.standard_normal(25))
 
     def value(v):
-        return nlml(data, GpHyperparams.from_log_vector(v), input_bounds=bounds,
-                    standardize_targets=True)[0]
+        return nlml(data, GpHyperparams.from_log_vector(v), bounds)[0]
 
     v = h.to_log_vector()
     step = 1e-5
     central = np.array([(value(v + step * e) - value(v - step * e)) / (2.0 * step)
                         for e in np.eye(len(v))])
-    _, grad = nlml(data, h, input_bounds=bounds, standardize_targets=True)
+    _, grad = nlml(data, h, bounds)
     assert grad == pytest.approx(central, rel=1e-5)
 
 
-@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("in_inputs", [False, True])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_fit_hyperparams_raises_when_no_start_has_a_finite_nlml(bad, standardize):
+def test_fit_hyperparams_raises_when_no_start_has_a_finite_nlml(bad, in_inputs):
+    # one non-finite target, or one non-finite input coordinate
     rng = np.random.default_rng(4)
     X = rng.uniform(0.0, 1.0, size=(10, 2))
     y = np.sin(3.0 * X[:, 0]) + X[:, 1]
-    y[3] = bad
+    if in_inputs:
+        X[3, 0] = bad
+    else:
+        y[3] = bad
     with pytest.raises(HyperparamSearchError):
         fit_hyperparams(Dataset(X, y), GpHyperparams(1.0, (0.3, 0.3), 1e-2),
-                        standardize_targets=standardize)
+                        _box(2, 0.0, 1.0), seed=0)
 
 
 def test_fit_hyperparams_needs_enough_points():
     data = Dataset(np.zeros((2, 1)), np.zeros(2))
     with pytest.raises(ValueError):
-        fit_hyperparams(data, GpHyperparams(1.0, (0.3,), 1e-2))
+        fit_hyperparams(data, GpHyperparams(1.0, (0.3,), 1e-2),
+                        _box(1, 0.0, 1.0), seed=0)
 
 
 def test_validation_rejects_degenerate_inputs():
@@ -262,9 +294,15 @@ def test_validation_rejects_degenerate_inputs():
         Dataset(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ValueError):
         Dataset(np.zeros((0, 2)), np.zeros(0))
+    h1 = GpHyperparams(1.0, (0.3,), 0.1)
     h2 = GpHyperparams(1.0, (0.3, 0.4), 0.1)
+    data = Dataset(np.zeros((3, 1)), np.zeros(3))
     with pytest.raises(ValueError):
-        fit(Dataset(np.zeros((3, 1)), np.zeros(3)), h2)  # dimension mismatch
+        fit(data, h2, _box(1))  # dimension mismatch
+    with pytest.raises(ValueError):
+        fit(data, h1, _box(2))  # bounds of the wrong shape
+    with pytest.raises(ValueError):
+        fit(data, h1, _box(1, 1.0, 1.0))  # a box of zero width
 
 
 def test_hyperparam_search_error_is_exported():

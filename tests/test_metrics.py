@@ -6,8 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from axistune.metrics import CostWeights, MetricVector, cost, extract_metrics, itae
-from axistune.refgen import TrajectorySpec, bidirectional_step, generate_profile
+from axistune.metrics import (
+    DIVERGENCE_PENALTY,
+    CostWeights,
+    MetricVector,
+    cost,
+    extract_metrics,
+    itae,
+)
+from axistune.refgen import TrajectorySpec, generate_profile
 
 
 def _fake_trace(profile, e_pos=None, e_speed=None):
@@ -117,7 +124,9 @@ def test_speed_overshoot_on_the_cruise_plateau():
 
 
 def test_return_leg_residual_error():
-    profile = bidirectional_step(move=0.1, dwell=0.5, speed=0.25, accel=5.0, dt=1e-3)
+    profile = generate_profile(
+        TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=0.5, return_to_zero=True),
+        1e-3)
     e = np.zeros(len(profile))
     e[-1] = 5e-4
     m = extract_metrics(_fake_trace(profile, e_pos=e), profile)
@@ -162,8 +171,9 @@ def test_diverged_run_maps_to_the_penalty():
     m = MetricVector.diverged()
     assert m.is_diverged
     assert all(math.isinf(v) for v in m.as_dict().values())
-    w = CostWeights(pos_settling=1e5, divergence_penalty=1e9)
-    assert cost(m, w) == 1e9
+    assert cost(m, CostWeights(pos_settling=1e5)) == DIVERGENCE_PENALTY == 1e9
+    # the penalty does not scale with the weights
+    assert cost(m, CostWeights(pos_settling=1.0, spd_itae=2.0)) == 1e9
 
     profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=0.5), 1e-3)
     trace = _fake_trace(profile)
@@ -175,7 +185,7 @@ def test_weights_must_be_non_negative():
     with pytest.raises(ValueError):
         CostWeights(pos_settling=-1.0)
     with pytest.raises(ValueError):
-        CostWeights(divergence_penalty=-1e9)
+        CostWeights(spd_ss=-1e9)
 
 
 def test_metric_vector_field_order_is_stable():

@@ -17,6 +17,7 @@ from axistune.presets import (
     get_weights,
 )
 from axistune.simloop import SimConfig
+from axistune.tuner import BoConfig
 
 
 def test_lab_servo_constants():
@@ -86,10 +87,11 @@ def test_weight_presets_are_selective():
 def test_desk_uses_the_benchmark_move_and_accurate_solver():
     pre = get_preset("desk")
     assert pre.trajectory is BENCH_MOVE
-    assert pre.sim == SimConfig()
+    assert pre.bench().cfg == SimConfig()
     assert pre.weights == "sim-tracking"
-    assert pre.bo.m0 == 20
-    assert pre.bo.max_iterations == 60
+    # the commands search with the default BO config
+    assert BoConfig().m0 == 20
+    assert BoConfig().max_iterations == 60
 
 
 def test_plc_preset_is_the_long_stroke_bundle():
@@ -103,10 +105,11 @@ def test_plc_preset_is_the_long_stroke_bundle():
 def test_bench_assembly(desk_bench):
     pre = get_preset("desk")
     assert isinstance(desk_bench, TuningBench)
-    assert desk_bench.cfg is pre.sim
+    assert desk_bench.cfg == SimConfig()
     assert desk_bench.plant is LAB_SERVO
+    assert desk_bench.current_gains is LAB_SERVO_CURRENT
     # profile ticks match the configured move
-    assert desk_bench.profile.dt == pytest.approx(pre.sim.dt)
+    assert desk_bench.profile.dt == pytest.approx(SimConfig().dt)
     # a weights override is honored without touching the preset
     custom = get_weights("exp-tracking")
     b2 = pre.bench(weights=custom)

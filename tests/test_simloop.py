@@ -49,14 +49,15 @@ def test_gain_vector_integral_time_conversion():
 
 
 def test_config_validation(plant, cc):
+    probe = constant_speed_profile(0.0, 0.1, 1e-3)
+    open_loop = GainVector(0.0, 0.5, 90.0)
     with pytest.raises(ValueError):
-        SimConfig(relay_amplitude=0.0)
+        simulate(plant, open_loop, cc, probe, relay=0.0)
     with pytest.raises(ValueError):
-        SimConfig(relay_amplitude=-1.0)
+        simulate(plant, open_loop, cc, probe, relay=-1.0)
     with pytest.raises(ValueError):
         # the relay replaces the speed PI only with the position loop open
-        simulate(plant, WELL_DAMPED, cc, constant_speed_profile(0.0, 0.1, 1e-3),
-                 SimConfig(relay_amplitude=1.0))
+        simulate(plant, WELL_DAMPED, cc, probe, relay=1.0)
     with pytest.raises(ValueError):
         SimConfig(command_delay_ticks=-1)
     with pytest.raises(ValueError):
@@ -218,9 +219,6 @@ def test_map_products_do_not_depend_on_the_row_count(plant, cc):
 def test_batch_rejects_unsupported_modes(plant, cc):
     profile = benchmark_profile()
     with pytest.raises(ValueError):
-        list(simulate_batch(plant, [[0.0, 0.5, 90.0]], cc, profile,
-                            SimConfig(relay_amplitude=1.0)))
-    with pytest.raises(ValueError):
         list(simulate_batch(plant, np.zeros((1, 2)), cc, profile))
 
 
@@ -255,9 +253,8 @@ def test_divergence_truncates_and_flags(plant, cc):
 
 
 def test_relay_probe_produces_a_limit_cycle(plant, cc):
-    cfg = SimConfig(relay_amplitude=2.0)
     profile = constant_speed_profile(0.2, duration=1.0, dt=1e-3)
-    trace = simulate(plant, GainVector(0.0, 0.5, 90.0), cc, profile, cfg)
+    trace = simulate(plant, GainVector(0.0, 0.5, 90.0), cc, profile, relay=2.0)
     applied = set(np.unique(trace.i_ref))
     assert applied <= {-2.0, 0.0, 2.0}
     assert 2.0 in applied and -2.0 in applied
@@ -276,7 +273,7 @@ def test_trace_is_a_plain_record(plant, cc):
 def test_configs_with_one_tick_and_update_rate_share_a_drive(plant, cc):
     # a drive reads only dt and segments_per_tick from its config
     default = simloop._drive_for(plant, cc, SimConfig())
-    relay = SimConfig(relay_amplitude=2.0, command_delay_ticks=2,
-                      current_limit=5.0, divergence_limit=1e9)
-    assert simloop._drive_for(plant, cc, relay) is default
+    other = SimConfig(command_delay_ticks=2, current_limit=5.0,
+                      divergence_limit=1e9)
+    assert simloop._drive_for(plant, cc, other) is default
     assert simloop._drive_for(plant, cc, SimConfig(segments_per_tick=10)) is not default
