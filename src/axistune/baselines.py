@@ -29,6 +29,7 @@ from scipy.signal import find_peaks
 
 from .bench import SetOracle, TuningBench
 from .metrics import MetricVector
+from .refgen import TICK
 from .simloop import SimTrace
 from .tuner import FeasibleSet
 
@@ -104,7 +105,7 @@ def _oscillation(trace: SimTrace, floor: float) -> tuple[bool, float, float | No
     env_a = float(np.abs(tail[:half]).max())
     env_b = float(np.abs(tail[half:]).max())
     oscillating = env_b >= 0.9 * env_a and env_b >= floor
-    amplitude, period, _ = measure_limit_cycle(tail[half:], trace.dt)
+    amplitude, period, _ = measure_limit_cycle(tail[half:], TICK)
     return oscillating, amplitude, period
 
 
@@ -289,7 +290,7 @@ def relay_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
         raise TuningError("relay probe diverged", trace=trace)
     e = np.asarray(trace.e_speed, dtype=float)
     window = e[len(e) // 2:]
-    a_lin, tu, n_peaks = measure_limit_cycle(window, trace.dt)
+    a_lin, tu, n_peaks = measure_limit_cycle(window, TICK)
     if tu is None or a_lin <= 0.0:
         raise TuningError(
             f"no limit cycle within the simulation horizon ({n_peaks} cycles seen)",

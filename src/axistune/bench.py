@@ -56,9 +56,9 @@ BENCH_MOVE = TrajectorySpec(
 )
 
 
-def benchmark_profile(dt: float = 1e-3) -> ReferenceProfile:
+def benchmark_profile() -> ReferenceProfile:
     """Default scoring trajectory, sampled at the controller tick."""
-    return generate_profile(BENCH_MOVE, dt)
+    return generate_profile(BENCH_MOVE)
 
 
 class TuningBench:
@@ -74,9 +74,9 @@ class TuningBench:
     profile : ReferenceProfile, optional
         Scoring trajectory; defaults to :func:`benchmark_profile`.
     sim_config : SimConfig, optional
-        The bench scores the PI cascade; the probe helpers run it with
-        the position loop open (kp = 0), and `relay_run` swaps the speed
-        PI for a relay.
+        The drive's rails.  The bench scores the PI cascade; the probe
+        helpers run it with the position loop open (kp = 0), and
+        `relay_run` swaps the speed PI for a relay.
     """
 
     def __init__(
@@ -87,12 +87,11 @@ class TuningBench:
         profile: ReferenceProfile | None = None,
         sim_config: SimConfig | None = None,
     ):
-        cfg = sim_config if sim_config is not None else SimConfig()
         self.plant = plant
         self.current_gains = current_gains
         self.weights = weights
-        self.cfg = cfg
-        self.profile = profile if profile is not None else benchmark_profile(cfg.dt)
+        self.cfg = sim_config if sim_config is not None else SimConfig()
+        self.profile = profile if profile is not None else benchmark_profile()
         self._memo: dict[tuple[float, float, float], MetricVector] = {}
         self.n_sims = 0
 
@@ -181,7 +180,7 @@ class TuningBench:
         Drives the speed cascade (kp = 0; PI with the given gains, ki = 0
         is a pure P loop) toward a constant linear-speed setpoint.
         """
-        profile = constant_speed_profile(speed, duration, self.cfg.dt)
+        profile = constant_speed_profile(speed, duration)
         return simulate(self.plant, GainVector(0.0, kv, ki), self.current_gains,
                         profile, self.cfg)
 
@@ -192,7 +191,7 @@ class TuningBench:
         between +/- `amplitude` on the sign of the angular speed error,
         inducing a limit cycle around zero speed.
         """
-        profile = constant_speed_profile(0.0, duration, self.cfg.dt)
+        profile = constant_speed_profile(0.0, duration)
         return simulate(self.plant, GainVector(0.0, 1.0, 0.0), self.current_gains,
                         profile, self.cfg, relay=float(amplitude))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .refgen import ReferenceProfile
+from .refgen import TICK, ReferenceProfile
 
 __all__ = [
     "SETTLE_BAND", "DIVERGENCE_PENALTY", "MetricVector", "CostWeights", "itae",
@@ -129,9 +129,7 @@ def cost(m: MetricVector, w: CostWeights) -> float:
 # -- extraction ---------------------------------------------------------------
 
 
-def _settling_time(
-    e: np.ndarray, band: float, i0: int, stop: int, dt: float
-) -> float:
+def _settling_time(e: np.ndarray, band: float, i0: int, stop: int) -> float:
     """Time from sample i0 until |e| last leaves the band within [i0, stop)."""
     window = np.abs(e[i0:stop])
     if len(window) == 0:
@@ -140,7 +138,7 @@ def _settling_time(
     if len(viol) == 0:
         return 0.0
     settled_at = min(int(viol[-1]) + 1, len(window) - 1)
-    return settled_at * dt
+    return settled_at * TICK
 
 
 def _plateau_stats(
@@ -187,7 +185,6 @@ def extract_metrics(trace, profile: ReferenceProfile) -> MetricVector:
     if getattr(trace, "diverged", False):
         return MetricVector.diverged()
 
-    dt = profile.dt
     i0 = profile.motion_start_index()
     t = profile.t
     e_p = np.asarray(trace.e_pos, dtype=float)
@@ -208,7 +205,7 @@ def extract_metrics(trace, profile: ReferenceProfile) -> MetricVector:
     if move > 0.0:
         over, under = _plateau_stats(y_p, r_fin, sign, p_start, p_stop, i0)
         band_p = SETTLE_BAND * move
-        out["pos_settling"] = _settling_time(e_p, band_p, i0, p_stop, dt)
+        out["pos_settling"] = _settling_time(e_p, band_p, i0, p_stop)
         out["pos_overshoot"], out["pos_undershoot"] = over, under
         if p_stop > p_start:
             n10 = max(1, (p_stop - p_start) // 10)
@@ -231,14 +228,13 @@ def extract_metrics(trace, profile: ReferenceProfile) -> MetricVector:
         s_sign = 1.0 if v_fin >= 0 else -1.0
         over, under = _plateau_stats(y_s, v_fin, s_sign, c_start, c_stop, i0)
         out["spd_overshoot"], out["spd_undershoot"] = over, under
-        out["spd_settling"] = _settling_time(e_s, SETTLE_BAND * v_base, i0,
-                                             c_stop, dt)
+        out["spd_settling"] = _settling_time(e_s, SETTLE_BAND * v_base, i0, c_stop)
         n10 = max(1, (c_stop - c_start) // 10)
         out["spd_ss"] = float(np.abs(e_s[c_stop - n10:c_stop]).mean())
     elif move > 0.0 and profile.spec is not None:
         # triangular move: no cruise plateau, settle against the setpoint band
         v_base = abs(profile.spec.speed_setpoint)
-        out["spd_settling"] = _settling_time(e_s, SETTLE_BAND * v_base, i0, p_start, dt)
+        out["spd_settling"] = _settling_time(e_s, SETTLE_BAND * v_base, i0, p_start)
 
     out["spd_inf"] = float(np.abs(e_s[i0:]).max()) if i0 < n else 0.0
     out["spd_itae"] = itae(e_s[i0:], float(t[i0]), float(t[-1]))

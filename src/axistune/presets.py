@@ -17,7 +17,8 @@ Presets
 ``fine``
     The desk benchmark on the full 280 x 90 x 100 grid.  Exhaustive
     search at this resolution is a long-running job; the grid cache (see
-    ``save_grid_table``) makes repeat comparisons cheap.
+    ``save_grid_table``) serves a repeated ``grid`` run into the same
+    output directory.
 ``plc``
     The long-stroke bidirectional move with the terminal-accuracy
     weight set and PLC-style gain ranges, where the speed integral is
@@ -161,10 +162,9 @@ class Preset:
     def bench(self, weights: CostWeights | None = None) -> TuningBench:
         """Assemble the memoized cost oracle this preset describes."""
         w = weights if weights is not None else WEIGHT_PRESETS[self.weights]
-        cfg = SimConfig()
         return TuningBench(LAB_SERVO, LAB_SERVO_CURRENT, w,
-                           profile=generate_profile(self.trajectory, cfg.dt),
-                           sim_config=cfg)
+                           profile=generate_profile(self.trajectory),
+                           sim_config=SimConfig())
 
 
 PRESETS: dict[str, Preset] = {

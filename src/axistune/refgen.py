@@ -9,13 +9,13 @@ triangle whose peak follows from the kinematic identity
 
 (accelerating over v^2/2a plus decelerating over v^2/2d must cover P).
 
-Both channels are sampled on the controller tick grid.  Phase boundaries
-are snapped to whole ticks and the peak speed is recomputed from the
-snapped durations, so the sampled speed is exactly piecewise linear
-between knots and the running trapezoid integral of the speed samples
-reproduces the position samples to rounding error.  Snapping can only
-lengthen the ramps and the cruise, so the commanded speed and
-acceleration never exceed their setpoints.
+Both channels are sampled on the controller tick grid, ``TICK``.
+Phase boundaries are snapped to whole ticks and the peak speed is
+recomputed from the snapped durations, so the sampled speed is exactly
+piecewise linear between knots and the running trapezoid integral of
+the speed samples reproduces the position samples to rounding error.
+Snapping can only lengthen the ramps and the cruise, so the commanded
+speed and acceleration never exceed their setpoints.
 """
 
 from __future__ import annotations
@@ -25,12 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "TICK",
     "TrajectorySpec",
     "PhaseSpan",
     "ReferenceProfile",
     "generate_profile",
     "constant_speed_profile",
 ]
+
+# The controller tick [s]: every profile is sampled on it and every
+# outer-loop update runs on it.
+TICK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -78,12 +83,11 @@ class PhaseSpan:
 
 @dataclass(frozen=True)
 class ReferenceProfile:
-    """Sampled position/speed references on a uniform time grid."""
+    """Sampled position/speed references on the ``TICK`` grid."""
 
     t: np.ndarray
     position: np.ndarray
     speed: np.ndarray
-    dt: float
     phases: tuple[PhaseSpan, ...]
     spec: TrajectorySpec | None = None
 
@@ -93,8 +97,6 @@ class ReferenceProfile:
         spd = np.asarray(self.speed, dtype=float)
         if not (len(t) == len(pos) == len(spd)) or len(t) < 1:
             raise ValueError("profile arrays must share a common nonzero length")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "speed", spd)
@@ -127,7 +129,7 @@ class ReferenceProfile:
         return self._first("dwell", 1)
 
 
-def _snapped_leg(spec: TrajectorySpec, dt: float) -> tuple[int, int, int, float]:
+def _snapped_leg(spec: TrajectorySpec) -> tuple[int, int, int, float]:
     """Tick counts (accel, cruise, decel) and peak speed for one leg."""
     P = spec.position_setpoint
     v, a, d = spec.speed_setpoint, spec.acceleration, spec.deceleration
@@ -136,41 +138,33 @@ def _snapped_leg(spec: TrajectorySpec, dt: float) -> tuple[int, int, int, float]
     if P > v * v / 2.0 * (1.0 / a + 1.0 / d):
         # trapezoid: snap ramp durations up to whole ticks, then pick the
         # shortest cruise that keeps the recomputed peak at or below v
-        n_a = max(1, int(np.ceil(v / a / dt - 1e-12)))
-        n_d = max(1, int(np.ceil(v / d / dt - 1e-12)))
-        n_c = max(0, int(np.ceil(P / (v * dt) - 0.5 * (n_a + n_d) - 1e-12)))
+        n_a = max(1, int(np.ceil(v / a / TICK - 1e-12)))
+        n_d = max(1, int(np.ceil(v / d / TICK - 1e-12)))
+        n_c = max(0, int(np.ceil(P / (v * TICK) - 0.5 * (n_a + n_d) - 1e-12)))
     else:
         # triangle: peak from the kinematic identity, then snap
         v_peak = np.sqrt(2.0 * a * d * P / (a + d))
-        n_a = max(1, int(np.ceil(v_peak / a / dt - 1e-12)))
-        n_d = max(1, int(np.ceil(v_peak / d / dt - 1e-12)))
+        n_a = max(1, int(np.ceil(v_peak / a / TICK - 1e-12)))
+        n_d = max(1, int(np.ceil(v_peak / d / TICK - 1e-12)))
         n_c = 0
     # recompute the peak so the trapezoid area equals P exactly
     area_ticks = 0.5 * (n_a + n_d) + n_c
-    v_hat = P / (area_ticks * dt)
+    v_hat = P / (area_ticks * TICK)
     return n_a, n_c, n_d, v_hat
 
 
-def generate_profile(spec: TrajectorySpec, dt: float) -> ReferenceProfile:
+def generate_profile(spec: TrajectorySpec) -> ReferenceProfile:
     """Sample a trapezoidal (or triangular) move on the tick grid.
-
-    Parameters
-    ----------
-    spec : TrajectorySpec
-    dt : float
-        Controller tick [s]; must be positive.
 
     Returns
     -------
     ReferenceProfile
-        Arrays of length N+1 covering t = 0 .. N*dt inclusive.  The speed
-        trace is piecewise linear with knots on the grid and the position
-        trace is its exact running trapezoid integral.
+        Arrays of length N+1 covering t = 0 .. N*TICK inclusive.  The
+        speed trace is piecewise linear with knots on the grid and the
+        position trace is its exact running trapezoid integral.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n_a, n_c, n_d, v_hat = _snapped_leg(spec, dt)
-    n_dwell = int(round(spec.dwell_time / dt))
+    n_a, n_c, n_d, v_hat = _snapped_leg(spec)
+    n_dwell = int(round(spec.dwell_time / TICK))
 
     speeds = [np.zeros(1)]
     phases: list[PhaseSpan] = []
@@ -203,23 +197,21 @@ def generate_profile(spec: TrajectorySpec, dt: float) -> ReferenceProfile:
 
     speed = np.concatenate(speeds)
     n = len(speed)
-    t = np.arange(n) * dt
+    t = np.arange(n) * TICK
     # exact trapezoid integral of the sampled speed
-    position = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * dt)])
-    return ReferenceProfile(t, position, speed, dt, tuple(phases), spec)
+    position = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * TICK)])
+    return ReferenceProfile(t, position, speed, tuple(phases), spec)
 
 
-def constant_speed_profile(speed: float, duration: float, dt: float) -> ReferenceProfile:
+def constant_speed_profile(speed: float, duration: float) -> ReferenceProfile:
     """Flat speed reference from t=0, for speed-loop probing.
 
     The position channel carries the running integral so the profile
     invariants still hold; there are no motion phases.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n = max(1, int(round(duration / dt)))
-    t = np.arange(n + 1) * dt
+    n = max(1, int(round(duration / TICK)))
+    t = np.arange(n + 1) * TICK
     spd = np.full(n + 1, float(speed))
-    pos = np.concatenate([[0.0], np.cumsum(0.5 * (spd[1:] + spd[:-1]) * dt)])
+    pos = np.concatenate([[0.0], np.cumsum(0.5 * (spd[1:] + spd[:-1]) * TICK)])
     phases = (PhaseSpan("cruise", 0, 0, n + 1),)
-    return ReferenceProfile(t, pos, spd, dt, phases, None)
+    return ReferenceProfile(t, pos, spd, phases, None)

@@ -17,10 +17,12 @@ Loop structure, innermost to outermost:
 * The current reference is clamped at the tick; the speed integrator
   uses conditional anti-windup (it stops accumulating while the clamp
   is active and the error keeps pushing outward).  The drive acts on
-  the command issued ``command_delay_ticks`` ticks earlier.
+  the command issued ``COMMAND_DELAY_TICKS`` ticks earlier.
 
-Voltage saturation is resolved at the drive's voltage-update period, a
-fixed number of segments per tick: each segment holds the clamped PI
+The controller tick is ``refgen.TICK``, the grid every profile is
+sampled on, so a profile and the loop cannot disagree about it.
+Voltage saturation is resolved at the drive's voltage-update period,
+``SEGMENTS_PER_TICK`` segments per tick: each segment holds the clamped PI
 voltage, and the current-loop integrator is frozen while the rail is
 active with the error still pushing outward.  Ticks whose voltage stays
 inside the rails take a precomputed linear step instead -- between
@@ -30,8 +32,9 @@ Between updates the inputs are zero-order-held and the linear servo
 model advances by classical fixed-step fourth-order integration at
 ``RK4_STEP``.  Because a held input makes every step the same affine
 map, per-tick and per-segment transitions are precomputed as matrix
-powers once per configuration.  They agree with stepping the integrator
-step by step only to roundoff: the composed products round differently.
+powers once per plant and current loop.  They agree with stepping the
+integrator step by step only to roundoff: the composed products round
+differently.
 
 Speed probing is the same cascade with kp = 0: the position loop is
 open and the speed channel tracks the profile's speed.  The relay
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import PlantParams, physical_state_model
-from .refgen import ReferenceProfile
+from .refgen import TICK, ReferenceProfile
 
 __all__ = [
     "GainVector",
@@ -74,6 +77,26 @@ __all__ = [
 # than the plant does.  Exact zero-order-hold maps are planned to
 # replace it (see ROADMAP.md).
 RK4_STEP = 1e-6
+
+# Voltage-update segments per tick while the supply rail is active; it
+# divides the integrator steps per tick (a tier-1 test checks both).
+SEGMENTS_PER_TICK = 20
+
+# Transport latency of the control architecture, in whole ticks: the
+# outer loops run in a PLC and their current command crosses a fieldbus
+# to the drive, while measurements cross back, so the drive acts on a
+# command issued whole ticks earlier.  This pure delay -- not the
+# electrical dynamics -- is what bounds the usable speed-loop gain.  One
+# tick is the classical compute-now-apply-next-tick latency of a
+# synchronous digital loop; it puts the proportional speed loop's
+# sustained-oscillation boundary near gain 1.4.  Zero would be an
+# idealized zero-latency loop; each extra tick lowers the oscillation
+# boundary roughly in proportion.
+COMMAND_DELAY_TICKS = 1
+
+# A run whose state magnitude passes this is stopped and flagged as
+# diverged.
+DIVERGENCE_LIMIT = 1e12
 
 # Run-ticks (runs times profile ticks) per vectorized chunk in
 # `simulate_batch`; peak memory scales with it.  256 runs of the
@@ -117,58 +140,25 @@ class CurrentControllerGains:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation knobs.
-
-    ``dt`` is the controller tick; it must be a whole number of
-    ``RK4_STEP`` integrator steps.  ``segments_per_tick`` is the drive's
-    voltage-update rate used while the supply rail is active; it must
-    divide that step count.
-
-    ``command_delay_ticks`` models the transport latency of the control
-    architecture: the outer loops run in a PLC and their current command
-    crosses a fieldbus to the drive, while measurements cross back, so
-    the drive acts on a command issued whole ticks earlier.  This pure
-    delay -- not the electrical dynamics -- is what bounds the usable
-    speed-loop gain.  The default of one tick is the classical
-    compute-now-apply-next-tick latency of a synchronous digital loop;
-    it puts the proportional speed loop's sustained-oscillation boundary
-    near gain 1.4.  Set to 0 for an idealized zero-latency loop; each
-    extra tick lowers the oscillation boundary roughly in proportion.
+    """The drive's two rails.
 
     ``voltage_limit`` is the q-axis voltage ceiling, i.e. the DC bus
     seen by the inverter; the 325 V default is a rectified 230 VAC
     single-phase supply.  ``current_limit`` caps the current command
     (and so the achievable torque); both rails engage symmetrically.
-    A run whose state magnitude passes ``divergence_limit`` is stopped
-    and flagged as diverged.
     """
 
-    dt: float = 1e-3
-    segments_per_tick: int = 20
     voltage_limit: float = 325.0
     current_limit: float = 10.0
-    command_delay_ticks: int = 1
-    divergence_limit: float = 1e12
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        steps = self.dt / RK4_STEP
-        if abs(steps - round(steps)) > 1e-6 or round(steps) < 1:
-            raise ValueError(f"dt must be a whole number of {RK4_STEP:g} s "
-                             "integrator steps")
-        if self.segments_per_tick < 1 or round(steps) % self.segments_per_tick:
-            raise ValueError("segments_per_tick must divide the integrator "
-                             "steps per tick")
         if self.voltage_limit <= 0.0 or self.current_limit <= 0.0:
             raise ValueError("saturation limits must be positive")
-        if self.command_delay_ticks < 0:
-            raise ValueError("command_delay_ticks must be non-negative")
 
 
 @dataclass
 class SimTrace:
-    """Per-tick record of one simulated run.
+    """Per-tick record of one simulated run, one row per ``TICK``.
 
     All arrays share one length; ``e_pos``/``e_speed`` are the pointwise
     reference-minus-measurement errors.  A diverged run is truncated at
@@ -185,7 +175,6 @@ class SimTrace:
     v_q: np.ndarray
     e_pos: np.ndarray
     e_speed: np.ndarray
-    dt: float
     diverged: bool = False
     t_diverged: float | None = None
 
@@ -234,8 +223,7 @@ class _Drive:
     that an input does not drive has a zero row for it.
     """
 
-    def __init__(self, p: PlantParams, cc: CurrentControllerGains, dt: float,
-                 segments_per_tick: int):
+    def __init__(self, p: PlantParams, cc: CurrentControllerGains):
         self.lead = p.lead_per_rad
         plant = physical_state_model(p)
         n_pl = plant.A.shape[0]
@@ -278,9 +266,8 @@ class _Drive:
         B_frz[i_ci, 2] = 0.0
 
         h = RK4_STEP
-        n_sub = round(dt / h)
-        self.n_seg = segments_per_tick
-        per_seg = n_sub // self.n_seg
+        n_sub = round(TICK / h)
+        per_seg = n_sub // SEGMENTS_PER_TICK
 
         def augmented(M: np.ndarray, N: np.ndarray, v: int | None,
                       i: int | None) -> np.ndarray:
@@ -302,24 +289,11 @@ class _Drive:
         self.S_frz = augmented(*_compose(M, N, per_seg), 0, None)
 
 
-def _drive_for(p: PlantParams, cc: CurrentControllerGains, cfg: SimConfig) -> _Drive:
-    """The drive of ``cfg``, shared by every config with its tick and
-    voltage-update rate (the only fields a drive reads)."""
-    return _drive_cached(p, cc, cfg.dt, cfg.segments_per_tick)
+# The drive of a plant and current loop, built once and shared by every run.
+_drive_for = functools.lru_cache(maxsize=64)(_Drive)
 
 
-@functools.lru_cache(maxsize=64)
-def _drive_cached(p: PlantParams, cc: CurrentControllerGains, dt: float,
-                  segments_per_tick: int) -> _Drive:
-    return _Drive(p, cc, dt, segments_per_tick)
-
-
-def _check_tick(profile: ReferenceProfile, cfg: SimConfig) -> None:
-    if abs(profile.dt - cfg.dt) > 1e-12 * max(profile.dt, cfg.dt):
-        raise ValueError("profile sampling does not match the controller tick")
-
-
-def _trace(profile: ReferenceProfile, dt: float, div_at: int | None,
+def _trace(profile: ReferenceProfile, div_at: int | None,
            y_pos, y_speed, i_q, i_ref, v_q) -> SimTrace:
     """One run's record from its per-tick channels (numpy or C-double arrays).
 
@@ -334,7 +308,7 @@ def _trace(profile: ReferenceProfile, dt: float, div_at: int | None,
     return SimTrace(
         t=t, r_pos=r_pos, y_pos=y_pos, r_speed=r_spd, y_speed=y_speed,
         i_q=i_q, i_ref=i_ref, v_q=v_q, e_pos=r_pos - y_pos,
-        e_speed=r_spd - y_speed, dt=dt, diverged=div_at is not None,
+        e_speed=r_spd - y_speed, diverged=div_at is not None,
         t_diverged=None if div_at is None else float(profile.t[div_at]),
     )
 
@@ -357,8 +331,8 @@ def simulate(
     p, gains, cc : models and controller gains.  With a relay, kp must
         be 0 and the speed gains are unused.
     profile : ReferenceProfile
-        Must be sampled at the configured controller tick.
     cfg : SimConfig
+        The voltage and current rails.
     relay : float, optional
         Replaces the speed PI with an ideal relay of this positive
         current amplitude, switching on the sign of the speed error, for
@@ -368,22 +342,21 @@ def simulate(
     -------
     SimTrace
         One row per controller tick, aligned with the profile.  If any
-        state magnitude passes ``cfg.divergence_limit`` (or goes
+        state magnitude passes ``DIVERGENCE_LIMIT`` (or goes
         non-finite) the trace is truncated there and flagged instead of
         raising.
     """
-    _check_tick(profile, cfg)
     if relay is not None and relay <= 0.0:
         raise ValueError("the relay amplitude must be positive")
     if relay is not None and gains.kp != 0.0:
         raise ValueError("the relay replaces the speed PI only with the "
                          "position loop open (kp = 0)")
     kp, kv, ki = gains.kp, gains.kv, gains.ki
-    drive = _drive_for(p, cc, cfg)
+    drive = _drive_for(p, cc)
     lead = drive.lead
     inv_lead = 1.0 / lead
     n = len(profile)
-    dt = cfg.dt
+    dt = TICK
 
     # the per-tick arithmetic runs on Python floats: the same IEEE
     # operations as on numpy scalars, without their overhead; arrays of
@@ -394,14 +367,14 @@ def simulate(
     T_cl, S_cl, S_ol, S_frz = drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz
     cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
-    n_seg = drive.n_seg
+    n_seg = SEGMENTS_PER_TICK
 
     vmax, imax, wmax = cfg.voltage_limit, cfg.current_limit, p.omega_max
-    div_lim = cfg.divergence_limit
+    div_lim = DIVERGENCE_LIMIT
 
     xs = [0.0] * drive.nx
     integ = 0.0  # speed-loop integral of angular speed error [rad]
-    delay = cfg.command_delay_ticks
+    delay = COMMAND_DELAY_TICKS
     cmd_hist = array("d")  # clamped current commands, by tick
     relay_sign = 1.0
     div_at: int | None = None
@@ -486,7 +459,7 @@ def simulate(
             div_at = k + 1
             break
 
-    return _trace(profile, dt, div_at, y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a)
+    return _trace(profile, div_at, y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a)
 
 
 def simulate_batch(
@@ -510,7 +483,6 @@ def simulate_batch(
     runs (at least one), so peak memory grows with neither the batch
     size nor the profile length.
     """
-    _check_tick(profile, cfg)
     triples = np.atleast_2d(np.asarray(gain_triples, dtype=float))
     if triples.shape[1] != 3:
         raise ValueError("gain_triples must have columns kp, kv, ki")
@@ -528,11 +500,11 @@ def _run_chunk(
     profile: ReferenceProfile,
     cfg: SimConfig,
 ):
-    drive = _drive_for(p, cc, cfg)
+    drive = _drive_for(p, cc)
     lead = drive.lead
     inv_lead = 1.0 / lead
     n = len(profile)
-    dt = cfg.dt
+    dt = TICK
     m = triples.shape[0]
     kp, kv, ki = triples[:, 0], triples[:, 1], triples[:, 2]
 
@@ -541,17 +513,17 @@ def _run_chunk(
     T_cl, S_cl, S_ol, S_frz = drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz
     cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
-    n_seg = drive.n_seg
+    n_seg = SEGMENTS_PER_TICK
     nx = drive.nx
     vmax, imax, wmax = cfg.voltage_limit, cfg.current_limit, p.omega_max
-    div_lim = cfg.divergence_limit
+    div_lim = DIVERGENCE_LIMIT
 
     # rows [x | v | i_ref] and one zero pad row, so every map is a gemm
     # of at least two rows, whose rows are those of a single run
     Z = np.zeros((m + 1, nx + 2))
     X = Z[:m, :nx]
     integ = np.zeros(m)
-    delay = cfg.command_delay_ticks
+    delay = COMMAND_DELAY_TICKS
     cmd_hist = np.zeros((m, n))  # clamped current commands, by tick
     alive = np.ones(m, dtype=bool)
     div_at = np.full(m, -1)
@@ -624,5 +596,5 @@ def _run_chunk(
             integ[newly] = 0.0
 
     for i in range(m):
-        yield _trace(profile, dt, int(div_at[i]) if div_at[i] >= 0 else None,
+        yield _trace(profile, int(div_at[i]) if div_at[i] >= 0 else None,
                      rec_y_pos[i], rec_y_spd[i], rec_iq[i], rec_iref[i], rec_v[i])

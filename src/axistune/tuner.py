@@ -13,7 +13,8 @@ cost exactly), the search is considered locked in.
 
 `grid_search` scores every grid point through a batch oracle and is the
 ground truth the optimizer is judged against; its table can be saved
-and reloaded so downstream commands replay it as a cached oracle.
+and reloaded, so a repeated grid search of the same oracle is served
+from the saved table.
 """
 
 from __future__ import annotations
@@ -257,7 +258,6 @@ class BoState:
     iterations: int = 0
     stop_reason: str | None = None
     hyperparams: GpHyperparams | None = None
-    posterior: GpPosterior | None = None
     records: list[IterationRecord] = field(default_factory=list)
 
     @property
@@ -371,7 +371,6 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
 
     for t in range(1, config.max_iterations + 1):
         posterior = fit(Dataset(X=state.X, y=state.y), h, bounds)
-        state.posterior = posterior
         point, mu, sigma, _ = next_point(posterior, fset, config.beta)
         y = _evaluate(oracle, point, state)
         moved = state._observe(point, y)
@@ -393,8 +392,6 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
             state.hyperparams = h
     else:
         state.stop_reason = "max_iterations"
-
-    state.posterior = fit(Dataset(X=state.X, y=state.y), h, bounds)
     return state
 
 
@@ -427,7 +424,7 @@ def _table_key(fset: FeasibleSet, bench_key: str) -> str:
 
 def save_grid_table(path, fset: FeasibleSet, table: np.ndarray,
                     bench_key: str) -> None:
-    """Persist a grid-search table for cached-oracle replay.
+    """Persist a grid-search table for a repeated grid search to reload.
 
     ``bench_key`` identifies the oracle that scored the table (for a
     :class:`~axistune.bench.TuningBench`, its ``fingerprint``).

@@ -17,6 +17,7 @@ from axistune.baselines import (
 )
 from axistune.metrics import MetricVector
 from axistune.presets import LAB_SERVO, get_preset
+from axistune.refgen import TICK
 from axistune.simloop import SimConfig
 from axistune.tuner import FeasibleSet
 
@@ -166,13 +167,11 @@ def test_probe_results_are_pinned():
 
 def test_never_oscillating_plant_raises_with_diagnostics():
     class DeadBench:
-        cfg = SimConfig()
-
         def speed_step(self, kv, ki, speed, duration):
-            n = int(duration / self.cfg.dt)
-            t = np.arange(n) * self.cfg.dt
+            n = int(duration / TICK)
+            t = np.arange(n) * TICK
             e = speed * np.exp(-t / 0.05)  # pure decay at any gain
-            return SimpleNamespace(e_speed=e, diverged=False, dt=self.cfg.dt)
+            return SimpleNamespace(e_speed=e, diverged=False)
 
     fset = get_preset("desk").feasible
     with pytest.raises(TuningError) as exc:
@@ -191,10 +190,8 @@ def test_relay_without_a_limit_cycle_raises():
         plant = LAB_SERVO
 
         def relay_run(self, amplitude, duration):
-            n = int(duration / self.cfg.dt)
-            return SimpleNamespace(
-                e_speed=np.zeros(n), diverged=False, dt=self.cfg.dt
-            )
+            return SimpleNamespace(e_speed=np.zeros(int(duration / TICK)),
+                                   diverged=False)
 
     fset = get_preset("desk").feasible
     with pytest.raises(TuningError) as exc:

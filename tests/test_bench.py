@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from axistune import simloop
 from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
 from axistune.metrics import DIVERGENCE_PENALTY, CostWeights
-from axistune.simloop import SimConfig
 
 
 def _new_bench(plant, cc, **kwargs):
@@ -79,11 +79,9 @@ def test_trace_is_not_memoized(plant, cc):
     assert bench.n_sims == before  # trace queries bypass the memo counter
 
 
-def test_divergent_point_costs_the_penalty(plant, cc):
-    weights = CostWeights(pos_settling=1e5)
-    bench = _new_bench(
-        plant, cc, weights=weights, sim_config=SimConfig(divergence_limit=1e-9)
-    )
+def test_divergent_point_costs_the_penalty(plant, cc, monkeypatch):
+    monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
+    bench = _new_bench(plant, cc, weights=CostWeights(pos_settling=1e5))
     assert bench.cost((150.0, 0.5, 90.0)) == DIVERGENCE_PENALTY == 1e9
     assert bench.metrics((150.0, 0.5, 90.0)).is_diverged
     batch = bench.evaluate_many(np.array([[150.0, 0.5, 90.0], [600.0, 0.3, 360.0]]))
@@ -108,7 +106,7 @@ def test_relay_run_switches_the_current(plant, cc):
     assert flips >= 4
 
 
-def test_position_overshoot_percentage(plant, cc):
+def test_position_overshoot_percentage(plant, cc, monkeypatch):
     bench = _new_bench(plant, cc)
     triple = (2400.0, 0.35, 90.0)
     pct = bench.position_overshoot_pct(triple)
@@ -116,7 +114,8 @@ def test_position_overshoot_percentage(plant, cc):
     assert pct == pytest.approx(100.0 * m.pos_overshoot / 0.1, rel=1e-9)
     assert pct >= 0.0
 
-    diverging = _new_bench(plant, cc, sim_config=SimConfig(divergence_limit=1e-9))
+    monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
+    diverging = _new_bench(plant, cc)
     assert math.isinf(diverging.position_overshoot_pct(triple))
 
 
@@ -165,7 +164,6 @@ def test_single_and_batch_costs_are_bitwise_equal(preset, point, cost):
 
 @pytest.mark.parametrize("rows", [7, 1])
 def test_batch_costs_do_not_depend_on_the_chunk(monkeypatch, rows):
-    from axistune import simloop
     from axistune.presets import get_preset
 
     pre = get_preset("desk")

@@ -4,10 +4,10 @@ import dataclasses
 import json
 
 import numpy as np
-import pytest
 
+from axistune import simloop
 from axistune.cli import main
-from axistune.presets import Preset, get_preset
+from axistune.presets import get_preset
 from axistune.tuner import FeasibleSet
 
 
@@ -15,12 +15,6 @@ def _load_record(path):
     rec = json.loads(path.read_text())
     assert rec.pop("timestamp")
     return rec
-
-
-@pytest.fixture(scope="module")
-def cli_out(tmp_path_factory):
-    """Shared output directory so later commands hit the grid cache."""
-    return tmp_path_factory.mktemp("cli_out")
 
 
 # -- simulate ----------------------------------------------------------------
@@ -59,14 +53,7 @@ def test_simulate_requires_gains(tmp_path, capsys):
 
 
 def test_simulate_divergence_exits_1(tmp_path, capsys, monkeypatch):
-    real_bench = Preset.bench
-
-    def diverging_bench(self, weights=None):
-        bench = real_bench(self, weights)
-        bench.cfg = dataclasses.replace(bench.cfg, divergence_limit=1e-9)
-        return bench
-
-    monkeypatch.setattr(Preset, "bench", diverging_bench)
+    monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
     rc = main(["simulate", "--preset", "desk", "--gains", "150,0.5,90",
                "--out", str(tmp_path)])
     assert rc == 1
@@ -179,13 +166,13 @@ def test_desk_tune_seed_0_is_pinned(tmp_path, capsys):
 # -- grid and compare ---------------------------------------------------------------
 
 
-def test_grid_command_and_cache(cli_out, capsys):
-    assert main(["grid", "--preset", "desk", "--out", str(cli_out)]) == 0
+def test_grid_command_and_cache(tmp_path, capsys):
+    assert main(["grid", "--preset", "desk", "--out", str(tmp_path)]) == 0
     first = capsys.readouterr().out
     assert "grid best" in first
-    assert (cli_out / "grid_cache_desk.npz").is_file()
-    rec1 = _load_record(cli_out / "record_grid.json")
-    lines = (cli_out / "grid.csv").read_text().splitlines()
+    assert (tmp_path / "grid_cache_desk.npz").is_file()
+    rec1 = _load_record(tmp_path / "record_grid.json")
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[0] == "kp,kv,ki,cost"
     assert len(lines) == 1 + 2800
     assert rec1["grid_shape"] == [28, 10, 10]
@@ -193,22 +180,22 @@ def test_grid_command_and_cache(cli_out, capsys):
     assert rec1["best_cost"] == min(costs)
 
     # the second run is served from the cache and reproduces the record
-    assert main(["grid", "--preset", "desk", "--out", str(cli_out)]) == 0
+    assert main(["grid", "--preset", "desk", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    rec2 = _load_record(cli_out / "record_grid.json")
+    rec2 = _load_record(tmp_path / "record_grid.json")
     assert rec1 == rec2
 
 
-def test_compare_lists_all_methods(cli_out, capsys):
+def test_compare_lists_all_methods(tmp_path, capsys):
     rc = main(["compare", "--preset", "desk", "--seed", "0", "--m0", "5",
-               "--max-iters", "2", "--out", str(cli_out)])
+               "--max-iters", "2", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    lines = (cli_out / "comparison.csv").read_text().splitlines()
+    lines = (tmp_path / "comparison.csv").read_text().splitlines()
     assert lines[0] == "method,kp,kv,ki,cost,clamped"
     methods = [ln.split(",", 1)[0] for ln in lines[1:]]
     assert methods == ["grid", "ziegler-nichols", "itae", "relay", "bo"]
-    rec = _load_record(cli_out / "record_compare.json")
+    rec = _load_record(tmp_path / "record_compare.json")
     rows = {r["method"]: r for r in rec["rows"]}
     # the oscillation-boundary methods land outside the box and get clamped
     assert rows["ziegler-nichols"]["clamped"]
@@ -220,7 +207,7 @@ def test_compare_lists_all_methods(cli_out, capsys):
         assert grid_cost <= rows[method]["cost"] * 1.001
         assert method in out
     for method in methods:
-        assert (cli_out / f"trace_{method.replace('-', '_')}.csv").is_file()
+        assert (tmp_path / f"trace_{method.replace('-', '_')}.csv").is_file()
 
 
 # -- sweep-m0 ------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from axistune.metrics import (
     extract_metrics,
     itae,
 )
-from axistune.refgen import TrajectorySpec, generate_profile
+from axistune.refgen import TICK, TrajectorySpec, generate_profile
 
 
 def _fake_trace(profile, e_pos=None, e_speed=None):
@@ -75,9 +75,9 @@ def test_itae_degenerate_inputs():
 def test_settling_time_of_an_exponential_decay():
     # |e| = move * exp(-t/tau) leaves the 2% band for the last time at
     # tau * ln(50); the sampled answer may round up by one tick
-    move, tau, dt = 0.1, 0.07, 1e-3
+    move, tau, dt = 0.1, 0.07, TICK
     spec = TrajectorySpec(move, 0.25, 5000.0, 5000.0, dwell_time=2.0)
-    profile = generate_profile(spec, dt)
+    profile = generate_profile(spec)
     i0 = profile.motion_start_index()
     n = len(profile)
     k = np.arange(n)
@@ -91,7 +91,7 @@ def test_settling_time_of_an_exponential_decay():
 
 
 def test_settling_time_zero_when_never_leaving_the_band():
-    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0), 1e-3)
+    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0))
     e = np.full(len(profile), 1e-4)  # 0.1% of the move, inside the 2% band
     m = extract_metrics(_fake_trace(profile, e_pos=e), profile)
     assert m.pos_settling == 0.0
@@ -101,7 +101,7 @@ def test_settling_time_zero_when_never_leaving_the_band():
 
 
 def test_position_overshoot_and_undershoot():
-    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0), 1e-3)
+    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0))
     plateau = profile.forward_plateau()
     y = profile.position.copy()
     k1 = plateau.start + 50
@@ -115,7 +115,7 @@ def test_position_overshoot_and_undershoot():
 
 
 def test_speed_overshoot_on_the_cruise_plateau():
-    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0), 1e-3)
+    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0))
     cruise = profile.cruise_span(0)
     e_s = np.zeros(len(profile))
     e_s[cruise.start + 5] = -0.01  # output above the 0.25 m/s plateau
@@ -125,8 +125,7 @@ def test_speed_overshoot_on_the_cruise_plateau():
 
 def test_return_leg_residual_error():
     profile = generate_profile(
-        TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=0.5, return_to_zero=True),
-        1e-3)
+        TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=0.5, return_to_zero=True))
     e = np.zeros(len(profile))
     e[-1] = 5e-4
     m = extract_metrics(_fake_trace(profile, e_pos=e), profile)
@@ -134,7 +133,7 @@ def test_return_leg_residual_error():
 
 
 def test_steady_state_error_is_the_tail_mean():
-    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0), 1e-3)
+    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0))
     plateau = profile.forward_plateau()
     e = np.zeros(len(profile))
     n10 = (plateau.stop - plateau.start) // 10
@@ -147,7 +146,7 @@ def test_steady_state_error_is_the_tail_mean():
 
 
 def test_perfect_tracking_scores_zero():
-    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0), 1e-3)
+    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0))
     m = extract_metrics(_fake_trace(profile), profile)
     for name in MetricVector.names():
         assert getattr(m, name) == 0.0, name
@@ -175,7 +174,7 @@ def test_diverged_run_maps_to_the_penalty():
     # the penalty does not scale with the weights
     assert cost(m, CostWeights(pos_settling=1.0, spd_itae=2.0)) == 1e9
 
-    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=0.5), 1e-3)
+    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=0.5))
     trace = _fake_trace(profile)
     trace.diverged = True
     assert extract_metrics(trace, profile).is_diverged

@@ -108,8 +108,6 @@ def test_bench_assembly(desk_bench):
     assert desk_bench.cfg == SimConfig()
     assert desk_bench.plant is LAB_SERVO
     assert desk_bench.current_gains is LAB_SERVO_CURRENT
-    # profile ticks match the configured move
-    assert desk_bench.profile.dt == pytest.approx(SimConfig().dt)
     # a weights override is honored without touching the preset
     custom = get_weights("exp-tracking")
     b2 = pre.bench(weights=custom)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from axistune.refgen import (
+    TICK,
     TrajectorySpec,
     constant_speed_profile,
     generate_profile,
@@ -34,8 +35,8 @@ def test_position_is_the_integral_of_speed():
     rng = np.random.default_rng(7)
     for _ in range(50):
         spec = _random_spec(rng)
-        prof = generate_profile(spec, dt=1e-3)
-        ref = _trapezoid_integral(prof.speed, prof.dt)
+        prof = generate_profile(spec)
+        ref = _trapezoid_integral(prof.speed, TICK)
         span = max(spec.position_setpoint, 1e-9)
         assert np.max(np.abs(prof.position - ref)) <= 1e-9 * span
 
@@ -44,7 +45,7 @@ def test_move_lands_on_the_setpoint():
     rng = np.random.default_rng(11)
     for _ in range(50):
         spec = _random_spec(rng)
-        prof = generate_profile(spec, dt=1e-3)
+        prof = generate_profile(spec)
         target = 0.0 if spec.return_to_zero else spec.position_setpoint
         assert abs(prof.position[-1] - target) <= 1e-12 + 1e-12 * spec.position_setpoint
         if spec.return_to_zero:
@@ -55,9 +56,9 @@ def test_speed_never_exceeds_the_setpoint():
     rng = np.random.default_rng(13)
     for _ in range(50):
         spec = _random_spec(rng)
-        prof = generate_profile(spec, dt=1e-3)
+        prof = generate_profile(spec)
         assert np.max(np.abs(prof.speed)) <= spec.speed_setpoint * (1.0 + 1e-12)
-        accel = np.abs(np.diff(prof.speed)) / prof.dt
+        accel = np.abs(np.diff(prof.speed)) / TICK
         limit = max(spec.acceleration, spec.deceleration)
         assert np.max(accel) <= limit * (1.0 + 1e-12)
 
@@ -76,7 +77,7 @@ def test_short_move_degrades_to_a_triangle():
         * spec.position_setpoint
         / (spec.acceleration + spec.deceleration)
     )
-    prof = generate_profile(spec, dt=1e-3)
+    prof = generate_profile(spec)
     assert prof.cruise_span() is None
     peak = np.max(prof.speed)
     # tick snapping can only lower the recomputed peak
@@ -88,7 +89,7 @@ def test_short_move_degrades_to_a_triangle():
 def test_bidirectional_profile_structure():
     prof = generate_profile(
         TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=0.5, return_to_zero=True),
-        dt=1e-3)
+)
     labels = [(ph.label, ph.leg) for ph in prof.phases]
     assert labels == [
         ("accel", 0),
@@ -117,7 +118,7 @@ def test_phases_tile_the_profile():
     rng = np.random.default_rng(17)
     for _ in range(25):
         spec = _random_spec(rng)
-        prof = generate_profile(spec, dt=1e-3)
+        prof = generate_profile(spec)
         cursor = 1  # sample 0 is the initial standstill
         for ph in prof.phases:
             assert ph.start == cursor
@@ -135,25 +136,23 @@ def test_zero_distance_gives_a_dwell_only_profile():
         deceleration=5.0,
         dwell_time=0.25,
     )
-    prof = generate_profile(spec, dt=1e-3)
+    prof = generate_profile(spec)
     assert np.all(prof.speed == 0.0)
     assert np.all(prof.position == 0.0)
     assert [ph.label for ph in prof.phases] == ["dwell"]
 
 
 def test_constant_speed_profile_invariants():
-    prof = constant_speed_profile(0.2, duration=0.5, dt=1e-3)
+    prof = constant_speed_profile(0.2, duration=0.5)
     assert len(prof) == 501
     assert np.all(prof.speed == 0.2)
-    ref = _trapezoid_integral(prof.speed, prof.dt)
+    ref = _trapezoid_integral(prof.speed, TICK)
     assert np.max(np.abs(prof.position - ref)) == 0.0
     assert prof.motion_start_index() == 0
 
 
 def test_time_grid_is_uniform():
-    prof = generate_profile(
-        TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0), dt=1e-3
-    )
+    prof = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0))
     assert prof.t[0] == 0.0
     assert np.allclose(np.diff(prof.t), 1e-3, rtol=0.0, atol=1e-15)
 
@@ -170,7 +169,3 @@ def test_invalid_inputs_are_rejected():
         TrajectorySpec(**{**good, "acceleration": -5.0})
     with pytest.raises(ValueError):
         TrajectorySpec(**{**good, "dwell_time": -0.5})
-    with pytest.raises(ValueError):
-        generate_profile(TrajectorySpec(**good), dt=0.0)
-    with pytest.raises(ValueError):
-        constant_speed_profile(0.1, duration=1.0, dt=-1e-3)

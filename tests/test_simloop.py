@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from axistune import simloop
-from axistune.bench import BENCH_MOVE, benchmark_profile
-from axistune.refgen import constant_speed_profile, generate_profile
+from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
+from axistune.metrics import CostWeights
+from axistune.refgen import TICK, constant_speed_profile, generate_profile
 from axistune.simloop import (
     CurrentControllerGains,
     GainVector,
@@ -26,9 +27,7 @@ def _gentle_profile():
     """A move whose cruise back-EMF stays well under the voltage rail."""
     from axistune.refgen import TrajectorySpec
 
-    return generate_profile(
-        TrajectorySpec(0.05, 0.1, 2.0, 2.0, dwell_time=0.8), dt=1e-3
-    )
+    return generate_profile(TrajectorySpec(0.05, 0.1, 2.0, 2.0, dwell_time=0.8))
 
 
 def test_gain_vector_integral_time_conversion():
@@ -49,7 +48,7 @@ def test_gain_vector_integral_time_conversion():
 
 
 def test_config_validation(plant, cc):
-    probe = constant_speed_profile(0.0, 0.1, 1e-3)
+    probe = constant_speed_profile(0.0, 0.1)
     open_loop = GainVector(0.0, 0.5, 90.0)
     with pytest.raises(ValueError):
         simulate(plant, open_loop, cc, probe, relay=0.0)
@@ -58,29 +57,22 @@ def test_config_validation(plant, cc):
     with pytest.raises(ValueError):
         # the relay replaces the speed PI only with the position loop open
         simulate(plant, WELL_DAMPED, cc, probe, relay=1.0)
-    with pytest.raises(ValueError):
-        SimConfig(command_delay_ticks=-1)
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(dt=1.5e-6)  # not a whole number of integrator steps
-    with pytest.raises(ValueError):
-        SimConfig(segments_per_tick=3)  # does not divide 1000 steps per tick
-    with pytest.raises(ValueError):
-        SimConfig(segments_per_tick=0)
+    for rails in ({"voltage_limit": 0.0}, {"current_limit": -1.0}):
+        with pytest.raises(ValueError, match="saturation limits must be positive"):
+            SimConfig(**rails)
 
 
-def test_profile_tick_mismatch_is_rejected(plant, cc):
-    profile = benchmark_profile(dt=2e-3)
-    with pytest.raises(ValueError):
-        simulate(plant, WELL_DAMPED, cc, profile, SimConfig())
+def test_the_tick_is_a_whole_number_of_segments_of_integrator_steps():
+    # the drive composes whole RK4 steps into a tick and into each of its
+    # voltage-update segments
+    steps = TICK / simloop.RK4_STEP
+    assert abs(steps - round(steps)) <= 1e-9
+    assert round(steps) % simloop.SEGMENTS_PER_TICK == 0
 
 
 def test_standstill_stays_at_rest(plant, cc):
     profile = generate_profile(
-        dataclasses.replace(BENCH_MOVE, position_setpoint=0.0, dwell_time=0.5),
-        dt=1e-3,
-    )
+        dataclasses.replace(BENCH_MOVE, position_setpoint=0.0, dwell_time=0.5))
     trace = simulate(plant, WELL_DAMPED, cc, profile)
     for name in ("y_pos", "y_speed", "i_q", "i_ref", "v_q", "e_pos", "e_speed"):
         assert np.all(getattr(trace, name) == 0.0), name
@@ -95,7 +87,7 @@ def test_simulation_is_deterministic(plant, cc):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def test_tracking_quality_at_reference_gains(plant, cc):
+def test_tracking_quality_at_reference_gains(plant, cc, monkeypatch):
     profile = benchmark_profile()
     trace = simulate(plant, WELL_DAMPED, cc, profile)
     assert not trace.diverged
@@ -107,7 +99,8 @@ def test_tracking_quality_at_reference_gains(plant, cc):
     assert np.max(np.abs(trace.i_ref)) < SimConfig().current_limit
 
     # removing the lag entirely changes nothing qualitative
-    ideal = simulate(plant, WELL_DAMPED, cc, profile, SimConfig(command_delay_ticks=0))
+    monkeypatch.setattr(simloop, "COMMAND_DELAY_TICKS", 0)
+    ideal = simulate(plant, WELL_DAMPED, cc, profile)
     assert abs(ideal.y_pos[-1] - 0.1) <= 1e-9
     assert np.max(np.abs(ideal.y_speed[-100:])) <= 1e-6
 
@@ -129,24 +122,25 @@ STEP_GAINS = GainVector(0.0, 0.5, 0.0)
 RAIL_TICKS = 9
 
 
-def _speed_step(plant, cc, delay):
-    cfg = SimConfig(command_delay_ticks=delay)
-    profile = constant_speed_profile(0.2, duration=0.05, dt=1e-3)
-    return cfg, simulate(plant, STEP_GAINS, cc, profile, cfg)
+def _speed_step(plant, cc, monkeypatch, delay):
+    monkeypatch.setattr(simloop, "COMMAND_DELAY_TICKS", delay)
+    profile = constant_speed_profile(0.2, duration=0.05)
+    return simulate(plant, STEP_GAINS, cc, profile)
 
 
-def test_command_delay_shifts_the_applied_current(plant, cc):
+def test_command_delay_shifts_the_applied_current(plant, cc, monkeypatch):
     # the drive must see nothing until the first command arrives, then
     # the railed command exactly five ticks late
-    cfg, trace = _speed_step(plant, cc, delay=5)
+    trace = _speed_step(plant, cc, monkeypatch, delay=5)
     assert np.all(trace.i_ref[:5] == 0.0)
-    assert np.all(trace.i_ref[5:5 + RAIL_TICKS] == cfg.current_limit)
+    assert np.all(trace.i_ref[5:5 + RAIL_TICKS] == SimConfig().current_limit)
 
 
-def test_zero_delay_acts_immediately(plant, cc):
-    cfg, trace = _speed_step(plant, cc, delay=0)
-    assert np.all(trace.i_ref[:RAIL_TICKS] == cfg.current_limit)
-    assert trace.i_ref[RAIL_TICKS] < cfg.current_limit
+def test_zero_delay_acts_immediately(plant, cc, monkeypatch):
+    trace = _speed_step(plant, cc, monkeypatch, delay=0)
+    imax = SimConfig().current_limit
+    assert np.all(trace.i_ref[:RAIL_TICKS] == imax)
+    assert trace.i_ref[RAIL_TICKS] < imax
 
 
 _CHANNELS = ("t", "r_pos", "y_pos", "r_speed", "y_speed", "i_q", "i_ref",
@@ -159,13 +153,13 @@ def _assert_traces_equal(a: SimTrace, b: SimTrace) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def test_batch_matches_scalar_runs(plant, cc):
+def test_batch_matches_scalar_runs(plant, cc, monkeypatch):
     # both paths do the same IEEE operations per run, so the traces agree
     # bitwise, also once the rails engage and switching instants would
     # amplify any roundoff difference
-    for profile, cfg in ((_gentle_profile(), SimConfig(command_delay_ticks=0)),
-                         (benchmark_profile(), SimConfig())):
-        _check_batch_matches_scalar_runs(plant, cc, profile, cfg)
+    for profile, delay in ((_gentle_profile(), 0), (benchmark_profile(), 1)):
+        monkeypatch.setattr(simloop, "COMMAND_DELAY_TICKS", delay)
+        _check_batch_matches_scalar_runs(plant, cc, profile, SimConfig())
 
 
 def _check_batch_matches_scalar_runs(plant, cc, profile, cfg):
@@ -198,7 +192,7 @@ def test_map_products_do_not_depend_on_the_row_count(plant, cc):
     # BLAS computes a gemm row the same way for any row count and
     # offset: true of the OpenBLAS builds this was written on, but not
     # a BLAS guarantee, so a build where it fails must fail here.
-    drive = simloop._drive_for(plant, cc, SimConfig())
+    drive = simloop._drive_for(plant, cc)
     nx = drive.nx
     rng = np.random.default_rng(0)
     block = rng.standard_normal((320, nx + 2)) * 10.0 ** rng.uniform(
@@ -235,25 +229,25 @@ def test_batch_rejects_rows_the_gain_vector_rejects(plant, cc, row):
                             benchmark_profile()))
 
 
-def test_divergence_truncates_and_flags(plant, cc):
-    cfg = SimConfig(divergence_limit=1e-9)
+def test_divergence_truncates_and_flags(plant, cc, monkeypatch):
+    monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
     profile = benchmark_profile()
-    trace = simulate(plant, WELL_DAMPED, cc, profile, cfg)
+    trace = simulate(plant, WELL_DAMPED, cc, profile)
     assert trace.diverged
     assert trace.t_diverged is not None
     assert len(trace.t) < len(profile)
-    assert trace.t_diverged == pytest.approx(trace.t[-1] + trace.dt)
+    assert trace.t_diverged == pytest.approx(trace.t[-1] + TICK)
 
     triples = [[150.0, 0.5, 90.0], [150.0, 0.19, 200.0]]
-    batch = list(simulate_batch(plant, triples, cc, profile, cfg))
+    batch = list(simulate_batch(plant, triples, cc, profile))
     assert batch[0].diverged
     _assert_traces_equal(batch[0], trace)
     _assert_traces_equal(
-        batch[1], simulate(plant, GainVector(*triples[1]), cc, profile, cfg))
+        batch[1], simulate(plant, GainVector(*triples[1]), cc, profile))
 
 
 def test_relay_probe_produces_a_limit_cycle(plant, cc):
-    profile = constant_speed_profile(0.2, duration=1.0, dt=1e-3)
+    profile = constant_speed_profile(0.2, duration=1.0)
     trace = simulate(plant, GainVector(0.0, 0.5, 90.0), cc, profile, relay=2.0)
     applied = set(np.unique(trace.i_ref))
     assert applied <= {-2.0, 0.0, 2.0}
@@ -265,15 +259,27 @@ def test_relay_probe_produces_a_limit_cycle(plant, cc):
 def test_trace_is_a_plain_record(plant, cc):
     trace = simulate(plant, WELL_DAMPED, cc, benchmark_profile())
     assert isinstance(trace, SimTrace)
-    assert trace.dt == 1e-3
     assert np.array_equal(trace.e_pos, trace.r_pos - trace.y_pos)
     assert np.array_equal(trace.e_speed, trace.r_speed - trace.y_speed)
 
 
-def test_configs_with_one_tick_and_update_rate_share_a_drive(plant, cc):
-    # a drive reads only dt and segments_per_tick from its config
-    default = simloop._drive_for(plant, cc, SimConfig())
-    other = SimConfig(command_delay_ticks=2, current_limit=5.0,
-                      divergence_limit=1e9)
-    assert simloop._drive_for(plant, cc, other) is default
-    assert simloop._drive_for(plant, cc, SimConfig(segments_per_tick=10)) is not default
+def test_one_drive_per_plant_and_current_loop(plant, cc, monkeypatch):
+    # a cascade run, a relay run and a batch on the same plant and
+    # current loop share one drive, whatever their rails
+    built = []
+    real = simloop._drive_for
+
+    def recorded(p, c):
+        built.append(real(p, c))
+        return built[-1]
+
+    monkeypatch.setattr(simloop, "_drive_for", recorded)
+    bench = TuningBench(plant, cc, CostWeights(pos_settling=1.0),
+                        sim_config=SimConfig(current_limit=5.0))
+    bench.cost((150.0, 0.5, 90.0))
+    bench.relay_run(amplitude=2.0, duration=0.05)
+    bench.evaluate_many([[300.0, 0.45, 90.0], [600.0, 0.3, 360.0]])
+    assert len(built) == 3
+    assert all(d is real(plant, cc) for d in built)
+    other = dataclasses.replace(cc, kp=cc.kp * 2.0)
+    assert real(plant, other) is not real(plant, cc)

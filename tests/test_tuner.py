@@ -229,7 +229,6 @@ def test_loop_invariants_hold():
     assert [r.m for r in state.records] == list(
         range(m0 + 1, m0 + state.iterations + 1)
     )
-    assert state.posterior is not None
     assert state.hyperparams is not None
 
 
