@@ -44,12 +44,10 @@ from .gpr import (
     predict,
 )
 from .metrics import CostWeights, MetricVector, cost, extract_metrics, itae
-from .plant import ModelError, PlantParams, StateSpaceModel, physical_state_model
+from .plant import LAB_SERVO, ModelError, PlantParams, physical_state_model
 from .presets import (
     DEFAULT_PRESET,
     FEASIBLE_PRESETS,
-    LAB_SERVO,
-    LAB_SERVO_CURRENT,
     PRESETS,
     Preset,
     TRAJECTORY_PRESETS,
@@ -65,6 +63,7 @@ from .refgen import (
     generate_profile,
 )
 from .simloop import (
+    LAB_SERVO_CURRENT,
     CurrentControllerGains,
     GainVector,
     SimConfig,

@@ -29,8 +29,9 @@ from scipy.signal import find_peaks
 
 from .bench import SetOracle, TuningBench
 from .metrics import MetricVector
+from .plant import LAB_SERVO
 from .refgen import TICK
-from .simloop import SimTrace
+from .simloop import RAILS, SimTrace
 from .tuner import FeasibleSet
 
 __all__ = [
@@ -284,7 +285,7 @@ def relay_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
     TuningError
         Fewer than five limit cycles visible within the horizon.
     """
-    d = RELAY_FRACTION * bench.cfg.current_limit
+    d = RELAY_FRACTION * RAILS.current_limit
     trace = bench.relay_run(d, PROBE_DURATION)
     if trace.diverged:
         raise TuningError("relay probe diverged", trace=trace)
@@ -296,7 +297,7 @@ def relay_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
             f"no limit cycle within the simulation horizon ({n_peaks} cycles seen)",
             diagnostics={"amplitude": a_lin, "n_peaks": n_peaks}, trace=trace,
         )
-    a = a_lin / bench.plant.lead_per_rad
+    a = a_lin / LAB_SERVO.lead_per_rad
     ku = 4.0 * d / (math.pi * a)
     kv_t, ki_t = _pi_from_ultimate(ku, tu)
     kv, ki, clamped = _clamp_speed_gains(fset, kv_t, ki_t)

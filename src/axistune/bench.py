@@ -4,10 +4,12 @@ Every tuning strategy in this package -- Bayesian optimization, grid
 search, and the classical baselines -- scores candidate gains through
 one :class:`TuningBench` so their costs are directly comparable and
 repeated queries hit a memo instead of the simulator.  The bench owns
-the reference trajectory, the cost weights, and the simulation
-configuration.  Search strategies work in a feasible set's coordinates,
-where the third axis may be the reset time Tn; `TuningBench.oracle`
-is the one place those points become controller triples (kp, kv, ki).
+the reference trajectory and the cost weights; the axis it simulates,
+with its current loop and rails, is the one fixed in
+:mod:`~axistune.simloop`.  Search strategies work in a feasible set's
+coordinates, where the third axis may be the reset time Tn;
+`TuningBench.oracle` is the one place those points become controller
+triples (kp, kv, ki).
 
 Batch evaluation (`evaluate_many`) runs the vectorized simulator and is
 the intended path for grids; single queries fall back to the scalar
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from .metrics import CostWeights, MetricVector, cost as metric_cost, extract_metrics
-from .plant import PlantParams
+from .plant import LAB_SERVO
 from .refgen import (
     ReferenceProfile,
     TrajectorySpec,
@@ -33,9 +35,9 @@ from .refgen import (
     generate_profile,
 )
 from .simloop import (
-    CurrentControllerGains,
+    LAB_SERVO_CURRENT,
+    RAILS,
     GainVector,
-    SimConfig,
     SimTrace,
     simulate,
     simulate_batch,
@@ -62,35 +64,24 @@ def benchmark_profile() -> ReferenceProfile:
 
 
 class TuningBench:
-    """Memoized cost oracle over position-cascade gain triples.
+    """Memoized cost oracle over the axis's position-cascade gain triples.
+
+    The bench scores the PI cascade; the probe helpers run it with the
+    position loop open (kp = 0), and `relay_run` swaps the speed PI for
+    a relay.
 
     Parameters
     ----------
-    plant, current_gains : electromechanical model and drive-internal
-        current-loop gains, fixed for the life of the bench.
     weights : CostWeights
         Scalarization of the metric vector; every metric is extracted
         with the fixed settling band ``metrics.SETTLE_BAND``.
     profile : ReferenceProfile, optional
         Scoring trajectory; defaults to :func:`benchmark_profile`.
-    sim_config : SimConfig, optional
-        The drive's rails.  The bench scores the PI cascade; the probe
-        helpers run it with the position loop open (kp = 0), and
-        `relay_run` swaps the speed PI for a relay.
     """
 
-    def __init__(
-        self,
-        plant: PlantParams,
-        current_gains: CurrentControllerGains,
-        weights: CostWeights,
-        profile: ReferenceProfile | None = None,
-        sim_config: SimConfig | None = None,
-    ):
-        self.plant = plant
-        self.current_gains = current_gains
+    def __init__(self, weights: CostWeights,
+                 profile: ReferenceProfile | None = None):
         self.weights = weights
-        self.cfg = sim_config if sim_config is not None else SimConfig()
         self.profile = profile if profile is not None else benchmark_profile()
         self._memo: dict[tuple[float, float, float], MetricVector] = {}
         self.n_sims = 0
@@ -102,9 +93,7 @@ class TuningBench:
         key = self._key(triple)
         m = self._memo.get(key)
         if m is None:
-            trace = simulate(
-                self.plant, GainVector(*key), self.current_gains, self.profile, self.cfg
-            )
+            trace = simulate(GainVector(*key), self.profile)
             self.n_sims += 1
             m = self.score(trace)
             self._memo[key] = m
@@ -127,11 +116,7 @@ class TuningBench:
         fresh = [k for k in dict.fromkeys(keys) if k not in self._memo]
         if fresh:
             batch = np.array(fresh, dtype=float)
-            for key, trace in zip(
-                fresh,
-                simulate_batch(self.plant, batch, self.current_gains,
-                               self.profile, self.cfg),
-            ):
+            for key, trace in zip(fresh, simulate_batch(batch, self.profile)):
                 self._memo[key] = self.score(trace)
             self.n_sims += len(fresh)
         return np.array(
@@ -146,10 +131,7 @@ class TuningBench:
 
     def trace(self, triple) -> SimTrace:
         """Full simulation trace at (kp, kv, ki); never memoized."""
-        return simulate(
-            self.plant, GainVector(*self._key(triple)), self.current_gains,
-            self.profile, self.cfg,
-        )
+        return simulate(GainVector(*self._key(triple)), self.profile)
 
     def score(self, trace: SimTrace) -> MetricVector:
         """Metric vector of a trace of this bench's profile."""
@@ -162,10 +144,10 @@ class TuningBench:
     @property
     def fingerprint(self) -> str:
         """Digest of everything that decides a cost besides the gains:
-        plant, current loop, weights, simulation config and the sampled
-        reference trajectory."""
+        plant, current loop, weights, rails and the sampled reference
+        trajectory."""
         h = hashlib.sha256(repr((
-            self.plant, self.current_gains, self.weights, self.cfg,
+            LAB_SERVO, LAB_SERVO_CURRENT, self.weights, RAILS,
         )).encode())
         for arr in (self.profile.t, self.profile.position, self.profile.speed):
             h.update(arr.tobytes())
@@ -181,8 +163,7 @@ class TuningBench:
         is a pure P loop) toward a constant linear-speed setpoint.
         """
         profile = constant_speed_profile(speed, duration)
-        return simulate(self.plant, GainVector(0.0, kv, ki), self.current_gains,
-                        profile, self.cfg)
+        return simulate(GainVector(0.0, kv, ki), profile)
 
     def relay_run(self, amplitude: float, duration: float) -> SimTrace:
         """Replace the speed controller with an ideal relay at standstill.
@@ -192,8 +173,8 @@ class TuningBench:
         inducing a limit cycle around zero speed.
         """
         profile = constant_speed_profile(0.0, duration)
-        return simulate(self.plant, GainVector(0.0, 1.0, 0.0), self.current_gains,
-                        profile, self.cfg, relay=float(amplitude))
+        return simulate(GainVector(0.0, 1.0, 0.0), profile,
+                        relay=float(amplitude))
 
     def position_overshoot_pct(self, triple) -> float:
         """Position overshoot as a percentage of the commanded move."""

@@ -467,12 +467,12 @@ def _add_common(p: argparse.ArgumentParser, with_bo: bool = False) -> None:
                    help=f"configuration bundle (default: {DEFAULT_PRESET})")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--weights", help="cost-weight preset override")
-    p.add_argument("--seed", type=int, help="random seed")
+    p.add_argument("--seed", help="random seed")
     p.add_argument("--out", help="output directory (default: current)")
     if with_bo:
         p.add_argument("--m0", help="initial design size")
-        p.add_argument("--beta", type=float, help="LCB confidence multiplier")
-        p.add_argument("--max-iters", dest="max_iters", type=int,
+        p.add_argument("--beta", help="LCB confidence multiplier")
+        p.add_argument("--max-iters", dest="max_iters",
                        help="optimization iteration budget")
 
 
@@ -498,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-m0", help="BO repeatability vs initial design size")
     _add_common(p, with_bo=True)
-    p.add_argument("--repeats", type=int, help="seeded runs per m0 (default 10)")
+    p.add_argument("--repeats", help="seeded runs per m0 (default 10)")
     p.set_defaults(fn=cmd_sweep_m0)
 
     p = sub.add_parser("grid", help="exhaustive grid search (cached)")

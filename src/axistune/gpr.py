@@ -58,6 +58,9 @@ _MAX_SQ_DIST = 600.0
 HYPERFIT_FTOL = 1e-12
 HYPERFIT_GTOL = 1e-6
 HYPERFIT_MAXITER = 500
+# Smallest noise deviation a hyperparameter set may carry, and the lower
+# bound of its fit.
+NOISE_FLOOR = 1e-8
 # Descent starts per hyperparameter fit: the initial guess plus Sobol
 # points.  A power of two, so the Sobol draw stays balanced.
 N_HYPER_STARTS = 8
@@ -78,8 +81,8 @@ class GpHyperparams:
         if not ls or any(l <= 0.0 for l in ls):
             raise ValueError("lengthscales must be positive")
         object.__setattr__(self, "lengthscales", ls)
-        if self.sigma_w < 1e-8:
-            raise ValueError("sigma_w must be at least 1e-8")
+        if self.sigma_w < NOISE_FLOOR:
+            raise ValueError(f"sigma_w must be at least {NOISE_FLOOR:g}")
 
     @property
     def dim(self) -> int:
@@ -91,7 +94,7 @@ class GpHyperparams:
     @classmethod
     def from_log_vector(cls, v: np.ndarray) -> "GpHyperparams":
         e = np.exp(np.asarray(v, dtype=float))
-        return cls(float(e[0]), tuple(e[1:-1]), max(float(e[-1]), 1e-8))
+        return cls(float(e[0]), tuple(e[1:-1]), max(float(e[-1]), NOISE_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ def default_hyper_bounds(dim: int) -> np.ndarray:
     Rows follow the log-vector layout (sigma_f, lengthscales..., sigma_w)
     and are sized for unit-box inputs and standardized targets.
     """
-    rows = [[1e-3, 1e3]] + [[1e-2, 1e2]] * dim + [[1e-8, 1e1]]
+    rows = [[1e-3, 1e3]] + [[1e-2, 1e2]] * dim + [[NOISE_FLOOR, 1e1]]
     return np.array(rows, dtype=float)
 
 

@@ -15,30 +15,33 @@ Mechanical side (angles theta, speeds w = d theta/dt)::
     Jl * dw_l/dt = tau_l - Bl*w_l + Bml*(w_m - w_l) + Ks*(th_m - th_l)
 
 :func:`physical_state_model` writes these equations as the five-state
-model (i_q, w_m, th_m, w_l, th_l) with voltage and load-torque inputs;
-it is the one place the plant's A and B matrices are defined, and the
-time-domain simulator builds its drive from it.  The ball-screw lead
-``Q`` converts rotation to linear travel: one revolution moves the nut
-by Q meters, so linear position is ``theta * Q / (2*pi)``.
+model ``STATES`` with voltage and load-torque inputs; it is the one
+place the plant's A and B matrices are defined, and the time-domain
+simulator builds its drive from it.  The ball-screw lead ``Q`` converts
+rotation to linear travel: one revolution moves the nut by Q meters, so
+linear position is ``theta * Q / (2*pi)``.
+
+``LAB_SERVO`` is the axis every experiment in this package runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "LAB_SERVO",
     "ModelError",
     "PlantParams",
-    "StateSpaceModel",
+    "STATES",
     "physical_state_model",
 ]
 
 
 class ModelError(ValueError):
-    """Raised for non-physical parameters and inconsistent model
-    dimensions."""
+    """Raised for non-physical plant parameters."""
 
 
 @dataclass(frozen=True)
@@ -76,40 +79,35 @@ class PlantParams:
         return self.Q / (2.0 * np.pi)
 
 
+# The benchtop ball-screw axis: a 250 W PMSM (one-phase equivalent
+# electrical constants, q-axis), a stiff screw coupling, and the carriage
+# reflected through the 18 mm screw lead.
+LAB_SERVO = PlantParams(
+    Rs=9.02,        # stator resistance [ohm]
+    Ls=0.0187,      # stator inductance [H]
+    Kt=0.515,       # torque constant [N m / A]
+    Kb=0.55,        # back-EMF constant [V s / rad]
+    Jm=0.27e-4,     # rotor inertia [kg m^2]
+    Bm=0.0074,      # motor-side viscous friction [N m s / rad]
+    Jl=6.53e-4,     # load-side inertia [kg m^2]
+    Bml=0.014,      # coupling damping [N m s / rad]
+    Ks=3e7,         # coupling stiffness [N m / rad]
+    Q=0.018,        # screw lead [m / rev]
+    omega_max=8000.0 * 2.0 * math.pi / 60.0,  # speed rail [rad/s]
+)
+
+
 # -- state space --------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class StateSpaceModel:
-    """Continuous LTI model dx/dt = A x + B u; every state is an output."""
-
-    A: np.ndarray
-    B: np.ndarray
-    state_labels: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        for name in ("A", "B"):
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        n = self.A.shape[0]
-        if self.A.shape != (n, n) or self.B.shape[0] != n:
-            raise ModelError("inconsistent state-space dimensions")
-
-    def frequency_response(self, omega, input_index: int = 0, output_index: int = 0) -> np.ndarray:
-        """State ``output_index`` of (jwI - A)^-1 B for each angular frequency."""
-        out = []
-        eye = np.eye(self.A.shape[0])
-        b = self.B[:, input_index]
-        for w in np.atleast_1d(omega):
-            sol = np.linalg.solve(1j * float(w) * eye - self.A, b)
-            out.append(sol[output_index])
-        return np.asarray(out)
+# State order of the model: q current, motor speed and angle, load speed
+# and angle.
+STATES = ("i_q", "w_m", "th_m", "w_l", "th_l")
 
 
-def physical_state_model(p: PlantParams) -> StateSpaceModel:
-    """State-space servo axis with voltage and load-torque inputs.
+def physical_state_model(p: PlantParams) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of dx/dt = A x + B u for the servo axis.
 
-    States are (i_q, w_m, th_m, w_l, th_l), all five exposed as outputs;
-    inputs are (v_q, tau_l).
+    States are ``STATES``; inputs are (v_q, tau_l).
     """
     A = np.array(
         [
@@ -123,4 +121,4 @@ def physical_state_model(p: PlantParams) -> StateSpaceModel:
     B = np.zeros((5, 2))
     B[0, 0] = 1.0 / p.Ls
     B[3, 1] = 1.0 / p.Jl
-    return StateSpaceModel(A, B, state_labels=("i_q", "w_m", "th_m", "w_l", "th_l"))
+    return A, B

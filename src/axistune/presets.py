@@ -1,11 +1,11 @@
 """Named configuration presets.
 
-Every experiment in this package runs the same axis: the ``LAB_SERVO``
-plant under the ``LAB_SERVO_CURRENT`` current loop, simulated with the
-default ``SimConfig``.  What varies is the reference trajectory, the
-cost weights, and the feasible gain box.  This module gives the
-canonical combinations names so command-line runs are reproducible
-from a preset string plus a seed.
+Every experiment in this package runs the same axis: the
+``plant.LAB_SERVO`` plant under the ``simloop.LAB_SERVO_CURRENT``
+current loop, inside the rails ``simloop.RAILS``.  What varies is the
+reference trajectory, the cost weights, and the feasible gain box.
+This module gives the canonical combinations names so command-line
+runs are reproducible from a preset string plus a seed.
 
 Presets
 -------
@@ -27,51 +27,23 @@ Presets
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .bench import BENCH_MOVE, TuningBench
 from .metrics import CostWeights
-from .plant import PlantParams
 from .refgen import TrajectorySpec, generate_profile
-from .simloop import CurrentControllerGains, SimConfig
 from .tuner import FeasibleSet
 
 __all__ = [
     "Preset",
     "PRESETS",
     "DEFAULT_PRESET",
-    "LAB_SERVO",
-    "LAB_SERVO_CURRENT",
     "WEIGHT_PRESETS",
     "FEASIBLE_PRESETS",
     "TRAJECTORY_PRESETS",
     "get_preset",
     "get_weights",
 ]
-
-
-# -- plant ---------------------------------------------------------------
-
-# The benchtop ball-screw axis: a 250 W PMSM (one-phase equivalent
-# electrical constants, q-axis), a stiff screw coupling, and the carriage
-# reflected through the 18 mm screw lead.
-LAB_SERVO = PlantParams(
-    Rs=9.02,        # stator resistance [ohm]
-    Ls=0.0187,      # stator inductance [H]
-    Kt=0.515,       # torque constant [N m / A]
-    Kb=0.55,        # back-EMF constant [V s / rad]
-    Jm=0.27e-4,     # rotor inertia [kg m^2]
-    Bm=0.0074,      # motor-side viscous friction [N m s / rad]
-    Jl=6.53e-4,     # load-side inertia [kg m^2]
-    Bml=0.014,      # coupling damping [N m s / rad]
-    Ks=3e7,         # coupling stiffness [N m / rad]
-    Q=0.018,        # screw lead [m / rev]
-    omega_max=8000.0 * 2.0 * math.pi / 60.0,  # speed rail [rad/s]
-)
-
-# The drive's internal current-loop PI.
-LAB_SERVO_CURRENT = CurrentControllerGains(kp=60.0, ki=1000.0)
 
 
 # -- cost weights --------------------------------------------------------
@@ -149,9 +121,9 @@ TRAJECTORY_PRESETS: dict[str, TrajectorySpec] = {
 class Preset:
     """A named experiment: the move, the cost weights and the gain box.
 
-    The axis, its current loop and the simulation configuration are the
-    same for every preset (see the module docstring), and every command
-    searches with the default ``BoConfig``.
+    The axis, its current loop and its rails are the same for every
+    preset (see the module docstring), and every command searches with
+    the default ``BoConfig``.
     """
 
     name: str
@@ -162,9 +134,7 @@ class Preset:
     def bench(self, weights: CostWeights | None = None) -> TuningBench:
         """Assemble the memoized cost oracle this preset describes."""
         w = weights if weights is not None else WEIGHT_PRESETS[self.weights]
-        return TuningBench(LAB_SERVO, LAB_SERVO_CURRENT, w,
-                           profile=generate_profile(self.trajectory),
-                           sim_config=SimConfig())
+        return TuningBench(w, profile=generate_profile(self.trajectory))
 
 
 PRESETS: dict[str, Preset] = {

@@ -32,9 +32,12 @@ Between updates the inputs are zero-order-held and the linear servo
 model advances by classical fixed-step fourth-order integration at
 ``RK4_STEP``.  Because a held input makes every step the same affine
 map, per-tick and per-segment transitions are precomputed as matrix
-powers once per plant and current loop.  They agree with stepping the
+powers once, on the first run.  They agree with stepping the
 integrator step by step only to roundoff: the composed products round
 differently.
+
+Every run simulates the one axis: the ``plant.LAB_SERVO`` plant under
+the ``LAB_SERVO_CURRENT`` current loop, inside the rails ``RAILS``.
 
 Speed probing is the same cascade with kp = 0: the position loop is
 open and the speed channel tracks the profile's speed.  The relay
@@ -59,12 +62,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import PlantParams, physical_state_model
+from .plant import LAB_SERVO, STATES, PlantParams, physical_state_model
 from .refgen import TICK, ReferenceProfile
 
 __all__ = [
     "GainVector",
     "CurrentControllerGains",
+    "LAB_SERVO_CURRENT",
+    "RAILS",
     "SimConfig",
     "SimTrace",
     "simulate",
@@ -138,6 +143,10 @@ class CurrentControllerGains:
                 raise ValueError(f"{name} must be non-negative")
 
 
+# The drive's internal current-loop PI.
+LAB_SERVO_CURRENT = CurrentControllerGains(kp=60.0, ki=1000.0)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """The drive's two rails.
@@ -146,6 +155,9 @@ class SimConfig:
     seen by the inverter; the 325 V default is a rectified 230 VAC
     single-phase supply.  ``current_limit`` caps the current command
     (and so the achievable torque); both rails engage symmetrically.
+
+    ``RAILS`` is the only instance, and every run uses it.  Its values
+    are the defaults here, which perfbench's rail counters read too.
     """
 
     voltage_limit: float = 325.0
@@ -154,6 +166,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.voltage_limit <= 0.0 or self.current_limit <= 0.0:
             raise ValueError("saturation limits must be positive")
+
+
+RAILS = SimConfig()
 
 
 @dataclass
@@ -224,11 +239,10 @@ class _Drive:
     """
 
     def __init__(self, p: PlantParams, cc: CurrentControllerGains):
-        self.lead = p.lead_per_rad
-        plant = physical_state_model(p)
-        n_pl = plant.A.shape[0]
-        labels = plant.state_labels
-        self.i_w, self.i_th = labels.index("w_m"), labels.index("th_m")
+        self.lead, self.wmax = p.lead_per_rad, p.omega_max
+        A_pl, B_pl = physical_state_model(p)
+        n_pl = len(STATES)
+        self.i_w, self.i_th = STATES.index("w_m"), STATES.index("th_m")
 
         nx = n_pl + 1
         self.nx = nx
@@ -243,10 +257,10 @@ class _Drive:
             and railed costs would move with them.
             """
             A = np.zeros((nx, nx))
-            A[:n_pl, :n_pl] = plant.A
+            A[:n_pl, :n_pl] = A_pl
             A[i_ci, 0] = -1.0
             B = np.zeros((nx, 3))
-            B[:n_pl, :2] = plant.B
+            B[:n_pl, :2] = B_pl
             B[i_ci, 2] = 1.0
             return A, B
 
@@ -289,8 +303,10 @@ class _Drive:
         self.S_frz = augmented(*_compose(M, N, per_seg), 0, None)
 
 
-# The drive of a plant and current loop, built once and shared by every run.
-_drive_for = functools.lru_cache(maxsize=64)(_Drive)
+@functools.cache
+def _drive() -> _Drive:
+    """The axis's drive, built on the first run and shared by every run."""
+    return _Drive(LAB_SERVO, LAB_SERVO_CURRENT)
 
 
 def _trace(profile: ReferenceProfile, div_at: int | None,
@@ -317,22 +333,21 @@ def _trace(profile: ReferenceProfile, div_at: int | None,
 
 
 def simulate(
-    p: PlantParams,
     gains: GainVector,
-    cc: CurrentControllerGains,
     profile: ReferenceProfile,
-    cfg: SimConfig = SimConfig(),
     relay: float | None = None,
 ) -> SimTrace:
     """Run the cascade against a reference profile.
 
+    The plant, current loop and rails are the module's one axis (see
+    the module docstring); only the outer gains and the move vary.
+
     Parameters
     ----------
-    p, gains, cc : models and controller gains.  With a relay, kp must
-        be 0 and the speed gains are unused.
+    gains : GainVector
+        The outer loops' gains.  With a relay, kp must be 0 and the
+        speed gains are unused.
     profile : ReferenceProfile
-    cfg : SimConfig
-        The voltage and current rails.
     relay : float, optional
         Replaces the speed PI with an ideal relay of this positive
         current amplitude, switching on the sign of the speed error, for
@@ -352,7 +367,7 @@ def simulate(
         raise ValueError("the relay replaces the speed PI only with the "
                          "position loop open (kp = 0)")
     kp, kv, ki = gains.kp, gains.kv, gains.ki
-    drive = _drive_for(p, cc)
+    drive = _drive()
     lead = drive.lead
     inv_lead = 1.0 / lead
     n = len(profile)
@@ -369,7 +384,7 @@ def simulate(
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
     n_seg = SEGMENTS_PER_TICK
 
-    vmax, imax, wmax = cfg.voltage_limit, cfg.current_limit, p.omega_max
+    vmax, imax, wmax = RAILS.voltage_limit, RAILS.current_limit, drive.wmax
     div_lim = DIVERGENCE_LIMIT
 
     xs = [0.0] * drive.nx
@@ -462,22 +477,16 @@ def simulate(
     return _trace(profile, div_at, y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a)
 
 
-def simulate_batch(
-    p: PlantParams,
-    gain_triples: np.ndarray,
-    cc: CurrentControllerGains,
-    profile: ReferenceProfile,
-    cfg: SimConfig = SimConfig(),
-):
+def simulate_batch(gain_triples: np.ndarray, profile: ReferenceProfile):
     """Run many gain vectors against one profile, vectorized across runs.
 
     Yields one :class:`SimTrace` per row of ``gain_triples`` (columns kp,
     kv, ki; every row must be a valid :class:`GainVector`, and kp = 0
     rows are speed probes), in order, with the channels of
-    :func:`simulate`.  The physics and controller logic are those of
-    :func:`simulate`, row for row in the same arithmetic, so each trace
-    equals that run's :func:`simulate` trace bitwise, railed runs
-    included.
+    :func:`simulate`, on the same axis.  The physics and controller
+    logic are those of :func:`simulate`, row for row in the same
+    arithmetic, so each trace equals that run's :func:`simulate` trace
+    bitwise, railed runs included.
 
     Runs are simulated in chunks of ``BATCH_RUN_TICKS // len(profile)``
     runs (at least one), so peak memory grows with neither the batch
@@ -490,17 +499,11 @@ def simulate_batch(
         GainVector(*row)
     per_chunk = max(1, BATCH_RUN_TICKS // len(profile))
     for start in range(0, triples.shape[0], per_chunk):
-        yield from _run_chunk(p, triples[start:start + per_chunk], cc, profile, cfg)
+        yield from _run_chunk(triples[start:start + per_chunk], profile)
 
 
-def _run_chunk(
-    p: PlantParams,
-    triples: np.ndarray,
-    cc: CurrentControllerGains,
-    profile: ReferenceProfile,
-    cfg: SimConfig,
-):
-    drive = _drive_for(p, cc)
+def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
+    drive = _drive()
     lead = drive.lead
     inv_lead = 1.0 / lead
     n = len(profile)
@@ -515,7 +518,7 @@ def _run_chunk(
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
     n_seg = SEGMENTS_PER_TICK
     nx = drive.nx
-    vmax, imax, wmax = cfg.voltage_limit, cfg.current_limit, p.omega_max
+    vmax, imax, wmax = RAILS.voltage_limit, RAILS.current_limit, drive.wmax
     div_lim = DIVERGENCE_LIMIT
 
     # rows [x | v | i_ref] and one zero pad row, so every map is a gemm

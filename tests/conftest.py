@@ -8,17 +8,13 @@ from __future__ import annotations
 
 import pytest
 
-from axistune.presets import LAB_SERVO, LAB_SERVO_CURRENT, get_preset
+from axistune.plant import LAB_SERVO
+from axistune.presets import get_preset
 
 
 @pytest.fixture(scope="session")
 def plant():
     return LAB_SERVO
-
-
-@pytest.fixture(scope="session")
-def cc():
-    return LAB_SERVO_CURRENT
 
 
 @pytest.fixture(scope="session")

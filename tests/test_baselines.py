@@ -16,9 +16,8 @@ from axistune.baselines import (
     ziegler_nichols,
 )
 from axistune.metrics import MetricVector
-from axistune.presets import LAB_SERVO, get_preset
+from axistune.presets import get_preset
 from axistune.refgen import TICK
-from axistune.simloop import SimConfig
 from axistune.tuner import FeasibleSet
 
 
@@ -186,9 +185,6 @@ def test_never_oscillating_plant_raises_with_diagnostics():
 
 def test_relay_without_a_limit_cycle_raises():
     class StuckBench:
-        cfg = SimConfig()
-        plant = LAB_SERVO
-
         def relay_run(self, amplitude, duration):
             return SimpleNamespace(e_speed=np.zeros(int(duration / TICK)),
                                    diverged=False)

@@ -10,24 +10,24 @@ from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
 from axistune.metrics import DIVERGENCE_PENALTY, CostWeights
 
 
-def _new_bench(plant, cc, **kwargs):
+def _new_bench(**kwargs):
     weights = kwargs.pop(
         "weights",
         CostWeights(pos_settling=1e5, pos_inf=1e3, spd_itae=1e4),
     )
-    return TuningBench(plant, cc, weights, **kwargs)
+    return TuningBench(weights, **kwargs)
 
 
-def test_default_profile_is_the_benchmark_move(plant, cc):
-    bench = _new_bench(plant, cc)
+def test_default_profile_is_the_benchmark_move():
+    bench = _new_bench()
     prof = benchmark_profile()
     assert len(bench.profile) == len(prof)
     assert np.array_equal(bench.profile.position, prof.position)
     assert bench.profile.spec == BENCH_MOVE
 
 
-def test_cost_queries_are_memoized(plant, cc):
-    bench = _new_bench(plant, cc)
+def test_cost_queries_are_memoized():
+    bench = _new_bench()
     triple = (150.0, 0.5, 90.0)
     c1 = bench.cost(triple)
     assert bench.n_sims == 1
@@ -41,8 +41,8 @@ def test_cost_queries_are_memoized(plant, cc):
     )
 
 
-def test_batch_evaluation_deduplicates(plant, cc):
-    bench = _new_bench(plant, cc)
+def test_batch_evaluation_deduplicates():
+    bench = _new_bench()
     a = (150.0, 0.5, 90.0)
     b = (600.0, 0.3, 360.0)
     triples = np.array([a, b, a, a, b])
@@ -56,14 +56,14 @@ def test_batch_evaluation_deduplicates(plant, cc):
     assert bench.n_sims == 2
 
 
-def test_batch_shape_validation(plant, cc):
-    bench = _new_bench(plant, cc)
+def test_batch_shape_validation():
+    bench = _new_bench()
     with pytest.raises(ValueError):
         bench.evaluate_many(np.zeros((2, 4)))
 
 
-def test_metric_table_aligns_with_rows(plant, cc):
-    bench = _new_bench(plant, cc)
+def test_metric_table_aligns_with_rows():
+    bench = _new_bench()
     triples = np.array([(150.0, 0.5, 90.0), (600.0, 0.3, 360.0)])
     table = bench.metric_table(triples)
     assert len(table) == 2
@@ -71,25 +71,25 @@ def test_metric_table_aligns_with_rows(plant, cc):
     assert table[1] == bench.metrics(triples[1])
 
 
-def test_trace_is_not_memoized(plant, cc):
-    bench = _new_bench(plant, cc)
+def test_trace_is_not_memoized():
+    bench = _new_bench()
     before = bench.n_sims
     tr = bench.trace((150.0, 0.5, 90.0))
     assert len(tr.t) == len(bench.profile)
     assert bench.n_sims == before  # trace queries bypass the memo counter
 
 
-def test_divergent_point_costs_the_penalty(plant, cc, monkeypatch):
+def test_divergent_point_costs_the_penalty(monkeypatch):
     monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
-    bench = _new_bench(plant, cc, weights=CostWeights(pos_settling=1e5))
+    bench = _new_bench(weights=CostWeights(pos_settling=1e5))
     assert bench.cost((150.0, 0.5, 90.0)) == DIVERGENCE_PENALTY == 1e9
     assert bench.metrics((150.0, 0.5, 90.0)).is_diverged
     batch = bench.evaluate_many(np.array([[150.0, 0.5, 90.0], [600.0, 0.3, 360.0]]))
     assert np.all(batch == DIVERGENCE_PENALTY)
 
 
-def test_speed_step_probe(plant, cc):
-    bench = _new_bench(plant, cc)
+def test_speed_step_probe():
+    bench = _new_bench()
     trace = bench.speed_step(kv=0.5, ki=0.0, speed=0.1, duration=0.5)
     assert np.all(trace.r_speed == 0.1)
     # a pure P speed loop at healthy gain reaches the neighborhood fast
@@ -97,8 +97,8 @@ def test_speed_step_probe(plant, cc):
     assert bench.n_sims == 0  # probe runs do not touch the cost memo
 
 
-def test_relay_run_switches_the_current(plant, cc):
-    bench = _new_bench(plant, cc)
+def test_relay_run_switches_the_current():
+    bench = _new_bench()
     trace = bench.relay_run(amplitude=2.0, duration=1.0)
     applied = np.unique(trace.i_ref)
     assert set(applied) <= {-2.0, 0.0, 2.0}
@@ -106,8 +106,8 @@ def test_relay_run_switches_the_current(plant, cc):
     assert flips >= 4
 
 
-def test_position_overshoot_percentage(plant, cc, monkeypatch):
-    bench = _new_bench(plant, cc)
+def test_position_overshoot_percentage(monkeypatch):
+    bench = _new_bench()
     triple = (2400.0, 0.35, 90.0)
     pct = bench.position_overshoot_pct(triple)
     m = bench.metrics(triple)
@@ -115,7 +115,7 @@ def test_position_overshoot_percentage(plant, cc, monkeypatch):
     assert pct >= 0.0
 
     monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
-    diverging = _new_bench(plant, cc)
+    diverging = _new_bench()
     assert math.isinf(diverging.position_overshoot_pct(triple))
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process via main()."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -63,6 +64,47 @@ def test_simulate_divergence_exits_1(tmp_path, capsys, monkeypatch):
     assert rec["diverged"] is True
 
 
+# the trace, metrics and cost of one run per preset, bitwise: a change
+# that is meant to leave every output as it is must leave these
+SIMULATE_PINS = {
+    ("desk", "150,0.5,90"): (
+        "3faab74c3e0b147edbc409f6e989b702aed11bd49b6f222241a9d1cd5573d90f",
+        {"pos_inf": 7.745881246606912e-05, "pos_itae": 1.3636935850280566e-06,
+         "pos_overshoot": 2.0539966866281456e-05, "pos_settling": 0.0,
+         "pos_ss": 1.2060782927925117e-13, "pos_undershoot": 3.0146122093177574e-05,
+         "pos_zero": 0.0, "spd_inf": 0.017085223229421992,
+         "spd_itae": 0.0004353211767909535, "spd_overshoot": 0.011108148443800647,
+         "spd_settling": 0.098, "spd_ss": 6.072798842694992e-06,
+         "spd_undershoot": 0.014101786767055341},
+        61.99755248866082,
+    ),
+    ("plc", "1000,100,10000"): (
+        "7f9421f41a2118c522271688eb7d16b31e4b8fe2d88cde7583c75c6889b67837",
+        {"pos_inf": 0.004568522268926234, "pos_itae": 0.3861546418038293,
+         "pos_overshoot": 0.004568522268926234, "pos_settling": 0.0,
+         "pos_ss": 0.0013932739200721018, "pos_undershoot": 0.003491380668290578,
+         "pos_zero": 0.0019295690772794735, "spd_inf": 0.3797660276086224,
+         "spd_itae": 40.940424483686634, "spd_overshoot": 0.2674174427749417,
+         "spd_settling": 2.499, "spd_ss": 0.1245605017605208,
+         "spd_undershoot": 0.2726738325840223},
+        10236680.955415104,
+    ),
+}
+
+
+def test_simulate_outputs_are_pinned(tmp_path, capsys):
+    for (preset, gains), (trace_sha, metrics, cost) in SIMULATE_PINS.items():
+        out = tmp_path / preset
+        assert main(["simulate", "--preset", preset, "--gains", gains,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        trace = (out / "trace_simulate.csv").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == trace_sha, preset
+        rec = _load_record(out / "record_simulate.json")
+        assert rec["metrics"] == metrics, preset
+        assert rec["cost"] == cost, preset
+
+
 # -- configuration plumbing ----------------------------------------------------
 
 
@@ -105,6 +147,28 @@ def test_config_error_paths(tmp_path, capsys):
     bad_seed.write_text("seed=three\ngains=150,0.5,90\n")
     assert main(["simulate", "--preset", "desk", "--config",
                  str(bad_seed), "--out", str(tmp_path)]) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
+def test_flags_and_config_files_record_the_same_config(tmp_path, capsys):
+    # one text gives one record, whether it came by flag or by file
+    keys = {"seed": "0", "m0": "3", "beta": "2", "max_iters": "1"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in keys.items()))
+    flags = [a for k, v in keys.items()
+             for a in (f"--{k.replace('_', '-')}", v)]
+    assert main(["tune", "--preset", "desk", *flags,
+                 "--out", str(tmp_path / "flags")]) == 0
+    assert main(["tune", "--preset", "desk", "--config", str(cfg),
+                 "--out", str(tmp_path / "file")]) == 0
+    capsys.readouterr()
+    by_flag = _load_record(tmp_path / "flags" / "record_tune.json")
+    by_file = _load_record(tmp_path / "file" / "record_tune.json")
+    assert by_flag["config"] == by_file["config"] == {"preset": "desk", **keys}
+    assert by_flag["config_hash"] == by_file["config_hash"]
+
+    assert main(["simulate", "--preset", "desk", "--gains", "150,0.5,90",
+                 "--seed", "x", "--out", str(tmp_path)]) == 2
     assert "seed must be an integer" in capsys.readouterr().err
 
 

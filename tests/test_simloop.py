@@ -10,7 +10,7 @@ from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
 from axistune.metrics import CostWeights
 from axistune.refgen import TICK, constant_speed_profile, generate_profile
 from axistune.simloop import (
-    CurrentControllerGains,
+    RAILS,
     GainVector,
     SimConfig,
     SimTrace,
@@ -47,16 +47,16 @@ def test_gain_vector_integral_time_conversion():
         GainVector(100.0, 0.5, ki=-1.0)
 
 
-def test_config_validation(plant, cc):
+def test_config_validation():
     probe = constant_speed_profile(0.0, 0.1)
     open_loop = GainVector(0.0, 0.5, 90.0)
     with pytest.raises(ValueError):
-        simulate(plant, open_loop, cc, probe, relay=0.0)
+        simulate(open_loop, probe, relay=0.0)
     with pytest.raises(ValueError):
-        simulate(plant, open_loop, cc, probe, relay=-1.0)
+        simulate(open_loop, probe, relay=-1.0)
     with pytest.raises(ValueError):
         # the relay replaces the speed PI only with the position loop open
-        simulate(plant, WELL_DAMPED, cc, probe, relay=1.0)
+        simulate(WELL_DAMPED, probe, relay=1.0)
     for rails in ({"voltage_limit": 0.0}, {"current_limit": -1.0}):
         with pytest.raises(ValueError, match="saturation limits must be positive"):
             SimConfig(**rails)
@@ -70,49 +70,48 @@ def test_the_tick_is_a_whole_number_of_segments_of_integrator_steps():
     assert round(steps) % simloop.SEGMENTS_PER_TICK == 0
 
 
-def test_standstill_stays_at_rest(plant, cc):
+def test_standstill_stays_at_rest():
     profile = generate_profile(
         dataclasses.replace(BENCH_MOVE, position_setpoint=0.0, dwell_time=0.5))
-    trace = simulate(plant, WELL_DAMPED, cc, profile)
+    trace = simulate(WELL_DAMPED, profile)
     for name in ("y_pos", "y_speed", "i_q", "i_ref", "v_q", "e_pos", "e_speed"):
         assert np.all(getattr(trace, name) == 0.0), name
     assert not trace.diverged
 
 
-def test_simulation_is_deterministic(plant, cc):
+def test_simulation_is_deterministic():
     profile = benchmark_profile()
-    a = simulate(plant, WELL_DAMPED, cc, profile)
-    b = simulate(plant, WELL_DAMPED, cc, profile)
+    a = simulate(WELL_DAMPED, profile)
+    b = simulate(WELL_DAMPED, profile)
     for name in ("y_pos", "y_speed", "i_q", "i_ref", "v_q"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def test_tracking_quality_at_reference_gains(plant, cc, monkeypatch):
+def test_tracking_quality_at_reference_gains(monkeypatch):
     profile = benchmark_profile()
-    trace = simulate(plant, WELL_DAMPED, cc, profile)
+    trace = simulate(WELL_DAMPED, profile)
     assert not trace.diverged
     assert len(trace.t) == len(profile)
     # the move never touches a rail at these gains, so the axis settles
     # completely during the dwell despite the one-tick command latency
     assert abs(trace.y_pos[-1] - 0.1) <= 1e-9
     assert np.max(np.abs(trace.y_speed[-100:])) <= 1e-6
-    assert np.max(np.abs(trace.i_ref)) < SimConfig().current_limit
+    assert np.max(np.abs(trace.i_ref)) < RAILS.current_limit
 
     # removing the lag entirely changes nothing qualitative
     monkeypatch.setattr(simloop, "COMMAND_DELAY_TICKS", 0)
-    ideal = simulate(plant, WELL_DAMPED, cc, profile)
+    ideal = simulate(WELL_DAMPED, profile)
     assert abs(ideal.y_pos[-1] - 0.1) <= 1e-9
     assert np.max(np.abs(ideal.y_speed[-100:])) <= 1e-6
 
 
-def test_actuator_limits_are_respected(plant, cc):
+def test_actuator_limits_are_respected():
     aggressive = GainVector(4200.0, 0.5, 900.0)
-    cfg = SimConfig()
-    trace = simulate(plant, aggressive, cc, benchmark_profile(), cfg)
-    assert np.max(np.abs(trace.i_ref)) <= cfg.current_limit + 1e-12
-    assert np.max(np.abs(trace.v_q)) <= cfg.voltage_limit + 1e-12
+    trace = simulate(aggressive, benchmark_profile())
+    assert np.max(np.abs(trace.i_ref)) <= RAILS.current_limit + 1e-12
+    assert np.max(np.abs(trace.v_q)) <= RAILS.voltage_limit + 1e-12
     # this move is harsh enough to actually hit the current rail
-    assert np.max(np.abs(trace.i_ref)) == pytest.approx(cfg.current_limit)
+    assert np.max(np.abs(trace.i_ref)) == pytest.approx(RAILS.current_limit)
 
 
 # A pure P speed loop (position loop open) stepped to 0.2 m/s asks for
@@ -122,23 +121,23 @@ STEP_GAINS = GainVector(0.0, 0.5, 0.0)
 RAIL_TICKS = 9
 
 
-def _speed_step(plant, cc, monkeypatch, delay):
+def _speed_step(monkeypatch, delay):
     monkeypatch.setattr(simloop, "COMMAND_DELAY_TICKS", delay)
     profile = constant_speed_profile(0.2, duration=0.05)
-    return simulate(plant, STEP_GAINS, cc, profile)
+    return simulate(STEP_GAINS, profile)
 
 
-def test_command_delay_shifts_the_applied_current(plant, cc, monkeypatch):
+def test_command_delay_shifts_the_applied_current(monkeypatch):
     # the drive must see nothing until the first command arrives, then
     # the railed command exactly five ticks late
-    trace = _speed_step(plant, cc, monkeypatch, delay=5)
+    trace = _speed_step(monkeypatch, delay=5)
     assert np.all(trace.i_ref[:5] == 0.0)
-    assert np.all(trace.i_ref[5:5 + RAIL_TICKS] == SimConfig().current_limit)
+    assert np.all(trace.i_ref[5:5 + RAIL_TICKS] == RAILS.current_limit)
 
 
-def test_zero_delay_acts_immediately(plant, cc, monkeypatch):
-    trace = _speed_step(plant, cc, monkeypatch, delay=0)
-    imax = SimConfig().current_limit
+def test_zero_delay_acts_immediately(monkeypatch):
+    trace = _speed_step(monkeypatch, delay=0)
+    imax = RAILS.current_limit
     assert np.all(trace.i_ref[:RAIL_TICKS] == imax)
     assert trace.i_ref[RAIL_TICKS] < imax
 
@@ -153,16 +152,16 @@ def _assert_traces_equal(a: SimTrace, b: SimTrace) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def test_batch_matches_scalar_runs(plant, cc, monkeypatch):
+def test_batch_matches_scalar_runs(monkeypatch):
     # both paths do the same IEEE operations per run, so the traces agree
     # bitwise, also once the rails engage and switching instants would
     # amplify any roundoff difference
     for profile, delay in ((_gentle_profile(), 0), (benchmark_profile(), 1)):
         monkeypatch.setattr(simloop, "COMMAND_DELAY_TICKS", delay)
-        _check_batch_matches_scalar_runs(plant, cc, profile, SimConfig())
+        _check_batch_matches_scalar_runs(profile)
 
 
-def _check_batch_matches_scalar_runs(plant, cc, profile, cfg):
+def _check_batch_matches_scalar_runs(profile):
     triples = np.array(
         [
             [150.0, 0.50, 90.0],
@@ -174,25 +173,25 @@ def _check_batch_matches_scalar_runs(plant, cc, profile, cfg):
             [4200.0, 0.50, 900.0],
         ]
     )
-    batch = list(simulate_batch(plant, triples, cc, profile, cfg))
+    batch = list(simulate_batch(triples, profile))
     assert len(batch) == len(triples)
     v_railed = 0
     for row, bt in zip(triples, batch):
-        st = simulate(plant, GainVector(*row), cc, profile, cfg)
+        st = simulate(GainVector(*row), profile)
         assert not st.diverged
         _assert_traces_equal(st, bt)
-        v_railed += np.max(np.abs(st.v_q)) == cfg.voltage_limit
+        v_railed += np.max(np.abs(st.v_q)) == RAILS.voltage_limit
     # the comparison covers runs on the voltage rail
     assert v_railed >= 2
 
 
-def test_map_products_do_not_depend_on_the_row_count(plant, cc):
+def test_map_products_do_not_depend_on_the_row_count():
     # The single run multiplies a two-row block, the batch one of up to
     # a chunk's runs plus a pad row.  Their rows agree only if this
     # BLAS computes a gemm row the same way for any row count and
     # offset: true of the OpenBLAS builds this was written on, but not
     # a BLAS guarantee, so a build where it fails must fail here.
-    drive = simloop._drive_for(plant, cc)
+    drive = simloop._drive()
     nx = drive.nx
     rng = np.random.default_rng(0)
     block = rng.standard_normal((320, nx + 2)) * 10.0 ** rng.uniform(
@@ -210,10 +209,10 @@ def test_map_products_do_not_depend_on_the_row_count(plant, cc):
                                       alone[offset:offset + m]), (m, offset)
 
 
-def test_batch_rejects_unsupported_modes(plant, cc):
+def test_batch_rejects_unsupported_modes():
     profile = benchmark_profile()
     with pytest.raises(ValueError):
-        list(simulate_batch(plant, np.zeros((1, 2)), cc, profile))
+        list(simulate_batch(np.zeros((1, 2)), profile))
 
 
 @pytest.mark.parametrize("row", [
@@ -222,33 +221,32 @@ def test_batch_rejects_unsupported_modes(plant, cc):
     [150.0, 0.0, 90.0],
     [150.0, 0.5, -90.0],
 ])
-def test_batch_rejects_rows_the_gain_vector_rejects(plant, cc, row):
+def test_batch_rejects_rows_the_gain_vector_rejects(row):
     # a row a single run cannot take is refused, not simulated
     with pytest.raises(ValueError):
-        list(simulate_batch(plant, [[150.0, 0.5, 90.0], row], cc,
-                            benchmark_profile()))
+        list(simulate_batch([[150.0, 0.5, 90.0], row], benchmark_profile()))
 
 
-def test_divergence_truncates_and_flags(plant, cc, monkeypatch):
+def test_divergence_truncates_and_flags(monkeypatch):
     monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
     profile = benchmark_profile()
-    trace = simulate(plant, WELL_DAMPED, cc, profile)
+    trace = simulate(WELL_DAMPED, profile)
     assert trace.diverged
     assert trace.t_diverged is not None
     assert len(trace.t) < len(profile)
     assert trace.t_diverged == pytest.approx(trace.t[-1] + TICK)
 
     triples = [[150.0, 0.5, 90.0], [150.0, 0.19, 200.0]]
-    batch = list(simulate_batch(plant, triples, cc, profile))
+    batch = list(simulate_batch(triples, profile))
     assert batch[0].diverged
     _assert_traces_equal(batch[0], trace)
     _assert_traces_equal(
-        batch[1], simulate(plant, GainVector(*triples[1]), cc, profile))
+        batch[1], simulate(GainVector(*triples[1]), profile))
 
 
-def test_relay_probe_produces_a_limit_cycle(plant, cc):
+def test_relay_probe_produces_a_limit_cycle():
     profile = constant_speed_profile(0.2, duration=1.0)
-    trace = simulate(plant, GainVector(0.0, 0.5, 90.0), cc, profile, relay=2.0)
+    trace = simulate(GainVector(0.0, 0.5, 90.0), profile, relay=2.0)
     applied = set(np.unique(trace.i_ref))
     assert applied <= {-2.0, 0.0, 2.0}
     assert 2.0 in applied and -2.0 in applied
@@ -256,30 +254,26 @@ def test_relay_probe_produces_a_limit_cycle(plant, cc):
     assert flips >= 4
 
 
-def test_trace_is_a_plain_record(plant, cc):
-    trace = simulate(plant, WELL_DAMPED, cc, benchmark_profile())
+def test_trace_is_a_plain_record():
+    trace = simulate(WELL_DAMPED, benchmark_profile())
     assert isinstance(trace, SimTrace)
     assert np.array_equal(trace.e_pos, trace.r_pos - trace.y_pos)
     assert np.array_equal(trace.e_speed, trace.r_speed - trace.y_speed)
 
 
-def test_one_drive_per_plant_and_current_loop(plant, cc, monkeypatch):
-    # a cascade run, a relay run and a batch on the same plant and
-    # current loop share one drive, whatever their rails
+def test_cascade_relay_and_batch_runs_share_one_drive(monkeypatch):
+    # the axis's drive maps are built once and every kind of run uses them
     built = []
-    real = simloop._drive_for
+    real = simloop._drive
 
-    def recorded(p, c):
-        built.append(real(p, c))
+    def recorded():
+        built.append(real())
         return built[-1]
 
-    monkeypatch.setattr(simloop, "_drive_for", recorded)
-    bench = TuningBench(plant, cc, CostWeights(pos_settling=1.0),
-                        sim_config=SimConfig(current_limit=5.0))
+    monkeypatch.setattr(simloop, "_drive", recorded)
+    bench = TuningBench(CostWeights(pos_settling=1.0))
     bench.cost((150.0, 0.5, 90.0))
     bench.relay_run(amplitude=2.0, duration=0.05)
     bench.evaluate_many([[300.0, 0.45, 90.0], [600.0, 0.3, 360.0]])
     assert len(built) == 3
-    assert all(d is real(plant, cc) for d in built)
-    other = dataclasses.replace(cc, kp=cc.kp * 2.0)
-    assert real(plant, other) is not real(plant, cc)
+    assert all(d is real() for d in built)

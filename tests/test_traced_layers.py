@@ -8,9 +8,11 @@ name makes ``perfbench/run.py --trace 1`` fail.
 import importlib
 from pathlib import Path
 
-from axistune import bench, cli, gpr, tuner
+import numpy as np
+
+from axistune import bench, cli, gpr, simloop, tuner
 from axistune.metrics import CostWeights
-from axistune.presets import LAB_SERVO, LAB_SERVO_CURRENT, Preset
+from axistune.presets import Preset
 from axistune.refgen import TrajectorySpec, generate_profile
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,16 +44,18 @@ def test_layer_wrappers_install_and_undo(monkeypatch):
 
 
 def test_a_traced_bench_run_counts_every_run_and_tick(monkeypatch):
-    # the counters read the trace and the rails each run was given
+    # the counters read each run's trace; the rail counts must be those
+    # of the rails the runs had, so they catch any drift between
+    # ``simloop.RAILS`` and the ``SimConfig`` defaults the counters use
     layers, spans = _perfbench_modules(monkeypatch)
     move = generate_profile(TrajectorySpec(0.01, 0.1, 5.0, 5.0, dwell_time=0.05))
-    desk = bench.TuningBench(LAB_SERVO, LAB_SERVO_CURRENT,
-                             CostWeights(pos_settling=1.0), profile=move)
+    desk = bench.TuningBench(CostWeights(pos_settling=1.0), profile=move)
+    single, pair = (150.0, 0.5, 90.0), [[300.0, 0.45, 90.0], [600.0, 0.3, 360.0]]
     tracer = spans.Tracer()
     patches = layers.install(tracer)
     try:
-        desk.cost((150.0, 0.5, 90.0))
-        desk.evaluate_many([[300.0, 0.45, 90.0], [600.0, 0.3, 360.0]])
+        desk.cost(single)
+        desk.evaluate_many(pair)
     finally:
         patches.undo()
 
@@ -59,4 +63,9 @@ def test_a_traced_bench_run_counts_every_run_and_tick(monkeypatch):
     assert got["simloop.single.runs"] == 1
     assert got["simloop.batch.runs"] == 2
     assert got["simloop.ticks"] == 3 * len(move)
-    assert {"simloop.rail_i", "simloop.rail_v"} <= tracer.counters.keys()
+    traces = [desk.trace(triple) for triple in [single, *pair]]
+    rails = simloop.RAILS
+    assert tracer.counters["simloop.rail_i"] == sum(
+        np.count_nonzero(np.abs(t.i_ref) >= rails.current_limit) for t in traces)
+    assert tracer.counters["simloop.rail_v"] == sum(
+        np.count_nonzero(np.abs(t.v_q) >= rails.voltage_limit) for t in traces)
