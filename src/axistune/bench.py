@@ -107,7 +107,7 @@ class TuningBench:
         """Costs for an (N, 3) array of gain triples, batch-simulated.
 
         Rows already in the memo are not re-simulated; fresh rows go
-        through the vectorized simulator in one pass.
+        through `simulate_batch`, in chunks of bounded memory.
         """
         triples = np.atleast_2d(np.asarray(triples, dtype=float))
         if triples.ndim != 2 or triples.shape[1] != 3:

@@ -43,14 +43,14 @@ Speed probing is the same cascade with kp = 0: the position loop is
 open and the speed channel tracks the profile's speed.  The relay
 probe of the classical autotuners replaces the speed PI with an ideal
 relay; only `simulate` runs it, through its ``relay`` argument.
-`simulate` (one run) and `simulate_batch` (many runs, vectorized) take
-the same gain rows and return the same trace channels.  For one run
-they do the same IEEE operations in the same order: the voltage as two
-products summed in a fixed order, and every drive map as a gemm of at
-least two rows, whose rows do not depend on the row count.  That last
-is a property of the BLAS build, not a BLAS guarantee; the test suite
-checks it.  So a gain triple has one trace, bitwise, whichever path or
-chunk ran it.
+`simulate` (one run) and `simulate_batch` (many runs) take the same
+gain rows and return the same trace channels.  For one run they do the
+same IEEE operations in the same order: the voltage as two products in
+a fixed order, a railed tick through the drive's one ``segment_tick``,
+and a rail-free tick as a gemm of at least two rows, whose rows do not
+depend on the row count.  That last is a property of the BLAS build,
+not a BLAS guarantee; the test suite checks it.  So a gain triple has
+one trace, bitwise, whichever path or chunk ran it.
 """
 
 from __future__ import annotations
@@ -296,11 +296,36 @@ class _Drive:
 
         M, N = _rk4_step_maps(A_cl, B_cl, h)
         self.T_cl = augmented(*_compose(M, N, n_sub), None, 0)
-        self.S_cl = augmented(*_compose(M, N, per_seg), None, 0)
+        S_cl = self.S_cl = augmented(*_compose(M, N, per_seg), None, 0)
         M, N = _rk4_step_maps(A_ol, B_ol, h)
-        self.S_ol = augmented(*_compose(M, N, per_seg), 0, 2)
+        S_ol = self.S_ol = augmented(*_compose(M, N, per_seg), 0, 2)
         M, N = _rk4_step_maps(A_frz, B_frz, h)
-        self.S_frz = augmented(*_compose(M, N, per_seg), 0, None)
+        S_frz = self.S_frz = augmented(*_compose(M, N, per_seg), 0, None)
+
+        # a state is a list of Python floats, without numpy scalars'
+        # overhead; each map multiplies a two-row block whose second row
+        # stays zero (``dot`` is the gemm of ``@`` without ufunc dispatch)
+        rows = np.zeros((2, nx + 2))
+        cv0, cv_ci, d_v = self.cv0, self.cv_ci, self.d_v
+        vmax = RAILS.voltage_limit
+
+        def advance(S: np.ndarray, xs: list, v: float, i_ref: float) -> list:
+            rows[0] = (*xs, v, i_ref)
+            return rows.dot(S)[0].tolist()
+
+        def segment_tick(xs: list, i_ref: float) -> list:
+            """One tick at the voltage-update rate; both loops' railed ticks."""
+            v_ref = d_v * i_ref
+            for _ in range(SEGMENTS_PER_TICK):
+                v = (cv0 * xs[0] + cv_ci * xs[i_ci]) + v_ref
+                if v > vmax or v < -vmax:
+                    S = S_frz if (i_ref > xs[0]) == (v > 0.0) else S_ol
+                    xs = advance(S, xs, math.copysign(vmax, v), i_ref)
+                else:
+                    xs = advance(S_cl, xs, v, i_ref)
+            return xs
+
+        self.advance, self.segment_tick = advance, segment_tick
 
 
 @functools.cache
@@ -373,16 +398,14 @@ def simulate(
     n = len(profile)
     dt = TICK
 
-    # the per-tick arithmetic runs on Python floats: the same IEEE
-    # operations as on numpy scalars, without their overhead; arrays of
-    # C doubles hold them at 8 bytes each
+    # the per-tick arithmetic runs on Python floats; arrays of C doubles
+    # hold them at 8 bytes each
     r_pos, r_spd = array("d", profile.position), array("d", profile.speed)
     y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a = (array("d") for _ in range(5))
 
-    T_cl, S_cl, S_ol, S_frz = drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz
+    T_cl, advance, segment_tick = drive.T_cl, drive.advance, drive.segment_tick
     cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
-    n_seg = SEGMENTS_PER_TICK
 
     vmax, imax, wmax = RAILS.voltage_limit, RAILS.current_limit, drive.wmax
     div_lim = DIVERGENCE_LIMIT
@@ -393,28 +416,6 @@ def simulate(
     cmd_hist = array("d")  # clamped current commands, by tick
     relay_sign = 1.0
     div_at: int | None = None
-
-    # each map multiplies a two-row block [x | v | i_ref] whose second
-    # row stays zero: a gemm row does not depend on the block's row
-    # count, so this is the arithmetic `simulate_batch` does for the row
-    # (``dot`` is the same gemm as ``@`` without the ufunc dispatch)
-    rows = np.zeros((2, drive.nx + 2))
-
-    def advance(S: np.ndarray, xs: list, v: float, i_ref: float) -> list:
-        rows[0] = (*xs, v, i_ref)
-        return rows.dot(S)[0].tolist()
-
-    def segment_tick(xs: list, i_ref: float) -> list:
-        """One tick at the drive's voltage-update rate, rails observed."""
-        v_ref = d_v * i_ref
-        for _ in range(n_seg):
-            v = (cv0 * xs[0] + cv_ci * xs[i_ci]) + v_ref
-            if v > vmax or v < -vmax:
-                S = S_frz if (i_ref > xs[0]) == (v > 0.0) else S_ol
-                xs = advance(S, xs, math.copysign(vmax, v), i_ref)
-            else:
-                xs = advance(S_cl, xs, v, i_ref)
-        return xs
 
     for k in range(n):
         y_pos = xs[i_th] * lead
@@ -486,7 +487,8 @@ def simulate_batch(gain_triples: np.ndarray, profile: ReferenceProfile):
     :func:`simulate`, on the same axis.  The physics and controller
     logic are those of :func:`simulate`, row for row in the same
     arithmetic, so each trace equals that run's :func:`simulate` trace
-    bitwise, railed runs included.
+    bitwise, railed runs included.  Only the rail-free tick is
+    vectorized; railed ticks run row by row through ``segment_tick``.
 
     Runs are simulated in chunks of ``BATCH_RUN_TICKS // len(profile)``
     runs (at least one), so peak memory grows with neither the batch
@@ -513,16 +515,15 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
 
     r_pos, r_spd = profile.position, profile.speed
 
-    T_cl, S_cl, S_ol, S_frz = drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz
+    T_cl, segment_tick = drive.T_cl, drive.segment_tick
     cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
-    n_seg = SEGMENTS_PER_TICK
     nx = drive.nx
     vmax, imax, wmax = RAILS.voltage_limit, RAILS.current_limit, drive.wmax
     div_lim = DIVERGENCE_LIMIT
 
-    # rows [x | v | i_ref] and one zero pad row, so every map is a gemm
-    # of at least two rows, whose rows are those of a single run
+    # rows [x | v | i_ref] and one zero pad row, so the rail-free tick is
+    # a gemm of at least two rows, whose rows are those of a single run
     Z = np.zeros((m + 1, nx + 2))
     X = Z[:m, :nx]
     integ = np.zeros(m)
@@ -570,22 +571,9 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
             (np.abs(v_pred) <= vmax) & (np.abs(v_end) <= vmax)
         )
         if need.any():
-            # the pad row rides along: zero state and i_ref, never railed
-            Zs = Z[np.append(np.flatnonzero(need), m)]
-            ir = Zs[:, nx + 1]
-            v_ref = d_v * ir
-            for _ in range(n_seg):
-                v = (cv0 * Zs[:, 0] + cv_ci * Zs[:, i_ci]) + v_ref
-                railed = (v > vmax) | (v < -vmax)
-                Zs[:, nx] = np.clip(v, -vmax, vmax)
-                X_next = Zs.dot(S_cl)
-                if railed.any():
-                    frozen = railed & ((ir > Zs[:, 0]) == (v > 0.0))
-                    X_next = np.where(railed[:, None], Zs.dot(S_ol), X_next)
-                    if frozen.any():
-                        X_next = np.where(frozen[:, None], Zs.dot(S_frz), X_next)
-                Zs[:, :nx] = X_next
-            Xn[need] = Zs[:-1, :nx]
+            idx = np.flatnonzero(need)
+            Xn[idx] = [segment_tick(xs, ir) for xs, ir in
+                       zip(X[idx].tolist(), i_ref[idx].tolist())]
         if not alive.all():
             Xn[~alive] = X[~alive]
         X[:] = Xn

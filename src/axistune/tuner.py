@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,8 +225,8 @@ class BoConfig:
     def __post_init__(self) -> None:
         if self.m0 < 3:
             raise ValueError("m0 must be at least 3 (hyperparameter fit needs it)")
-        if self.beta < 0.0:
-            raise ValueError("beta must be non-negative")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and non-negative")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
 
@@ -427,20 +429,25 @@ def save_grid_table(path, fset: FeasibleSet, table: np.ndarray,
     """Persist a grid-search table for a repeated grid search to reload.
 
     ``bench_key`` identifies the oracle that scored the table (for a
-    :class:`~axistune.bench.TuningBench`, its ``fingerprint``).
+    :class:`~axistune.bench.TuningBench`, its ``fingerprint``).  The
+    file is written whole beside ``path``, then moved onto it.
     """
-    np.savez_compressed(path, key=np.array(_table_key(fset, bench_key)),
-                        table=table)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as f:
+        np.savez_compressed(f, key=np.array(_table_key(fset, bench_key)),
+                            table=table)
+    os.replace(tmp, path)
 
 
 def load_grid_table(path, fset: FeasibleSet, bench_key: str) -> np.ndarray | None:
     """Load a table saved for this exact feasible set and oracle, else None."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # the file is opened here, so it is closed when numpy rejects it
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as data:
             if str(data["key"]) != _table_key(fset, bench_key):
                 return None
             table = np.array(data["table"], dtype=float)
-    except (OSError, KeyError, ValueError):
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
     if table.shape != (fset.size, 4):
         return None

@@ -180,6 +180,12 @@ def test_malformed_gains_and_bo_overrides(tmp_path, capsys):
     assert main(["tune", "--preset", "desk", "--m0", "2",
                  "--out", str(tmp_path)]) == 2
     assert "m0" in capsys.readouterr().err
+    # a non-finite confidence multiplier is refused, not searched with
+    for beta in ("nan", "inf"):
+        assert main(["tune", "--preset", "desk", "--beta", beta,
+                     "--out", str(tmp_path)]) == 2
+        assert "beta" in capsys.readouterr().err
+    assert not (tmp_path / "record_tune.json").exists()
 
 
 # -- tune ------------------------------------------------------------------------
@@ -354,3 +360,26 @@ def test_grid_cache_is_keyed_on_the_bench(tmp_path, monkeypatch, capsys):
     fresh = _load_record(cold / "record_grid.json")
     assert warm["best_cost"] == fresh["best_cost"] != sim["best_cost"]
     assert (shared / "grid.csv").read_bytes() == (cold / "grid.csv").read_bytes()
+
+
+def test_truncated_grid_cache_is_recomputed(tmp_path, monkeypatch, capsys):
+    small = FeasibleSet(kp=(150.0, 450.0), kv=(0.3, 0.5), third=(90.0, 270.0),
+                        n_kp=3, n_kv=3, n_third=3)
+    _desk_with(monkeypatch, feasible=small)
+    cold, cut = tmp_path / "cold", tmp_path / "cut"
+    assert main(["grid", "--out", str(cold)]) == 0
+    whole = (cold / "grid_cache_desk.npz").read_bytes()
+    expected = (cold / "grid.csv").read_bytes()
+    cache = cut / "grid_cache_desk.npz"
+    for size in (0, 10, len(whole) // 2, len(whole) - 10):
+        # a save cut short, e.g. by an interrupted run, is a cache miss
+        cut.mkdir(exist_ok=True)
+        cache.write_bytes(whole[:size])
+        assert main(["grid", "--out", str(cut)]) == 0
+        assert (cut / "grid.csv").read_bytes() == expected
+        with np.load(cache) as data:
+            assert data["table"].shape == (small.size, 4)
+    capsys.readouterr()
+    # the save leaves no temporary file behind
+    assert sorted(p.name for p in cut.iterdir()) == sorted(
+        p.name for p in cold.iterdir())

@@ -161,22 +161,24 @@ def test_batch_matches_scalar_runs(monkeypatch):
         _check_batch_matches_scalar_runs(profile)
 
 
+_BATCH_ROWS = np.array(
+    [
+        [150.0, 0.50, 90.0],
+        [300.0, 0.45, 90.0],
+        [150.0, 0.35, 90.0],
+        [0.0, 0.50, 90.0],  # position loop open: a speed probe
+        [450.0, 0.25, 720.0],
+        [600.0, 0.30, 360.0],
+        [4200.0, 0.50, 900.0],
+    ]
+)
+
+
 def _check_batch_matches_scalar_runs(profile):
-    triples = np.array(
-        [
-            [150.0, 0.50, 90.0],
-            [300.0, 0.45, 90.0],
-            [150.0, 0.35, 90.0],
-            [0.0, 0.50, 90.0],  # position loop open: a speed probe
-            [450.0, 0.25, 720.0],
-            [600.0, 0.30, 360.0],
-            [4200.0, 0.50, 900.0],
-        ]
-    )
-    batch = list(simulate_batch(triples, profile))
-    assert len(batch) == len(triples)
+    batch = list(simulate_batch(_BATCH_ROWS, profile))
+    assert len(batch) == len(_BATCH_ROWS)
     v_railed = 0
-    for row, bt in zip(triples, batch):
+    for row, bt in zip(_BATCH_ROWS, batch):
         st = simulate(GainVector(*row), profile)
         assert not st.diverged
         _assert_traces_equal(st, bt)
@@ -185,12 +187,35 @@ def _check_batch_matches_scalar_runs(profile):
     assert v_railed >= 2
 
 
+def test_railed_ticks_of_both_loops_go_through_one_routine(monkeypatch):
+    # a tick that meets the voltage rail runs through the drive's one
+    # segment_tick, whichever loop simulates it
+    drive = simloop._drive()
+    real = drive.segment_tick
+    calls = []
+
+    def counted(xs, i_ref):
+        calls.append(None)
+        return real(xs, i_ref)
+
+    monkeypatch.setattr(drive, "segment_tick", counted)
+    profile = benchmark_profile()
+    list(simulate_batch(_BATCH_ROWS, profile))
+    batch_calls = len(calls)
+    calls.clear()
+    for row in _BATCH_ROWS:
+        simulate(GainVector(*row), profile)
+    assert len(calls) == batch_calls > 0
+
+
 def test_map_products_do_not_depend_on_the_row_count():
-    # The single run multiplies a two-row block, the batch one of up to
-    # a chunk's runs plus a pad row.  Their rows agree only if this
-    # BLAS computes a gemm row the same way for any row count and
-    # offset: true of the OpenBLAS builds this was written on, but not
-    # a BLAS guarantee, so a build where it fails must fail here.
+    # The rail-free tick multiplies a two-row block in a single run and
+    # up to a chunk's runs plus a pad row in a batch.  Their rows agree
+    # only if this BLAS computes a gemm row the same way for any row
+    # count and offset: true of the OpenBLAS builds this was written
+    # on, but not a BLAS guarantee, so a build where it fails must fail
+    # here.  Only T_cl relies on it (the segment maps always multiply
+    # two rows); the segment maps are checked as well.
     drive = simloop._drive()
     nx = drive.nx
     rng = np.random.default_rng(0)

@@ -133,8 +133,9 @@ def test_feasible_set_validation():
 def test_bo_config_validation():
     with pytest.raises(ValueError):
         BoConfig(m0=2)
-    with pytest.raises(ValueError):
-        BoConfig(beta=-0.1)
+    for beta in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta"):
+            BoConfig(beta=beta)
     with pytest.raises(ValueError):
         BoConfig(max_iterations=-1)
     assert BoConfig() == BoConfig(m0=20, beta=2.0, max_iterations=60, seed=0)
