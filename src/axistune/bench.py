@@ -17,15 +17,28 @@ simulator.  Both paths share the memo, so a triple is simulated at most
 once per bench, and both do the same arithmetic (see
 :mod:`~axistune.simloop`), so a triple's cost does not depend on which
 path simulated it first.
+
+A batch's fresh rows are dealt round-robin to forked worker processes,
+one per usable CPU and at most one per simulator chunk; each worker
+inherits the bench from the fork, runs `simulate_batch` and `score` on
+its rows and sends back only metric vectors, which the parent memoizes
+in row order.  A row's trace depends on neither its chunk nor the rows
+beside it, and a forked worker runs the same code on the same BLAS
+build as the parent, so the costs are bitwise those of scoring the
+batch in one process, which is what happens with one usable CPU, one
+chunk, or no ``fork`` start method.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
+import os
 
 import numpy as np
 
+from . import simloop
 from .metrics import CostWeights, MetricVector, cost as metric_cost, extract_metrics
 from .plant import LAB_SERVO
 from .refgen import (
@@ -106,8 +119,13 @@ class TuningBench:
     def evaluate_many(self, triples: np.ndarray) -> np.ndarray:
         """Costs for an (N, 3) array of gain triples, batch-simulated.
 
-        Rows already in the memo are not re-simulated; fresh rows go
-        through `simulate_batch`, in chunks of bounded memory.
+        Rows already in the memo are not re-simulated.  The fresh rows
+        are validated here, before any worker starts, so an invalid row
+        leaves the memo as it was.  They are then scored by `simulate_batch`
+        in chunks of bounded memory: row i by worker i mod n of n forked
+        workers, n the usable CPUs but at most the number of chunks, or
+        in this process when n < 2.  Every cost is bitwise the one a
+        single in-process batch gives (see the module docstring).
         """
         triples = np.atleast_2d(np.asarray(triples, dtype=float))
         if triples.ndim != 2 or triples.shape[1] != 3:
@@ -115,9 +133,10 @@ class TuningBench:
         keys = [self._key(row) for row in triples]
         fresh = [k for k in dict.fromkeys(keys) if k not in self._memo]
         if fresh:
-            batch = np.array(fresh, dtype=float)
-            for key, trace in zip(fresh, simulate_batch(batch, self.profile)):
-                self._memo[key] = self.score(trace)
+            for key in fresh:
+                GainVector(*key)
+            for key, m in zip(fresh, self._score_fresh(np.array(fresh))):
+                self._memo[key] = m
             self.n_sims += len(fresh)
         return np.array(
             [metric_cost(self._memo[k], self.weights) for k in keys], dtype=float
@@ -186,10 +205,52 @@ class TuningBench:
 
     # -- internals ---------------------------------------------------------------
 
+    def _score_fresh(self, batch: np.ndarray) -> list[MetricVector]:
+        """Metric vectors of the valid rows of ``batch``, in row order."""
+        per_chunk = max(1, simloop.BATCH_RUN_TICKS // len(self.profile))
+        n = min(_usable_cpus(), -(-len(batch) // per_chunk))
+        if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            return self._score_rows(batch)
+        ctx = multiprocessing.get_context("fork")
+        workers = []
+        try:
+            for w in range(n):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=self._send_scores,
+                                   args=(batch[w::n], send))
+                proc.start()
+                workers.append((proc, recv))
+                send.close()
+            try:
+                parts = [recv.recv() for _, recv in workers]
+            except EOFError:
+                raise RuntimeError("a scoring worker exited without a result") from None
+        except BaseException:
+            for proc, _ in workers:
+                proc.terminate()
+            raise
+        finally:
+            for proc, recv in workers:
+                proc.join()
+                recv.close()
+        return [parts[i % n][i // n] for i in range(len(batch))]
+
+    def _score_rows(self, batch: np.ndarray) -> list[MetricVector]:
+        return [self.score(trace) for trace in simulate_batch(batch, self.profile)]
+
+    def _send_scores(self, batch: np.ndarray, conn) -> None:
+        # a worker that raises prints its traceback and closes ``conn``
+        conn.send(self._score_rows(batch))
+
     @staticmethod
     def _key(triple) -> tuple[float, float, float]:
         kp, kv, ki = (float(v) for v in np.asarray(triple, dtype=float).reshape(3))
         return kp, kv, ki
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the OS does not tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 class SetOracle:

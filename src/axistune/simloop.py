@@ -50,7 +50,11 @@ a fixed order, a railed tick through the drive's one ``segment_tick``,
 and a rail-free tick as a gemm of at least two rows, whose rows do not
 depend on the row count.  That last is a property of the BLAS build,
 not a BLAS guarantee; the test suite checks it.  So a gain triple has
-one trace, bitwise, whichever path or chunk ran it.
+one trace, bitwise, whichever path or chunk ran it.  That holds across
+worker processes too: ``TuningBench.evaluate_many`` scores a batch in
+workers forked from the calling process, each of which runs this code
+on the same BLAS library and builds, or inherits, the same drive maps
+from the same constants.
 """
 
 from __future__ import annotations

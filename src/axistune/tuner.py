@@ -23,6 +23,7 @@ import functools
 import math
 import os
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -447,7 +448,8 @@ def load_grid_table(path, fset: FeasibleSet, bench_key: str) -> np.ndarray | Non
             if str(data["key"]) != _table_key(fset, bench_key):
                 return None
             table = np.array(data["table"], dtype=float)
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
+            zlib.error):
         return None
     if table.shape != (fset.size, 4):
         return None

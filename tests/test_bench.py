@@ -1,10 +1,13 @@
 """Evaluation-bench checks: memoization, batch path, probe helpers."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+import axistune.bench as bench_module
 from axistune import simloop
 from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
 from axistune.metrics import DIVERGENCE_PENALTY, CostWeights
@@ -176,3 +179,86 @@ def test_batch_costs_do_not_depend_on_the_chunk(monkeypatch, rows):
     monkeypatch.setattr(simloop, "BATCH_RUN_TICKS",
                         rows * len(pre.bench().profile))
     assert np.array_equal(pre.bench().oracle(fset).evaluate_many(points), whole)
+
+
+def _metric_bytes(table):
+    return np.array([list(m.as_dict().values()) for m in table]).tobytes()
+
+
+def test_pooled_costs_do_not_depend_on_the_worker_count(monkeypatch):
+    # two rows per chunk, so the seven fresh rows below make four chunks
+    # and the pool can take 1, 2 or 3 workers
+    from axistune.presets import get_preset
+
+    pre = get_preset("desk")
+    fset = pre.feasible
+    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 2 * len(pre.bench().profile))
+    railed = [(450.0, 0.25, 720.0), (600.0, 0.3, 360.0)]
+    memo = [(150.0, 0.5, 90.0), (300.0, 0.45, 90.0)]
+    pick = np.random.default_rng(11).choice(fset.size, 5, replace=False)
+    rows = np.vstack([railed, memo[:1], fset.canonical(fset.grid()[pick]),
+                      railed[::-1], memo[1:], memo[:1]])
+    single = pre.bench()
+    expected = np.array([single.cost(row) for row in rows])
+
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(bench_module, "_usable_cpus", lambda: workers)
+        forks.clear()
+        bench = pre.bench()
+        for triple in memo:
+            bench.cost(triple)
+        costs = bench.evaluate_many(rows)
+        assert multiprocessing.active_children() == []
+        assert len(forks) == (workers if workers > 1 else 0)
+        assert bench.n_sims == len(memo) + 7
+        runs.append((costs.tobytes(), _metric_bytes(bench.metric_table(rows))))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == expected.tobytes()
+
+
+def test_an_invalid_row_raises_before_any_fork(monkeypatch):
+    from axistune.presets import get_preset
+
+    pre = get_preset("desk")
+    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 2 * len(pre.bench().profile))
+    monkeypatch.setattr(bench_module, "_usable_cpus", lambda: 2)
+
+    def fork():
+        raise AssertionError("forked a worker for an invalid batch")
+
+    monkeypatch.setattr(os, "fork", fork)
+    bench = pre.bench()
+    bench.cost((150.0, 0.5, 90.0))
+    memo, n_sims = dict(bench._memo), bench.n_sims
+    rows = [(450.0, 0.25, 720.0), (600.0, 0.3, 360.0), (300.0, 0.45, 90.0),
+            (600.0, 0.0, 360.0)]
+    with pytest.raises(ValueError, match="kv must be positive"):
+        bench.evaluate_many(rows)
+    assert bench._memo == memo
+    assert bench.n_sims == n_sims
+
+
+def test_a_lost_worker_raises_and_leaves_no_process(monkeypatch):
+    from axistune.presets import get_preset
+
+    pre = get_preset("desk")
+    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", len(pre.bench().profile))
+    monkeypatch.setattr(bench_module, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def die(self, batch):
+        # each forked worker dies at once, as if killed
+        assert os.getpid() != parent, "scored in the calling process"
+        os._exit(1)
+
+    monkeypatch.setattr(TuningBench, "_score_rows", die)
+    bench = pre.bench()
+    with pytest.raises(RuntimeError, match="scoring worker"):
+        bench.evaluate_many([(450.0, 0.25, 720.0), (600.0, 0.3, 360.0)])
+    assert multiprocessing.active_children() == []
+    assert bench._memo == {}
+    assert bench.n_sims == 0

@@ -2,9 +2,12 @@
 
 import dataclasses
 import hashlib
+import io
 import json
+import zlib
 
 import numpy as np
+import pytest
 
 from axistune import simloop
 from axistune.cli import main
@@ -379,6 +382,15 @@ def test_truncated_grid_cache_is_recomputed(tmp_path, monkeypatch, capsys):
         assert (cut / "grid.csv").read_bytes() == expected
         with np.load(cache) as data:
             assert data["table"].shape == (small.size, 4)
+    # a flipped byte inside the compressed table fails in zlib before the
+    # zip CRC check can reject it; that too is a cache miss
+    flipped = bytearray(whole)
+    flipped[394] ^= 0xFF
+    with pytest.raises(zlib.error), np.load(io.BytesIO(flipped)) as data:
+        data["table"]
+    cache.write_bytes(flipped)
+    assert main(["grid", "--out", str(cut)]) == 0
+    assert (cut / "grid.csv").read_bytes() == expected
     capsys.readouterr()
     # the save leaves no temporary file behind
     assert sorted(p.name for p in cut.iterdir()) == sorted(
