@@ -62,15 +62,7 @@ from .refgen import (
     constant_speed_profile,
     generate_profile,
 )
-from .simloop import (
-    LAB_SERVO_CURRENT,
-    CurrentControllerGains,
-    GainVector,
-    SimConfig,
-    SimTrace,
-    simulate,
-    simulate_batch,
-)
+from .simloop import GainVector, SimConfig, SimTrace, simulate, simulate_batch
 from .tuner import (
     BoConfig,
     BoState,

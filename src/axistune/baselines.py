@@ -134,10 +134,19 @@ def measure_limit_cycle(signal: np.ndarray,
 # -- shared mapping steps -------------------------------------------------------
 
 
-def _pi_from_ultimate(ku: float, tu: float) -> tuple[float, float]:
-    kv = _PI_TABLE_KV * ku
-    ti = tu / _PI_TABLE_TI
-    return kv, kv / ti
+def _bisect(lo: float, hi: float, below) -> tuple[float, float]:
+    """Halve [lo, hi] until its width is within ``BISECT_REL_TOL * hi``.
+
+    ``below(mid)`` true moves ``lo`` up to the midpoint, false moves
+    ``hi`` down to it.  Returns the final (lo, hi).
+    """
+    while (hi - lo) > BISECT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _clamp_speed_gains(fset: FeasibleSet, kv: float,
@@ -173,24 +182,31 @@ def _position_gain(bench: TuningBench, fset: FeasibleSet, kv: float,
             f"smallest feasible kp with speed gains ({kv:.4g}, {ki:.4g})",
             diagnostics={"overshoot_history": history},
         )
-    while (hi - lo) > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if overshoot(mid) < _OVERSHOOT_LIMIT:
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _bisect(lo, hi, lambda kp: overshoot(kp) < _OVERSHOOT_LIMIT)
     return lo, history
 
 
-def _finish(bench: TuningBench, method: str, kp: float, kv: float, ki: float,
-            diagnostics: dict, clamped: bool) -> TuningResult:
+def _from_ultimate(bench: TuningBench, fset: FeasibleSet, method: str,
+                   ku: float, tu: float, diagnostics: dict) -> TuningResult:
+    """Commit the gains that an ultimate gain Ku and period Tu give.
+
+    The PI table's (kv, ki) is clamped into the box, the position gain
+    is the largest keeping overshoot under the bound, and the result is
+    scored on the bench.  ``diagnostics`` gains Ku, Tu, the table gains
+    and the overshoot history.
+    """
+    kv_t = _PI_TABLE_KV * ku
+    ki_t = kv_t / (tu / _PI_TABLE_TI)
+    kv, ki, clamped = _clamp_speed_gains(fset, kv_t, ki_t)
+    kp, overshoot_history = _position_gain(bench, fset, kv, ki)
     triple = (kp, kv, ki)
     return TuningResult(
         method=method,
         gains=triple,
         cost=bench.cost(triple),
         metrics=bench.metrics(triple),
-        diagnostics=diagnostics,
+        diagnostics={**diagnostics, "ku": ku, "tu": tu, "table_kv": kv_t,
+                     "table_ki": ki_t, "overshoot_history": overshoot_history},
         clamped=clamped,
     )
 
@@ -215,30 +231,30 @@ def ziegler_nichols(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
     """
     floor = 1e-4 * PROBE_SPEED
     probes: list[dict] = []
+    trace: SimTrace | None = None
+    boundary_period: float | None = None
 
-    def probe(kv: float) -> tuple[bool, float, float | None, SimTrace]:
+    def stable(kv: float) -> bool:
+        """Probe ``kv``; keep the period of an oscillating probe that has one."""
+        nonlocal trace, boundary_period
         trace = bench.speed_step(kv, 0.0, speed=PROBE_SPEED,
                                  duration=PROBE_DURATION)
         osc, amp, period = _oscillation(trace, floor)
         probes.append({"kv": kv, "oscillating": osc, "amplitude": amp,
                        "period": period})
-        return osc, amp, period, trace
+        if osc and period is not None:
+            boundary_period = period
+        return not osc
 
     lo = fset.kv[0]
-    osc, _, _, trace = probe(lo)
-    if osc:
+    if not stable(lo):
         raise TuningError(
             "oscillation already sustained at the smallest feasible speed gain",
             diagnostics={"probes": probes}, trace=trace,
         )
     hi = fset.kv[1]
     cap = PROBE_GAIN_REACH * fset.kv[1]
-    boundary_period: float | None = None
-    while True:
-        osc, _, period, trace = probe(hi)
-        if osc:
-            boundary_period = period
-            break
+    while stable(hi):
         lo = hi
         hi *= 2.0
         if hi > cap:
@@ -247,27 +263,13 @@ def ziegler_nichols(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
                 f"({PROBE_GAIN_REACH:.0f}x the feasible speed-gain ceiling)",
                 diagnostics={"probes": probes}, trace=trace,
             )
-    while (hi - lo) > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        osc, _, period, trace = probe(mid)
-        if osc:
-            hi = mid
-            if period is not None:
-                boundary_period = period
-        else:
-            lo = mid
+    _, hi = _bisect(lo, hi, stable)
     if boundary_period is None:
         raise TuningError("no measurable oscillation period at the boundary",
                           diagnostics={"probes": probes}, trace=trace)
 
-    ku, tu = hi, boundary_period
-    kv_t, ki_t = _pi_from_ultimate(ku, tu)
-    kv, ki, clamped = _clamp_speed_gains(fset, kv_t, ki_t)
-    kp, overshoot_history = _position_gain(bench, fset, kv, ki)
-    return _finish(bench, "ziegler-nichols", kp, kv, ki, {
-        "ku": ku, "tu": tu, "table_kv": kv_t, "table_ki": ki_t,
-        "probes": probes, "overshoot_history": overshoot_history,
-    }, clamped)
+    return _from_ultimate(bench, fset, "ziegler-nichols", hi, boundary_period,
+                          {"probes": probes})
 
 
 def relay_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
@@ -299,14 +301,8 @@ def relay_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
         )
     a = a_lin / LAB_SERVO.lead_per_rad
     ku = 4.0 * d / (math.pi * a)
-    kv_t, ki_t = _pi_from_ultimate(ku, tu)
-    kv, ki, clamped = _clamp_speed_gains(fset, kv_t, ki_t)
-    kp, overshoot_history = _position_gain(bench, fset, kv, ki)
-    return _finish(bench, "relay", kp, kv, ki, {
-        "d": d, "a": a, "tu": tu, "ku": ku, "n_cycles": n_peaks,
-        "table_kv": kv_t, "table_ki": ki_t,
-        "overshoot_history": overshoot_history,
-    }, clamped)
+    return _from_ultimate(bench, fset, "relay", ku, tu,
+                          {"d": d, "a": a, "n_cycles": n_peaks})
 
 
 def itae_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
@@ -324,8 +320,12 @@ def itae_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
         [math.inf if m.is_diverged else m.pos_itae + m.spd_itae for m in table]
     )
     best = int(np.argmin(vals))
-    kp, kv, ki = oracle.gains(grid[best])
-    return _finish(bench, "itae", kp, kv, ki, {
-        "itae": float(vals[best]), "criterion": "pos_itae + spd_itae",
-        "grid_index": best,
-    }, False)
+    triple = oracle.gains(grid[best])
+    return TuningResult(
+        method="itae",
+        gains=triple,
+        cost=bench.cost(triple),
+        metrics=bench.metrics(triple),
+        diagnostics={"itae": float(vals[best]),
+                     "criterion": "pos_itae + spd_itae", "grid_index": best},
+    )

@@ -5,7 +5,7 @@ search, and the classical baselines -- scores candidate gains through
 one :class:`TuningBench` so their costs are directly comparable and
 repeated queries hit a memo instead of the simulator.  The bench owns
 the reference trajectory and the cost weights; the axis it simulates,
-with its current loop and rails, is the one fixed in
+with its current-loop PI and rails, is the one fixed in
 :mod:`~axistune.simloop`.  Search strategies work in a feasible set's
 coordinates, where the third axis may be the reset time Tn;
 `TuningBench.oracle` is the one place those points become controller
@@ -38,7 +38,7 @@ import os
 
 import numpy as np
 
-from . import simloop
+from . import metrics as metric_module, simloop
 from .metrics import CostWeights, MetricVector, cost as metric_cost, extract_metrics
 from .plant import LAB_SERVO
 from .refgen import (
@@ -47,14 +47,7 @@ from .refgen import (
     constant_speed_profile,
     generate_profile,
 )
-from .simloop import (
-    LAB_SERVO_CURRENT,
-    RAILS,
-    GainVector,
-    SimTrace,
-    simulate,
-    simulate_batch,
-)
+from .simloop import GainVector, SimTrace, simulate, simulate_batch
 from .tuner import FeasibleSet
 
 __all__ = ["BENCH_MOVE", "SetOracle", "TuningBench", "benchmark_profile"]
@@ -162,11 +155,20 @@ class TuningBench:
 
     @property
     def fingerprint(self) -> str:
-        """Digest of everything that decides a cost besides the gains:
-        plant, current loop, weights, rails and the sampled reference
-        trajectory."""
+        """Digest of everything that decides a cost besides the gains.
+
+        That is the plant, the current-loop PI, the rails, the drive
+        maps' integrator step and segments per tick, the command delay,
+        the divergence limit, the settling band, the divergence penalty,
+        the weights and the sampled reference trajectory.  The module
+        constants are read when the digest is taken.
+        """
         h = hashlib.sha256(repr((
-            LAB_SERVO, LAB_SERVO_CURRENT, self.weights, RAILS,
+            LAB_SERVO, simloop.CURRENT_LOOP_KP, simloop.CURRENT_LOOP_KI,
+            simloop.RAILS, simloop.RK4_STEP, simloop.SEGMENTS_PER_TICK,
+            simloop.COMMAND_DELAY_TICKS, simloop.DIVERGENCE_LIMIT,
+            metric_module.SETTLE_BAND, metric_module.DIVERGENCE_PENALTY,
+            self.weights,
         )).encode())
         for arr in (self.profile.t, self.profile.position, self.profile.speed):
             h.update(arr.tobytes())
@@ -207,7 +209,7 @@ class TuningBench:
 
     def _score_fresh(self, batch: np.ndarray) -> list[MetricVector]:
         """Metric vectors of the valid rows of ``batch``, in row order."""
-        per_chunk = max(1, simloop.BATCH_RUN_TICKS // len(self.profile))
+        per_chunk = simloop.runs_per_chunk(self.profile)
         n = min(_usable_cpus(), -(-len(batch) // per_chunk))
         if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
             return self._score_rows(batch)

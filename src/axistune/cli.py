@@ -98,22 +98,15 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, str]:
     return cfg
 
 
-def _as_int(cfg: dict[str, str], key: str) -> int | None:
+def _number(cfg: dict[str, str], key: str, kind: type):
+    """``cfg[key]`` as ``kind``, ``int`` or ``float``; None if unset."""
     if key not in cfg:
         return None
     try:
-        return int(cfg[key])
+        return kind(cfg[key])
     except ValueError:
-        raise UsageError(f"{key} must be an integer, got {cfg[key]!r}") from None
-
-
-def _as_float(cfg: dict[str, str], key: str) -> float | None:
-    if key not in cfg:
-        return None
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise UsageError(f"{key} must be a number, got {cfg[key]!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"{key} must be {what}, got {cfg[key]!r}") from None
 
 
 def _parse_gains(text: str) -> tuple[float, float, float]:
@@ -152,7 +145,7 @@ def _resolve(command: str, args: argparse.Namespace) -> Resolved:
         weights = get_weights(cfg["weights"]) if "weights" in cfg else None
     except KeyError as e:
         raise UsageError(str(e).strip('"')) from None
-    seed = _as_int(cfg, "seed")
+    seed = _number(cfg, "seed", int)
     seed = BoConfig().seed if seed is None else seed
     out = Path(getattr(args, "out", None) or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -173,13 +166,13 @@ def _bo_config(res: Resolved, skip_m0: bool = False):
     cfg = res.config
     changes: dict[str, object] = {"seed": res.seed}
     if not skip_m0:
-        m0 = _as_int(cfg, "m0")
+        m0 = _number(cfg, "m0", int)
         if m0 is not None:
             changes["m0"] = m0
-    beta = _as_float(cfg, "beta")
+    beta = _number(cfg, "beta", float)
     if beta is not None:
         changes["beta"] = beta
-    iters = _as_int(cfg, "max_iters")
+    iters = _number(cfg, "max_iters", int)
     if iters is not None:
         changes["max_iterations"] = iters
     try:
@@ -190,16 +183,31 @@ def _bo_config(res: Resolved, skip_m0: bool = False):
 
 # -- output plumbing --------------------------------------------------------
 
-_TRACE_COLUMNS = ("t", "r_pos", "y_pos", "r_speed", "y_speed",
-                  "i_q", "i_ref", "v_q", "e_pos", "e_speed")
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header line and one line per row of Python scalars.
+
+    Every cell is ``str`` of its value: text as it is, and for an int or
+    a float its ``repr``, which reads back to the same number.
+    """
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(str, row)) + "\n")
 
 
 def _write_trace_csv(path: Path, trace: SimTrace) -> None:
-    cols = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    with path.open("w") as f:
-        f.write(",".join(_TRACE_COLUMNS) + "\n")
-        for row in zip(*cols):
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    """One column per array channel of the trace, in field order."""
+    names = [f.name for f in dataclasses.fields(trace)
+             if isinstance(getattr(trace, f.name), np.ndarray)]
+    cols = [getattr(trace, n) for n in names]
+    # converted a block of rows at a time, so a long trace's Python
+    # floats are not all alive at once
+    block = 1024
+    _write_csv(path, names, (
+        row for k in range(0, len(trace), block)
+        for row in zip(*(c[k:k + block].tolist() for c in cols))
+    ))
 
 
 def _write_record(res: Resolved, payload: dict) -> Path:
@@ -214,6 +222,14 @@ def _write_record(res: Resolved, payload: dict) -> Path:
     path = res.out / f"record_{res.command.replace('-', '_')}.json"
     path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
     return path
+
+
+def _run_bo(res: Resolved, bo: BoConfig):
+    """`run_bo` on the command's oracle; an oracle failure exits 1."""
+    try:
+        return run_bo(res.oracle, res.preset.feasible, bo)
+    except OracleAbort as e:
+        raise RunFailure(f"oracle failed during tuning: {e}") from e
 
 
 def _fmt_gains(point) -> str:
@@ -260,11 +276,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_tune(args: argparse.Namespace) -> int:
     res = _resolve("tune", args)
     bo = _bo_config(res)
-    fset = res.preset.feasible
-    try:
-        state = run_bo(res.oracle, fset, bo)
-    except OracleAbort as e:
-        raise RunFailure(f"oracle failed during tuning: {e}") from e
+    state = _run_bo(res, bo)
 
     for rec in state.records:
         print(
@@ -272,16 +284,15 @@ def cmd_tune(args: argparse.Namespace) -> int:
             f"incumbent={rec.incumbent_cost:.6g}"
         )
     conv_path = res.out / "convergence.csv"
-    with conv_path.open("w") as f:
-        f.write("m,x1,x2,x3,y,mu,sigma,beta,incumbent_cost,"
-                "mu_minus_3sigma,mu_plus_3sigma\n")
-        for rec in state.records:
-            x1, x2, x3 = (float(v) for v in np.asarray(rec.point).reshape(3))
-            f.write(",".join(repr(v) for v in (
-                rec.m, x1, x2, x3, rec.y, rec.mu, rec.sigma, rec.beta,
-                rec.incumbent_cost, rec.mu - 3.0 * rec.sigma,
-                rec.mu + 3.0 * rec.sigma,
-            )) + "\n")
+    _write_csv(conv_path, (
+        "m", "x1", "x2", "x3", "y", "mu", "sigma", "beta", "incumbent_cost",
+        "mu_minus_3sigma", "mu_plus_3sigma",
+    ), (
+        (rec.m, *np.asarray(rec.point, dtype=float).reshape(3).tolist(), rec.y,
+         rec.mu, rec.sigma, rec.beta, rec.incumbent_cost,
+         rec.mu - 3.0 * rec.sigma, rec.mu + 3.0 * rec.sigma)
+        for rec in state.records
+    ))
 
     gains = res.oracle.gains(state.incumbent_point)
     metrics = res.bench.metrics(gains)
@@ -328,11 +339,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     best_flat = int(np.argmin(table[:, 3]))
     best, best_cost = table[best_flat, :3], float(table[best_flat, 3])
     csv_path = res.out / "grid.csv"
-    third = fset.third_axis
-    with csv_path.open("w") as f:
-        f.write(f"kp,kv,{third},cost\n")
-        for row in table:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(csv_path, ("kp", "kv", fset.third_axis, "cost"), table.tolist())
     _write_record(res, {
         "best_gains_native": [float(v) for v in best],
         "best_gains": list(res.oracle.gains(best)),
@@ -375,19 +382,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # TuningResult gains are already canonical (kp, kv, ki)
         add_row(result.method, result.gains, result.cost, result.clamped)
 
-    bo_cfg = _bo_config(res)
-    try:
-        state = run_bo(res.oracle, fset, bo_cfg)
-    except OracleAbort as e:
-        raise RunFailure(f"oracle failed during tuning: {e}") from e
+    state = _run_bo(res, _bo_config(res))
     add_row("bo", res.oracle.gains(state.incumbent_point), state.incumbent_cost)
 
     table_path = res.out / "comparison.csv"
-    with table_path.open("w") as f:
-        f.write("method,kp,kv,ki,cost,clamped\n")
-        for r in rows:
-            f.write(f"{r['method']},{r['kp']!r},{r['kv']!r},{r['ki']!r},"
-                    f"{r['cost']!r},{int(r['clamped'])}\n")
+    _write_csv(table_path, rows[0], (
+        (r["method"], r["kp"], r["kv"], r["ki"], r["cost"], int(r["clamped"]))
+        for r in rows
+    ))
 
     _write_record(res, {
         "rows": rows,
@@ -404,7 +406,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep_m0(args: argparse.Namespace) -> int:
     res = _resolve("sweep-m0", args)
-    fset = res.preset.feasible
     cfg = res.config
     m0_text = cfg.get("m0", "5,20,50")
     try:
@@ -414,7 +415,7 @@ def cmd_sweep_m0(args: argparse.Namespace) -> int:
                          f"got {m0_text!r}") from None
     if not m0_list:
         raise UsageError("m0 list is empty")
-    repeats = _as_int(cfg, "repeats")
+    repeats = _number(cfg, "repeats", int)
     repeats = 10 if repeats is None else repeats
     if repeats < 1:
         raise UsageError("repeats must be >= 1")
@@ -426,11 +427,7 @@ def cmd_sweep_m0(args: argparse.Namespace) -> int:
         for r in range(repeats):
             # disjoint seeds across every (m0, repeat) pair
             seed = res.seed + i * repeats + r
-            bo = dataclasses.replace(base, m0=m0, seed=seed)
-            try:
-                state = run_bo(res.oracle, fset, bo)
-            except OracleAbort as e:
-                raise RunFailure(f"oracle failed during tuning: {e}") from e
+            state = _run_bo(res, dataclasses.replace(base, m0=m0, seed=seed))
             iters.append(state.iterations)
             costs.append(state.incumbent_cost)
         q10, q50, q90 = np.quantile(np.asarray(costs), (0.1, 0.5, 0.9))
@@ -444,12 +441,7 @@ def cmd_sweep_m0(args: argparse.Namespace) -> int:
         })
 
     csv_path = res.out / "sweep_m0.csv"
-    fields = ("m0", "repeats", "median_iterations",
-              "cost_q10", "cost_q50", "cost_q90")
-    with csv_path.open("w") as f:
-        f.write(",".join(fields) + "\n")
-        for row in summary:
-            f.write(",".join(repr(row[k]) for k in fields) + "\n")
+    _write_csv(csv_path, summary[0], (row.values() for row in summary))
     _write_record(res, {"summary": summary, "traces": [csv_path.name]})
     print("m0  median_iters  cost_q10       cost_q50       cost_q90")
     for row in summary:

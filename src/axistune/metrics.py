@@ -58,8 +58,8 @@ def itae(e: np.ndarray, t_i: float, t_f: float) -> float:
 
 
 @dataclass(frozen=True)
-class MetricVector:
-    """Tracking metrics of one run; position in meters, speed in m/s."""
+class _Metrics:
+    """One float per metric, in the fixed metric order."""
 
     pos_overshoot: float = 0.0
     pos_undershoot: float = 0.0
@@ -74,14 +74,6 @@ class MetricVector:
     spd_inf: float = 0.0
     spd_itae: float = 0.0
     spd_ss: float = 0.0
-
-    @classmethod
-    def diverged(cls) -> "MetricVector":
-        return cls(**{f.name: math.inf for f in fields(cls)})
-
-    @property
-    def is_diverged(self) -> bool:
-        return any(not math.isfinite(getattr(self, f.name)) for f in fields(self))
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -92,23 +84,21 @@ class MetricVector:
 
 
 @dataclass(frozen=True)
-class CostWeights:
-    """Per-metric weights of the scalar cost, same field names as
-    MetricVector."""
+class MetricVector(_Metrics):
+    """Tracking metrics of one run; position in meters, speed in m/s."""
 
-    pos_overshoot: float = 0.0
-    pos_undershoot: float = 0.0
-    pos_settling: float = 0.0
-    pos_inf: float = 0.0
-    pos_itae: float = 0.0
-    pos_ss: float = 0.0
-    pos_zero: float = 0.0
-    spd_overshoot: float = 0.0
-    spd_undershoot: float = 0.0
-    spd_settling: float = 0.0
-    spd_inf: float = 0.0
-    spd_itae: float = 0.0
-    spd_ss: float = 0.0
+    @classmethod
+    def diverged(cls) -> "MetricVector":
+        return cls(**{f.name: math.inf for f in fields(cls)})
+
+    @property
+    def is_diverged(self) -> bool:
+        return any(not math.isfinite(getattr(self, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True)
+class CostWeights(_Metrics):
+    """Per-metric weights of the scalar cost, one per MetricVector field."""
 
     def __post_init__(self) -> None:
         for f in fields(self):

@@ -1,11 +1,12 @@
 """Named configuration presets.
 
 Every experiment in this package runs the same axis: the
-``plant.LAB_SERVO`` plant under the ``simloop.LAB_SERVO_CURRENT``
-current loop, inside the rails ``simloop.RAILS``.  What varies is the
-reference trajectory, the cost weights, and the feasible gain box.
-This module gives the canonical combinations names so command-line
-runs are reproducible from a preset string plus a seed.
+``plant.LAB_SERVO`` plant under the current-loop PI
+``simloop.CURRENT_LOOP_KP``, ``simloop.CURRENT_LOOP_KI``, inside the
+rails ``simloop.RAILS``.  What varies is the reference trajectory, the
+cost weights, and the feasible gain box.  This module gives the
+canonical combinations names so command-line runs are reproducible
+from a preset string plus a seed.
 
 Presets
 -------

@@ -153,6 +153,11 @@ def _snapped_leg(spec: TrajectorySpec) -> tuple[int, int, int, float]:
     return n_a, n_c, n_d, v_hat
 
 
+def _running_integral(speed: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of tick-grid speed samples, from 0."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * TICK)])
+
+
 def generate_profile(spec: TrajectorySpec) -> ReferenceProfile:
     """Sample a trapezoidal (or triangular) move on the tick grid.
 
@@ -198,9 +203,7 @@ def generate_profile(spec: TrajectorySpec) -> ReferenceProfile:
     speed = np.concatenate(speeds)
     n = len(speed)
     t = np.arange(n) * TICK
-    # exact trapezoid integral of the sampled speed
-    position = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * TICK)])
-    return ReferenceProfile(t, position, speed, tuple(phases), spec)
+    return ReferenceProfile(t, _running_integral(speed), speed, tuple(phases), spec)
 
 
 def constant_speed_profile(speed: float, duration: float) -> ReferenceProfile:
@@ -212,6 +215,5 @@ def constant_speed_profile(speed: float, duration: float) -> ReferenceProfile:
     n = max(1, int(round(duration / TICK)))
     t = np.arange(n + 1) * TICK
     spd = np.full(n + 1, float(speed))
-    pos = np.concatenate([[0.0], np.cumsum(0.5 * (spd[1:] + spd[:-1]) * TICK)])
     phases = (PhaseSpan("cruise", 0, 0, n + 1),)
-    return ReferenceProfile(t, pos, spd, phases, None)
+    return ReferenceProfile(t, _running_integral(spd), spd, phases, None)

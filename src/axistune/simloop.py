@@ -37,7 +37,8 @@ integrator step by step only to roundoff: the composed products round
 differently.
 
 Every run simulates the one axis: the ``plant.LAB_SERVO`` plant under
-the ``LAB_SERVO_CURRENT`` current loop, inside the rails ``RAILS``.
+the current-loop PI ``CURRENT_LOOP_KP``, ``CURRENT_LOOP_KI``, inside the
+rails ``RAILS``.
 
 Speed probing is the same cascade with kp = 0: the position loop is
 open and the speed channel tracks the profile's speed.  The relay
@@ -66,16 +67,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import LAB_SERVO, STATES, PlantParams, physical_state_model
+from .plant import LAB_SERVO, STATES, physical_state_model
 from .refgen import TICK, ReferenceProfile
 
 __all__ = [
     "GainVector",
-    "CurrentControllerGains",
-    "LAB_SERVO_CURRENT",
+    "CURRENT_LOOP_KP",
+    "CURRENT_LOOP_KI",
     "RAILS",
     "SimConfig",
     "SimTrace",
+    "runs_per_chunk",
     "simulate",
     "simulate_batch",
 ]
@@ -103,6 +105,11 @@ SEGMENTS_PER_TICK = 20
 # boundary roughly in proportion.
 COMMAND_DELAY_TICKS = 1
 
+# The drive's internal q-current PI: proportional gain [V/A] and
+# integral gain [V/(A s)].
+CURRENT_LOOP_KP = 60.0
+CURRENT_LOOP_KI = 1000.0
+
 # A run whose state magnitude passes this is stopped and flagged as
 # diverged.
 DIVERGENCE_LIMIT = 1e12
@@ -117,8 +124,9 @@ BATCH_RUN_TICKS = 256 * 1451
 class GainVector:
     """Cascade gains under tuning: position P, speed PI.
 
-    Kp may be zero (position loop off, pure feed-forward); the speed
-    gain must be positive and the integral gain non-negative.
+    Every gain is finite.  Kp may be zero (position loop off, pure
+    feed-forward); the speed gain must be positive and the integral gain
+    non-negative.
     """
 
     kp: float
@@ -126,29 +134,15 @@ class GainVector:
     ki: float
 
     def __post_init__(self) -> None:
+        for name in ("kp", "kv", "ki"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kp < 0.0:
             raise ValueError("kp must be non-negative")
         if self.kv <= 0.0:
             raise ValueError("kv must be positive")
         if self.ki < 0.0:
             raise ValueError("ki must be non-negative")
-
-
-@dataclass(frozen=True)
-class CurrentControllerGains:
-    """Fixed PI gains of the drive's q-current loop."""
-
-    kp: float
-    ki: float
-
-    def __post_init__(self) -> None:
-        for name in ("kp", "ki"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-# The drive's internal current-loop PI.
-LAB_SERVO_CURRENT = CurrentControllerGains(kp=60.0, ki=1000.0)
 
 
 @dataclass(frozen=True)
@@ -229,10 +223,12 @@ def _compose(M: np.ndarray, N: np.ndarray, n_steps: int) -> tuple[np.ndarray, np
 
 
 class _Drive:
-    """Precomputed transition maps of the plant plus continuous current PI.
+    """Precomputed transition maps of ``LAB_SERVO`` plus its continuous
+    current PI.
 
     States: plant states, then the current-loop integral ``x_ci``.  The
-    applied voltage is v = kp (i_ref - i) + ki x_ci, i.e.
+    applied voltage is v = CURRENT_LOOP_KP (i_ref - i) + CURRENT_LOOP_KI
+    x_ci, i.e.
     ``(cv0 * x[0] + cv_ci * x[i_ci]) + d_v * i_ref``.  Each map is one
     augmented ``(nx + 2, nx)`` matrix taking a row ``[x | v | i_ref]``
     (the held voltage and current reference after the state) to the
@@ -242,7 +238,8 @@ class _Drive:
     that an input does not drive has a zero row for it.
     """
 
-    def __init__(self, p: PlantParams, cc: CurrentControllerGains):
+    def __init__(self):
+        p = LAB_SERVO
         self.lead, self.wmax = p.lead_per_rad, p.omega_max
         A_pl, B_pl = physical_state_model(p)
         n_pl = len(STATES)
@@ -251,7 +248,8 @@ class _Drive:
         nx = n_pl + 1
         self.nx = nx
         i_ci = self.i_ci = n_pl
-        self.cv0, self.cv_ci, self.d_v = -cc.kp, cc.ki, cc.kp
+        self.cv0, self.cv_ci, self.d_v = (
+            -CURRENT_LOOP_KP, CURRENT_LOOP_KI, CURRENT_LOOP_KP)
 
         def base_matrices() -> tuple[np.ndarray, np.ndarray]:
             """Drive with the voltage as an external input: u = [v, tau, i_ref].
@@ -335,7 +333,7 @@ class _Drive:
 @functools.cache
 def _drive() -> _Drive:
     """The axis's drive, built on the first run and shared by every run."""
-    return _Drive(LAB_SERVO, LAB_SERVO_CURRENT)
+    return _Drive()
 
 
 def _trace(profile: ReferenceProfile, div_at: int | None,
@@ -390,8 +388,8 @@ def simulate(
         non-finite) the trace is truncated there and flagged instead of
         raising.
     """
-    if relay is not None and relay <= 0.0:
-        raise ValueError("the relay amplitude must be positive")
+    if relay is not None and not (math.isfinite(relay) and relay > 0.0):
+        raise ValueError("the relay amplitude must be positive and finite")
     if relay is not None and gains.kp != 0.0:
         raise ValueError("the relay replaces the speed PI only with the "
                          "position loop open (kp = 0)")
@@ -482,6 +480,12 @@ def simulate(
     return _trace(profile, div_at, y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a)
 
 
+def runs_per_chunk(profile: ReferenceProfile) -> int:
+    """Runs of ``profile`` per `simulate_batch` chunk: ``BATCH_RUN_TICKS``
+    run-ticks, at least one run."""
+    return max(1, BATCH_RUN_TICKS // len(profile))
+
+
 def simulate_batch(gain_triples: np.ndarray, profile: ReferenceProfile):
     """Run many gain vectors against one profile, vectorized across runs.
 
@@ -494,16 +498,15 @@ def simulate_batch(gain_triples: np.ndarray, profile: ReferenceProfile):
     bitwise, railed runs included.  Only the rail-free tick is
     vectorized; railed ticks run row by row through ``segment_tick``.
 
-    Runs are simulated in chunks of ``BATCH_RUN_TICKS // len(profile)``
-    runs (at least one), so peak memory grows with neither the batch
-    size nor the profile length.
+    Runs are simulated in chunks of `runs_per_chunk` runs, so peak
+    memory grows with neither the batch size nor the profile length.
     """
     triples = np.atleast_2d(np.asarray(gain_triples, dtype=float))
     if triples.shape[1] != 3:
         raise ValueError("gain_triples must have columns kp, kv, ki")
     for row in triples:
         GainVector(*row)
-    per_chunk = max(1, BATCH_RUN_TICKS // len(profile))
+    per_chunk = runs_per_chunk(profile)
     for start in range(0, triples.shape[0], per_chunk):
         yield from _run_chunk(triples[start:start + per_chunk], profile)
 

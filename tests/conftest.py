@@ -8,13 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from axistune.plant import LAB_SERVO
 from axistune.presets import get_preset
-
-
-@pytest.fixture(scope="session")
-def plant():
-    return LAB_SERVO
 
 
 @pytest.fixture(scope="session")

@@ -122,6 +122,30 @@ def test_position_overshoot_percentage(monkeypatch):
     assert math.isinf(diverging.position_overshoot_pct(triple))
 
 
+def test_fingerprint_covers_every_constant_that_decides_a_cost(monkeypatch):
+    from axistune import metrics
+
+    bench = _new_bench()
+    seen = {bench.fingerprint}
+    for module, name, value in [
+        (simloop, "CURRENT_LOOP_KP", 61.0),
+        (simloop, "CURRENT_LOOP_KI", 1001.0),
+        (simloop, "RAILS", simloop.SimConfig(voltage_limit=300.0)),
+        (simloop, "RK4_STEP", 2e-6),
+        (simloop, "SEGMENTS_PER_TICK", 10),
+        (simloop, "COMMAND_DELAY_TICKS", 2),
+        (simloop, "DIVERGENCE_LIMIT", 1e10),
+        (metrics, "SETTLE_BAND", 0.05),
+        (metrics, "DIVERGENCE_PENALTY", 1e8),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, value)
+            digest = bench.fingerprint
+        assert digest not in seen, name
+        seen.add(digest)
+    assert bench.fingerprint == _new_bench().fingerprint
+
+
 def test_desk_optimum_costs_are_pinned():
     # (150, 0.5, 90) never touches a rail, so its cost is not chaotic; any
     # change to the drive maps shows up here and must be a deliberate edit
@@ -234,12 +258,15 @@ def test_an_invalid_row_raises_before_any_fork(monkeypatch):
     bench = pre.bench()
     bench.cost((150.0, 0.5, 90.0))
     memo, n_sims = dict(bench._memo), bench.n_sims
-    rows = [(450.0, 0.25, 720.0), (600.0, 0.3, 360.0), (300.0, 0.45, 90.0),
-            (600.0, 0.0, 360.0)]
-    with pytest.raises(ValueError, match="kv must be positive"):
-        bench.evaluate_many(rows)
-    assert bench._memo == memo
-    assert bench.n_sims == n_sims
+    rows = [(450.0, 0.25, 720.0), (600.0, 0.3, 360.0), (300.0, 0.45, 90.0)]
+    # a NaN row would miss the memo (NaN != NaN) and be simulated each time
+    for bad, match in (((600.0, 0.0, 360.0), "kv must be positive"),
+                       ((600.0, math.nan, 360.0), "kv must be finite"),
+                       ((math.nan, 0.3, 360.0), "kp must be finite")):
+        with pytest.raises(ValueError, match=match):
+            bench.evaluate_many(rows + [bad, bad])
+        assert bench._memo == memo
+        assert bench.n_sims == n_sims
 
 
 def test_a_lost_worker_raises_and_leaves_no_process(monkeypatch):

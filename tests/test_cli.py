@@ -281,6 +281,8 @@ def test_compare_lists_all_methods(tmp_path, capsys):
         assert method in out
     for method in methods:
         assert (tmp_path / f"trace_{method.replace('-', '_')}.csv").is_file()
+    assert hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest() == (
+        "8e108a3fb36e58b5f89577d1f515fd6d7b5bc4b02a934d0e952df374bf849f7f")
 
 
 # -- sweep-m0 ------------------------------------------------------------------------
@@ -296,6 +298,8 @@ def test_sweep_m0_summary(tmp_path, capsys):
     assert lines[0] == ("m0,repeats,median_iterations,"
                         "cost_q10,cost_q50,cost_q90")
     assert len(lines) == 3
+    assert hashlib.sha256((tmp_path / "sweep_m0.csv").read_bytes()).hexdigest() == (
+        "bc63c0a77fb32749874ad04c42234143aa9783f9774882cc85e7b41a785cfd27")
     rec = _load_record(tmp_path / "record_sweep_m0.json")
     assert [row["m0"] for row in rec["summary"]] == [3, 4]
     for row in rec["summary"]:
@@ -362,6 +366,17 @@ def test_grid_cache_is_keyed_on_the_bench(tmp_path, monkeypatch, capsys):
     warm = _load_record(shared / "record_grid.json")
     fresh = _load_record(cold / "record_grid.json")
     assert warm["best_cost"] == fresh["best_cost"] != sim["best_cost"]
+    assert (shared / "grid.csv").read_bytes() == (cold / "grid.csv").read_bytes()
+
+    # nor may a wider settling band, which moves the costs of the same bench
+    monkeypatch.setattr("axistune.metrics.SETTLE_BAND", 0.05)
+    cold = tmp_path / "cold-band"
+    for out in (shared, cold):
+        assert main(["grid", "--weights", "exp-tracking", "--out", str(out)]) == 0
+    capsys.readouterr()
+    banded = _load_record(cold / "record_grid.json")
+    assert _load_record(shared / "record_grid.json") == banded
+    assert banded["best_cost"] != fresh["best_cost"]
     assert (shared / "grid.csv").read_bytes() == (cold / "grid.csv").read_bytes()
 
 

@@ -15,7 +15,7 @@ from axistune.presets import (
     get_preset,
     get_weights,
 )
-from axistune.simloop import LAB_SERVO_CURRENT
+from axistune import simloop
 from axistune.tuner import BoConfig
 
 
@@ -35,7 +35,7 @@ def test_lab_servo_constants():
 
 
 def test_current_loop_constants():
-    assert (LAB_SERVO_CURRENT.kp, LAB_SERVO_CURRENT.ki) == (60.0, 1000.0)
+    assert (simloop.CURRENT_LOOP_KP, simloop.CURRENT_LOOP_KI) == (60.0, 1000.0)
 
 
 def test_registry_names():

@@ -47,6 +47,14 @@ def test_gain_vector_integral_time_conversion():
         GainVector(100.0, 0.5, ki=-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["kp", "kv", "ki"])
+def test_gain_vector_rejects_non_finite_gains(field, bad):
+    gains = {"kp": 150.0, "kv": 0.5, "ki": 90.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GainVector(**gains)
+
+
 def test_config_validation():
     probe = constant_speed_profile(0.0, 0.1)
     open_loop = GainVector(0.0, 0.5, 90.0)
@@ -54,6 +62,9 @@ def test_config_validation():
         simulate(open_loop, probe, relay=0.0)
     with pytest.raises(ValueError):
         simulate(open_loop, probe, relay=-1.0)
+    for relay in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="relay amplitude"):
+            simulate(open_loop, probe, relay=relay)
     with pytest.raises(ValueError):
         # the relay replaces the speed PI only with the position loop open
         simulate(WELL_DAMPED, probe, relay=1.0)
@@ -245,6 +256,9 @@ def test_batch_rejects_unsupported_modes():
     [150.0, -0.5, 90.0],
     [150.0, 0.0, 90.0],
     [150.0, 0.5, -90.0],
+    [float("nan"), 0.5, 90.0],
+    [150.0, float("inf"), 90.0],
+    [150.0, 0.5, float("nan")],
 ])
 def test_batch_rejects_rows_the_gain_vector_rejects(row):
     # a row a single run cannot take is refused, not simulated
