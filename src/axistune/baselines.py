@@ -28,7 +28,6 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .bench import SetOracle, TuningBench
-from .metrics import MetricVector
 from .plant import LAB_SERVO
 from .refgen import TICK
 from .simloop import RAILS, SimTrace
@@ -63,7 +62,6 @@ class TuningResult:
     method: str
     gains: tuple[float, float, float]     # (kp, kv, ki)
     cost: float
-    metrics: MetricVector
     diagnostics: dict = field(default_factory=dict)
     clamped: bool = False
 
@@ -204,7 +202,6 @@ def _from_ultimate(bench: TuningBench, fset: FeasibleSet, method: str,
         method=method,
         gains=triple,
         cost=bench.cost(triple),
-        metrics=bench.metrics(triple),
         diagnostics={**diagnostics, "ku": ku, "tu": tu, "table_kv": kv_t,
                      "table_ki": ki_t, "overshoot_history": overshoot_history},
         clamped=clamped,
@@ -325,7 +322,6 @@ def itae_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
         method="itae",
         gains=triple,
         cost=bench.cost(triple),
-        metrics=bench.metrics(triple),
         diagnostics={"itae": float(vals[best]),
                      "criterion": "pos_itae + spd_itae", "grid_index": best},
     )

@@ -8,12 +8,18 @@ Subcommands
 ``sweep-m0``   repeated seeded BO runs over a list of initial-design sizes
 ``grid``       exhaustive grid search with an on-disk cost-table cache
 
-Every command resolves its configuration from (in increasing priority)
-preset defaults, an optional flat ``key=value`` config file, and
-command-line flags, then writes a JSON run record whose ``config_hash``
-covers the resolved experiment configuration.  Re-running a command
-with the same configuration and seed reproduces its record and CSVs
-bitwise, timestamps excluded.
+Each key a command takes is both a flag and a config key: ``simulate``
+takes preset, weights and gains; ``tune`` and ``compare`` preset,
+weights, seed, m0, beta and max_iters; ``sweep-m0`` those, with m0 a
+comma-separated list, plus repeats; ``grid`` preset and weights.  A
+command resolves its keys from (in increasing priority) preset
+defaults, an optional flat ``key=value`` file given by ``--config``,
+and the flags, and reads and checks every one before it simulates
+anything or creates its ``--out`` directory; a key it does not take is
+an error in the file as on the command line.  Each command writes a
+JSON run record whose ``config_hash`` covers the keys set.  Re-running
+a command with the same keys reproduces its record and CSVs bitwise,
+timestamps excluded.
 
 Exit codes: 0 success; 1 divergence or tuning failure; 2 usage or
 configuration error.
@@ -28,6 +34,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,18 +63,57 @@ class RunFailure(Exception):
     """Divergence or tuning failure; maps to exit code 1."""
 
 
-# -- configuration plumbing ------------------------------------------------
-
-# recognized flat config keys, i.e. the experiment-defining knobs
-_CONFIG_KEYS = ("preset", "weights", "gains", "seed", "m0", "beta",
-                "max_iters", "repeats")
+# -- the keys each command takes ----------------------------------------------
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+@dataclasses.dataclass(frozen=True)
+class _Key:
+    """One settable value: its flag's help, the ``kind`` of text it takes,
+    and ``parse``, which reads that text and raises ValueError on other."""
+
+    name: str
+    help: str
+    kind: str
+    parse: Callable[[str], object]
+
+
+def _gains(text: str) -> tuple[float, float, float]:
+    kp, kv, third = (float(s) for s in text.split(","))
+    return kp, kv, third
+
+
+# sweep-m0's initial design sizes and seeded runs per size
+_SWEEP_M0 = (5, 20, 50)
+_SWEEP_REPEATS = 10
+
+_PRESET = _Key("preset", f"configuration bundle: {', '.join(sorted(PRESETS))} "
+               f"(default: {DEFAULT_PRESET})", "a preset name",
+               lambda text: get_preset(text))
+_WEIGHTS = _Key("weights", "cost-weight preset override", "a weight preset name",
+                lambda text: get_weights(text))
+_GAINS = _Key("gains", "KP,KV,KI (native axes of the preset)",
+              "three comma-separated numbers", _gains)
+_SEED = _Key("seed", "random seed", "an integer", int)
+_M0 = _Key("m0", "initial design size", "an integer", int)
+_M0_LIST = _Key("m0", f"initial design sizes (default: "
+                f"{','.join(map(str, _SWEEP_M0))})",
+                "a comma-separated integer list",
+                lambda text: tuple(int(s) for s in text.split(",")))
+_BETA = _Key("beta", "LCB confidence multiplier", "a number", float)
+_MAX_ITERS = _Key("max_iters", "optimization iteration budget", "an integer", int)
+_REPEATS = _Key("repeats", f"seeded runs per m0 (default: {_SWEEP_REPEATS})",
+                "an integer", int)
+# the BoConfig field each key of a BO command sets
+_BO_FIELDS = {"seed": "seed", "m0": "m0", "beta": "beta",
+              "max_iters": "max_iterations"}
+
+
+def _parse_config_file(path: str, keys: tuple[_Key, ...]) -> dict[str, str]:
     """Read a flat key=value config file ('#' starts a comment)."""
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"config file not found: {path}")
+    names = [key.name for key in keys]
     out: dict[str, str] = {}
     for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -76,61 +122,38 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in names:
             raise UsageError(
                 f"{path}:{lineno}: unknown key {key!r}; "
-                f"known keys: {', '.join(_CONFIG_KEYS)}"
+                f"known keys: {', '.join(names)}"
             )
         out[key] = value
     return out
 
 
-def _resolve_config(args: argparse.Namespace) -> dict[str, str]:
-    """Merge preset defaults, config file, and flags into flat strings."""
-    cfg: dict[str, str] = {}
-    if getattr(args, "config", None):
-        cfg.update(_parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = str(flag)
-    cfg.setdefault("preset", DEFAULT_PRESET)
-    return cfg
-
-
-def _number(cfg: dict[str, str], key: str, kind: type):
-    """``cfg[key]`` as ``kind``, ``int`` or ``float``; None if unset."""
-    if key not in cfg:
-        return None
+def _read(key: _Key, text: str):
     try:
-        return kind(cfg[key])
+        return key.parse(text)
+    except KeyError as e:   # a preset lookup, whose message names the choices
+        raise UsageError(e.args[0]) from None
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise UsageError(f"{key} must be {what}, got {cfg[key]!r}") from None
-
-
-def _parse_gains(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"gains must be three comma-separated numbers, got {text!r}")
-    try:
-        kp, kv, third = (float(s) for s in parts)
-    except ValueError:
-        raise UsageError(f"gains must be numeric, got {text!r}") from None
-    return kp, kv, third
+        raise UsageError(f"{key.name} must be {key.kind}, got {text!r}") from None
 
 
 @dataclasses.dataclass
 class Resolved:
-    """Fully resolved experiment configuration for one command."""
+    """A command's inputs, every one read and checked."""
 
     command: str
-    config: dict[str, str]
+    config: dict[str, str]   # the text of each key set, as recorded
     preset: Preset
     bench: TuningBench
     oracle: SetOracle   # the bench in the preset's feasible-set coordinates
-    seed: int
     out: Path
+    gains: tuple[float, float, float] | None = None   # simulate; native axes
+    # tune and compare run one; sweep-m0 one per m0, seeded for its first repeat
+    bo: tuple[BoConfig, ...] = ()
+    repeats: int = 0   # sweep-m0's seeded runs per m0
 
     @property
     def config_hash(self) -> str:
@@ -138,47 +161,64 @@ class Resolved:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _resolve(command: str, args: argparse.Namespace) -> Resolved:
-    cfg = _resolve_config(args)
+def _bo_config(preset: Preset, values: dict, **changes) -> BoConfig:
+    """BoConfig defaults overridden by the BO keys set, then ``changes``."""
+    fields = {_BO_FIELDS[k]: v for k, v in values.items() if k in _BO_FIELDS}
     try:
-        preset = get_preset(cfg["preset"])
-        weights = get_weights(cfg["weights"]) if "weights" in cfg else None
-    except KeyError as e:
-        raise UsageError(str(e).strip('"')) from None
-    seed = _number(cfg, "seed", int)
-    seed = BoConfig().seed if seed is None else seed
-    out = Path(getattr(args, "out", None) or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    bench = preset.bench(weights)
-    return Resolved(
-        command=command,
-        config=cfg,
-        preset=preset,
-        bench=bench,
-        oracle=bench.oracle(preset.feasible),
-        seed=seed,
-        out=out,
-    )
-
-
-def _bo_config(res: Resolved, skip_m0: bool = False):
-    """Default BO config with any m0/beta/max_iters/seed overrides."""
-    cfg = res.config
-    changes: dict[str, object] = {"seed": res.seed}
-    if not skip_m0:
-        m0 = _number(cfg, "m0", int)
-        if m0 is not None:
-            changes["m0"] = m0
-    beta = _number(cfg, "beta", float)
-    if beta is not None:
-        changes["beta"] = beta
-    iters = _number(cfg, "max_iters", int)
-    if iters is not None:
-        changes["max_iterations"] = iters
-    try:
-        return BoConfig(**changes)
+        bo = BoConfig(**{**fields, **changes})
     except ValueError as e:
         raise UsageError(str(e)) from None
+    if bo.m0 > preset.feasible.size:
+        raise UsageError(f"m0 must be at most {preset.feasible.size}, the size "
+                         f"of the {preset.name} grid, got {bo.m0}")
+    return bo
+
+
+def _resolve(command: str, args: argparse.Namespace) -> Resolved:
+    """Read and check every key of ``command`` (preset defaults, then the
+    ``--config`` file, then the flags); create ``--out`` last."""
+    keys = _COMMANDS[command].keys
+    config = _parse_config_file(args.config, keys) if args.config else {}
+    for key in keys:
+        flag = getattr(args, key.name)
+        if flag is not None:
+            config[key.name] = flag
+    config.setdefault("preset", DEFAULT_PRESET)
+    values = {key.name: _read(key, config[key.name])
+              for key in keys if key.name in config}
+    preset = values["preset"]
+    fset = preset.feasible
+    bench = preset.bench(values.get("weights"))
+    res = Resolved(command, config, preset, bench, bench.oracle(fset),
+                   Path(args.out or "."))
+
+    if command == "simulate":
+        res.gains = values.get("gains")
+        if res.gains is None:
+            raise UsageError("simulate requires --gains KP,KV,KI (native axes)")
+        if not fset.contains(res.gains):
+            raise UsageError(
+                f"gains {res.gains} outside the feasible box "
+                f"kp={fset.kp}, kv={fset.kv}, {fset.third_axis}={fset.third}"
+            )
+    elif command == "sweep-m0":
+        res.repeats = values.get("repeats", _SWEEP_REPEATS)
+        if res.repeats < 1:
+            raise UsageError("repeats must be >= 1")
+        seed = values.get("seed", BoConfig.seed)
+        # disjoint seeds across every (m0, repeat) pair
+        res.bo = tuple(
+            _bo_config(preset, values, m0=m0, seed=seed + i * res.repeats)
+            for i, m0 in enumerate(values.get("m0", _SWEEP_M0)))
+    elif command != "grid":
+        res.bo = (_bo_config(preset, values),)
+
+    try:
+        res.out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot create output directory {str(res.out)!r}: "
+                         f"{e.strerror}") from None
+    return res
 
 
 # -- output plumbing --------------------------------------------------------
@@ -216,7 +256,8 @@ def _write_record(res: Resolved, payload: dict) -> Path:
         "config": res.config,
         "config_hash": res.config_hash,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "seed": res.seed,
+        # simulate and grid draw no random numbers
+        **({"seed": res.bo[0].seed} if res.bo else {}),
         **payload,
     }
     path = res.out / f"record_{res.command.replace('-', '_')}.json"
@@ -240,18 +281,8 @@ def _fmt_gains(point) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    res = _resolve("simulate", args)
-    if "gains" not in res.config:
-        raise UsageError("simulate requires --gains KP,KV,KI (native axes)")
-    native = _parse_gains(res.config["gains"])
-    fset = res.preset.feasible
-    if not fset.contains(native):
-        raise UsageError(
-            f"gains {native} outside the feasible box "
-            f"kp={fset.kp}, kv={fset.kv}, {fset.third_axis}={fset.third}"
-        )
-    gains = res.oracle.gains(native)
+def cmd_simulate(res: Resolved) -> int:
+    gains = res.oracle.gains(res.gains)
     trace = res.bench.trace(gains)
     metrics = res.bench.score(trace)
     total = metric_cost(metrics, res.bench.weights)
@@ -273,9 +304,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    res = _resolve("tune", args)
-    bo = _bo_config(res)
+def cmd_tune(res: Resolved) -> int:
+    (bo,) = res.bo
     state = _run_bo(res, bo)
 
     for rec in state.records:
@@ -326,8 +356,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
-    res = _resolve("grid", args)
+def cmd_grid(res: Resolved) -> int:
     fset = res.preset.feasible
     # the cost table is served from the on-disk cache when it is valid
     cache = res.out / f"grid_cache_{res.preset.name.replace('-', '_')}.npz"
@@ -352,8 +381,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    res = _resolve("compare", args)
+def cmd_compare(res: Resolved) -> int:
+    (bo,) = res.bo
     fset = res.preset.feasible
     bench = res.bench
     rows: list[dict] = []
@@ -382,7 +411,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # TuningResult gains are already canonical (kp, kv, ki)
         add_row(result.method, result.gains, result.cost, result.clamped)
 
-    state = _run_bo(res, _bo_config(res))
+    state = _run_bo(res, bo)
     add_row("bo", res.oracle.gains(state.incumbent_point), state.incumbent_cost)
 
     table_path = res.out / "comparison.csv"
@@ -404,36 +433,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep_m0(args: argparse.Namespace) -> int:
-    res = _resolve("sweep-m0", args)
-    cfg = res.config
-    m0_text = cfg.get("m0", "5,20,50")
-    try:
-        m0_list = [int(s) for s in m0_text.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"m0 must be a comma-separated integer list, "
-                         f"got {m0_text!r}") from None
-    if not m0_list:
-        raise UsageError("m0 list is empty")
-    repeats = _number(cfg, "repeats", int)
-    repeats = 10 if repeats is None else repeats
-    if repeats < 1:
-        raise UsageError("repeats must be >= 1")
-
-    base = _bo_config(res, skip_m0=True)
+def cmd_sweep_m0(res: Resolved) -> int:
     summary = []
-    for i, m0 in enumerate(m0_list):
+    for bo in res.bo:
         iters, costs = [], []
-        for r in range(repeats):
-            # disjoint seeds across every (m0, repeat) pair
-            seed = res.seed + i * repeats + r
-            state = _run_bo(res, dataclasses.replace(base, m0=m0, seed=seed))
+        for r in range(res.repeats):
+            state = _run_bo(res, dataclasses.replace(bo, seed=bo.seed + r))
             iters.append(state.iterations)
             costs.append(state.incumbent_cost)
         q10, q50, q90 = np.quantile(np.asarray(costs), (0.1, 0.5, 0.9))
         summary.append({
-            "m0": m0,
-            "repeats": repeats,
+            "m0": bo.m0,
+            "repeats": res.repeats,
             "median_iterations": float(np.median(np.asarray(iters))),
             "cost_q10": float(q10),
             "cost_q50": float(q50),
@@ -454,18 +465,25 @@ def cmd_sweep_m0(args: argparse.Namespace) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, with_bo: bool = False) -> None:
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   help=f"configuration bundle (default: {DEFAULT_PRESET})")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--weights", help="cost-weight preset override")
-    p.add_argument("--seed", help="random seed")
-    p.add_argument("--out", help="output directory (default: current)")
-    if with_bo:
-        p.add_argument("--m0", help="initial design size")
-        p.add_argument("--beta", help="LCB confidence multiplier")
-        p.add_argument("--max-iters", dest="max_iters",
-                       help="optimization iteration budget")
+class _Command(NamedTuple):
+    run: Callable[[Resolved], int]
+    help: str
+    keys: tuple[_Key, ...]
+
+
+_COMMANDS = {
+    "simulate": _Command(cmd_simulate, "one closed-loop run at fixed gains",
+                         (_PRESET, _WEIGHTS, _GAINS)),
+    "tune": _Command(cmd_tune, "Bayesian-optimization gain search",
+                     (_PRESET, _WEIGHTS, _SEED, _M0, _BETA, _MAX_ITERS)),
+    "compare": _Command(cmd_compare, "grid, classical baselines, and BO",
+                        (_PRESET, _WEIGHTS, _SEED, _M0, _BETA, _MAX_ITERS)),
+    "sweep-m0": _Command(cmd_sweep_m0, "BO repeatability vs initial design size",
+                         (_PRESET, _WEIGHTS, _SEED, _M0_LIST, _BETA, _MAX_ITERS,
+                          _REPEATS)),
+    "grid": _Command(cmd_grid, "exhaustive grid search (cached)",
+                     (_PRESET, _WEIGHTS)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -474,46 +492,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Servo-axis gain tuning: simulate, tune, and compare.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", help="one closed-loop run at fixed gains")
-    _add_common(p)
-    p.add_argument("--gains", help="KP,KV,KI (native axes of the preset)")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("tune", help="Bayesian-optimization gain search")
-    _add_common(p, with_bo=True)
-    p.set_defaults(fn=cmd_tune)
-
-    p = sub.add_parser("compare", help="grid, classical baselines, and BO")
-    _add_common(p, with_bo=True)
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("sweep-m0", help="BO repeatability vs initial design size")
-    _add_common(p, with_bo=True)
-    p.add_argument("--repeats", help="seeded runs per m0 (default 10)")
-    p.set_defaults(fn=cmd_sweep_m0)
-
-    p = sub.add_parser("grid", help="exhaustive grid search (cached)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_grid)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.keys:
+            p.add_argument(f"--{key.name.replace('_', '-')}", dest=key.name,
+                           help=key.help)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--out", help="output directory (default: current)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.subcommand].run(_resolve(args.subcommand, args))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RunFailure as e:
         print(f"failure: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

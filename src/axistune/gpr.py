@@ -187,10 +187,6 @@ class GpPosterior:
     y_mean: float
     y_scale: float
 
-    @property
-    def m(self) -> int:
-        return self.X_scaled.shape[0]
-
 
 def _input_transform(bounds: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(bounds, dtype=float)

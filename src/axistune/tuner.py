@@ -19,6 +19,7 @@ from the saved table.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -230,6 +231,8 @@ class BoConfig:
             raise ValueError("beta must be finite and non-negative")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,6 @@ class IterationRecord:
     sigma: float                 # posterior deviation at the proposal
     beta: float
     incumbent_cost: float
-    repeat_count: int
 
 
 @dataclass
@@ -384,7 +386,6 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
         state.records.append(IterationRecord(
             m=state.evaluations, point=state.points[-1], y=y, mu=mu,
             sigma=sigma, beta=config.beta, incumbent_cost=state.incumbent_cost,
-            repeat_count=state.repeat_count,
         ))
         if state.repeat_count >= REPEAT_THRESHOLD:
             state.stop_reason = "repeat"
@@ -431,13 +432,19 @@ def save_grid_table(path, fset: FeasibleSet, table: np.ndarray,
 
     ``bench_key`` identifies the oracle that scored the table (for a
     :class:`~axistune.bench.TuningBench`, its ``fingerprint``).  The
-    file is written whole beside ``path``, then moved onto it.
+    file is written whole beside ``path``, then moved onto it; a write
+    that fails removes it.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as f:
-        np.savez_compressed(f, key=np.array(_table_key(fset, bench_key)),
-                            table=table)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            np.savez_compressed(f, key=np.array(_table_key(fset, bench_key)),
+                                table=table)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_grid_table(path, fset: FeasibleSet, bench_key: str) -> np.ndarray | None:

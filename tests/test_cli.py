@@ -111,15 +111,17 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys):
 # -- configuration plumbing ----------------------------------------------------
 
 
-def test_config_file_merging_and_flag_priority(tmp_path):
+def test_config_file_merging_and_flag_priority(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# smoke config\nseed = 11\ngains=150,0.5,90\n")
-    rc = main(["simulate", "--preset", "desk", "--config", str(cfg),
+    cfg.write_text("# smoke config\nseed = 11\nm0=3\nmax_iters = 1\n")
+    rc = main(["tune", "--preset", "desk", "--config", str(cfg),
                "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0
-    rec = _load_record(tmp_path / "record_simulate.json")
+    capsys.readouterr()
+    rec = _load_record(tmp_path / "record_tune.json")
     assert rec["seed"] == 3  # flag beats file
-    assert rec["config"]["gains"] == "150,0.5,90"
+    assert rec["config"]["max_iters"] == "1"
+    assert rec["bo"]["m0"] == 3
 
 
 def test_config_error_paths(tmp_path, capsys):
@@ -147,10 +149,19 @@ def test_config_error_paths(tmp_path, capsys):
     assert "unknown preset" in capsys.readouterr().err
 
     bad_seed = tmp_path / "bad_seed.cfg"
-    bad_seed.write_text("seed=three\ngains=150,0.5,90\n")
-    assert main(["simulate", "--preset", "desk", "--config",
+    bad_seed.write_text("seed=three\nm0=3\n")
+    assert main(["tune", "--preset", "desk", "--config",
                  str(bad_seed), "--out", str(tmp_path)]) == 2
     assert "seed must be an integer" in capsys.readouterr().err
+
+    # a key another command takes is still unknown to this one
+    gains_key = tmp_path / "gains_key.cfg"
+    gains_key.write_text("preset=desk\n\ngains=1,2,3\n")
+    assert main(["grid", "--config", str(gains_key),
+                 "--out", str(tmp_path / "grid")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'gains'" in err and f"{gains_key}:3:" in err
+    assert not (tmp_path / "grid").exists()
 
 
 def test_flags_and_config_files_record_the_same_config(tmp_path, capsys):
@@ -170,9 +181,54 @@ def test_flags_and_config_files_record_the_same_config(tmp_path, capsys):
     assert by_flag["config"] == by_file["config"] == {"preset": "desk", **keys}
     assert by_flag["config_hash"] == by_file["config_hash"]
 
-    assert main(["simulate", "--preset", "desk", "--gains", "150,0.5,90",
-                 "--seed", "x", "--out", str(tmp_path)]) == 2
+    assert main(["tune", "--preset", "desk", "--seed", "x",
+                 "--out", str(tmp_path)]) == 2
     assert "seed must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--gains", "150,0.5,90"], ["grid"]], ids=["simulate", "grid"])
+def test_commands_that_draw_no_random_numbers_take_no_seed(tmp_path, capsys,
+                                                           command):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--seed", "1", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_key_is_checked_before_the_command_runs(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran before every key was checked")
+
+    monkeypatch.setattr("axistune.cli.run_bo", no_search)
+    monkeypatch.setattr("axistune.cli.grid_search", no_search)
+    assert main(["compare", "--preset", "desk", "--beta", "-1"]) == 2
+    assert "beta" in capsys.readouterr().err
+    # the second design size is below the minimum, the first within it
+    assert main(["sweep-m0", "--preset", "desk", "--m0", "5,2",
+                 "--out", "sweep"]) == 2
+    assert "m0 must be at least 3" in capsys.readouterr().err
+    # nor may a design size exceed the grid it is drawn from
+    assert main(["tune", "--preset", "desk", "--m0", "2801",
+                 "--out", "tune"]) == 2
+    assert "m0 must be at most 2800" in capsys.readouterr().err
+    assert main(["tune", "--preset", "desk", "--seed", "-1",
+                 "--out", "tune"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["simulate", "--preset", "desk", "--gains", "150,0.5,90",
+                 "--out", str(afile)]) == 2
+    assert str(afile) in capsys.readouterr().err
+    assert afile.read_text() == ""
 
 
 def test_malformed_gains_and_bo_overrides(tmp_path, capsys):

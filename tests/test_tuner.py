@@ -138,6 +138,8 @@ def test_bo_config_validation():
             BoConfig(beta=beta)
     with pytest.raises(ValueError):
         BoConfig(max_iterations=-1)
+    with pytest.raises(ValueError, match="seed"):
+        BoConfig(seed=-1)
     assert BoConfig() == BoConfig(m0=20, beta=2.0, max_iterations=60, seed=0)
 
 
@@ -320,3 +322,16 @@ def test_grid_table_cache_round_trip(tmp_path):
     bad = tmp_path / "bad.npz"
     bad.write_bytes(b"not an archive")
     assert load_grid_table(bad, SMALL, "bench-a") is None
+
+
+def test_failed_grid_table_save_leaves_no_file(tmp_path, monkeypatch):
+    def cut_short(f, **arrays):
+        f.write(b"PK\x03\x04")
+        raise OSError("no space left")
+
+    monkeypatch.setattr(np, "savez_compressed", cut_short)
+    path = tmp_path / "table.npz"
+    with pytest.raises(OSError, match="no space left"):
+        save_grid_table(path, SMALL, np.zeros((SMALL.size, 4)), "bench-a")
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert load_grid_table(path, SMALL, "bench-a") is None
