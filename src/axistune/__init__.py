@@ -13,11 +13,13 @@ Layers, bottom up:
 - :mod:`axistune.refgen` -- setpoints to reference trajectories.
 - :mod:`axistune.simloop` -- the sampled cascade simulator.
 - :mod:`axistune.metrics` -- step-response metrics and the scalar cost.
-- :mod:`axistune.bench` -- the memoized cost oracle tying those together.
+- :mod:`axistune.bench` -- the memoized cost oracle tying those together;
+  it scores controller triples (kp, kv, ki).
 - :mod:`axistune.gpr` -- Gaussian-process regression (squared-exponential
   kernel, Cholesky solves, marginal-likelihood hyperparameter fit).
-- :mod:`axistune.tuner` -- feasible gain grids, confidence-bound
-  acquisition, the optimization loop, and exhaustive grid search.
+- :mod:`axistune.tuner` -- feasible gain grids and their map to
+  controller triples, confidence-bound acquisition, the optimization
+  loop, and exhaustive grid search.
 - :mod:`axistune.baselines` -- relay, ultimate-gain, and ITAE tuning.
 - :mod:`axistune.presets` / :mod:`axistune.cli` -- named configurations
   and the command-line front end.
@@ -31,7 +33,7 @@ from .baselines import (
     relay_tune,
     ziegler_nichols,
 )
-from .bench import BENCH_MOVE, SetOracle, TuningBench, benchmark_profile
+from .bench import BENCH_MOVE, TuningBench, benchmark_profile
 from .gpr import (
     Dataset,
     GpHyperparams,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from .bench import SetOracle, TuningBench
+from .bench import TuningBench
 from .plant import LAB_SERVO
 from .refgen import TICK
 from .simloop import RAILS, SimTrace
@@ -310,14 +310,13 @@ def itae_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
     still reported for comparison against the other methods) and keeps
     the first minimizer in grid order.
     """
-    oracle = SetOracle(bench, fset)
     grid = fset.grid()
-    table = oracle.metric_table(grid)
+    table = bench.metric_table(fset.canonical(grid))
     vals = np.array(
         [math.inf if m.is_diverged else m.pos_itae + m.spd_itae for m in table]
     )
     best = int(np.argmin(vals))
-    triple = oracle.gains(grid[best])
+    triple = fset.gains(grid[best])
     return TuningResult(
         method="itae",
         gains=triple,

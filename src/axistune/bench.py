@@ -6,15 +6,15 @@ one :class:`TuningBench` so their costs are directly comparable and
 repeated queries hit a memo instead of the simulator.  The bench owns
 the reference trajectory and the cost weights; the axis it simulates,
 with its current-loop PI and rails, is the one fixed in
-:mod:`~axistune.simloop`.  Search strategies work in a feasible set's
-coordinates, where the third axis may be the reset time Tn;
-`TuningBench.oracle` is the one place those points become controller
-triples (kp, kv, ki).
+:mod:`~axistune.simloop`.  The bench scores controller triples
+(kp, kv, ki) only: the searches keep their points in a feasible set's
+coordinates, where the third axis may be the reset time Tn, and map
+each point to its triple (`FeasibleSet.canonical`) before they query.
 
-Batch evaluation (`evaluate_many`) runs the vectorized simulator and is
-the intended path for grids; single queries fall back to the scalar
-simulator.  Both paths share the memo, so a triple is simulated at most
-once per bench, and both do the same arithmetic (see
+Batch evaluation (`evaluate_many`, `metric_table`) runs the vectorized
+simulator and is the intended path for grids; single queries fall back
+to the scalar simulator.  Both paths share the memo, so a triple is
+simulated at most once per bench, and both do the same arithmetic (see
 :mod:`~axistune.simloop`), so a triple's cost does not depend on which
 path simulated it first.
 
@@ -48,9 +48,8 @@ from .refgen import (
     generate_profile,
 )
 from .simloop import GainVector, SimTrace, simulate, simulate_batch
-from .tuner import FeasibleSet
 
-__all__ = ["BENCH_MOVE", "SetOracle", "TuningBench", "benchmark_profile"]
+__all__ = ["BENCH_MOVE", "TuningBench", "benchmark_profile"]
 
 # Default scoring move: 0.1 m point-to-point at 0.25 m/s with 5 m/s^2
 # ramps, then a 1 s dwell so the settling and terminal-error metrics
@@ -112,12 +111,20 @@ class TuningBench:
     def evaluate_many(self, triples: np.ndarray) -> np.ndarray:
         """Costs for an (N, 3) array of gain triples, batch-simulated.
 
+        The costs of the :meth:`metric_table` of ``triples``, in row order.
+        """
+        return np.array([metric_cost(m, self.weights)
+                         for m in self.metric_table(triples)], dtype=float)
+
+    def metric_table(self, triples: np.ndarray) -> list[MetricVector]:
+        """Metric vectors for an (N, 3) array of gain triples, batch-simulated.
+
         Rows already in the memo are not re-simulated.  The fresh rows
         are validated here, before any worker starts, so an invalid row
         leaves the memo as it was.  They are then scored by `simulate_batch`
         in chunks of bounded memory: row i by worker i mod n of n forked
         workers, n the usable CPUs but at most the number of chunks, or
-        in this process when n < 2.  Every cost is bitwise the one a
+        in this process when n < 2.  Every vector is bitwise the one a
         single in-process batch gives (see the module docstring).
         """
         triples = np.atleast_2d(np.asarray(triples, dtype=float))
@@ -131,15 +138,7 @@ class TuningBench:
             for key, m in zip(fresh, self._score_fresh(np.array(fresh))):
                 self._memo[key] = m
             self.n_sims += len(fresh)
-        return np.array(
-            [metric_cost(self._memo[k], self.weights) for k in keys], dtype=float
-        )
-
-    def metric_table(self, triples: np.ndarray) -> list[MetricVector]:
-        """Metric vectors for an (N, 3) array, filling the memo in batch."""
-        triples = np.atleast_2d(np.asarray(triples, dtype=float))
-        self.evaluate_many(triples)
-        return [self._memo[self._key(row)] for row in triples]
+        return [self._memo[k] for k in keys]
 
     def trace(self, triple) -> SimTrace:
         """Full simulation trace at (kp, kv, ki); never memoized."""
@@ -148,10 +147,6 @@ class TuningBench:
     def score(self, trace: SimTrace) -> MetricVector:
         """Metric vector of a trace of this bench's profile."""
         return extract_metrics(trace, self.profile)
-
-    def oracle(self, fset: FeasibleSet) -> SetOracle:
-        """This bench's costs addressed by points of the feasible set ``fset``."""
-        return SetOracle(self, fset)
 
     @property
     def fingerprint(self) -> str:
@@ -254,32 +249,3 @@ def _usable_cpus() -> int:
     """CPUs this process may run on; 1 where the OS does not tell."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-
-class SetOracle:
-    """A bench's cost oracle in the coordinates of one feasible set.
-
-    Search points are (kp, kv, third) rows of ``fset``; every query maps
-    them through ``fset.canonical`` to the controller triple the bench
-    scores, so a reset-time axis is never read as an integral gain.
-    """
-
-    def __init__(self, bench: TuningBench, fset: FeasibleSet):
-        self.bench = bench
-        self.fset = fset
-
-    def gains(self, point) -> tuple[float, float, float]:
-        """Controller triple (kp, kv, ki) of one set-space point."""
-        kp, kv, ki = self.fset.canonical(point).reshape(3)
-        return float(kp), float(kv), float(ki)
-
-    def __call__(self, point) -> float:
-        """Cost of one set-space point."""
-        return self.bench.cost(self.gains(point))
-
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Costs of an (N, 3) array of set-space points, batch-simulated."""
-        return self.bench.evaluate_many(self.fset.canonical(points))
-
-    def metric_table(self, points: np.ndarray) -> list[MetricVector]:
-        """Metric vectors of an (N, 3) array of set-space points, batch-simulated."""
-        return self.bench.metric_table(self.fset.canonical(points))

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .baselines import TuningError, itae_tune, relay_tune, ziegler_nichols
-from .bench import SetOracle, TuningBench
+from .bench import TuningBench
 from .metrics import cost as metric_cost
 from .presets import DEFAULT_PRESET, PRESETS, Preset, get_preset, get_weights
 from .simloop import SimTrace
@@ -147,8 +147,7 @@ class Resolved:
     command: str
     config: dict[str, str]   # the text of each key set, as recorded
     preset: Preset
-    bench: TuningBench
-    oracle: SetOracle   # the bench in the preset's feasible-set coordinates
+    bench: TuningBench   # scores controller triples (kp, kv, ki)
     out: Path
     gains: tuple[float, float, float] | None = None   # simulate; native axes
     # tune and compare run one; sweep-m0 one per m0, seeded for its first repeat
@@ -189,8 +188,7 @@ def _resolve(command: str, args: argparse.Namespace) -> Resolved:
     preset = values["preset"]
     fset = preset.feasible
     bench = preset.bench(values.get("weights"))
-    res = Resolved(command, config, preset, bench, bench.oracle(fset),
-                   Path(args.out or "."))
+    res = Resolved(command, config, preset, bench, Path(args.out or "."))
 
     if command == "simulate":
         res.gains = values.get("gains")
@@ -266,9 +264,9 @@ def _write_record(res: Resolved, payload: dict) -> Path:
 
 
 def _run_bo(res: Resolved, bo: BoConfig):
-    """`run_bo` on the command's oracle; an oracle failure exits 1."""
+    """`run_bo` on the command's bench; an oracle failure exits 1."""
     try:
-        return run_bo(res.oracle, res.preset.feasible, bo)
+        return run_bo(res.bench.cost, res.preset.feasible, bo)
     except OracleAbort as e:
         raise RunFailure(f"oracle failed during tuning: {e}") from e
 
@@ -282,7 +280,7 @@ def _fmt_gains(point) -> str:
 
 
 def cmd_simulate(res: Resolved) -> int:
-    gains = res.oracle.gains(res.gains)
+    gains = res.preset.feasible.gains(res.gains)
     trace = res.bench.trace(gains)
     metrics = res.bench.score(trace)
     total = metric_cost(metrics, res.bench.weights)
@@ -324,7 +322,7 @@ def cmd_tune(res: Resolved) -> int:
         for rec in state.records
     ))
 
-    gains = res.oracle.gains(state.incumbent_point)
+    gains = res.preset.feasible.gains(state.incumbent_point)
     metrics = res.bench.metrics(gains)
     total = metric_cost(metrics, res.bench.weights)
     trace_path = res.out / "trace_tune.csv"
@@ -363,7 +361,7 @@ def cmd_grid(res: Resolved) -> int:
     key = res.bench.fingerprint
     table = load_grid_table(cache, fset, key)
     if table is None:
-        _, _, table = grid_search(fset, batch_oracle=res.oracle.evaluate_many)
+        _, _, table = grid_search(fset, batch_oracle=res.bench.evaluate_many)
         save_grid_table(cache, fset, table, key)
     best_flat = int(np.argmin(table[:, 3]))
     best, best_cost = table[best_flat, :3], float(table[best_flat, 3])
@@ -371,7 +369,7 @@ def cmd_grid(res: Resolved) -> int:
     _write_csv(csv_path, ("kp", "kv", fset.third_axis, "cost"), table.tolist())
     _write_record(res, {
         "best_gains_native": [float(v) for v in best],
-        "best_gains": list(res.oracle.gains(best)),
+        "best_gains": list(fset.gains(best)),
         "best_cost": best_cost,
         "grid_shape": list(fset.shape),
         "traces": [csv_path.name],
@@ -400,8 +398,8 @@ def cmd_compare(res: Resolved) -> int:
         })
 
     # scored through the bench memo, which the ITAE baseline reads too
-    best, best_cost, _ = grid_search(fset, batch_oracle=res.oracle.evaluate_many)
-    add_row("grid", res.oracle.gains(best), best_cost)
+    best, best_cost, _ = grid_search(fset, batch_oracle=bench.evaluate_many)
+    add_row("grid", fset.gains(best), best_cost)
 
     for tuner_fn in (ziegler_nichols, itae_tune, relay_tune):
         try:
@@ -412,7 +410,7 @@ def cmd_compare(res: Resolved) -> int:
         add_row(result.method, result.gains, result.cost, result.clamped)
 
     state = _run_bo(res, bo)
-    add_row("bo", res.oracle.gains(state.incumbent_point), state.incumbent_cost)
+    add_row("bo", fset.gains(state.incumbent_point), state.incumbent_cost)
 
     table_path = res.out / "comparison.csv"
     _write_csv(table_path, rows[0], (

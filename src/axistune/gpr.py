@@ -75,14 +75,14 @@ class GpHyperparams:
     sigma_w: float
 
     def __post_init__(self) -> None:
-        if self.sigma_f <= 0.0:
-            raise ValueError("sigma_f must be positive")
+        if not 0.0 < self.sigma_f < math.inf:
+            raise ValueError("sigma_f must be finite and positive")
         ls = tuple(float(l) for l in self.lengthscales)
-        if not ls or any(l <= 0.0 for l in ls):
-            raise ValueError("lengthscales must be positive")
+        if not ls or not all(0.0 < l < math.inf for l in ls):
+            raise ValueError("lengthscales must be finite and positive")
         object.__setattr__(self, "lengthscales", ls)
-        if self.sigma_w < NOISE_FLOOR:
-            raise ValueError(f"sigma_w must be at least {NOISE_FLOOR:g}")
+        if not NOISE_FLOOR <= self.sigma_w < math.inf:
+            raise ValueError(f"sigma_w must be finite and at least {NOISE_FLOOR:g}")
 
     @property
     def dim(self) -> int:
@@ -192,6 +192,8 @@ def _input_transform(bounds: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarr
     b = np.asarray(bounds, dtype=float)
     if b.shape != (dim, 2):
         raise ValueError("input_bounds must be (dim, 2)")
+    if not np.isfinite(b).all():
+        raise ValueError("input_bounds must be finite")
     span = b[:, 1] - b[:, 0]
     if np.any(span <= 0.0):
         raise ValueError("input_bounds must have positive width")

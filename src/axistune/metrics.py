@@ -102,8 +102,8 @@ class CostWeights(_Metrics):
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0.0:
-                raise ValueError(f"weight {f.name} must be non-negative")
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"weight {f.name} must be finite and non-negative")
 
 
 def cost(m: MetricVector, w: CostWeights) -> float:

@@ -67,11 +67,11 @@ class PlantParams:
 
     def __post_init__(self) -> None:
         for name in ("Rs", "Ls", "Kt", "Kb", "Jm", "Jl", "Ks", "Q", "omega_max"):
-            if getattr(self, name) <= 0.0:
-                raise ModelError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be finite and strictly positive")
         for name in ("Bm", "Bml", "Bl"):
-            if getattr(self, name) < 0.0:
-                raise ModelError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be finite and non-negative")
 
     @property
     def lead_per_rad(self) -> float:

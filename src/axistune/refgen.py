@@ -20,6 +20,7 @@ speed and acceleration never exceed their setpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,9 @@ TICK = 1e-3
 class TrajectorySpec:
     """Kinematic envelope of one move.
 
-    position_setpoint [m] may be zero (dwell-only profile).  speed_setpoint
-    [m/s], acceleration and deceleration [m/s^2] must be positive.
+    Every value is finite.  position_setpoint [m] may be zero (dwell-only
+    profile).  speed_setpoint [m/s], acceleration and deceleration
+    [m/s^2] must be positive.
     dwell_time [s] is inserted after each motion leg; with
     ``return_to_zero`` a mirrored leg drives the axis back and a final
     dwell of the same length closes the profile.
@@ -57,14 +59,12 @@ class TrajectorySpec:
     return_to_zero: bool = False
 
     def __post_init__(self) -> None:
-        if self.position_setpoint < 0.0:
-            raise ValueError("position_setpoint must be non-negative")
-        if self.speed_setpoint <= 0.0:
-            raise ValueError("speed_setpoint must be positive")
-        if self.acceleration <= 0.0 or self.deceleration <= 0.0:
-            raise ValueError("acceleration and deceleration must be positive")
-        if self.dwell_time < 0.0:
-            raise ValueError("dwell_time must be non-negative")
+        for name in ("position_setpoint", "dwell_time"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        for name in ("speed_setpoint", "acceleration", "deceleration"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)

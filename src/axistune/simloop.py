@@ -162,8 +162,10 @@ class SimConfig:
     current_limit: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.voltage_limit <= 0.0 or self.current_limit <= 0.0:
-            raise ValueError("saturation limits must be positive")
+        for name in ("voltage_limit", "current_limit"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError("saturation limits must be positive and "
+                                 f"finite, got {name}={getattr(self, name)!r}")
 
 
 RAILS = SimConfig()

@@ -15,6 +15,10 @@ cost exactly), the search is considered locked in.
 ground truth the optimizer is judged against; its table can be saved
 and reloaded, so a repeated grid search of the same oracle is served
 from the saved table.
+
+Both keep their points in set coordinates and hand their oracle the
+controller triples `FeasibleSet.canonical` maps them to, so a reset-time
+axis is never scored as an integral gain.
 """
 
 from __future__ import annotations
@@ -145,6 +149,10 @@ class FeasibleSet:
         if self.third_axis == "tn":
             pts[:, 2] = pts[:, 1] / pts[:, 2]
         return pts
+
+    def gains(self, point) -> tuple[float, float, float]:
+        """Controller triple (kp, kv, ki) of one set-space point."""
+        return tuple(map(float, self.canonical(point).reshape(3)))
 
     def native(self, triples: np.ndarray) -> np.ndarray:
         """Map controller triples (kp, kv, ki) to set-space rows.
@@ -336,9 +344,9 @@ _INIT_HYPERPARAMS = GpHyperparams(sigma_f=1.0, lengthscales=(0.3, 0.3, 0.3),
                                   sigma_w=1e-3)
 
 
-def _evaluate(oracle, point, state: BoState) -> float:
+def _evaluate(oracle, fset: FeasibleSet, point, state: BoState) -> float:
     try:
-        return float(oracle(np.asarray(point, dtype=float)))
+        return float(oracle(fset.canonical(point)[0]))
     except Exception as exc:
         state.stop_reason = "oracle_error"
         raise OracleAbort(f"oracle failed at {tuple(point)}: {exc}", state) from exc
@@ -347,7 +355,10 @@ def _evaluate(oracle, point, state: BoState) -> float:
 def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
     """Minimize a black-box cost over the feasible grid with GP-LCB.
 
-    ``oracle`` maps a set-space point (3,) to a finite cost.  The loop:
+    ``oracle`` maps a controller triple (kp, kv, ki), given as a (3,)
+    array, to a finite cost; the loop hands it ``fset.canonical`` of each
+    set-space point it evaluates.  The returned state, its records and an
+    :class:`OracleAbort` message name points in set coordinates.  The loop:
 
     1. evaluate a seeded Latin-hypercube design of ``m0`` grid points;
     2. fit kernel hyperparameters on that design (refreshed every
@@ -367,7 +378,7 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
     state = BoState()
     rng = np.random.default_rng(config.seed)
     for point in fset.lhs_sample(config.m0, rng):
-        state._observe(point, _evaluate(oracle, point, state))
+        state._observe(point, _evaluate(oracle, fset, point, state))
 
     bounds = fset.bounds()
     h = fit_hyperparams(Dataset(X=state.X, y=state.y), _INIT_HYPERPARAMS,
@@ -377,7 +388,7 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
     for t in range(1, config.max_iterations + 1):
         posterior = fit(Dataset(X=state.X, y=state.y), h, bounds)
         point, mu, sigma, _ = next_point(posterior, fset, config.beta)
-        y = _evaluate(oracle, point, state)
+        y = _evaluate(oracle, fset, point, state)
         moved = state._observe(point, y)
         near = (fset.index_distance(point, state.incumbent_point)
                 <= STOP_RADIUS) or y == state.incumbent_cost
@@ -408,13 +419,15 @@ def grid_search(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Score every grid point; returns (best point, best cost, table).
 
-    ``batch_oracle`` maps an (N, 3) array to (N,) costs in one call.
-    The table has rows [x1, x2, x3, cost] aligned with ``fset.grid()``,
+    ``batch_oracle`` maps an (N, 3) array of controller triples
+    (kp, kv, ki) to (N,) costs in one call; it is handed
+    ``fset.canonical(fset.grid())``.  The best point and the table are in
+    set coordinates: rows [x1, x2, x3, cost] aligned with ``fset.grid()``,
     and the best row is the first flat index among cost ties
     (lexicographically lowest point).
     """
     grid = fset.grid()
-    costs = np.asarray(batch_oracle(grid), dtype=float)
+    costs = np.asarray(batch_oracle(fset.canonical(grid)), dtype=float)
     if costs.shape != (fset.size,):
         raise ValueError("oracle returned the wrong number of costs")
     best = int(np.argmin(costs))

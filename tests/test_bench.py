@@ -11,6 +11,7 @@ import axistune.bench as bench_module
 from axistune import simloop
 from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
 from axistune.metrics import DIVERGENCE_PENALTY, CostWeights
+from axistune.tuner import BoConfig, FeasibleSet, run_bo
 
 
 def _new_bench(**kwargs):
@@ -175,7 +176,7 @@ def test_railed_single_run_costs_are_pinned(preset, point, cost):
     from axistune.presets import get_preset
 
     pre = get_preset(preset)
-    assert pre.bench().oracle(pre.feasible)(np.array(point)) == cost
+    assert pre.bench().cost(pre.feasible.gains(point)) == cost
 
 
 @pytest.mark.parametrize("preset, point, cost", RAILED_PINS)
@@ -184,8 +185,8 @@ def test_single_and_batch_costs_are_bitwise_equal(preset, point, cost):
     from axistune.presets import get_preset
 
     pre = get_preset(preset)
-    single = pre.bench().oracle(pre.feasible)(np.array(point))
-    batch = pre.bench().oracle(pre.feasible).evaluate_many(np.array([point]))
+    single = pre.bench().cost(pre.feasible.gains(point))
+    batch = pre.bench().evaluate_many(pre.feasible.canonical([point]))
     assert single == batch[0] == cost
 
 
@@ -198,11 +199,11 @@ def test_batch_costs_do_not_depend_on_the_chunk(monkeypatch, rows):
     pick = np.random.default_rng(5).choice(fset.size, 14, replace=False)
     railed = [(450.0, 0.25, 720.0), (600.0, 0.3, 360.0)]
     points = np.vstack([fset.grid()[pick], railed])
-    whole = pre.bench().oracle(fset).evaluate_many(points)
+    whole = pre.bench().evaluate_many(fset.canonical(points))
     assert len(points) < simloop.BATCH_RUN_TICKS // len(pre.bench().profile)
     monkeypatch.setattr(simloop, "BATCH_RUN_TICKS",
                         rows * len(pre.bench().profile))
-    assert np.array_equal(pre.bench().oracle(fset).evaluate_many(points), whole)
+    assert np.array_equal(pre.bench().evaluate_many(fset.canonical(points)), whole)
 
 
 def _metric_bytes(table):
@@ -289,3 +290,14 @@ def test_a_lost_worker_raises_and_leaves_no_process(monkeypatch):
     assert multiprocessing.active_children() == []
     assert bench._memo == {}
     assert bench.n_sims == 0
+
+
+def test_bo_on_a_reset_time_set_records_the_cost_of_each_points_gains(desk_bench):
+    # the search maps its points; on a reset-time axis over the desk
+    # bench, ki = kv/tn spans 60 to 500
+    tn_set = FeasibleSet(kp=(150.0, 450.0), kv=(0.3, 0.5), third=(1e-3, 5e-3),
+                         n_kp=3, n_kv=3, n_third=3, third_axis="tn")
+    state = run_bo(desk_bench.cost, tn_set, BoConfig(m0=5, max_iterations=3))
+    assert state.evaluations >= 5
+    for point, y in zip(state.points, state.costs):
+        assert y == desk_bench.cost(tn_set.gains(point))

@@ -305,5 +305,27 @@ def test_validation_rejects_degenerate_inputs():
         fit(data, h1, _box(1, 1.0, 1.0))  # a box of zero width
 
 
+@pytest.mark.parametrize("sigma_f, lengthscales, sigma_w, name", [
+    (math.nan, (0.3,), 0.1, "sigma_f"),
+    (math.inf, (0.3,), 0.1, "sigma_f"),
+    (1.0, (0.3, math.nan), 0.1, "lengthscales"),
+    (1.0, (math.inf,), 0.1, "lengthscales"),
+    (1.0, (0.3,), math.nan, "sigma_w"),
+    (1.0, (0.3,), math.inf, "sigma_w"),
+])
+def test_non_finite_hyperparameters_are_rejected(sigma_f, lengthscales, sigma_w,
+                                                  name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GpHyperparams(sigma_f, lengthscales, sigma_w)
+
+
+@pytest.mark.parametrize("bounds", [[[0.0, math.nan]], [[math.nan, 1.0]],
+                                    [[-math.inf, 1.0]]])
+def test_non_finite_input_bounds_are_rejected(bounds):
+    data = Dataset(np.array([[0.1], [0.5], [0.9]]), np.array([1.0, 2.0, 0.5]))
+    with pytest.raises(ValueError, match="input_bounds must be finite"):
+        fit(data, GpHyperparams(1.0, (0.3,), 0.1), np.array(bounds))
+
+
 def test_hyperparam_search_error_is_exported():
     assert issubclass(HyperparamSearchError, Exception)

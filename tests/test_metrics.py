@@ -187,6 +187,14 @@ def test_weights_must_be_non_negative():
         CostWeights(spd_ss=-1e9)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("pos_settling", math.nan), ("pos_settling", math.inf), ("spd_ss", math.nan),
+])
+def test_weights_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"weight {name} must be finite"):
+        CostWeights(**{name: value})
+
+
 def test_metric_vector_field_order_is_stable():
     assert MetricVector.names() == (
         "pos_overshoot",

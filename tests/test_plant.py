@@ -84,3 +84,14 @@ def test_nonphysical_parameters_are_rejected():
         dataclasses.replace(LAB_SERVO, Bm=-1e-6)
     with pytest.raises(ModelError):
         dataclasses.replace(LAB_SERVO, Ks=-3e7)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("Rs", float("nan")), ("Ks", float("inf")), ("Bm", float("nan")),
+    ("Bl", float("inf")),
+])
+def test_non_finite_parameters_are_rejected(name, value):
+    import dataclasses
+
+    with pytest.raises(ModelError, match=f"{name} must be finite"):
+        dataclasses.replace(LAB_SERVO, **{name: value})

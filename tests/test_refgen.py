@@ -5,6 +5,8 @@ position trace must be the running trapezoid integral of the speed trace,
 and the total swept area must hit the commanded distance exactly.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,16 @@ def test_invalid_inputs_are_rejected():
         TrajectorySpec(**{**good, "acceleration": -5.0})
     with pytest.raises(ValueError):
         TrajectorySpec(**{**good, "dwell_time": -0.5})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("position_setpoint", math.nan), ("position_setpoint", math.inf),
+    ("speed_setpoint", math.nan), ("speed_setpoint", math.inf),
+    ("acceleration", math.inf), ("deceleration", math.nan),
+    ("dwell_time", math.nan), ("dwell_time", math.inf),
+])
+def test_non_finite_spec_values_are_rejected_by_name(name, value):
+    good = dict(position_setpoint=0.1, speed_setpoint=0.25, acceleration=5.0,
+                deceleration=5.0, dwell_time=0.5)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TrajectorySpec(**{**good, name: value})

@@ -73,6 +73,15 @@ def test_config_validation():
             SimConfig(**rails)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("voltage_limit", float("nan")), ("voltage_limit", float("inf")),
+    ("current_limit", float("nan")),
+])
+def test_non_finite_rails_are_rejected_by_name(name, value):
+    with pytest.raises(ValueError, match=f"finite, got {name}="):
+        SimConfig(**{name: value})
+
+
 def test_the_tick_is_a_whole_number_of_segments_of_integrator_steps():
     # the drive composes whole RK4 steps into a tick and into each of its
     # voltage-update segments

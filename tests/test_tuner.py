@@ -19,6 +19,9 @@ from axistune.tuner import (
 
 SMALL = FeasibleSet(kp=(1.0, 4.0), kv=(0.1, 0.5), third=(10.0, 40.0),
                     n_kp=4, n_kv=5, n_third=4)
+# the same box with a reset-time axis: ki = kv/tn spans 2.5 to 50
+SMALL_TN = FeasibleSet(kp=(1.0, 4.0), kv=(0.1, 0.5), third=(0.01, 0.04),
+                       n_kp=4, n_kv=5, n_third=4, third_axis="tn")
 
 
 def _quadratic_oracle(fset, center=None, scale=1.0):
@@ -95,6 +98,9 @@ def test_canonical_converts_reset_time_to_integral_gain():
     assert np.allclose(canon, [[10.0, 10.0, 5.0], [100.0, 50.0, 6.25]])
     # a ki-axis set is already canonical
     assert np.allclose(SMALL.canonical(pts), pts)
+    gains = tn_set.gains(pts[1])
+    assert gains == (100.0, 50.0, 6.25)
+    assert all(type(g) is float for g in gains)
 
 
 def test_latin_hypercube_sampling_properties():
@@ -275,6 +281,23 @@ def test_oracle_failure_carries_partial_state():
     assert "sensor glitch" in str(exc.value)
 
 
+def test_run_bo_hands_its_oracle_controller_gains():
+    seen = []
+
+    def oracle(x):
+        seen.append(np.array(x))
+        return float(np.sum(x))
+
+    state = run_bo(oracle, SMALL_TN, BoConfig(m0=3, max_iterations=4, seed=0))
+    assert len(seen) == state.evaluations
+    for got, (kp, kv, tn) in zip(seen, state.points):
+        assert got.shape == (3,)
+        assert got.tolist() == [kp, kv, kv / tn]
+    # the state and its records stay in set coordinates
+    assert all(SMALL_TN.contains(p) for p in state.points)
+    assert [r.point for r in state.records] == state.points[3:]
+
+
 # -- grid search and its cache ----------------------------------------------------
 
 
@@ -300,6 +323,23 @@ def test_grid_search_matches_a_direct_argmin():
 
     with pytest.raises(ValueError):
         grid_search(SMALL, lambda X: np.ones(3))
+
+
+def test_grid_search_hands_its_oracle_controller_gains():
+    seen = []
+
+    def batch(X):
+        seen.append(np.array(X))
+        return X.sum(axis=1)
+
+    best, best_cost, table = grid_search(SMALL_TN, batch)
+    (rows,) = seen
+    assert np.array_equal(rows, SMALL_TN.canonical(SMALL_TN.grid()))
+    # the best point and the table stay in set coordinates
+    assert np.array_equal(table[:, :3], SMALL_TN.grid())
+    k = int(np.argmin(rows.sum(axis=1)))
+    assert np.array_equal(best, SMALL_TN.grid()[k])
+    assert best_cost == rows[k].sum()
 
 
 def test_grid_table_cache_round_trip(tmp_path):
