@@ -11,18 +11,18 @@ with its current-loop PI and rails, is the one fixed in
 coordinates, where the third axis may be the reset time Tn, and map
 each point to its triple (`FeasibleSet.canonical`) before they query.
 
-Batch evaluation (`evaluate_many`, `metric_table`) runs the vectorized
-simulator and is the intended path for grids; single queries fall back
-to the scalar simulator.  Both paths share the memo, so a triple is
-simulated at most once per bench, and both do the same arithmetic (see
-:mod:`~axistune.simloop`), so a triple's cost does not depend on which
-path simulated it first.
+`metrics`, `cost` and `evaluate_many` are views of `metric_table`, the
+one code that validates, simulates, scores and memoizes (N, 3) rows, so
+a triple is simulated at most once per bench.  A share of one fresh row
+runs `simulate`, a larger one the vectorized `simulate_batch`; both do
+the same arithmetic (see :mod:`~axistune.simloop`), so a triple's cost
+does not depend on which loop simulated it first.
 
-A batch's fresh rows are dealt round-robin to forked worker processes,
+A query's fresh rows are dealt round-robin to forked worker processes,
 one per usable CPU and at most one per simulator chunk; each worker
-inherits the bench from the fork, runs `simulate_batch` and `score` on
-its rows and sends back only metric vectors, which the parent memoizes
-in row order.  A row's trace depends on neither its chunk nor the rows
+inherits the bench from the fork, simulates and scores its share and
+sends back only metric vectors, which the parent memoizes in row
+order.  A row's trace depends on neither its chunk nor the rows
 beside it, and a forked worker runs the same code on the same BLAS
 build as the parent, so the costs are bitwise those of scoring the
 batch in one process, which is what happens with one usable CPU, one
@@ -94,22 +94,15 @@ class TuningBench:
     # -- core cost queries ----------------------------------------------------
 
     def metrics(self, triple) -> MetricVector:
-        """Metric vector at (kp, kv, ki); simulates on first query."""
-        key = self._key(triple)
-        m = self._memo.get(key)
-        if m is None:
-            trace = simulate(GainVector(*key), self.profile)
-            self.n_sims += 1
-            m = self.score(trace)
-            self._memo[key] = m
-        return m
+        """Metric vector at (kp, kv, ki): the one-row :meth:`metric_table`."""
+        return self.metric_table(np.reshape(triple, (1, 3)))[0]
 
     def cost(self, triple) -> float:
         """Scalar cost at (kp, kv, ki)."""
         return metric_cost(self.metrics(triple), self.weights)
 
     def evaluate_many(self, triples: np.ndarray) -> np.ndarray:
-        """Costs for an (N, 3) array of gain triples, batch-simulated.
+        """Costs for an (N, 3) array of gain triples.
 
         The costs of the :meth:`metric_table` of ``triples``, in row order.
         """
@@ -117,20 +110,20 @@ class TuningBench:
                          for m in self.metric_table(triples)], dtype=float)
 
     def metric_table(self, triples: np.ndarray) -> list[MetricVector]:
-        """Metric vectors for an (N, 3) array of gain triples, batch-simulated.
+        """Metric vectors for an (N, 3) array of gain triples.
 
         Rows already in the memo are not re-simulated.  The fresh rows
         are validated here, before any worker starts, so an invalid row
-        leaves the memo as it was.  They are then scored by `simulate_batch`
-        in chunks of bounded memory: row i by worker i mod n of n forked
-        workers, n the usable CPUs but at most the number of chunks, or
-        in this process when n < 2.  Every vector is bitwise the one a
-        single in-process batch gives (see the module docstring).
+        leaves the memo as it was.  Row i is then scored by worker i mod n
+        of n forked workers, n the usable CPUs but at most the number of
+        `simulate_batch` chunks, or in this process when n < 2.  Every
+        vector is bitwise the one a single in-process run gives (see the
+        module docstring).
         """
         triples = np.atleast_2d(np.asarray(triples, dtype=float))
         if triples.ndim != 2 or triples.shape[1] != 3:
             raise ValueError("expected an (N, 3) array of (kp, kv, ki) rows")
-        keys = [self._key(row) for row in triples]
+        keys = list(map(tuple, triples.tolist()))
         fresh = [k for k in dict.fromkeys(keys) if k not in self._memo]
         if fresh:
             for key in fresh:
@@ -142,7 +135,8 @@ class TuningBench:
 
     def trace(self, triple) -> SimTrace:
         """Full simulation trace at (kp, kv, ki); never memoized."""
-        return simulate(GainVector(*self._key(triple)), self.profile)
+        gains = GainVector(*np.asarray(triple, dtype=float).reshape(3).tolist())
+        return simulate(gains, self.profile)
 
     def score(self, trace: SimTrace) -> MetricVector:
         """Metric vector of a trace of this bench's profile."""
@@ -233,16 +227,13 @@ class TuningBench:
         return [parts[i % n][i // n] for i in range(len(batch))]
 
     def _score_rows(self, batch: np.ndarray) -> list[MetricVector]:
-        return [self.score(trace) for trace in simulate_batch(batch, self.profile)]
+        traces = ([simulate(GainVector(*batch[0].tolist()), self.profile)]
+                  if len(batch) == 1 else simulate_batch(batch, self.profile))
+        return [self.score(trace) for trace in traces]
 
     def _send_scores(self, batch: np.ndarray, conn) -> None:
         # a worker that raises prints its traceback and closes ``conn``
         conn.send(self._score_rows(batch))
-
-    @staticmethod
-    def _key(triple) -> tuple[float, float, float]:
-        kp, kv, ki = (float(v) for v in np.asarray(triple, dtype=float).reshape(3))
-        return kp, kv, ki
 
 
 def _usable_cpus() -> int:

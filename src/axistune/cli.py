@@ -266,7 +266,7 @@ def _write_record(res: Resolved, payload: dict) -> Path:
 def _run_bo(res: Resolved, bo: BoConfig):
     """`run_bo` on the command's bench; an oracle failure exits 1."""
     try:
-        return run_bo(res.bench.cost, res.preset.feasible, bo)
+        return run_bo(res.bench.evaluate_many, res.preset.feasible, bo)
     except OracleAbort as e:
         raise RunFailure(f"oracle failed during tuning: {e}") from e
 

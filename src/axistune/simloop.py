@@ -45,17 +45,17 @@ open and the speed channel tracks the profile's speed.  The relay
 probe of the classical autotuners replaces the speed PI with an ideal
 relay; only `simulate` runs it, through its ``relay`` argument.
 `simulate` (one run) and `simulate_batch` (many runs) take the same
-gain rows and return the same trace channels.  For one run they do the
+gain rows and return the same trace channels, and for one run do the
 same IEEE operations in the same order: the voltage as two products in
 a fixed order, a railed tick through the drive's one ``segment_tick``,
 and a rail-free tick as a gemm of at least two rows, whose rows do not
 depend on the row count.  That last is a property of the BLAS build,
 not a BLAS guarantee; the test suite checks it.  So a gain triple has
-one trace, bitwise, whichever path or chunk ran it.  That holds across
-worker processes too: ``TuningBench.evaluate_many`` scores a batch in
-workers forked from the calling process, each of which runs this code
-on the same BLAS library and builds, or inherits, the same drive maps
-from the same constants.
+one trace, bitwise, whichever loop or chunk ran it, and
+``TuningBench`` picks the loop by row count.  That holds across worker
+processes too: ``TuningBench.metric_table`` scores fresh rows in forked
+workers, each of which runs this code on the same BLAS library and
+builds, or inherits, the same drive maps from the same constants.
 """
 
 from __future__ import annotations

@@ -11,14 +11,14 @@ once the incumbent survives `REPEAT_THRESHOLD` consecutive iterations
 whose proposals fall within `STOP_RADIUS` grid cells of it (or tie its
 cost exactly), the search is considered locked in.
 
-`grid_search` scores every grid point through a batch oracle and is the
-ground truth the optimizer is judged against; its table can be saved
-and reloaded, so a repeated grid search of the same oracle is served
-from the saved table.
+`grid_search` scores every grid point and is the ground truth the
+optimizer is judged against; its table can be saved and reloaded, so a
+repeated grid search of the same oracle is served from the saved table.
 
-Both keep their points in set coordinates and hand their oracle the
-controller triples `FeasibleSet.canonical` maps them to, so a reset-time
-axis is never scored as an integral gain.
+Both take a batch oracle, (N, 3) controller triples (kp, kv, ki) to (N,)
+finite costs, and hand it the rows `FeasibleSet.canonical` maps their
+set-space points to, so a reset-time axis is never scored as an
+integral gain.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 import os
 import zipfile
 import zlib
@@ -84,9 +85,8 @@ class FeasibleSet:
                                ("third", self.third)):
             if not (0.0 < lo < hi) or not math.isfinite(hi):
                 raise ValueError(f"{name} interval must satisfy 0 < min < max")
-        for name, n in (("n_kp", self.n_kp), ("n_kv", self.n_kv),
-                        ("n_third", self.n_third)):
-            if n < 2:
+        for name in ("n_kp", "n_kv", "n_third"):
+            if _count(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
         if self.third_axis not in ("ki", "tn"):
             raise ValueError("third_axis must be 'ki' or 'tn'")
@@ -198,6 +198,14 @@ class FeasibleSet:
                          for (i, j, k) in chosen], dtype=float)
 
 
+def _count(obj, name: str) -> int:
+    """Field ``name`` of ``obj``, which must be an integer (not a bool)."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=8)
 def _grid_cached(s: FeasibleSet) -> np.ndarray:
     mesh = np.meshgrid(*s.axes, indexing="ij")
@@ -233,13 +241,13 @@ class BoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.m0 < 3:
+        if _count(self, "m0") < 3:
             raise ValueError("m0 must be at least 3 (hyperparameter fit needs it)")
         if not 0.0 <= self.beta < math.inf:
             raise ValueError("beta must be finite and non-negative")
-        if self.max_iterations < 0:
+        if _count(self, "max_iterations") < 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.seed < 0:
+        if _count(self, "seed") < 0:
             raise ValueError("seed must be non-negative")
 
 
@@ -344,41 +352,63 @@ _INIT_HYPERPARAMS = GpHyperparams(sigma_f=1.0, lengthscales=(0.3, 0.3, 0.3),
                                   sigma_w=1e-3)
 
 
-def _evaluate(oracle, fset: FeasibleSet, point, state: BoState) -> float:
+def _point_text(point) -> str:
+    return repr(tuple(float(v) for v in point))
+
+
+def _costs(oracle, fset: FeasibleSet, points: np.ndarray) -> np.ndarray:
+    """One oracle call on the triples of set-space ``points``, checked."""
+    costs = np.asarray(oracle(fset.canonical(points)), dtype=float)
+    if costs.shape != (len(points),):
+        raise ValueError(f"oracle returned costs of shape {costs.shape}, "
+                         f"expected ({len(points)},)")
+    bad = np.flatnonzero(~np.isfinite(costs))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"oracle returned the non-finite cost {float(costs[i])!r} "
+                         f"at {_point_text(points[i])}")
+    return costs
+
+
+def _evaluate(oracle, fset: FeasibleSet, points, state: BoState) -> np.ndarray:
     try:
-        return float(oracle(fset.canonical(point)[0]))
+        return _costs(oracle, fset, points)
     except Exception as exc:
         state.stop_reason = "oracle_error"
-        raise OracleAbort(f"oracle failed at {tuple(point)}: {exc}", state) from exc
+        where = (f"at {_point_text(points[0])}" if len(points) == 1
+                 else f"on the {len(points)}-point design")
+        raise OracleAbort(f"oracle failed {where}: {exc}", state) from exc
 
 
 def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
     """Minimize a black-box cost over the feasible grid with GP-LCB.
 
-    ``oracle`` maps a controller triple (kp, kv, ki), given as a (3,)
-    array, to a finite cost; the loop hands it ``fset.canonical`` of each
-    set-space point it evaluates.  The returned state, its records and an
-    :class:`OracleAbort` message name points in set coordinates.  The loop:
+    ``oracle`` is a batch oracle (see the module docstring).  The
+    returned state, its records and an :class:`OracleAbort` message name
+    points in set coordinates.  The loop:
 
-    1. evaluate a seeded Latin-hypercube design of ``m0`` grid points;
+    1. evaluate a seeded Latin-hypercube design of ``m0`` grid points in
+       one oracle call;
     2. fit kernel hyperparameters on that design (refreshed every
        ``REFIT_EVERY`` iterations thereafter);
-    3. until stopped, propose the LCB argmin over the grid, evaluate it,
-       and update the incumbent (strict improvement moves it, so ties
-       keep the earliest observation).
+    3. until stopped, propose the LCB argmin over the grid, evaluate it
+       in a one-row call, and update the incumbent (strict improvement
+       moves it, so ties keep the earliest observation).
 
     The GP sees inputs scaled to the feasible box and standardized
     targets (see :mod:`~axistune.gpr`).  Stops with reason "repeat" once ``REPEAT_THRESHOLD``
     consecutive proposals land within ``STOP_RADIUS`` grid cells of an
     unchanged incumbent or tie its cost exactly, or with
     "max_iterations".
-    An oracle exception raises :class:`OracleAbort` carrying the partial
-    state.
+    An oracle call that raises, or returns other than one finite cost
+    per row, raises :class:`OracleAbort` carrying the partial state; a
+    failed design call leaves it without points, all or nothing.
     """
     state = BoState()
     rng = np.random.default_rng(config.seed)
-    for point in fset.lhs_sample(config.m0, rng):
-        state._observe(point, _evaluate(oracle, fset, point, state))
+    design = fset.lhs_sample(config.m0, rng)
+    for point, y in zip(design, _evaluate(oracle, fset, design, state)):
+        state._observe(point, y)
 
     bounds = fset.bounds()
     h = fit_hyperparams(Dataset(X=state.X, y=state.y), _INIT_HYPERPARAMS,
@@ -388,7 +418,7 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
     for t in range(1, config.max_iterations + 1):
         posterior = fit(Dataset(X=state.X, y=state.y), h, bounds)
         point, mu, sigma, _ = next_point(posterior, fset, config.beta)
-        y = _evaluate(oracle, fset, point, state)
+        y = float(_evaluate(oracle, fset, point[None], state)[0])
         moved = state._observe(point, y)
         near = (fset.index_distance(point, state.incumbent_point)
                 <= STOP_RADIUS) or y == state.incumbent_cost
@@ -419,17 +449,15 @@ def grid_search(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Score every grid point; returns (best point, best cost, table).
 
-    ``batch_oracle`` maps an (N, 3) array of controller triples
-    (kp, kv, ki) to (N,) costs in one call; it is handed
-    ``fset.canonical(fset.grid())``.  The best point and the table are in
-    set coordinates: rows [x1, x2, x3, cost] aligned with ``fset.grid()``,
-    and the best row is the first flat index among cost ties
-    (lexicographically lowest point).
+    ``batch_oracle`` is a batch oracle (see the module docstring), called
+    once; a call that returns other than one finite cost per row raises
+    ValueError.  The best point and the table are in set coordinates:
+    rows [x1, x2, x3, cost] aligned with ``fset.grid()``, and the best
+    row is the first flat index among cost ties (lexicographically
+    lowest point).
     """
     grid = fset.grid()
-    costs = np.asarray(batch_oracle(fset.canonical(grid)), dtype=float)
-    if costs.shape != (fset.size,):
-        raise ValueError("oracle returned the wrong number of costs")
+    costs = _costs(batch_oracle, fset, grid)
     best = int(np.argmin(costs))
     table = np.column_stack([grid, costs])
     return grid[best].copy(), float(costs[best]), table

@@ -1,5 +1,6 @@
 """Evaluation-bench checks: memoization, batch path, probe helpers."""
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -10,7 +11,8 @@ import pytest
 import axistune.bench as bench_module
 from axistune import simloop
 from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
-from axistune.metrics import DIVERGENCE_PENALTY, CostWeights
+from axistune.metrics import DIVERGENCE_PENALTY, CostWeights, cost as metric_cost
+from axistune.refgen import TrajectorySpec, generate_profile
 from axistune.tuner import BoConfig, FeasibleSet, run_bo
 
 
@@ -58,6 +60,63 @@ def test_batch_evaluation_deduplicates():
     # a later scalar query hits the shared memo
     assert bench.cost(a) == costs[0]
     assert bench.n_sims == 2
+
+
+def _counted_runs(monkeypatch):
+    """Count the runs of each tick loop the bench starts."""
+    runs = {"single": 0, "batch": 0}
+    simulate, simulate_batch = bench_module.simulate, bench_module.simulate_batch
+
+    def single(*args, **kwargs):
+        runs["single"] += 1
+        return simulate(*args, **kwargs)
+
+    def batch(*args, **kwargs):
+        for trace in simulate_batch(*args, **kwargs):
+            runs["batch"] += 1
+            yield trace
+
+    monkeypatch.setattr(bench_module, "simulate", single)
+    monkeypatch.setattr(bench_module, "simulate_batch", batch)
+    return runs
+
+
+# a short move, so the runs below take milliseconds
+SHORT = generate_profile(TrajectorySpec(0.01, 0.1, 5.0, 5.0, dwell_time=0.05))
+
+
+def test_a_fresh_one_row_query_runs_the_single_loop(monkeypatch):
+    runs = _counted_runs(monkeypatch)
+    bench = _new_bench(profile=SHORT)
+    queries = [bench.metrics, bench.cost, lambda t: bench.evaluate_many([t]),
+               lambda t: bench.metric_table(np.array([t]))]
+    for n, query in enumerate(queries, start=1):
+        query((150.0 * n, 0.5, 90.0))
+        assert runs == {"single": n, "batch": 0}
+    bench.evaluate_many([(150.0, 0.4, 90.0), (300.0, 0.4, 90.0)])
+    assert runs == {"single": 4, "batch": 2}
+    assert bench.n_sims == 6
+
+
+def test_every_query_fills_one_memo(monkeypatch):
+    # each triple is simulated once, whatever the order of the queries;
+    # only a query with two fresh rows runs the batch loop
+    a, b = (150.0, 0.5, 90.0), (300.0, 0.45, 90.0)
+    for order in itertools.permutations(("metrics", "cost", "evaluate_many")):
+        runs = _counted_runs(monkeypatch)
+        bench = _new_bench(profile=SHORT)
+        queries = {"metrics": lambda: bench.metrics(a),
+                   "cost": lambda: bench.cost(a),
+                   "evaluate_many": lambda: bench.evaluate_many([a, b])}
+        for name in order:
+            queries[name]()
+        assert bench.n_sims == 2, order
+        assert runs["single"] + runs["batch"] == 2, order
+        assert runs["batch"] == (2 if order[0] == "evaluate_many" else 0), order
+        assert bench.cost(a) == metric_cost(bench.metrics(a), bench.weights)
+        assert bench.evaluate_many([b, a]).tolist() == [bench.cost(b), bench.cost(a)]
+        assert bench.n_sims == 2, order
+        monkeypatch.undo()
 
 
 def test_batch_shape_validation():
@@ -154,7 +213,8 @@ def test_desk_optimum_costs_are_pinned():
 
     triple = (150.0, 0.5, 90.0)
     single = get_preset("desk").bench().cost(triple)
-    batch = get_preset("desk").bench().evaluate_many([triple])[0]
+    # a second row makes the query a batch run
+    batch = get_preset("desk").bench().evaluate_many([triple, (300.0, 0.45, 90.0)])[0]
     assert single == batch == 61.99755248866082
 
 
@@ -186,7 +246,9 @@ def test_single_and_batch_costs_are_bitwise_equal(preset, point, cost):
 
     pre = get_preset(preset)
     single = pre.bench().cost(pre.feasible.gains(point))
-    batch = pre.bench().evaluate_many(pre.feasible.canonical([point]))
+    # a second row makes the query a batch run
+    other = pre.feasible.grid()[0]
+    batch = pre.bench().evaluate_many(pre.feasible.canonical([point, other]))
     assert single == batch[0] == cost
 
 
@@ -297,7 +359,7 @@ def test_bo_on_a_reset_time_set_records_the_cost_of_each_points_gains(desk_bench
     # bench, ki = kv/tn spans 60 to 500
     tn_set = FeasibleSet(kp=(150.0, 450.0), kv=(0.3, 0.5), third=(1e-3, 5e-3),
                          n_kp=3, n_kv=3, n_third=3, third_axis="tn")
-    state = run_bo(desk_bench.cost, tn_set, BoConfig(m0=5, max_iterations=3))
+    state = run_bo(desk_bench.evaluate_many, tn_set, BoConfig(m0=5, max_iterations=3))
     assert state.evaluations >= 5
     for point, y in zip(state.points, state.costs):
         assert y == desk_bench.cost(tn_set.gains(point))

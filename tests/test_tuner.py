@@ -25,14 +25,17 @@ SMALL_TN = FeasibleSet(kp=(1.0, 4.0), kv=(0.1, 0.5), third=(0.01, 0.04),
 
 
 def _quadratic_oracle(fset, center=None, scale=1.0):
-    """Separable bowl with a known grid argmin, in normalized units."""
+    """Separable bowl with a known grid argmin, in normalized units.
+
+    A batch oracle: (N, 3) rows to (N,) costs.
+    """
     bounds = fset.bounds()
     lo, hi = bounds[:, 0], bounds[:, 1]
     c = (0.6 if center is None else center) * np.ones(3)
 
-    def oracle(x):
-        u = (np.asarray(x, dtype=float) - lo) / (hi - lo)
-        return scale * float(((u - c) ** 2).sum())
+    def oracle(X):
+        u = (np.asarray(X, dtype=float) - lo) / (hi - lo)
+        return scale * ((u - c) ** 2).sum(axis=1)
 
     return oracle
 
@@ -136,6 +139,20 @@ def test_feasible_set_validation():
                     n_kp=4, n_kv=5, n_third=4, third_axis="td")
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_kp", 2.5), ("n_kv", 5.0), ("n_third", True), ("n_kp", "4"),
+])
+def test_feasible_set_counts_must_be_integers(name, value):
+    counts = {"n_kp": 4, "n_kv": 5, "n_third": 4}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        FeasibleSet(kp=(1.0, 4.0), kv=(0.1, 0.5), third=(10.0, 40.0),
+                    **{**counts, name: value})
+    # numpy integers are counts too
+    fset = FeasibleSet(kp=(1.0, 4.0), kv=(0.1, 0.5), third=(10.0, 40.0),
+                       **{**counts, name: np.int64(counts[name])})
+    assert fset.grid().shape == (80, 3)
+
+
 def test_bo_config_validation():
     with pytest.raises(ValueError):
         BoConfig(m0=2)
@@ -147,6 +164,17 @@ def test_bo_config_validation():
     with pytest.raises(ValueError, match="seed"):
         BoConfig(seed=-1)
     assert BoConfig() == BoConfig(m0=20, beta=2.0, max_iterations=60, seed=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("m0", 3.5), ("m0", True), ("max_iterations", 2.5), ("seed", 1.5),
+    ("seed", True), ("max_iterations", np.float64(4.0)),
+])
+def test_bo_config_counts_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        BoConfig(**{name: value})
+    # numpy integers are counts too
+    assert BoConfig(**{name: np.int64(5)}) == BoConfig(**{name: 5})
 
 
 # -- acquisition ----------------------------------------------------------------
@@ -181,18 +209,18 @@ def test_next_point_explores_away_from_a_single_high_observation():
 
 
 def test_constant_cost_stops_by_the_repeat_rule():
-    calls = []
+    rows = []
 
-    def oracle(x):
-        calls.append(tuple(x))
-        return 5.0
+    def oracle(X):
+        rows.extend(map(tuple, X))
+        return np.full(len(X), 5.0)
 
     cfg = BoConfig(m0=8, max_iterations=30, seed=4)
     state = run_bo(oracle, SMALL, cfg)
     assert state.stop_reason == "repeat"
-    assert len(calls) == cfg.m0 + REPEAT_THRESHOLD
+    assert len(rows) == cfg.m0 + REPEAT_THRESHOLD
     assert state.iterations == REPEAT_THRESHOLD
-    assert state.costs == [5.0] * len(calls)
+    assert state.costs == [5.0] * len(rows)
     # ties keep the earliest observation as incumbent
     assert state.incumbent_index == 0
 
@@ -201,9 +229,7 @@ def test_quadratic_bowl_is_found_across_seeds():
     fset = FeasibleSet(kp=(1.0, 10.0), kv=(1.0, 10.0), third=(1.0, 10.0),
                        n_kp=12, n_kv=12, n_third=12)
     oracle = _quadratic_oracle(fset)
-    best, best_cost, _table = grid_search(
-        fset, lambda X: np.array([oracle(x) for x in X])
-    )
+    best, best_cost, _table = grid_search(fset, oracle)
     hits = 0
     for seed in range(8):
         cfg = BoConfig(m0=10, max_iterations=40, seed=seed)
@@ -266,11 +292,11 @@ def test_max_iterations_stop():
 def test_oracle_failure_carries_partial_state():
     boom_at = 7
 
-    def oracle(x):
+    def oracle(X):
         if oracle.count == boom_at:
             raise RuntimeError("sensor glitch")
-        oracle.count += 1
-        return float(np.sum(x))
+        oracle.count += len(X)
+        return X.sum(axis=1)
 
     oracle.count = 0
     with pytest.raises(OracleAbort) as exc:
@@ -281,16 +307,94 @@ def test_oracle_failure_carries_partial_state():
     assert "sensor glitch" in str(exc.value)
 
 
+def test_the_design_is_one_oracle_call_and_each_iteration_one_row():
+    shapes = []
+
+    def oracle(X):
+        shapes.append(np.shape(X))
+        return _quadratic_oracle(SMALL)(X)
+
+    cfg = BoConfig(m0=6, max_iterations=8, seed=3)
+    state = run_bo(oracle, SMALL, cfg)
+    assert state.iterations >= 1
+    assert shapes == [(cfg.m0, 3)] + [(1, 3)] * state.iterations
+
+
+def test_oracle_abort_names_the_failed_point_in_plain_floats():
+    def oracle(X):
+        if len(X) == 1:
+            oracle.failed = tuple(float(v) for v in X[0])
+            raise RuntimeError("boom")
+        return X.sum(axis=1)
+
+    with pytest.raises(OracleAbort) as exc:
+        run_bo(oracle, SMALL, BoConfig(m0=5, max_iterations=3, seed=0))
+    # on a ki axis the set point is the controller triple
+    assert str(exc.value) == f"oracle failed at {oracle.failed}: boom"
+    assert "np." not in str(exc.value)
+    assert len(exc.value.state.points) == 5
+
+
+def test_a_failed_design_is_named_and_leaves_no_points():
+    def oracle(X):
+        raise RuntimeError("boom")
+
+    with pytest.raises(OracleAbort) as exc:
+        run_bo(oracle, SMALL, BoConfig(m0=5, max_iterations=3, seed=0))
+    assert str(exc.value) == "oracle failed on the 5-point design: boom"
+    state = exc.value.state
+    assert state.points == [] and state.costs == []
+    assert state.stop_reason == "oracle_error"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_cost_aborts_the_search_naming_its_point(bad):
+    fset = SMALL_TN
+
+    def design_oracle(X):
+        costs = X.sum(axis=1)
+        costs[2] = bad
+        return costs
+
+    with pytest.raises(OracleAbort, match="non-finite cost") as exc:
+        run_bo(design_oracle, fset, BoConfig(m0=5, max_iterations=3, seed=0))
+    assert exc.value.state.points == []
+    point = tuple(float(v) for v in fset.lhs_sample(5, np.random.default_rng(0))[2])
+    # the cost and the point are plain floats, the point in set coordinates
+    assert f"cost {float(bad)!r} at {point}" in str(exc.value)
+
+    def iteration_oracle(X):
+        return X.sum(axis=1) if len(X) > 1 else np.array([bad])
+
+    with pytest.raises(OracleAbort, match="non-finite cost") as exc:
+        run_bo(iteration_oracle, fset, BoConfig(m0=5, max_iterations=3, seed=0))
+    assert len(exc.value.state.points) == 5
+
+    costs = fset.canonical(fset.grid()).sum(axis=1)
+    costs[7] = bad
+    with pytest.raises(ValueError, match="non-finite cost") as exc:
+        grid_search(fset, lambda X: costs)
+    assert f"at {tuple(float(v) for v in fset.grid()[7])}" in str(exc.value)
+
+
+def test_an_oracle_of_the_wrong_shape_aborts_the_search():
+    with pytest.raises(OracleAbort, match=r"shape \(\), expected \(5,\)"):
+        run_bo(lambda X: X.sum(), SMALL, BoConfig(m0=5, max_iterations=3))
+    with pytest.raises(OracleAbort, match=r"shape \(1, 3\), expected \(1,\)"):
+        run_bo(lambda X: X.sum(axis=1) if len(X) > 1 else X, SMALL,
+               BoConfig(m0=5, max_iterations=3))
+
+
 def test_run_bo_hands_its_oracle_controller_gains():
     seen = []
 
-    def oracle(x):
-        seen.append(np.array(x))
-        return float(np.sum(x))
+    def oracle(X):
+        seen.append(np.array(X))
+        return X.sum(axis=1)
 
     state = run_bo(oracle, SMALL_TN, BoConfig(m0=3, max_iterations=4, seed=0))
-    assert len(seen) == state.evaluations
-    for got, (kp, kv, tn) in zip(seen, state.points):
+    assert sum(map(len, seen)) == state.evaluations
+    for got, (kp, kv, tn) in zip(np.vstack(seen), state.points):
         assert got.shape == (3,)
         assert got.tolist() == [kp, kv, kv / tn]
     # the state and its records stay in set coordinates
@@ -302,11 +406,7 @@ def test_run_bo_hands_its_oracle_controller_gains():
 
 
 def test_grid_search_matches_a_direct_argmin():
-    oracle = _quadratic_oracle(SMALL)
-
-    def batch(X):
-        return np.array([oracle(x) for x in X])
-
+    batch = _quadratic_oracle(SMALL)
     best, best_cost, table = grid_search(SMALL, batch)
     g = SMALL.grid()
     costs = batch(g)
@@ -343,8 +443,7 @@ def test_grid_search_hands_its_oracle_controller_gains():
 
 
 def test_grid_table_cache_round_trip(tmp_path):
-    oracle = _quadratic_oracle(SMALL)
-    _, _, table = grid_search(SMALL, lambda X: np.array([oracle(x) for x in X]))
+    _, _, table = grid_search(SMALL, _quadratic_oracle(SMALL))
     path = tmp_path / "table.npz"
     save_grid_table(path, SMALL, table, "bench-a")
     loaded = load_grid_table(path, SMALL, "bench-a")
