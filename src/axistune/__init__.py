@@ -8,8 +8,8 @@ process Bayesian optimization over a bounded gain box.
 
 Layers, bottom up:
 
-- :mod:`axistune.plant` -- the state-space model of the motor plus
-  two-mass drivetrain.
+- :mod:`axistune.plant` -- the state-space model of the motor and the
+  rigid screw axis it drives.
 - :mod:`axistune.refgen` -- setpoints to reference trajectories.
 - :mod:`axistune.simloop` -- the sampled cascade simulator.
 - :mod:`axistune.metrics` -- step-response metrics and the scalar cost.

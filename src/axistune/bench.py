@@ -147,10 +147,10 @@ class TuningBench:
         """Digest of everything that decides a cost besides the gains.
 
         That is the plant, the current-loop PI, the rails, the drive
-        maps' integrator step and segments per tick, the command delay,
-        the divergence limit, the settling band, the divergence penalty,
-        the weights and the sampled reference trajectory.  The module
-        constants are read when the digest is taken.
+        maps with the step and segments that built them, the command
+        delay, the divergence limit, the settling band, the divergence
+        penalty, the weights and the sampled reference trajectory, all
+        read when the digest is taken.
         """
         h = hashlib.sha256(repr((
             LAB_SERVO, simloop.CURRENT_LOOP_KP, simloop.CURRENT_LOOP_KI,
@@ -159,7 +159,9 @@ class TuningBench:
             metric_module.SETTLE_BAND, metric_module.DIVERGENCE_PENALTY,
             self.weights,
         )).encode())
-        for arr in (self.profile.t, self.profile.position, self.profile.speed):
+        drive = simloop._drive()
+        for arr in (drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz,
+                    self.profile.t, self.profile.position, self.profile.speed):
             h.update(arr.tobytes())
         return h.hexdigest()
 

@@ -2,19 +2,25 @@
 
 The drive is a permanent-magnet synchronous motor in the dq frame (the
 d-axis current is regulated to zero, so only the q-axis dynamics remain)
-coupled to a two-mass drivetrain: motor inertia and load inertia joined
-by a stiff axial spring with shaft damping.
+driving the screw and carriage as one rigid body: J = Jm + Jl,
+B = Bm + Bl.
 
 Electrical side::
 
     v_q = Ls * di_q/dt + Rs * i_q + Kb * w_m,      tau_m = Kt * i_q
 
-Mechanical side (angles theta, speeds w = d theta/dt)::
+Mechanical side (angle th_m, speed w_m = d th_m/dt)::
 
-    Jm * dw_m/dt = tau_m - Bm*w_m - Bml*(w_m - w_l) - Ks*(th_m - th_l)
-    Jl * dw_l/dt = tau_l - Bl*w_l + Bml*(w_m - w_l) + Ks*(th_m - th_l)
+    J * dw_m/dt = tau_m + tau_l - B*w_m
 
-:func:`physical_state_model` writes these equations as the five-state
+The axis is rigid because the screw is: at 3e7 N*m/rad of axial
+stiffness the motor-load mode sits at 1.08e6 rad/s (172 kHz), about 340
+times the tick's Nyquist rate, where the simulator's 1 us RK4 steps
+would damp it about 1e4 times faster than the physics does.  The motor
+encoder feeds both outer loops; modelled as a spring, the screw moved
+rail-free costs by at most 4.5e-7 relative.
+
+:func:`physical_state_model` writes these equations as the three-state
 model ``STATES`` with voltage and load-torque inputs; it is the one
 place the plant's A and B matrices are defined, and the time-domain
 simulator builds its drive from it.  The ball-screw lead ``Q`` converts
@@ -49,7 +55,7 @@ class PlantParams:
     """Electrical and mechanical constants of one servo axis.
 
     Units: Rs [ohm], Ls [H], Kt [N*m/A], Kb [V*s/rad], inertias [kg*m^2],
-    dampings [N*m*s/rad], Ks [N*m/rad], Q [m/rev], omega_max [rad/s].
+    dampings [N*m*s/rad], Q [m/rev], omega_max [rad/s].
     """
 
     Rs: float
@@ -59,17 +65,15 @@ class PlantParams:
     Jm: float
     Bm: float
     Jl: float
-    Bml: float
-    Ks: float
     Q: float
     omega_max: float
     Bl: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("Rs", "Ls", "Kt", "Kb", "Jm", "Jl", "Ks", "Q", "omega_max"):
+        for name in ("Rs", "Ls", "Kt", "Kb", "Jm", "Jl", "Q", "omega_max"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ModelError(f"{name} must be finite and strictly positive")
-        for name in ("Bm", "Bml", "Bl"):
+        for name in ("Bm", "Bl"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ModelError(f"{name} must be finite and non-negative")
 
@@ -80,8 +84,8 @@ class PlantParams:
 
 
 # The benchtop ball-screw axis: a 250 W PMSM (one-phase equivalent
-# electrical constants, q-axis), a stiff screw coupling, and the carriage
-# reflected through the 18 mm screw lead.
+# electrical constants, q-axis) and the screw and carriage reflected
+# through the 18 mm screw lead.
 LAB_SERVO = PlantParams(
     Rs=9.02,        # stator resistance [ohm]
     Ls=0.0187,      # stator inductance [H]
@@ -90,8 +94,6 @@ LAB_SERVO = PlantParams(
     Jm=0.27e-4,     # rotor inertia [kg m^2]
     Bm=0.0074,      # motor-side viscous friction [N m s / rad]
     Jl=6.53e-4,     # load-side inertia [kg m^2]
-    Bml=0.014,      # coupling damping [N m s / rad]
-    Ks=3e7,         # coupling stiffness [N m / rad]
     Q=0.018,        # screw lead [m / rev]
     omega_max=8000.0 * 2.0 * math.pi / 60.0,  # speed rail [rad/s]
 )
@@ -99,9 +101,8 @@ LAB_SERVO = PlantParams(
 
 # -- state space --------------------------------------------------------------
 
-# State order of the model: q current, motor speed and angle, load speed
-# and angle.
-STATES = ("i_q", "w_m", "th_m", "w_l", "th_l")
+# State order of the model: q current, motor speed and angle.
+STATES = ("i_q", "w_m", "th_m")
 
 
 def physical_state_model(p: PlantParams) -> tuple[np.ndarray, np.ndarray]:
@@ -109,16 +110,15 @@ def physical_state_model(p: PlantParams) -> tuple[np.ndarray, np.ndarray]:
 
     States are ``STATES``; inputs are (v_q, tau_l).
     """
+    J = p.Jm + p.Jl
     A = np.array(
         [
-            [-p.Rs / p.Ls, -p.Kb / p.Ls, 0.0, 0.0, 0.0],
-            [p.Kt / p.Jm, -(p.Bm + p.Bml) / p.Jm, -p.Ks / p.Jm, p.Bml / p.Jm, p.Ks / p.Jm],
-            [0.0, 1.0, 0.0, 0.0, 0.0],
-            [0.0, p.Bml / p.Jl, p.Ks / p.Jl, -(p.Bml + p.Bl) / p.Jl, -p.Ks / p.Jl],
-            [0.0, 0.0, 0.0, 1.0, 0.0],
+            [-p.Rs / p.Ls, -p.Kb / p.Ls, 0.0],
+            [p.Kt / J, -(p.Bm + p.Bl) / J, 0.0],
+            [0.0, 1.0, 0.0],
         ]
     )
-    B = np.zeros((5, 2))
+    B = np.zeros((3, 2))
     B[0, 0] = 1.0 / p.Ls
-    B[3, 1] = 1.0 / p.Jl
+    B[1, 1] = 1.0 / J
     return A, B

@@ -179,16 +179,12 @@ class FeasibleSet:
             raise ValueError("sample size must be in [1, grid size]")
         unit = np.empty((m, 3))
         for j in range(3):
-            strata = (rng.permutation(m) + rng.uniform(0.0, 1.0, m)) / m
-            unit[:, j] = strata
+            unit[:, j] = (rng.permutation(m) + rng.uniform(0.0, 1.0, m)) / m
+        b = self.bounds()
         chosen: dict[tuple[int, int, int], None] = {}
-        for row in unit:
-            idx = tuple(
-                int(np.argmin(np.abs(ax - (lo + r * (hi - lo)))))
-                for ax, r, (lo, hi) in zip(
-                    self.axes, row, (self.kp, self.kv, self.third))
-            )
-            chosen.setdefault(idx, None)
+        for r in unit:
+            chosen.setdefault(
+                self.nearest_index(b[:, 0] + r * (b[:, 1] - b[:, 0])), None)
         while len(chosen) < m:
             flat = int(rng.integers(self.size))
             chosen.setdefault(tuple(int(i) for i in

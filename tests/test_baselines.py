@@ -155,13 +155,13 @@ def test_probe_results_are_pinned():
     assert zn.diagnostics["tu"] == 0.007
     assert len(zn.diagnostics["probes"]) == 14
     assert zn.gains == pytest.approx((4200.0, 0.5, 110.96819196428571), rel=1e-9)
-    assert zn.cost == pytest.approx(146805.5145177589, rel=1e-9)
+    assert zn.cost == pytest.approx(147071.96948305838, rel=1e-9)
 
     ry = relay_tune(get_preset("desk").bench(), fset)
-    assert ry.diagnostics["a"] == pytest.approx(1.1478873487281793, rel=1e-9)
+    assert ry.diagnostics["a"] == pytest.approx(1.147887767751502, rel=1e-9)
     assert ry.diagnostics["tu"] == 0.008
-    assert ry.gains == pytest.approx((4200.0, 0.49914113590122, 90.0), rel=1e-9)
-    assert ry.cost == pytest.approx(147062.21450160624, rel=1e-9)
+    assert ry.gains == pytest.approx((4200.0, 0.4991409536954476, 90.0), rel=1e-9)
+    assert ry.cost == pytest.approx(147100.30764053456, rel=1e-9)
 
 
 def test_never_oscillating_plant_raises_with_diagnostics():

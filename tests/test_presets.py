@@ -28,8 +28,6 @@ def test_lab_servo_constants():
     assert p.Jm == 0.27e-4
     assert p.Bm == 0.0074
     assert p.Jl == 6.53e-4
-    assert p.Bml == 0.014
-    assert p.Ks == 3e7
     assert p.Q == 0.018
     assert p.omega_max == pytest.approx(8000.0 * 2.0 * math.pi / 60.0)
 

@@ -90,6 +90,26 @@ def test_the_tick_is_a_whole_number_of_segments_of_integrator_steps():
     assert round(steps) % simloop.SEGMENTS_PER_TICK == 0
 
 
+def test_the_integrator_step_resolves_every_drive_mode():
+    # RK4 is accurate only where h*|lambda| << 1; a mode near or past
+    # that limit would be damped by the integrator, not by the physics.
+    # The continuous drive matrices, closed loop, railed and railed with
+    # the current integrator frozen, rebuilt from the plant model:
+    from axistune.plant import LAB_SERVO, STATES, physical_state_model
+
+    p, n = LAB_SERVO, len(STATES)
+    A_ol = np.zeros((n + 1, n + 1))
+    A_ol[:n, :n] = physical_state_model(p)[0]
+    A_ol[n, 0] = -1.0
+    A_cl = A_ol.copy()
+    A_cl[0, 0] -= simloop.CURRENT_LOOP_KP / p.Ls
+    A_cl[0, n] += simloop.CURRENT_LOOP_KI / p.Ls
+    A_frz = A_ol.copy()
+    A_frz[n, 0] = 0.0
+    for A in (A_cl, A_ol, A_frz):
+        assert simloop.RK4_STEP * np.abs(np.linalg.eigvals(A)).max() <= 0.01
+
+
 def test_standstill_stays_at_rest():
     profile = generate_profile(
         dataclasses.replace(BENCH_MOVE, position_setpoint=0.0, dwell_time=0.5))
