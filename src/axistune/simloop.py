@@ -56,6 +56,20 @@ one trace, bitwise, whichever loop or chunk ran it, and
 processes too: ``TuningBench.metric_table`` scores fresh rows in forked
 workers, each of which runs this code on the same BLAS library and
 builds, or inherits, the same drive maps from the same constants.
+
+The drive's gemms run in place.  Its operand -- the row
+``[x | v | i_ref]`` over a pad row that stays zero -- and its product
+are two arrays of C doubles allocated with the drive and viewed by
+numpy through ``frombuffer``.  Each map writes its product into the
+second array (``ndarray.dot`` with ``out``): the same dgemm on the same
+bytes as the allocating product, which the test suite also checks.  A
+single run keeps its state in the operand from tick to tick and reads
+it as Python floats; a batch loads each railed row into the operand,
+runs ``segment_tick`` and copies the row back.  The two arrays are
+per-process scratch that every run uses and that each forked worker
+gets its own copy of, so no run may yield mid-run (`simulate` returns,
+and a batch chunk yields its traces, only after the last tick), and no
+two threads of one process may simulate at once.
 """
 
 from __future__ import annotations
@@ -238,6 +252,15 @@ class _Drive:
     ``S_ol`` and ``S_frz`` advance one voltage-update segment in closed
     loop, railed, and railed with the current integrator frozen.  A map
     that an input does not drive has a zero row for it.
+
+    The maps act in place on per-process scratch.  ``operand`` holds the
+    row ``[x | v | i_ref]`` and a pad row that stays zero; ``prod``
+    takes each two-row product, the next state first.  ``x`` is a numpy
+    view of the operand's state, and ``state`` and ``product`` are
+    memoryviews of the two states, so ``state[:] = product`` commits a
+    step.  ``advance`` applies one map, leaving the next state in
+    ``prod``, and ``segment_tick`` advances the operand's state one
+    railed tick.
     """
 
     def __init__(self):
@@ -306,28 +329,45 @@ class _Drive:
         M, N = _rk4_step_maps(A_frz, B_frz, h)
         S_frz = self.S_frz = augmented(*_compose(M, N, per_seg), 0, None)
 
-        # a state is a list of Python floats, without numpy scalars'
-        # overhead; each map multiplies a two-row block whose second row
-        # stays zero (``dot`` is the gemm of ``@`` without ufunc dispatch)
-        rows = np.zeros((2, nx + 2))
+        # the operand [x | v | i_ref] over a pad row that stays zero, and
+        # the product, are C-double arrays that numpy views in place
+        w = nx + 2
+        operand = self.operand = array("d", bytes(16 * w))
+        rows = np.frombuffer(operand).reshape(2, w)
+        self.x = rows[0, :nx]
+        prod = self.prod = array("d", bytes(16 * nx))
+        res = np.frombuffer(prod).reshape(2, nx)
+        state = self.state = memoryview(operand)[:nx]
+        product = self.product = memoryview(prod)[:nx]
+        # ``dot`` is the gemm of ``@`` without the dispatcher; given
+        # ``res`` it writes the product there instead of allocating it
+        dot = rows.dot
         cv0, cv_ci, d_v = self.cv0, self.cv_ci, self.d_v
         vmax = RAILS.voltage_limit
+        i_v, i_i = nx, nx + 1
 
-        def advance(S: np.ndarray, xs: list, v: float, i_ref: float) -> list:
-            rows[0] = (*xs, v, i_ref)
-            return rows.dot(S)[0].tolist()
+        def advance(S: np.ndarray, v: float, i_ref: float) -> None:
+            """Apply map ``S`` to the operand's state under ``v`` and
+            ``i_ref``; the next state is left in ``prod``."""
+            operand[i_v] = v
+            operand[i_i] = i_ref
+            dot(S, res)
 
-        def segment_tick(xs: list, i_ref: float) -> list:
-            """One tick at the voltage-update rate; both loops' railed ticks."""
+        def segment_tick(i_ref: float) -> None:
+            """Advance the operand's state one tick at the voltage-update
+            rate; both loops' railed ticks."""
+            operand[i_i] = i_ref
             v_ref = d_v * i_ref
             for _ in range(SEGMENTS_PER_TICK):
-                v = (cv0 * xs[0] + cv_ci * xs[i_ci]) + v_ref
+                v = (cv0 * operand[0] + cv_ci * operand[i_ci]) + v_ref
                 if v > vmax or v < -vmax:
-                    S = S_frz if (i_ref > xs[0]) == (v > 0.0) else S_ol
-                    xs = advance(S, xs, math.copysign(vmax, v), i_ref)
+                    S = S_frz if (i_ref > operand[0]) == (v > 0.0) else S_ol
+                    operand[i_v] = math.copysign(vmax, v)
                 else:
-                    xs = advance(S_cl, xs, v, i_ref)
-            return xs
+                    S = S_cl
+                    operand[i_v] = v
+                dot(S, res)
+                state[:] = product
 
         self.advance, self.segment_tick = advance, segment_tick
 
@@ -408,13 +448,16 @@ def simulate(
     y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a = (array("d") for _ in range(5))
 
     T_cl, advance, segment_tick = drive.T_cl, drive.advance, drive.segment_tick
+    xs, prod = drive.operand, drive.prod
+    state, product = drive.state, drive.product
     cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
 
     vmax, imax, wmax = RAILS.voltage_limit, RAILS.current_limit, drive.wmax
     div_lim = DIVERGENCE_LIMIT
 
-    xs = [0.0] * drive.nx
+    # the state is the drive operand's first row, read as Python floats
+    drive.x[:] = 0.0
     integ = 0.0  # speed-loop integral of angular speed error [rad]
     delay = COMMAND_DELAY_TICKS
     cmd_hist = array("d")  # clamped current commands, by tick
@@ -463,11 +506,14 @@ def simulate(
             break
 
         if in_rails:
-            x_next = advance(T_cl, xs, v_pred, i_ref)
-            v_end = (cv0 * x_next[0] + cv_ci * x_next[i_ci]) + d_v * i_ref
-            xs = x_next if -vmax <= v_end <= vmax else segment_tick(xs, i_ref)
+            advance(T_cl, v_pred, i_ref)
+            v_end = (cv0 * prod[0] + cv_ci * prod[i_ci]) + d_v * i_ref
+            if -vmax <= v_end <= vmax:
+                state[:] = product
+            else:
+                segment_tick(i_ref)
         else:
-            xs = segment_tick(xs, i_ref)
+            segment_tick(i_ref)
 
         if xs[i_w] > wmax:
             xs[i_w] = wmax
@@ -475,7 +521,7 @@ def simulate(
             xs[i_w] = -wmax
 
         # a NaN fails the comparison, so it flags divergence too
-        if not all(abs(v) < div_lim for v in xs):
+        if not all(abs(v) < div_lim for v in state):
             div_at = k + 1
             break
 
@@ -524,7 +570,7 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
 
     r_pos, r_spd = profile.position, profile.speed
 
-    T_cl, segment_tick = drive.T_cl, drive.segment_tick
+    T_cl, segment_tick, x = drive.T_cl, drive.segment_tick, drive.x
     cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
     nx = drive.nx
@@ -580,9 +626,13 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
             (np.abs(v_pred) <= vmax) & (np.abs(v_end) <= vmax)
         )
         if need.any():
+            # each row runs in the drive's operand, from its state before
+            # the tick
             idx = np.flatnonzero(need)
-            Xn[idx] = [segment_tick(xs, ir) for xs, ir in
-                       zip(X[idx].tolist(), i_ref[idx].tolist())]
+            for r, ir in zip(idx.tolist(), i_ref[idx].tolist()):
+                x[:] = X[r]
+                segment_tick(ir)
+                Xn[r] = x
         if not alive.all():
             Xn[~alive] = X[~alive]
         X[:] = Xn

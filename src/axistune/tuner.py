@@ -492,8 +492,11 @@ def load_grid_table(path, fset: FeasibleSet, bench_key: str) -> np.ndarray | Non
             if str(data["key"]) != _table_key(fset, bench_key):
                 return None
             table = np.array(data["table"], dtype=float)
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
-            zlib.error):
+    # zipfile refuses a damaged header's flags, version or compression
+    # method with NotImplementedError, and an entry flagged encrypted
+    # with RuntimeError
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+            RuntimeError, zipfile.BadZipFile, zlib.error):
         return None
     if table.shape != (fset.size, 4):
         return None

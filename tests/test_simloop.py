@@ -234,9 +234,9 @@ def test_railed_ticks_of_both_loops_go_through_one_routine(monkeypatch):
     real = drive.segment_tick
     calls = []
 
-    def counted(xs, i_ref):
+    def counted(i_ref):
         calls.append(None)
-        return real(xs, i_ref)
+        return real(i_ref)
 
     monkeypatch.setattr(drive, "segment_tick", counted)
     profile = benchmark_profile()
@@ -272,6 +272,71 @@ def test_map_products_do_not_depend_on_the_row_count():
             for offset in {0, 1, 3, 320 - m}:
                 assert np.array_equal(block[offset:offset + m].dot(S),
                                       alone[offset:offset + m]), (m, offset)
+
+
+def test_in_place_products_equal_the_allocating_products():
+    # the drive writes each map's product into its own preallocated
+    # buffer; that must be the bits an allocating two-row gemm gives
+    drive = simloop._drive()
+    nx = drive.nx
+    rng = np.random.default_rng(1)
+    n = 10_000
+    block = rng.choice([-1.0, 1.0], (n, nx + 2)) * 10.0 ** rng.uniform(
+        -8.0, 8.0, (n, nx + 2))
+    pair = np.zeros((2, nx + 2))
+    for S in (drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz):
+        in_place = np.empty((n, nx))
+        alone = np.empty((n, nx))
+        for r, row in enumerate(block):
+            drive.x[:] = row[:nx]
+            drive.advance(S, float(row[nx]), float(row[nx + 1]))
+            in_place[r] = drive.prod[:nx]
+            pair[0] = row
+            alone[r] = pair.dot(S)[0]
+        assert in_place.tobytes() == alone.tobytes()
+
+
+def _pad_is_zero(drive) -> bool:
+    pad = drive.operand[drive.nx + 2:]
+    return len(pad) == drive.nx + 2 and pad.tobytes() == bytes(8 * len(pad))
+
+
+def test_the_operand_pad_row_stays_zero(monkeypatch):
+    # every gemm's second row is the pad; a run that wrote it would
+    # change the products of every later run
+    drive = simloop._drive()
+    profile = benchmark_profile()
+    simulate(GainVector(4200.0, 0.5, 900.0), profile)
+    assert _pad_is_zero(drive)
+    simulate(GainVector(0.0, 0.5, 90.0), constant_speed_profile(0.2, 0.2),
+             relay=2.0)
+    assert _pad_is_zero(drive)
+    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 2 * len(profile))
+    list(simulate_batch(_BATCH_ROWS, profile))
+    assert _pad_is_zero(drive)
+
+
+def test_a_single_run_between_batch_items_changes_no_trace(monkeypatch):
+    # the drive's operand is scratch shared by both loops: a single run
+    # made while a multi-chunk batch is suspended between its yields must
+    # leave the batch's later chunks as they would have been, and run as
+    # it would have alone
+    profile = benchmark_profile()
+    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 2 * len(profile))
+    straight = list(simulate_batch(_BATCH_ROWS, profile))
+    railed_gains = GainVector(4200.0, 0.5, 900.0)
+    alone = simulate(railed_gains, profile)
+    assert np.max(np.abs(alone.v_q)) == RAILS.voltage_limit
+    interrupted = []
+    for trace in simulate_batch(_BATCH_ROWS, profile):
+        interrupted.append(trace)
+        _assert_traces_equal(simulate(railed_gains, profile), alone)
+    assert len(interrupted) == len(straight)
+    for a, b in zip(interrupted, straight):
+        _assert_traces_equal(a, b)
+    # the batch's later chunks ran railed ticks too
+    assert any(np.max(np.abs(t.v_q)) == RAILS.voltage_limit
+               for t in straight[2:])
 
 
 def test_batch_rejects_unsupported_modes():

@@ -463,6 +463,27 @@ def test_grid_table_cache_round_trip(tmp_path):
     assert load_grid_table(bad, SMALL, "bench-a") is None
 
 
+def test_a_damaged_grid_table_loads_as_a_miss_or_unchanged(tmp_path):
+    # every byte of a small saved table, inverted and with its low bit
+    # flipped: zipfile and numpy reject the damage in many ways, and each
+    # must read as a cache miss, never as an exception or other numbers
+    fset = FeasibleSet(kp=(1.0, 4.0), kv=(0.1, 0.4), third=(10.0, 40.0),
+                       n_kp=3, n_kv=3, n_third=3)
+    table = np.column_stack([fset.grid(), np.arange(fset.size, dtype=float)])
+    path = tmp_path / "table.npz"
+    save_grid_table(path, fset, table, "bench-a")
+    raw = path.read_bytes()
+    damaged = tmp_path / "damaged.npz"
+    for mask in (0xFF, 0x01):
+        for offset in range(len(raw)):
+            data = bytearray(raw)
+            data[offset] ^= mask
+            damaged.write_bytes(data)
+            loaded = load_grid_table(damaged, fset, "bench-a")
+            assert loaded is None or np.array_equal(loaded, table), (
+                mask, offset)
+
+
 def test_failed_grid_table_save_leaves_no_file(tmp_path, monkeypatch):
     def cut_short(f, **arrays):
         f.write(b"PK\x03\x04")
