@@ -47,12 +47,18 @@ relay; only `simulate` runs it, through its ``relay`` argument.
 `simulate` (one run) and `simulate_batch` (many runs) take the same
 gain rows and return the same trace channels, and for one run do the
 same IEEE operations in the same order: the voltage as two products in
-a fixed order, a railed tick through the drive's one ``segment_tick``,
-and a rail-free tick as a gemm of at least two rows, whose rows do not
-depend on the row count.  That last is a property of the BLAS build,
-not a BLAS guarantee; the test suite checks it.  So a gain triple has
-one trace, bitwise, whichever loop or chunk ran it, and
-``TuningBench`` picks the loop by row count.  That holds across worker
+a fixed order, and each map as a gemm of at least two rows, whose rows
+do not depend on the row count.  That last is a property of the BLAS
+build, not a BLAS guarantee; the test suite checks it.  A rail-free
+tick is one such gemm.  A railed tick is ``SEGMENTS_PER_TICK``
+segments, each a voltage, mode and clamp in Python floats and then that
+mode's map.  A single run, and a batch tick with fewer than
+``LOCKSTEP_ROWS`` railed rows, take the drive's ``segment_tick`` row by
+row; a batch tick with more takes its ``segment_ticks``, which does the
+same arithmetic row for row but runs each segment map once for all of
+them, so each row still gets the bits of its own gemm.  So a gain triple has one trace, bitwise,
+whichever loop or chunk ran it, and ``TuningBench`` picks the loop by
+row count.  That holds across worker
 processes too: ``TuningBench.metric_table`` scores fresh rows in forked
 workers, each of which runs this code on the same BLAS library and
 builds, or inherits, the same drive maps from the same constants.
@@ -64,8 +70,10 @@ numpy through ``frombuffer``.  Each map writes its product into the
 second array (``ndarray.dot`` with ``out``): the same dgemm on the same
 bytes as the allocating product, which the test suite also checks.  A
 single run keeps its state in the operand from tick to tick and reads
-it as Python floats; a batch loads each railed row into the operand,
-runs ``segment_tick`` and copies the row back.  The two arrays are
+it as Python floats.  A batch loads a tick's railed rows one by one
+into the operand, or all at once into the drive's block (rows ``[x | v
+| i_ref]`` and a product per segment map, C doubles grown to the
+largest chunk), and copies them back after the tick.  These arrays are
 per-process scratch that every run uses and that each forked worker
 gets its own copy of, so no run may yield mid-run (`simulate` returns,
 and a batch chunk yields its traces, only after the last tick), and no
@@ -127,6 +135,14 @@ CURRENT_LOOP_KI = 1000.0
 # A run whose state magnitude passes this is stopped and flagged as
 # diverged.
 DIVERGENCE_LIMIT = 1e12
+
+# Fewest railed rows of a batch tick that advance in lockstep through
+# `_Drive.segment_ticks` (at least two); fewer run one by one through
+# ``segment_tick``.  Both give the same bits.  The lockstep routine pays
+# about 3.1 us per segment for the block and 0.33 us per row and
+# segment, the row-by-row loop about 0.82 us per row and segment (desk
+# grid ticks, 2 vCPUs), so they break even at six rows.
+LOCKSTEP_ROWS = 7
 
 # Run-ticks (runs times profile ticks) per vectorized chunk in
 # `simulate_batch`; peak memory scales with it.  256 runs of the
@@ -261,6 +277,14 @@ class _Drive:
     step.  ``advance`` applies one map, leaving the next state in
     ``prod``, and ``segment_tick`` advances the operand's state one
     railed tick.
+
+    The block is the scratch of a batch tick's railed rows:
+    ``block_rows`` views ``block``, its rows ``[x | v | i_ref]``, and
+    ``block_outs`` view ``block_prods``, one product of each segment map
+    per row.  `reserve` grows them to a chunk's row count, and
+    `segment_ticks` advances the block's first rows one railed tick
+    together.  No gemm reads a row past the ones in use, so the block
+    needs no pad row.
     """
 
     def __init__(self):
@@ -370,6 +394,87 @@ class _Drive:
                 state[:] = product
 
         self.advance, self.segment_tick = advance, segment_tick
+        self.cap = 0
+        self.reserve(2)
+
+    def reserve(self, rows: int) -> None:
+        """Let the block hold at least ``rows`` rows."""
+        if rows > self.cap:
+            nx, w = self.nx, self.nx + 2
+            self.block = array("d", bytes(8 * w * rows))
+            self.block_rows = np.frombuffer(self.block).reshape(rows, w)
+            # one product per segment map, in the order S_cl, S_ol, S_frz
+            self.block_prods = tuple(array("d", bytes(8 * nx * rows))
+                                     for _ in range(3))
+            self.block_outs = tuple(np.frombuffer(p).reshape(rows, nx)
+                                    for p in self.block_prods)
+            self.cap = rows
+
+    def segment_ticks(self, R: int) -> None:
+        """Advance the block's first ``R`` >= 2 rows one railed tick in
+        lockstep; the batch's railed ticks.
+
+        Each row takes the steps of ``segment_tick``: per segment, its
+        voltage, mode and clamp as the same Python float operations, then
+        its mode's map.  Each map that a segment needs runs once, as one
+        gemm over all ``R`` rows, and only that map's rows commit its
+        product.  A gemm row does not depend on the row count, so each
+        row gets the bits of its own two-row gemm.
+        """
+        nx, w, i_ci = self.nx, self.nx + 2, self.i_ci
+        i_v, i_i = nx, nx + 1
+        cv0, cv_ci, d_v = self.cv0, self.cv_ci, self.d_v
+        vmax = RAILS.voltage_limit
+        nvmax = -vmax
+        copysign = math.copysign
+        block, end = self.block, R * w
+        state = memoryview(block)
+        rows = self.block_rows[:R]
+        X = rows[:, :nx]
+        dot = rows.dot
+        S_cl, S_ol, S_frz = self.S_cl, self.S_ol, self.S_frz
+        P_cl, P_ol, P_frz = (P[:R] for P in self.block_outs)
+        m_cl, m_ol, m_frz = map(memoryview, self.block_prods)
+        i_refs = block[i_i:end:w]
+        v_refs = [d_v * i_ref for i_ref in i_refs]
+        for _ in range(SEGMENTS_PER_TICK):
+            x0s = block[0:end:w]
+            vs = [(cv0 * x0 + cv_ci * x_ci) + v_ref for x0, x_ci, v_ref
+                  in zip(x0s, block[i_ci:end:w], v_refs)]
+            # every row inside the rails: one map, one block copy.  max
+            # and min may skip a NaN voltage, which is closed loop anyway
+            if max(vs) <= vmax and min(vs) >= nvmax:
+                block[i_v:end:w] = array("d", vs)
+                dot(S_cl, P_cl)
+                X[:] = P_cl
+                continue
+            cl, ol, frz = [], [], []
+            for r, v, x0, i_ref in zip(range(R), vs, x0s, i_refs):
+                if v > vmax or v < nvmax:
+                    (frz if (i_ref > x0) == (v > 0.0) else ol).append(r)
+                    vs[r] = copysign(vmax, v)
+                else:
+                    cl.append(r)
+            block[i_v:end:w] = array("d", vs)
+            # every map with rows runs before any row commits.  The larger
+            # of the closed-loop and frozen runs commits as one block copy
+            # and every other row alone (if every row is railed with the
+            # integrator running, each commits alone over a stale copy)
+            if cl:
+                dot(S_cl, P_cl)
+            if ol:
+                dot(S_ol, P_ol)
+            if frz:
+                dot(S_frz, P_frz)
+            if len(cl) >= len(frz):
+                X[:] = P_cl
+                alone = ((ol, m_ol), (frz, m_frz))
+            else:
+                X[:] = P_frz
+                alone = ((cl, m_cl), (ol, m_ol))
+            for rs, product in alone:
+                for r in rs:
+                    state[r * w:r * w + nx] = product[r * nx:r * nx + nx]
 
 
 @functools.cache
@@ -520,8 +625,11 @@ def simulate(
         elif xs[i_w] < -wmax:
             xs[i_w] = -wmax
 
-        # a NaN fails the comparison, so it flags divergence too
-        if not all(abs(v) < div_lim for v in state):
+        # one comparison per state (the unpacking fails on any other
+        # count); a NaN fails its comparison, so it flags divergence too
+        s0, s1, s2, s3 = state
+        if not (abs(s0) < div_lim and abs(s1) < div_lim
+                and abs(s2) < div_lim and abs(s3) < div_lim):
             div_at = k + 1
             break
 
@@ -543,8 +651,11 @@ def simulate_batch(gain_triples: np.ndarray, profile: ReferenceProfile):
     :func:`simulate`, on the same axis.  The physics and controller
     logic are those of :func:`simulate`, row for row in the same
     arithmetic, so each trace equals that run's :func:`simulate` trace
-    bitwise, railed runs included.  Only the rail-free tick is
-    vectorized; railed ticks run row by row through ``segment_tick``.
+    bitwise, railed runs included.  The rail-free tick is one gemm for
+    all rows; a tick's railed rows go one by one through
+    ``segment_tick`` when they are fewer than ``LOCKSTEP_ROWS`` and in
+    lockstep through ``segment_ticks`` otherwise, one gemm per segment
+    and mode.
 
     Runs are simulated in chunks of `runs_per_chunk` runs, so peak
     memory grows with neither the batch size nor the profile length.
@@ -571,6 +682,9 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
     r_pos, r_spd = profile.position, profile.speed
 
     T_cl, segment_tick, x = drive.T_cl, drive.segment_tick, drive.x
+    segment_ticks, lockstep_rows = drive.segment_ticks, LOCKSTEP_ROWS
+    drive.reserve(m)
+    block = drive.block_rows
     cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
     nx = drive.nx
@@ -583,7 +697,7 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
     X = Z[:m, :nx]
     integ = np.zeros(m)
     delay = COMMAND_DELAY_TICKS
-    cmd_hist = np.zeros((m, n))  # clamped current commands, by tick
+    cmd_hist = np.zeros((n, m))  # clamped current commands, a row per tick
     alive = np.ones(m, dtype=bool)
     div_at = np.full(m, -1)
     rec_y_pos = np.zeros((m, n))
@@ -599,16 +713,19 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
         v_cmd = kp * (r_pos[k] - y_pos) + r_spd[k]
         w_err = (v_cmd - y_spd) * inv_lead
         i_raw = kv * w_err + ki * integ
-        i_cmd = np.clip(i_raw, -imax, imax)
+        # np.clip's arithmetic, without its Python-level dispatch
+        i_cmd = np.minimum(np.maximum(i_raw, -imax), imax)
         upd = (i_raw == i_cmd) | ((i_raw > 0.0) != (w_err > 0.0))
-        integ = integ + np.where(upd, w_err * dt, 0.0)
+        # a row left alone keeps the integ that adding 0.0 gave: integ
+        # starts at +0.0, and a sum is -0.0 only when both terms are
+        np.add(integ, w_err * dt, out=integ, where=upd)
 
         # the drive acts on the command issued ``delay`` ticks ago
-        cmd_hist[:, k] = i_cmd
-        i_ref = cmd_hist[:, k - delay] if k >= delay else np.zeros(m)
+        cmd_hist[k] = i_cmd
+        i_ref = cmd_hist[k - delay] if k >= delay else np.zeros(m)
 
         v_pred = (cv0 * X[:, 0] + cv_ci * X[:, i_ci]) + d_v * i_ref
-        v_q = np.clip(v_pred, -vmax, vmax)
+        v_q = np.minimum(np.maximum(v_pred, -vmax), vmax)
         rec_y_pos[:, k] = y_pos
         rec_y_spd[:, k] = y_spd
         rec_iq[:, k] = X[:, 0]
@@ -626,25 +743,39 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
             (np.abs(v_pred) <= vmax) & (np.abs(v_end) <= vmax)
         )
         if need.any():
-            # each row runs in the drive's operand, from its state before
-            # the tick
-            idx = np.flatnonzero(need)
-            for r, ir in zip(idx.tolist(), i_ref[idx].tolist()):
-                x[:] = X[r]
-                segment_tick(ir)
-                Xn[r] = x
+            # the railed rows run from their states before the tick: a few
+            # one by one in the drive's operand, more in lockstep in its
+            # block
+            idx = need.nonzero()[0]
+            R = len(idx)
+            if R < lockstep_rows:
+                for r, ir in zip(idx.tolist(), i_ref[idx].tolist()):
+                    x[:] = X[r]
+                    segment_tick(ir)
+                    Xn[r] = x
+            else:
+                block[:R, :nx] = X[idx]
+                block[:R, nx + 1] = i_ref[idx]
+                segment_ticks(R)
+                Xn[idx] = block[:R, :nx]
         if not alive.all():
             Xn[~alive] = X[~alive]
         X[:] = Xn
-        np.clip(X[:, i_w], -wmax, wmax, out=X[:, i_w])
-        peak = np.abs(X).max(axis=1)
-        newly = alive & ~(peak < div_lim)
-        if newly.any():
+        speed = X[:, i_w]
+        np.minimum(np.maximum(speed, -wmax, out=speed), wmax, out=speed)
+        # one reduction over Z -- the states, beside the tick's railed
+        # voltages and references and the zero pad -- tells whether a run
+        # may have diverged (a NaN fails the comparison too; stopped runs
+        # are zero); only then is each run's peak taken
+        if not np.abs(Z).max() < div_lim:
+            newly = alive & ~(np.abs(X).max(axis=1) < div_lim)
             div_at[newly] = k + 1
             alive &= ~newly
             X[newly] = 0.0
             integ[newly] = 0.0
 
+    # the block keeps no run's state past its chunk
+    block[:] = 0.0
     for i in range(m):
         yield _trace(profile, int(div_at[i]) if div_at[i] >= 0 else None,
                      rec_y_pos[i], rec_y_spd[i], rec_iq[i], rec_iref[i], rec_v[i])

@@ -307,6 +307,10 @@ def test_grid_command_and_cache(tmp_path, capsys):
     assert rec1["grid_shape"] == [28, 10, 10]
     costs = [float(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
     assert rec1["best_cost"] == min(costs)
+    # every railed cost is pinned, bitwise: the table is roundoff chaos,
+    # so any change to the simulator's arithmetic moves its digest
+    assert hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest() == (
+        "91fc97a8688428caa13c9dac61760e43bc972fd48bc6803c1065c8723a980a8f")
 
     # the second run is served from the cache and reproduces the record
     assert main(["grid", "--preset", "desk", "--out", str(tmp_path)]) == 0

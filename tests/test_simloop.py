@@ -227,35 +227,114 @@ def _check_batch_matches_scalar_runs(profile):
     assert v_railed >= 2
 
 
+@pytest.mark.parametrize("lockstep_rows", [2, 3, len(_BATCH_ROWS) + 1])
+def test_batch_traces_do_not_depend_on_the_lockstep_rows(monkeypatch,
+                                                         lockstep_rows):
+    # a tick's railed rows run one by one or in lockstep by their count;
+    # either way each batch trace is its single run's, bitwise
+    monkeypatch.setattr(simloop, "LOCKSTEP_ROWS", lockstep_rows)
+    _check_batch_matches_scalar_runs(benchmark_profile())
+
+
 def test_railed_ticks_of_both_loops_go_through_one_routine(monkeypatch):
-    # a tick that meets the voltage rail runs through the drive's one
-    # segment_tick, whichever loop simulates it
+    # a tick that meets the voltage rail takes the drive's segment
+    # arithmetic whichever loop simulates it: a single run's railed tick
+    # and a batch tick's lone railed row through segment_tick, a batch
+    # tick's several railed rows (here two or more) in lockstep through
+    # segment_ticks.  Each railed row-tick is counted once.
     drive = simloop._drive()
-    real = drive.segment_tick
-    calls = []
+    real_one, real_block = drive.segment_tick, drive.segment_ticks
+    row_ticks, block_rows = [], []
 
-    def counted(i_ref):
-        calls.append(None)
-        return real(i_ref)
+    def one(i_ref):
+        row_ticks.append(1)
+        return real_one(i_ref)
 
-    monkeypatch.setattr(drive, "segment_tick", counted)
+    def block(R):
+        row_ticks.append(R)
+        block_rows.append(R)
+        return real_block(R)
+
+    monkeypatch.setattr(drive, "segment_tick", one)
+    monkeypatch.setattr(drive, "segment_ticks", block)
+    monkeypatch.setattr(simloop, "LOCKSTEP_ROWS", 2)
     profile = benchmark_profile()
     list(simulate_batch(_BATCH_ROWS, profile))
-    batch_calls = len(calls)
-    calls.clear()
+    batch_row_ticks = sum(row_ticks)
+    assert block_rows and min(block_rows) >= 2
+    row_ticks.clear()
+    block_rows.clear()
     for row in _BATCH_ROWS:
         simulate(GainVector(*row), profile)
-    assert len(calls) == batch_calls > 0
+    assert not block_rows
+    assert len(row_ticks) == batch_row_ticks > 0
+
+
+# first-segment modes of a drive row, as segment_tick picks them
+_CLOSED, _RAILED, _FROZEN = "closed loop", "railed", "frozen"
+
+
+def _first_mode(drive, row) -> str:
+    i_ref = row[drive.nx + 1]
+    v = (drive.cv0 * row[0] + drive.cv_ci * row[drive.i_ci]) + drive.d_v * i_ref
+    if not (v > RAILS.voltage_limit or v < -RAILS.voltage_limit):
+        return _CLOSED
+    return _FROZEN if (i_ref > row[0]) == (v > 0.0) else _RAILED
+
+
+def _block_rows(drive, modes, rng):
+    """Rows [x | v | i_ref] of the drive whose first segment is in ``modes``."""
+    nx = drive.nx
+    rows = np.zeros((len(modes), nx + 2))
+    for r, mode in enumerate(modes):
+        while True:
+            x = rng.uniform(-1.0, 1.0, nx) * [15.0, 300.0, 50.0, 1.0]
+            row = np.concatenate([x, [rng.uniform(-500.0, 500.0),
+                                      rng.uniform(-10.0, 10.0)]])
+            if _first_mode(drive, row) == mode:
+                rows[r] = row
+                break
+    return rows
+
+
+@pytest.mark.parametrize("modes", [
+    (_CLOSED, _CLOSED), (_CLOSED, _RAILED), (_CLOSED, _FROZEN),
+    (_RAILED, _FROZEN), (_RAILED, _RAILED), (_FROZEN, _FROZEN),
+    (_CLOSED, _RAILED, _FROZEN), (_FROZEN, _CLOSED, _RAILED),
+    (_CLOSED, _RAILED, _FROZEN) * 85 + (_FROZEN, _CLOSED),
+])
+def test_a_block_tick_gives_each_row_its_own_segment_tick(modes):
+    # segment_ticks runs one gemm per segment map over the whole block
+    # and commits only that map's rows; each row must come out as the
+    # bits segment_tick gives it alone, whichever modes share its
+    # segments (the rows also change mode within the tick)
+    drive = simloop._drive()
+    nx, R = drive.nx, len(modes)
+    rows = _block_rows(drive, modes, np.random.default_rng(R))
+    if R > 3:
+        rows[5, 0] = float("nan")  # a NaN voltage runs in closed loop
+    alone = np.empty((R, nx))
+    for r, row in enumerate(rows):
+        drive.x[:] = row[:nx]
+        drive.segment_tick(float(row[nx + 1]))
+        alone[r] = drive.x
+    assert {_first_mode(drive, row) for row in rows} == set(modes)
+    drive.reserve(R)
+    drive.block_rows[:R] = rows
+    drive.segment_ticks(R)
+    assert drive.block_rows[:R, :nx].tobytes() == alone.tobytes()
+    # the block's rows kept their current references
+    assert np.array_equal(drive.block_rows[:R, nx + 1], rows[:, nx + 1])
 
 
 def test_map_products_do_not_depend_on_the_row_count():
     # The rail-free tick multiplies a two-row block in a single run and
-    # up to a chunk's runs plus a pad row in a batch.  Their rows agree
-    # only if this BLAS computes a gemm row the same way for any row
-    # count and offset: true of the OpenBLAS builds this was written
-    # on, but not a BLAS guarantee, so a build where it fails must fail
-    # here.  Only T_cl relies on it (the segment maps always multiply
-    # two rows); the segment maps are checked as well.
+    # up to a chunk's runs plus a pad row in a batch; a segment map
+    # multiplies two rows in segment_tick and up to a chunk's runs in
+    # segment_ticks.  Their rows agree only if this BLAS computes a gemm
+    # row the same way for any row count and offset: true of the
+    # OpenBLAS builds this was written on, but not a BLAS guarantee, so
+    # a build where it fails must fail here.  All four maps rely on it.
     drive = simloop._drive()
     nx = drive.nx
     rng = np.random.default_rng(0)
@@ -314,6 +393,26 @@ def test_the_operand_pad_row_stays_zero(monkeypatch):
     monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 2 * len(profile))
     list(simulate_batch(_BATCH_ROWS, profile))
     assert _pad_is_zero(drive)
+
+
+def test_the_block_is_zero_after_a_batch(monkeypatch):
+    # the railed rows' block is scratch shared by every chunk; once a
+    # batch has run, no row of it holds a run's state
+    drive = simloop._drive()
+    real = drive.segment_ticks
+    used = []
+
+    def counted(R):
+        used.append(R)
+        return real(R)
+
+    monkeypatch.setattr(drive, "segment_ticks", counted)
+    monkeypatch.setattr(simloop, "LOCKSTEP_ROWS", 2)
+    profile = benchmark_profile()
+    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 3 * len(profile))
+    list(simulate_batch(_BATCH_ROWS, profile))
+    assert used
+    assert drive.block.tobytes() == bytes(8 * len(drive.block))
 
 
 def test_a_single_run_between_batch_items_changes_no_trace(monkeypatch):
@@ -375,6 +474,60 @@ def test_divergence_truncates_and_flags(monkeypatch):
     _assert_traces_equal(batch[0], trace)
     _assert_traces_equal(
         batch[1], simulate(GainVector(*triples[1]), profile))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_state_flags_divergence_in_both_loops(monkeypatch, bad):
+    # a non-finite value planted in one state slot after a railed tick
+    # stops the single run and the batch row at the same tick.  The speed
+    # is clamped to its rail before the check, so an infinite speed is
+    # clamped, in both loops alike, not flagged.
+    drive = simloop._drive()
+    monkeypatch.setattr(simloop, "LOCKSTEP_ROWS", 2)
+    profile = benchmark_profile()
+    railed = [4200.0, 0.5, 900.0]
+    clean = simulate(GainVector(*railed), profile)
+    calm = simulate(WELL_DAMPED, profile)
+    real_one, real_block = drive.segment_tick, drive.segment_ticks
+    for slot in range(drive.nx):
+        ticks = [0]
+
+        def one(i_ref):
+            real_one(i_ref)
+            ticks[0] += 1
+            if ticks[0] == 3:
+                drive.operand[slot] = bad
+
+        def block(R):
+            # rows 0 and 1 rail together, so they are the block's first
+            # two rows at every one of their railed ticks
+            real_block(R)
+            ticks[0] += 1
+            if ticks[0] == 3:
+                drive.block[slot] = bad
+
+        monkeypatch.setattr(drive, "segment_tick", one)
+        single = simulate(GainVector(*railed), profile)
+        monkeypatch.setattr(drive, "segment_tick", real_one)
+        monkeypatch.setattr(drive, "segment_ticks", block)
+        ticks[0] = 0
+        batch = list(simulate_batch(
+            [railed, railed, [WELL_DAMPED.kp, WELL_DAMPED.kv, WELL_DAMPED.ki]],
+            profile))
+        monkeypatch.setattr(drive, "segment_ticks", real_block)
+        clamped = slot == drive.i_w and not np.isnan(bad)
+        assert single.diverged is not clamped, slot
+        _assert_traces_equal(batch[0], single)
+        _assert_traces_equal(batch[1], clean)
+        _assert_traces_equal(batch[2], calm)
+        if not clamped:
+            # stopped at the tick after the plant: a run that went on
+            # would record the planted value, or a value it reached
+            n = len(single)
+            assert n < len(clean)
+            for name in _CHANNELS:
+                assert np.array_equal(getattr(single, name),
+                                      getattr(clean, name)[:n]), (slot, name)
 
 
 def test_relay_probe_produces_a_limit_cycle():
