@@ -17,6 +17,17 @@ Implements exactly what the tuner needs, from first principles:
 Inputs are normalized to the unit box of given bounds and targets
 standardized to zero mean / unit deviation before fitting; prediction
 undoes both.
+
+A hyperparameter fit evaluates the NLML thousands of times on one
+dataset, so what does not depend on the hyperparameters is computed
+once per :class:`Dataset`: the standardized targets, the per-dimension
+squared input differences, the m/2 log(2 pi) term, and the unit-box
+inputs and span of the last input bounds seen.  :func:`nlml` and
+:func:`fit` share one kernel-and-Cholesky routine, which writes the
+kernel matrix, its factor and the NLML's m x m products into scratch
+buffers owned by the dataset; :func:`fit` copies out what its
+posterior keeps, so no returned array aliases the scratch.  Hence no
+two threads may evaluate one ``Dataset`` at once.
 """
 
 from __future__ import annotations
@@ -93,8 +104,8 @@ class GpHyperparams:
 
     @classmethod
     def from_log_vector(cls, v: np.ndarray) -> "GpHyperparams":
-        e = np.exp(np.asarray(v, dtype=float))
-        return cls(float(e[0]), tuple(e[1:-1]), max(float(e[-1]), NOISE_FLOOR))
+        e = np.exp(np.asarray(v, dtype=float)).tolist()
+        return cls(e[0], tuple(e[1:-1]), max(e[-1], NOISE_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -150,21 +161,46 @@ class Dataset:
         np.square(diff, out=diff)
         return diff.reshape(self.dim, -1)
 
+    @functools.cached_property
+    def _scratch(self) -> "_Scratch":
+        return _Scratch(self)
 
-def _chol_with_jitter(K: np.ndarray, sigma_w: float) -> tuple[np.ndarray, float]:
-    """Cholesky of K + sigma_w^2 I, escalating extra jitter tenfold as needed."""
-    m = K.shape[0]
-    diag = K.diagonal() + sigma_w * sigma_w
-    Ky = K.copy()
-    jitter = 0.0
-    while True:
-        Ky.flat[::m + 1] = diag + jitter
-        L, info = dpotrf(Ky, lower=1, clean=1)
-        if info == 0:
-            return L, jitter
-        jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
-        if jitter > _JITTER_MAX:
-            raise np.linalg.LinAlgError("kernel matrix is not positive definite")
+
+class _Scratch:
+    """Constants and m x m work buffers of one dataset's factorizations.
+
+    ``kernel`` holds the scaled squared distances and then, in place,
+    the noise-free kernel matrix K; ``factor`` (Fortran order, as LAPACK
+    writes it) holds K + (sigma_w^2 + jitter) I, then its Cholesky
+    factor L, then whatever the caller of :func:`_factor` overwrites it
+    with; ``w`` is the NLML gradient's K_y^-1 - alpha alpha^T.
+    """
+
+    def __init__(self, data: Dataset) -> None:
+        m = data.m
+        self.y, self.y_mean, self.y_scale = data.standardized
+        self.log_2pi_term = 0.5 * m * math.log(2.0 * math.pi)
+        self.kernel = np.empty(m * m)
+        self.factor = np.empty((m, m), order="F")
+        self.factor_diag = self.factor.ravel(order="F")[::m + 1]
+        self.w = np.empty((m, m))
+        self._X = data.X
+        self._bounds_key = None
+
+    def use_bounds(self, input_bounds: np.ndarray) -> None:
+        """Set ``shift``, ``span`` and ``x_unit`` (the inputs in the unit
+        box) for these bounds, validating and computing them only when
+        the bounds differ from the last ones seen."""
+        b = np.asarray(input_bounds, dtype=float)
+        key = (b.shape, b.tobytes())
+        if key == self._bounds_key:
+            return
+        shift, span = _input_transform(b, self._X.shape[1])
+        x_unit = (self._X - shift) / span
+        for a in (shift, span, x_unit):
+            a.setflags(write=False)  # kept across calls; posteriors share shift, span
+        self.shift, self.span, self.x_unit = shift, span, x_unit
+        self._bounds_key = key
 
 
 @dataclass(frozen=True)
@@ -205,6 +241,50 @@ def _inv_sq_lengths(h: GpHyperparams, span: np.ndarray) -> np.ndarray:
     return 1.0 / np.square(span * np.asarray(h.lengthscales))
 
 
+def _factor(
+    data: Dataset,
+    h: GpHyperparams,
+    input_bounds: np.ndarray,
+) -> tuple[_Scratch, np.ndarray, np.ndarray, float]:
+    """Factor K + sigma_w^2 I on the standardized targets of the dataset.
+
+    Returns the dataset's scratch, with the noise-free K in ``kernel``
+    and the lower Cholesky factor L in ``factor``, the inverse squared
+    lengthscales in input units, alpha = L^-T L^-1 y (a new array), and
+    the extra diagonal jitter the factorization needed: escalated
+    tenfold from ``_JITTER_START`` until LAPACK accepts the matrix.
+    Both buffers are overwritten by the next call on the dataset.
+    """
+    if h.dim != data.dim:
+        raise ValueError("hyperparameter dimension does not match the data")
+    s = data._scratch
+    s.use_bounds(input_bounds)
+    inv_sq = _inv_sq_lengths(h, s.span)
+    d2 = np.matmul(inv_sq, data.sq_diffs, out=s.kernel)
+    np.minimum(d2, _MAX_SQ_DIST, out=d2)
+    d2 *= -0.5
+    np.exp(d2, out=d2)
+    d2 *= h.sigma_f * h.sigma_f
+    K = d2.reshape(data.m, data.m)
+    noise = h.sigma_w * h.sigma_w
+    jitter = 0.0
+    while True:
+        s.factor[...] = K
+        s.factor_diag += noise
+        s.factor_diag += jitter
+        # the lower triangle is factored in place; clean=1 zeroes the upper
+        _, info = dpotrf(s.factor, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            break
+        jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
+        if jitter > _JITTER_MAX:
+            raise np.linalg.LinAlgError("kernel matrix is not positive definite")
+    # LAPACK's Cholesky solve, the routine behind scipy's cho_solve,
+    # called directly: the wrapper's checks cost more than the solve
+    alpha, _ = dpotrs(s.factor, s.y, lower=1)
+    return s, inv_sq, alpha, jitter
+
+
 def fit(data: Dataset, h: GpHyperparams, input_bounds: np.ndarray) -> GpPosterior:
     """Condition a GP on the dataset.
 
@@ -213,40 +293,18 @@ def fit(data: Dataset, h: GpHyperparams, input_bounds: np.ndarray) -> GpPosterio
     fitted on the standardized targets (see :attr:`Dataset.standardized`)
     and :func:`predict` undoes that affine map.
     """
-    return _condition(data, h, input_bounds)[0]
-
-
-def _condition(
-    data: Dataset,
-    h: GpHyperparams,
-    input_bounds: np.ndarray,
-) -> tuple[GpPosterior, np.ndarray, np.ndarray]:
-    """The posterior of :func:`fit`, plus the noise-free K and the
-    targets as fitted, which the NLML and its gradient reuse."""
-    if h.dim != data.dim:
-        raise ValueError("hyperparameter dimension does not match the data")
-    shift, span = _input_transform(input_bounds, data.dim)
-    y, y_mean, y_scale = data.standardized
-    d2 = _inv_sq_lengths(h, span) @ data.sq_diffs
-    np.minimum(d2, _MAX_SQ_DIST, out=d2)
-    K = np.exp(-0.5 * d2).reshape(data.m, data.m)
-    K *= h.sigma_f * h.sigma_f
-    L, jitter = _chol_with_jitter(K, h.sigma_w)
-    # LAPACK's Cholesky solve, the routine behind scipy's cho_solve,
-    # called directly: the wrapper's checks cost more than the solve
-    alpha, _ = dpotrs(L, y, lower=1)
-    g = GpPosterior(
+    s, _, alpha, jitter = _factor(data, h, input_bounds)
+    return GpPosterior(
         h=h,
-        X_scaled=(data.X - shift) / span / np.asarray(h.lengthscales),
-        L=L,
+        X_scaled=s.x_unit / np.asarray(h.lengthscales),
+        L=s.factor.copy(order="F"),
         alpha=alpha,
         jitter_used=jitter,
-        input_shift=shift,
-        input_span=span,
-        y_mean=y_mean,
-        y_scale=y_scale,
+        input_shift=s.shift,
+        input_span=s.span,
+        y_mean=s.y_mean,
+        y_scale=s.y_scale,
     )
-    return g, K, y
 
 
 def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,16 +322,30 @@ def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sq_b = np.sum(g.X_scaled * g.X_scaled, axis=1)
     sf2 = g.h.sigma_f * g.h.sigma_f
     ell = np.asarray(g.h.lengthscales)
+    # two (chunk, m) buffers: the cross products, and the squared
+    # distances that become the kernel row block in place
+    rows = min(n, _PREDICT_CHUNK)
+    cross_buf = np.empty((rows, g.alpha.shape[0]))
+    kxs_buf = np.empty_like(cross_buf)
     for start in range(0, n, _PREDICT_CHUNK):
         sl = slice(start, min(start + _PREDICT_CHUNK, n))
-        Xs = ((X[sl] - g.input_shift) / g.input_span) / ell
-        d2 = np.sum(Xs * Xs, axis=1)[:, None] + sq_b[None, :] - 2.0 * (Xs @ g.X_scaled.T)
-        np.clip(d2, 0.0, _MAX_SQ_DIST, out=d2)
-        Kxs = sf2 * np.exp(-0.5 * d2)  # (chunk, m)
+        Xs = X[sl] - g.input_shift
+        Xs /= g.input_span
+        Xs /= ell
+        c = Xs.shape[0]
+        cross = np.matmul(Xs, g.X_scaled.T, out=cross_buf[:c])
+        cross *= 2.0
+        Kxs = np.add(np.sum(Xs * Xs, axis=1)[:, None], sq_b, out=kxs_buf[:c])
+        Kxs -= cross
+        np.clip(Kxs, 0.0, _MAX_SQ_DIST, out=Kxs)
+        Kxs *= -0.5
+        np.exp(Kxs, out=Kxs)
+        Kxs *= sf2  # (chunk, m)
         mu[sl] = Kxs @ g.alpha
         V = solve_triangular(g.L, Kxs.T, lower=True, overwrite_b=True,
                              check_finite=False)  # (m, chunk)
-        v = sf2 - np.sum(V * V, axis=0)
+        V *= V
+        v = sf2 - np.sum(V, axis=0)
         np.maximum(v, 0.0, out=v)
         var[sl] = v
     return mu * g.y_scale + g.y_mean, var * (g.y_scale * g.y_scale)
@@ -291,21 +363,24 @@ def nlml(data: Dataset, h: GpHyperparams,
     sigma_w): component j is 1/2 tr((K_y^-1 - alpha alpha^T) dK_y/dtheta_j),
     with K_y the regularized kernel matrix.
     """
-    g, K, y = _condition(data, h, input_bounds)
-    fit_term = 0.5 * float(y @ g.alpha)
-    logdet = float(np.sum(np.log(np.diag(g.L))))
-    value = fit_term + logdet + 0.5 * data.m * math.log(2.0 * math.pi)
+    s, inv_sq, alpha, _ = _factor(data, h, input_bounds)
+    fit_term = 0.5 * float(s.y @ alpha)
+    logdet = float(np.sum(np.log(s.factor_diag)))
+    value = fit_term + logdet + s.log_2pi_term
 
     # W = K_y^-1 - alpha alpha^T; dK_y/dlog sigma_f = 2 K,
     # dK_y/dlog l_i = K * D_i / l_i^2 and dK_y/dlog sigma_w = 2 sigma_w^2 I
-    L_inv, _ = dtrtri(g.L, lower=1)  # a Cholesky factor is never singular
-    W = L_inv.T @ L_inv
-    W -= g.alpha[:, None] * g.alpha
+    # L^-1 replaces L in place (a Cholesky factor is never singular),
+    # then alpha alpha^T replaces L^-1, written through the C-order
+    # transpose: the product is symmetric, entry by entry
+    L_inv, _ = dtrtri(s.factor, lower=1, overwrite_c=1)
+    W = np.matmul(L_inv.T, L_inv, out=s.w)
+    W -= np.multiply(alpha[:, None], alpha, out=L_inv.T)
     grad = np.empty(h.dim + 2)
     grad[-1] = h.sigma_w * h.sigma_w * np.trace(W)
-    W *= K
+    W *= s.kernel.reshape(data.m, data.m)
     grad[0] = np.sum(W)
-    grad[1:-1] = 0.5 * _inv_sq_lengths(h, g.input_span) * (data.sq_diffs @ W.ravel())
+    grad[1:-1] = 0.5 * inv_sq * (data.sq_diffs @ W.ravel())
     return value, grad
 
 

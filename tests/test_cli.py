@@ -290,6 +290,9 @@ def test_desk_tune_seed_0_is_pinned(tmp_path, capsys):
     last = rec["iteration_log"][-1]
     assert last["mu"] == 52720.11771667532
     assert last["sigma"] == 32483.344654359636
+    # every proposal's posterior mean and deviation, not only the last
+    assert hashlib.sha256((tmp_path / "convergence.csv").read_bytes()).hexdigest() == (
+        "f349cbd1031e75f3eb7e612d1ed3657d1edf4aff03fb40b24488f271573ead46")
 
 
 # -- grid and compare ---------------------------------------------------------------

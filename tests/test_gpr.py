@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from axistune import gpr
 from axistune.gpr import (
     Dataset,
     GpHyperparams,
@@ -329,3 +330,126 @@ def test_non_finite_input_bounds_are_rejected(bounds):
 
 def test_hyperparam_search_error_is_exported():
     assert issubclass(HyperparamSearchError, Exception)
+
+
+# -- pinned bits ---------------------------------------------------------------
+
+# The desk box, and two datasets in it whose targets span more than
+# two decades, like railed costs.  Every value below must hold bit for
+# bit, so an operation reordered or fused anywhere in the kernel, the
+# factorization, the NLML, its gradient, the fit or the prediction
+# shows here.
+DESK_BOUNDS = np.array([[150.0, 4200.0], [0.05, 0.5], [90.0, 900.0]])
+LOG_INSIDE = [0.0, -1.0, -1.2, -0.8, -4.0]
+# the box corner of largest amplitude and lengthscales, least noise:
+# the factorization needs jitter there
+LOG_JITTER = [math.log(1e3)] + [math.log(1e2)] * 3 + [math.log(1e-8)]
+# far outside the box: no jitter up to the cap saves the factorization
+LOG_FAILS = [math.log(1e100)] + [math.log(1e2)] * 3 + [math.log(1e-8)]
+
+
+def _decades_dataset(m, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, size=(m, 3))
+    X = DESK_BOUNDS[:, 0] + u * (DESK_BOUNDS[:, 1] - DESK_BOUNDS[:, 0])
+    y = 62.0 * np.exp(7.7 * u[:, 0] ** 2 * (1.2 - u[:, 1])
+                      + 0.3 * rng.uniform(0.0, 1.0, m))
+    return Dataset(X, y)
+
+
+PINNED = {
+    20: dict(
+        seed=1,
+        inside=(51.57797166562317,
+                [-70.76105043576395, 65.31620538757589, 31.540216420425185,
+                 27.382851303258207, -0.5805267111921875]),
+        jitter=(1e-09, 776629268.3350302,
+                [-654311424.0, 1074183156.588507, 449058109.06074035,
+                 339240022.5083888, -90.4232348170884]),
+        fit=(1.7532455372052334,
+             (0.16613574156870733, 0.3949497320119368, 100.00000000000004),
+             1.046539714694744e-06),
+        mu=[280.5384465402167, 30433.90583653831, 5531.8981567746705,
+            74.19218013988393, 78.03759083149816],
+        var=[57212.714844498165, 87001.17880190667, 25520.462847063307,
+             5640.655898041262, 9877.866251717804],
+    ),
+    60: dict(
+        seed=2,
+        inside=(326.7876230443814,
+                [-625.0456520018652, 683.8452668303582, 459.6525296744345,
+                 417.4119027502919, -42.4048470779692]),
+        jitter=(1e-08, 769279811.8771584,
+                [-243793920.0, 329992320.7383651, 404565419.29876506,
+                 51489353.619767174, -12.73902872008271]),
+        fit=(3.2444429871273717,
+             (0.3040024203902, 0.24351635845758254, 2.1474457852008686),
+             5.658086945254029e-08),
+        mu=[208.3237510266208, 236.38906246742954, -84.39586061763839,
+            730.245789407134, -121.69408462670435],
+        var=[11863.100848366274, 80040.60974397682, 30400.69043924076,
+             65648.55436365395, 36921.93907344145],
+    ),
+}
+
+
+def _same_bytes(a, pinned):
+    return np.asarray(a, dtype=float).tobytes() == np.array(pinned).tobytes()
+
+
+@pytest.mark.parametrize("m", sorted(PINNED))
+def test_nlml_fit_and_predict_reproduce_pinned_bits(m, monkeypatch):
+    pin = PINNED[m]
+    data = _decades_dataset(m, pin["seed"])
+
+    value, grad = nlml(data, GpHyperparams.from_log_vector(np.array(LOG_INSIDE)),
+                       DESK_BOUNDS)
+    assert value == pin["inside"][0] and _same_bytes(grad, pin["inside"][1])
+
+    h_jitter = GpHyperparams.from_log_vector(np.array(LOG_JITTER))
+    jitter, value, grad_pin = pin["jitter"]
+    assert fit(data, h_jitter, DESK_BOUNDS).jitter_used == jitter
+    value_j, grad_j = nlml(data, h_jitter, DESK_BOUNDS)
+    assert value_j == value and _same_bytes(grad_j, grad_pin)
+
+    with pytest.raises(np.linalg.LinAlgError):
+        nlml(data, GpHyperparams.from_log_vector(np.array(LOG_FAILS)), DESK_BOUNDS)
+
+    # the descent's objective, caught on its way into the optimizer
+    objectives = []
+    real_minimize = gpr.minimize
+
+    def spy(fun, x0, **kwargs):
+        objectives.append(fun)
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gpr, "minimize", spy)
+    h = fit_hyperparams(data, GpHyperparams(1.0, (0.3, 0.3, 0.3), 1e-3),
+                        DESK_BOUNDS, seed=pin["seed"])
+    assert (h.sigma_f, h.lengthscales, h.sigma_w) == pin["fit"]
+    # a failed evaluation is an infinite NLML with a flat gradient
+    f, g = objectives[0](np.array(LOG_FAILS))
+    assert f == math.inf and _same_bytes(g, [0.0] * 5)
+
+    mu, var = predict(fit(data, h, DESK_BOUNDS), data.X[:5] * 1.01)
+    assert _same_bytes(mu, pin["mu"]) and _same_bytes(var, pin["var"])
+
+
+def test_returned_arrays_do_not_alias_the_scratch():
+    # nlml and fit write their work into buffers the dataset owns; what
+    # they return must survive later calls on the same dataset
+    data = _decades_dataset(20, 1)
+    h = GpHyperparams.from_log_vector(np.array(LOG_INSIDE))
+    g = fit(data, h, DESK_BOUNDS)
+    value, grad = nlml(data, h, DESK_BOUNDS)
+    kept = [g.X_scaled, g.L, g.alpha, g.input_shift, g.input_span, grad]
+    before = [a.tobytes() for a in kept]
+
+    other = GpHyperparams.from_log_vector(np.array(LOG_JITTER))
+    wider = DESK_BOUNDS * np.array([0.5, 2.0])
+    for bounds in (DESK_BOUNDS, wider):
+        nlml(data, other, bounds)
+        fit(data, other, bounds)
+    nlml(data, other, DESK_BOUNDS)
+    assert [a.tobytes() for a in kept] == before
+    assert nlml(data, h, DESK_BOUNDS)[0] == value
