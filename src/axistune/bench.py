@@ -19,14 +19,16 @@ the same arithmetic (see :mod:`~axistune.simloop`), so a triple's cost
 does not depend on which loop simulated it first.
 
 A query's fresh rows are dealt round-robin to forked worker processes,
-one per usable CPU and at most one per simulator chunk; each worker
-inherits the bench from the fork, simulates and scores its share and
-sends back only metric vectors, which the parent memoizes in row
-order.  A row's trace depends on neither its chunk nor the rows
-beside it, and a forked worker runs the same code on the same BLAS
-build as the parent, so the costs are bitwise those of scoring the
-batch in one process, which is what happens with one usable CPU, one
-chunk, or no ``fork`` start method.
+one per usable CPU but at most one per ``WORKER_RUN_TICKS`` run-ticks
+of fresh rows.  Each worker inherits the bench from the fork, simulates
+and scores its share -- one `simulate_batch` chunk unless the share
+passes the chunk's memory cap, ``simloop.BATCH_RUN_TICKS`` -- and sends
+back only metric vectors, which the parent memoizes in row order.  A
+row's trace depends on neither its chunk nor the rows beside it, and a
+forked worker runs the same code on the same BLAS build as the parent,
+so the costs are bitwise those of scoring the batch in one process,
+which is what happens with one usable CPU, a small query, or no
+``fork`` start method.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ from .refgen import (
 from .simloop import GainVector, SimTrace, simulate, simulate_batch
 
 __all__ = ["BENCH_MOVE", "TuningBench", "benchmark_profile"]
+
+# Run-ticks (runs times profile ticks) of fresh rows per forked scoring
+# worker: a query gets one more worker for each further 256 runs of the
+# 1,451-tick desk move, or 14 of the 25,009-tick plc move, up to the
+# usable CPUs.  Two workers do not pay off on a 20-run desk design: in
+# three sets of 15 alternating queries (2 vCPUs, BLAS on one thread)
+# they took a median 0.116-0.164 s against 0.093-0.146 s in-process.
+WORKER_RUN_TICKS = 256 * 1451
 
 # Default scoring move: 0.1 m point-to-point at 0.25 m/s with 5 m/s^2
 # ramps, then a 1 s dwell so the settling and terminal-error metrics
@@ -115,10 +125,10 @@ class TuningBench:
         Rows already in the memo are not re-simulated.  The fresh rows
         are validated here, before any worker starts, so an invalid row
         leaves the memo as it was.  Row i is then scored by worker i mod n
-        of n forked workers, n the usable CPUs but at most the number of
-        `simulate_batch` chunks, or in this process when n < 2.  Every
-        vector is bitwise the one a single in-process run gives (see the
-        module docstring).
+        of n forked workers, n the usable CPUs but at most one per
+        ``WORKER_RUN_TICKS`` run-ticks of fresh rows, or in this process
+        when n < 2.  Every vector is bitwise the one a single in-process
+        run gives (see the module docstring).
         """
         triples = np.atleast_2d(np.asarray(triples, dtype=float))
         if triples.ndim != 2 or triples.shape[1] != 3:
@@ -200,8 +210,8 @@ class TuningBench:
 
     def _score_fresh(self, batch: np.ndarray) -> list[MetricVector]:
         """Metric vectors of the valid rows of ``batch``, in row order."""
-        per_chunk = simloop.runs_per_chunk(self.profile)
-        n = min(_usable_cpus(), -(-len(batch) // per_chunk))
+        per_worker = max(1, WORKER_RUN_TICKS // len(self.profile))
+        n = min(_usable_cpus(), -(-len(batch) // per_worker))
         if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
             return self._score_rows(batch)
         ctx = multiprocessing.get_context("fork")

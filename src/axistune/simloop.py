@@ -56,12 +56,15 @@ mode's map.  A single run, and a batch tick with fewer than
 ``LOCKSTEP_ROWS`` railed rows, take the drive's ``segment_tick`` row by
 row; a batch tick with more takes its ``segment_ticks``, which does the
 same arithmetic row for row but runs each segment map once for all of
-them, so each row still gets the bits of its own gemm.  So a gain triple has one trace, bitwise,
-whichever loop or chunk ran it, and ``TuningBench`` picks the loop by
-row count.  That holds across worker
+them, so each row still gets the bits of its own gemm.  So a gain
+triple has one trace, bitwise, whichever loop or chunk ran it, and
+``TuningBench`` picks the loop by row count.  That holds across worker
 processes too: ``TuningBench.metric_table`` scores fresh rows in forked
 workers, each of which runs this code on the same BLAS library and
 builds, or inherits, the same drive maps from the same constants.
+A batch runs in chunks of at most ``BATCH_RUN_TICKS`` run-ticks, which
+caps memory only: a chunk's per-tick records, a row per tick, are its
+largest arrays.  How many workers share a batch is the bench's choice.
 
 The drive's gemms run in place.  Its operand -- the row
 ``[x | v | i_ref]`` over a pad row that stays zero -- and its product
@@ -99,7 +102,6 @@ __all__ = [
     "RAILS",
     "SimConfig",
     "SimTrace",
-    "runs_per_chunk",
     "simulate",
     "simulate_batch",
 ]
@@ -145,9 +147,12 @@ DIVERGENCE_LIMIT = 1e12
 LOCKSTEP_ROWS = 7
 
 # Run-ticks (runs times profile ticks) per vectorized chunk in
-# `simulate_batch`; peak memory scales with it.  256 runs of the
-# 1,451-tick desk move; a 25,009-tick plc chunk holds 14 runs.
-BATCH_RUN_TICKS = 256 * 1451
+# `simulate_batch`: the cap on a chunk's memory.  A chunk keeps five
+# per-tick records of 8 bytes a run-tick, 16 MiB each at this cap; that
+# is 1,445 runs of the 1,451-tick desk move, or 83 of the 25,009-tick
+# plc move.  A larger chunk pays the tick loop's fixed numpy work fewer
+# times.
+BATCH_RUN_TICKS = 2**21
 
 
 @dataclass(frozen=True)
@@ -636,12 +641,6 @@ def simulate(
     return _trace(profile, div_at, y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a)
 
 
-def runs_per_chunk(profile: ReferenceProfile) -> int:
-    """Runs of ``profile`` per `simulate_batch` chunk: ``BATCH_RUN_TICKS``
-    run-ticks, at least one run."""
-    return max(1, BATCH_RUN_TICKS // len(profile))
-
-
 def simulate_batch(gain_triples: np.ndarray, profile: ReferenceProfile):
     """Run many gain vectors against one profile, vectorized across runs.
 
@@ -657,15 +656,16 @@ def simulate_batch(gain_triples: np.ndarray, profile: ReferenceProfile):
     lockstep through ``segment_ticks`` otherwise, one gemm per segment
     and mode.
 
-    Runs are simulated in chunks of `runs_per_chunk` runs, so peak
-    memory grows with neither the batch size nor the profile length.
+    Runs are simulated in chunks of ``BATCH_RUN_TICKS`` run-ticks (at
+    least one run), so peak memory grows with neither the batch size
+    nor the profile length.
     """
     triples = np.atleast_2d(np.asarray(gain_triples, dtype=float))
     if triples.shape[1] != 3:
         raise ValueError("gain_triples must have columns kp, kv, ki")
     for row in triples:
         GainVector(*row)
-    per_chunk = runs_per_chunk(profile)
+    per_chunk = max(1, BATCH_RUN_TICKS // len(profile))
     for start in range(0, triples.shape[0], per_chunk):
         yield from _run_chunk(triples[start:start + per_chunk], profile)
 
@@ -697,14 +697,13 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
     X = Z[:m, :nx]
     integ = np.zeros(m)
     delay = COMMAND_DELAY_TICKS
-    cmd_hist = np.zeros((n, m))  # clamped current commands, a row per tick
     alive = np.ones(m, dtype=bool)
     div_at = np.full(m, -1)
-    rec_y_pos = np.zeros((m, n))
-    rec_y_spd = np.zeros((m, n))
-    rec_iq = np.zeros((m, n))
-    rec_iref = np.zeros((m, n))
-    rec_v = np.zeros((m, n))
+    # the records, a row per tick; the drive acts on the command issued
+    # ``delay`` ticks ago, so each command goes straight into the
+    # ``i_ref`` record ``delay`` rows on, and the first rows stay zero
+    rec_y_pos, rec_y_spd, rec_iq, rec_iref, rec_v = (
+        np.zeros((n, m)) for _ in range(5))
 
     for k in range(n):
         y_pos = X[:, i_th] * lead
@@ -720,17 +719,16 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
         # starts at +0.0, and a sum is -0.0 only when both terms are
         np.add(integ, w_err * dt, out=integ, where=upd)
 
-        # the drive acts on the command issued ``delay`` ticks ago
-        cmd_hist[k] = i_cmd
-        i_ref = cmd_hist[k - delay] if k >= delay else np.zeros(m)
+        if k + delay < n:
+            rec_iref[k + delay] = i_cmd
+        i_ref = rec_iref[k]
 
         v_pred = (cv0 * X[:, 0] + cv_ci * X[:, i_ci]) + d_v * i_ref
         v_q = np.minimum(np.maximum(v_pred, -vmax), vmax)
-        rec_y_pos[:, k] = y_pos
-        rec_y_spd[:, k] = y_spd
-        rec_iq[:, k] = X[:, 0]
-        rec_iref[:, k] = i_ref
-        rec_v[:, k] = v_q
+        rec_y_pos[k] = y_pos
+        rec_y_spd[k] = y_spd
+        rec_iq[k] = X[:, 0]
+        rec_v[k] = v_q
 
         if k == n - 1:
             break
@@ -778,4 +776,5 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
     block[:] = 0.0
     for i in range(m):
         yield _trace(profile, int(div_at[i]) if div_at[i] >= 0 else None,
-                     rec_y_pos[i], rec_y_spd[i], rec_iq[i], rec_iref[i], rec_v[i])
+                     rec_y_pos[:, i], rec_y_spd[:, i], rec_iq[:, i],
+                     rec_iref[:, i], rec_v[:, i])

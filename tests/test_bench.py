@@ -291,7 +291,7 @@ def test_single_and_batch_costs_are_bitwise_equal(preset, point, cost):
 
 
 @pytest.mark.parametrize("rows", [7, 1])
-def test_batch_costs_do_not_depend_on_the_chunk(monkeypatch, rows):
+def test_batch_costs_do_not_depend_on_the_chunk(monkeypatch, chunk_log, rows):
     from axistune.presets import get_preset
 
     pre = get_preset("desk")
@@ -300,24 +300,35 @@ def test_batch_costs_do_not_depend_on_the_chunk(monkeypatch, rows):
     railed = [(450.0, 0.25, 720.0), (600.0, 0.3, 360.0)]
     points = np.vstack([fset.grid()[pick], railed])
     whole = pre.bench().evaluate_many(fset.canonical(points))
-    assert len(points) < simloop.BATCH_RUN_TICKS // len(pre.bench().profile)
+    assert chunk_log() == [(os.getpid(), 16)]
     monkeypatch.setattr(simloop, "BATCH_RUN_TICKS",
                         rows * len(pre.bench().profile))
     assert np.array_equal(pre.bench().evaluate_many(fset.canonical(points)), whole)
+    split = [rows] * (16 // rows) + [16 % rows] * (16 % rows > 0)
+    assert chunk_log()[1:] == [(os.getpid(), runs) for runs in split]
 
 
 def _metric_bytes(table):
     return np.array([list(m.as_dict().values()) for m in table]).tobytes()
 
 
-def test_pooled_costs_do_not_depend_on_the_worker_count(monkeypatch):
-    # two rows per chunk, so the seven fresh rows below make four chunks
-    # and the pool can take 1, 2 or 3 workers
+def _count_forks(monkeypatch) -> list:
+    """A list that gains an entry for each fork from now on."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_pooled_costs_do_not_depend_on_the_worker_count(monkeypatch, chunk_log):
+    # one worker per two fresh rows, so the seven fresh rows below can
+    # take 1, 2 or 3 workers
     from axistune.presets import get_preset
 
     pre = get_preset("desk")
     fset = pre.feasible
-    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 2 * len(pre.bench().profile))
+    monkeypatch.setattr(bench_module, "WORKER_RUN_TICKS",
+                        2 * len(pre.bench().profile))
     railed = [(450.0, 0.25, 720.0), (600.0, 0.3, 360.0)]
     memo = [(150.0, 0.5, 90.0), (300.0, 0.45, 90.0)]
     pick = np.random.default_rng(11).choice(fset.size, 5, replace=False)
@@ -326,9 +337,7 @@ def test_pooled_costs_do_not_depend_on_the_worker_count(monkeypatch):
     single = pre.bench()
     expected = np.array([single.cost(row) for row in rows])
 
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = _count_forks(monkeypatch)
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(bench_module, "_usable_cpus", lambda: workers)
@@ -336,9 +345,15 @@ def test_pooled_costs_do_not_depend_on_the_worker_count(monkeypatch):
         bench = pre.bench()
         for triple in memo:
             bench.cost(triple)
+        before = len(chunk_log())
         costs = bench.evaluate_many(rows)
         assert multiprocessing.active_children() == []
         assert len(forks) == (workers if workers > 1 else 0)
+        # the seven fresh rows ran as one chunk in each scoring process
+        log = chunk_log()[before:]
+        assert len({pid for pid, _ in log}) == len(log) == workers
+        assert sum(runs for _, runs in log) == 7
+        assert (os.getpid() in {pid for pid, _ in log}) == (workers == 1)
         assert bench.n_sims == len(memo) + 7
         runs.append((costs.tobytes(), _metric_bytes(bench.metric_table(rows))))
     assert runs[0] == runs[1] == runs[2]
@@ -346,16 +361,14 @@ def test_pooled_costs_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_an_invalid_row_raises_before_any_fork(monkeypatch):
+    # one worker per two fresh rows: each query below has four
     from axistune.presets import get_preset
 
     pre = get_preset("desk")
-    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 2 * len(pre.bench().profile))
+    monkeypatch.setattr(bench_module, "WORKER_RUN_TICKS",
+                        2 * len(pre.bench().profile))
     monkeypatch.setattr(bench_module, "_usable_cpus", lambda: 2)
-
-    def fork():
-        raise AssertionError("forked a worker for an invalid batch")
-
-    monkeypatch.setattr(os, "fork", fork)
+    forks = _count_forks(monkeypatch)
     bench = pre.bench()
     bench.cost((150.0, 0.5, 90.0))
     memo, n_sims = dict(bench._memo), bench.n_sims
@@ -368,14 +381,19 @@ def test_an_invalid_row_raises_before_any_fork(monkeypatch):
             bench.evaluate_many(rows + [bad, bad])
         assert bench._memo == memo
         assert bench.n_sims == n_sims
+        assert forks == []
+    # with a valid row in its place, the same query forks two workers
+    bench.evaluate_many(rows + [(600.0, 0.3, 90.0)])
+    assert len(forks) == 2
 
 
 def test_a_lost_worker_raises_and_leaves_no_process(monkeypatch):
     from axistune.presets import get_preset
 
     pre = get_preset("desk")
-    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", len(pre.bench().profile))
+    monkeypatch.setattr(bench_module, "WORKER_RUN_TICKS", len(pre.bench().profile))
     monkeypatch.setattr(bench_module, "_usable_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
     parent = os.getpid()
 
     def die(self, batch):
@@ -387,9 +405,31 @@ def test_a_lost_worker_raises_and_leaves_no_process(monkeypatch):
     bench = pre.bench()
     with pytest.raises(RuntimeError, match="scoring worker"):
         bench.evaluate_many([(450.0, 0.25, 720.0), (600.0, 0.3, 360.0)])
+    assert len(forks) == 2
     assert multiprocessing.active_children() == []
     assert bench._memo == {}
     assert bench.n_sims == 0
+
+
+def test_a_desk_grid_query_runs_one_chunk_per_worker(monkeypatch, chunk_log):
+    # on two CPUs the full desk grid goes to two workers, and each
+    # simulates its share as one chunk; a design-sized query stays in
+    # this process, where a fork would cost more than it saves
+    from axistune.presets import get_preset
+
+    pre = get_preset("desk")
+    fset = pre.feasible
+    monkeypatch.setattr(bench_module, "_usable_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    pre.bench().evaluate_many(fset.canonical(fset.grid()[:20]))
+    assert forks == []
+    assert chunk_log() == [(os.getpid(), 20)]
+    pre.bench().evaluate_many(fset.canonical(fset.grid()))
+    assert len(forks) == 2
+    log = chunk_log()[1:]
+    assert sorted(runs for _, runs in log) == [fset.size // 2] * 2
+    assert len({pid for pid, _ in log}) == 2
+    assert os.getpid() not in {pid for pid, _ in log}
 
 
 def test_bo_on_a_reset_time_set_records_the_cost_of_each_points_gains(desk_bench):

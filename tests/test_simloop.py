@@ -335,11 +335,18 @@ def test_map_products_do_not_depend_on_the_row_count():
     # row the same way for any row count and offset: true of the
     # OpenBLAS builds this was written on, but not a BLAS guarantee, so
     # a build where it fails must fail here.  All four maps rely on it.
+    # The sweep reaches the largest chunk of any preset's move, plus its
+    # pad row.
+    from axistune.presets import PRESETS
+
+    top = 1 + max(simloop.BATCH_RUN_TICKS // len(generate_profile(p.trajectory))
+                  for p in PRESETS.values())
     drive = simloop._drive()
     nx = drive.nx
     rng = np.random.default_rng(0)
-    block = rng.standard_normal((320, nx + 2)) * 10.0 ** rng.uniform(
-        -3.0, 3.0, (320, nx + 2))
+    size = top + 20
+    block = rng.standard_normal((size, nx + 2)) * 10.0 ** rng.uniform(
+        -3.0, 3.0, (size, nx + 2))
     for S in (drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz):
         assert S.shape == (nx + 2, nx)
         pair = np.zeros((2, nx + 2))
@@ -347,8 +354,8 @@ def test_map_products_do_not_depend_on_the_row_count():
         for r, row in enumerate(block):
             pair[0] = row
             alone[r] = pair.dot(S)[0]
-        for m in range(2, 301):
-            for offset in {0, 1, 3, 320 - m}:
+        for m in range(2, top + 1):
+            for offset in {0, 1, 3, size - m}:
                 assert np.array_equal(block[offset:offset + m].dot(S),
                                       alone[offset:offset + m]), (m, offset)
 
@@ -380,7 +387,7 @@ def _pad_is_zero(drive) -> bool:
     return len(pad) == drive.nx + 2 and pad.tobytes() == bytes(8 * len(pad))
 
 
-def test_the_operand_pad_row_stays_zero(monkeypatch):
+def test_the_operand_pad_row_stays_zero(monkeypatch, chunk_log):
     # every gemm's second row is the pad; a run that wrote it would
     # change the products of every later run
     drive = simloop._drive()
@@ -392,10 +399,11 @@ def test_the_operand_pad_row_stays_zero(monkeypatch):
     assert _pad_is_zero(drive)
     monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 2 * len(profile))
     list(simulate_batch(_BATCH_ROWS, profile))
+    assert [runs for _, runs in chunk_log()] == [2, 2, 2, 1]
     assert _pad_is_zero(drive)
 
 
-def test_the_block_is_zero_after_a_batch(monkeypatch):
+def test_the_block_is_zero_after_a_batch(monkeypatch, chunk_log):
     # the railed rows' block is scratch shared by every chunk; once a
     # batch has run, no row of it holds a run's state
     drive = simloop._drive()
@@ -411,11 +419,13 @@ def test_the_block_is_zero_after_a_batch(monkeypatch):
     profile = benchmark_profile()
     monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 3 * len(profile))
     list(simulate_batch(_BATCH_ROWS, profile))
+    assert [runs for _, runs in chunk_log()] == [3, 3, 1]
     assert used
     assert drive.block.tobytes() == bytes(8 * len(drive.block))
 
 
-def test_a_single_run_between_batch_items_changes_no_trace(monkeypatch):
+def test_a_single_run_between_batch_items_changes_no_trace(monkeypatch,
+                                                           chunk_log):
     # the drive's operand is scratch shared by both loops: a single run
     # made while a multi-chunk batch is suspended between its yields must
     # leave the batch's later chunks as they would have been, and run as
@@ -430,6 +440,7 @@ def test_a_single_run_between_batch_items_changes_no_trace(monkeypatch):
     for trace in simulate_batch(_BATCH_ROWS, profile):
         interrupted.append(trace)
         _assert_traces_equal(simulate(railed_gains, profile), alone)
+    assert [runs for _, runs in chunk_log()] == [2, 2, 2, 1] * 2
     assert len(interrupted) == len(straight)
     for a, b in zip(interrupted, straight):
         _assert_traces_equal(a, b)
