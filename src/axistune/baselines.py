@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .bench import TuningBench
 from .plant import LAB_SERVO
@@ -121,6 +120,10 @@ def measure_limit_cycle(signal: np.ndarray,
     amplitude = float(w.max() - w.min()) / 2.0
     if amplitude <= 0.0:
         return 0.0, None, 0
+    # only the classical probes need scipy.signal, so a command that runs
+    # none of them does not pay for importing it
+    from scipy.signal import find_peaks
+
     peaks, _ = find_peaks(w, prominence=0.3 * amplitude)
     if len(peaks) < LIMIT_CYCLES + 1:
         return amplitude, None, len(peaks)

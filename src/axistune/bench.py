@@ -40,7 +40,7 @@ import os
 
 import numpy as np
 
-from . import metrics as metric_module, simloop
+from . import metrics as metric_module, plant, refgen, simloop
 from .metrics import CostWeights, MetricVector, cost as metric_cost, extract_metrics
 from .plant import LAB_SERVO
 from .refgen import (
@@ -160,7 +160,9 @@ class TuningBench:
         maps with the step and segments that built them, the command
         delay, the divergence limit, the settling band, the divergence
         penalty, the weights and the sampled reference trajectory, all
-        read when the digest is taken.
+        read when the digest is taken, and the source of the code that
+        turns them into a cost: the ``plant``, ``refgen``, ``simloop``,
+        ``metrics`` and ``bench`` modules, read from their files.
         """
         h = hashlib.sha256(repr((
             LAB_SERVO, simloop.CURRENT_LOOP_KP, simloop.CURRENT_LOOP_KI,
@@ -173,6 +175,10 @@ class TuningBench:
         for arr in (drive.T_cl, drive.S_cl, drive.S_ol, drive.S_frz,
                     self.profile.t, self.profile.position, self.profile.speed):
             h.update(arr.tobytes())
+        for path in (plant.__file__, refgen.__file__, simloop.__file__,
+                     metric_module.__file__, __file__):
+            with open(path, "rb") as f:
+                h.update(f.read())
         return h.hexdigest()
 
     # -- probe runs for the classical autotuners --------------------------------

@@ -51,36 +51,37 @@ a fixed order, and each map as a gemm of at least two rows, whose rows
 do not depend on the row count.  That last is a property of the BLAS
 build, not a BLAS guarantee; the test suite checks it.  A rail-free
 tick is one such gemm.  A railed tick is ``SEGMENTS_PER_TICK``
-segments, each a voltage, mode and clamp in Python floats and then that
-mode's map.  A single run, and a batch tick with fewer than
-``LOCKSTEP_ROWS`` railed rows, take the drive's ``segment_tick`` row by
-row; a batch tick with more takes its ``segment_ticks``, which does the
-same arithmetic row for row but runs each segment map once for all of
-them, so each row still gets the bits of its own gemm.  So a gain
-triple has one trace, bitwise, whichever loop or chunk ran it, and
-``TuningBench`` picks the loop by row count.  That holds across worker
-processes too: ``TuningBench.metric_table`` scores fresh rows in forked
-workers, each of which runs this code on the same BLAS library and
-builds, or inherits, the same drive maps from the same constants.
-A batch runs in chunks of at most ``BATCH_RUN_TICKS`` run-ticks, which
-caps memory only: a chunk's per-tick records, a row per tick, are its
-largest arrays.  How many workers share a batch is the bench's choice.
+segments, each a voltage, mode and clamp and then that mode's map.  A
+single run, and a batch tick with fewer than ``LOCKSTEP_ROWS`` railed
+rows, take the drive's ``segment_tick`` row by row, in Python floats;
+a batch tick with more takes its ``segment_rows``, which does the same
+IEEE operations on numpy arrays of those rows, elementwise, and runs
+each segment map once for all of them, so each row still gets the bits
+of its own gemm.  So a gain triple has one trace, bitwise, whichever
+loop or chunk ran it, and ``TuningBench`` picks the loop by row count.
+That holds across worker processes too: ``TuningBench.metric_table``
+scores fresh rows in forked workers, each of which runs this code on
+the same BLAS library and builds, or inherits, the same drive maps
+from the same constants.  A batch runs in chunks of at most
+``BATCH_RUN_TICKS`` run-ticks, which caps memory only: a chunk's
+per-tick records, a row per tick, are its largest arrays.  How many
+workers share a batch is the bench's choice.
 
-The drive's gemms run in place.  Its operand -- the row
+The drive's two-row gemms run in place.  Its operand -- the row
 ``[x | v | i_ref]`` over a pad row that stays zero -- and its product
 are two arrays of C doubles allocated with the drive and viewed by
 numpy through ``frombuffer``.  Each map writes its product into the
 second array (``ndarray.dot`` with ``out``): the same dgemm on the same
 bytes as the allocating product, which the test suite also checks.  A
 single run keeps its state in the operand from tick to tick and reads
-it as Python floats.  A batch loads a tick's railed rows one by one
-into the operand, or all at once into the drive's block (rows ``[x | v
-| i_ref]`` and a product per segment map, C doubles grown to the
-largest chunk), and copies them back after the tick.  These arrays are
-per-process scratch that every run uses and that each forked worker
-gets its own copy of, so no run may yield mid-run (`simulate` returns,
-and a batch chunk yields its traces, only after the last tick), and no
-two threads of one process may simulate at once.
+it as Python floats.  A batch loads a tick's few railed rows one by one
+into the operand and copies each back after its tick; many railed rows
+go to ``segment_rows`` as a copy of their rows of the tick's array.
+The operand and product are per-process scratch that every run uses
+and that each forked worker gets its own copy of, so no run may yield
+mid-run (`simulate` returns, and a batch chunk yields its traces, only
+after the last tick), and no two threads of one process may simulate
+at once.
 """
 
 from __future__ import annotations
@@ -138,13 +139,14 @@ CURRENT_LOOP_KI = 1000.0
 # diverged.
 DIVERGENCE_LIMIT = 1e12
 
-# Fewest railed rows of a batch tick that advance in lockstep through
-# `_Drive.segment_ticks` (at least two); fewer run one by one through
-# ``segment_tick``.  Both give the same bits.  The lockstep routine pays
-# about 3.1 us per segment for the block and 0.33 us per row and
-# segment, the row-by-row loop about 0.82 us per row and segment (desk
-# grid ticks, 2 vCPUs), so they break even at six rows.
-LOCKSTEP_ROWS = 7
+# Fewest railed rows of a batch tick that advance together through
+# `_Drive.segment_rows` (at least two, so that no gemm runs on one row);
+# fewer run one by one through ``segment_tick``.  Both give the same
+# bits.  Per railed tick, one by one costs 13 to 15 us a row, together
+# 150 to 260 us plus about 1 us a row (rows recorded from desk and plc
+# batches, R = 2 to 32, best of five alternations, 2 vCPUs), so they
+# break even near 10 plc rows and 12 to 15 desk rows.
+LOCKSTEP_ROWS = 12
 
 # Run-ticks (runs times profile ticks) per vectorized chunk in
 # `simulate_batch`: the cap on a chunk's memory.  A chunk keeps five
@@ -281,15 +283,8 @@ class _Drive:
     memoryviews of the two states, so ``state[:] = product`` commits a
     step.  ``advance`` applies one map, leaving the next state in
     ``prod``, and ``segment_tick`` advances the operand's state one
-    railed tick.
-
-    The block is the scratch of a batch tick's railed rows:
-    ``block_rows`` views ``block``, its rows ``[x | v | i_ref]``, and
-    ``block_outs`` view ``block_prods``, one product of each segment map
-    per row.  `reserve` grows them to a chunk's row count, and
-    `segment_ticks` advances the block's first rows one railed tick
-    together.  No gemm reads a row past the ones in use, so the block
-    needs no pad row.
+    railed tick.  ``segment_rows`` advances an array of such rows, at
+    least two, one railed tick together, in place; it uses no scratch.
     """
 
     def __init__(self):
@@ -374,6 +369,7 @@ class _Drive:
         cv0, cv_ci, d_v = self.cv0, self.cv_ci, self.d_v
         vmax = RAILS.voltage_limit
         i_v, i_i = nx, nx + 1
+        count_nonzero = np.count_nonzero
 
         def advance(S: np.ndarray, v: float, i_ref: float) -> None:
             """Apply map ``S`` to the operand's state under ``v`` and
@@ -398,88 +394,52 @@ class _Drive:
                 dot(S, res)
                 state[:] = product
 
-        self.advance, self.segment_tick = advance, segment_tick
-        self.cap = 0
-        self.reserve(2)
+        def segment_rows(Z: np.ndarray) -> None:
+            """Advance rows ``Z`` of ``[x | v | i_ref]``, at least two, one
+            railed tick together; the batch's railed ticks.
 
-    def reserve(self, rows: int) -> None:
-        """Let the block hold at least ``rows`` rows."""
-        if rows > self.cap:
-            nx, w = self.nx, self.nx + 2
-            self.block = array("d", bytes(8 * w * rows))
-            self.block_rows = np.frombuffer(self.block).reshape(rows, w)
-            # one product per segment map, in the order S_cl, S_ol, S_frz
-            self.block_prods = tuple(array("d", bytes(8 * nx * rows))
-                                     for _ in range(3))
-            self.block_outs = tuple(np.frombuffer(p).reshape(rows, nx)
-                                    for p in self.block_prods)
-            self.cap = rows
-
-    def segment_ticks(self, R: int) -> None:
-        """Advance the block's first ``R`` >= 2 rows one railed tick in
-        lockstep; the batch's railed ticks.
-
-        Each row takes the steps of ``segment_tick``: per segment, its
-        voltage, mode and clamp as the same Python float operations, then
-        its mode's map.  Each map that a segment needs runs once, as one
-        gemm over all ``R`` rows, and only that map's rows commit its
-        product.  A gemm row does not depend on the row count, so each
-        row gets the bits of its own two-row gemm.
-        """
-        nx, w, i_ci = self.nx, self.nx + 2, self.i_ci
-        i_v, i_i = nx, nx + 1
-        cv0, cv_ci, d_v = self.cv0, self.cv_ci, self.d_v
-        vmax = RAILS.voltage_limit
-        nvmax = -vmax
-        copysign = math.copysign
-        block, end = self.block, R * w
-        state = memoryview(block)
-        rows = self.block_rows[:R]
-        X = rows[:, :nx]
-        dot = rows.dot
-        S_cl, S_ol, S_frz = self.S_cl, self.S_ol, self.S_frz
-        P_cl, P_ol, P_frz = (P[:R] for P in self.block_outs)
-        m_cl, m_ol, m_frz = map(memoryview, self.block_prods)
-        i_refs = block[i_i:end:w]
-        v_refs = [d_v * i_ref for i_ref in i_refs]
-        for _ in range(SEGMENTS_PER_TICK):
-            x0s = block[0:end:w]
-            vs = [(cv0 * x0 + cv_ci * x_ci) + v_ref for x0, x_ci, v_ref
-                  in zip(x0s, block[i_ci:end:w], v_refs)]
-            # every row inside the rails: one map, one block copy.  max
-            # and min may skip a NaN voltage, which is closed loop anyway
-            if max(vs) <= vmax and min(vs) >= nvmax:
-                block[i_v:end:w] = array("d", vs)
-                dot(S_cl, P_cl)
-                X[:] = P_cl
-                continue
-            cl, ol, frz = [], [], []
-            for r, v, x0, i_ref in zip(range(R), vs, x0s, i_refs):
-                if v > vmax or v < nvmax:
-                    (frz if (i_ref > x0) == (v > 0.0) else ol).append(r)
-                    vs[r] = copysign(vmax, v)
+            Each row takes the steps of ``segment_tick`` as elementwise
+            IEEE operations: per segment, its voltage with the same two
+            products in the same order, its mode and its clamp, then its
+            mode's map.  Each map that a segment needs runs once, as one
+            gemm over all the rows, and only that map's rows commit its
+            product.  A gemm row does not depend on the row count, so each
+            row gets the bits of its own two-row gemm.
+            """
+            R = len(Z)
+            X, x0, x_ci = Z[:, :nx], Z[:, 0], Z[:, i_ci]
+            i_ref = Z[:, i_i]
+            v_ref = d_v * i_ref
+            for _ in range(SEGMENTS_PER_TICK):
+                v = (cv0 * x0 + cv_ci * x_ci) + v_ref
+                # false for a NaN voltage, which runs in closed loop
+                railed = np.abs(v) > vmax
+                n_rail = count_nonzero(railed)
+                if not n_rail:
+                    Z[:, i_v] = v
+                    X[:] = Z.dot(S_cl)
+                    continue
+                frz = railed & ((i_ref > x0) == (v > 0.0))
+                n_frz = count_nonzero(frz)
+                np.copysign(vmax, v, out=v, where=railed)
+                Z[:, i_v] = v
+                modes = []
+                if n_rail < R:
+                    modes.append((S_cl, ~railed))
+                if n_frz < n_rail:
+                    modes.append((S_ol, railed ^ frz))
+                if n_frz:
+                    modes.append((S_frz, frz))
+                # every map with rows runs before any row commits
+                products = [(Z.dot(S), mode[:, None]) for S, mode in modes]
+                if len(products) == 1:
+                    X[:] = products[0][0]
                 else:
-                    cl.append(r)
-            block[i_v:end:w] = array("d", vs)
-            # every map with rows runs before any row commits.  The larger
-            # of the closed-loop and frozen runs commits as one block copy
-            # and every other row alone (if every row is railed with the
-            # integrator running, each commits alone over a stale copy)
-            if cl:
-                dot(S_cl, P_cl)
-            if ol:
-                dot(S_ol, P_ol)
-            if frz:
-                dot(S_frz, P_frz)
-            if len(cl) >= len(frz):
-                X[:] = P_cl
-                alone = ((ol, m_ol), (frz, m_frz))
-            else:
-                X[:] = P_frz
-                alone = ((cl, m_cl), (ol, m_ol))
-            for rs, product in alone:
-                for r in rs:
-                    state[r * w:r * w + nx] = product[r * nx:r * nx + nx]
+                    for P, mode in products:
+                        np.copyto(X, P, where=mode)
+
+        self.advance, self.segment_tick = advance, segment_tick
+        self.segment_rows = segment_rows
 
 
 @functools.cache
@@ -652,9 +612,11 @@ def simulate_batch(gain_triples: np.ndarray, profile: ReferenceProfile):
     arithmetic, so each trace equals that run's :func:`simulate` trace
     bitwise, railed runs included.  The rail-free tick is one gemm for
     all rows; a tick's railed rows go one by one through
-    ``segment_tick`` when they are fewer than ``LOCKSTEP_ROWS`` and in
-    lockstep through ``segment_ticks`` otherwise, one gemm per segment
-    and mode.
+    ``segment_tick`` when they are fewer than ``LOCKSTEP_ROWS`` and
+    together through ``segment_rows`` otherwise, as whole-array numpy
+    with one gemm per segment and mode.  Their bits rest on IEEE
+    elementwise operations and on gemm rows that do not depend on the
+    row count, which the test suite checks.
 
     Runs are simulated in chunks of ``BATCH_RUN_TICKS`` run-ticks (at
     least one run), so peak memory grows with neither the batch size
@@ -682,9 +644,7 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
     r_pos, r_spd = profile.position, profile.speed
 
     T_cl, segment_tick, x = drive.T_cl, drive.segment_tick, drive.x
-    segment_ticks, lockstep_rows = drive.segment_ticks, LOCKSTEP_ROWS
-    drive.reserve(m)
-    block = drive.block_rows
+    segment_rows, lockstep_rows = drive.segment_rows, LOCKSTEP_ROWS
     cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
     nx = drive.nx
@@ -742,20 +702,17 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
         )
         if need.any():
             # the railed rows run from their states before the tick: a few
-            # one by one in the drive's operand, more in lockstep in its
-            # block
+            # one by one in the drive's operand, more together as arrays
             idx = need.nonzero()[0]
-            R = len(idx)
-            if R < lockstep_rows:
+            if len(idx) < lockstep_rows:
                 for r, ir in zip(idx.tolist(), i_ref[idx].tolist()):
                     x[:] = X[r]
                     segment_tick(ir)
                     Xn[r] = x
             else:
-                block[:R, :nx] = X[idx]
-                block[:R, nx + 1] = i_ref[idx]
-                segment_ticks(R)
-                Xn[idx] = block[:R, :nx]
+                rows = Z[idx]
+                segment_rows(rows)
+                Xn[idx] = rows[:, :nx]
         if not alive.all():
             Xn[~alive] = X[~alive]
         X[:] = Xn
@@ -772,8 +729,6 @@ def _run_chunk(triples: np.ndarray, profile: ReferenceProfile):
             X[newly] = 0.0
             integ[newly] = 0.0
 
-    # the block keeps no run's state past its chunk
-    block[:] = 0.0
     for i in range(m):
         yield _trace(profile, int(div_at[i]) if div_at[i] >= 0 else None,
                      rec_y_pos[:, i], rec_y_spd[:, i], rec_iq[:, i],

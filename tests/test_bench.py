@@ -4,6 +4,7 @@ import itertools
 import math
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +218,26 @@ def test_fingerprint_covers_the_drive_maps(monkeypatch):
     drive.S_ol = drive.S_ol.copy()
     drive.S_ol[0, 0] = np.nextafter(drive.S_ol[0, 0], 2.0)
     monkeypatch.setattr(simloop, "_drive", lambda: drive)
+    assert bench.fingerprint != before
+
+
+@pytest.mark.parametrize("module", ["plant", "refgen", "simloop", "metrics",
+                                    "bench"])
+def test_fingerprint_covers_the_cost_code(monkeypatch, tmp_path, module):
+    # a change to the code that computes a cost, with every constant and
+    # map kept, must not be served a grid cache of the old code
+    import importlib
+
+    mod = importlib.import_module(f"axistune.{module}")
+    bench = _new_bench()
+    before = bench.fingerprint
+    copy = tmp_path / f"{module}.py"
+    copy.write_bytes(Path(mod.__file__).read_bytes())
+    monkeypatch.setattr(mod, "__file__", str(copy))
+    assert bench.fingerprint == before
+    source = bytearray(copy.read_bytes())
+    source[-1] ^= 1
+    copy.write_bytes(source)
     assert bench.fingerprint != before
 
 

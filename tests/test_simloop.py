@@ -240,23 +240,23 @@ def test_railed_ticks_of_both_loops_go_through_one_routine(monkeypatch):
     # a tick that meets the voltage rail takes the drive's segment
     # arithmetic whichever loop simulates it: a single run's railed tick
     # and a batch tick's lone railed row through segment_tick, a batch
-    # tick's several railed rows (here two or more) in lockstep through
-    # segment_ticks.  Each railed row-tick is counted once.
+    # tick's several railed rows (here two or more) together through
+    # segment_rows.  Each railed row-tick is counted once.
     drive = simloop._drive()
-    real_one, real_block = drive.segment_tick, drive.segment_ticks
+    real_one, real_rows = drive.segment_tick, drive.segment_rows
     row_ticks, block_rows = [], []
 
     def one(i_ref):
         row_ticks.append(1)
         return real_one(i_ref)
 
-    def block(R):
-        row_ticks.append(R)
-        block_rows.append(R)
-        return real_block(R)
+    def rows(Z):
+        row_ticks.append(len(Z))
+        block_rows.append(len(Z))
+        return real_rows(Z)
 
     monkeypatch.setattr(drive, "segment_tick", one)
-    monkeypatch.setattr(drive, "segment_ticks", block)
+    monkeypatch.setattr(drive, "segment_rows", rows)
     monkeypatch.setattr(simloop, "LOCKSTEP_ROWS", 2)
     profile = benchmark_profile()
     list(simulate_batch(_BATCH_ROWS, profile))
@@ -304,34 +304,40 @@ def _block_rows(drive, modes, rng):
     (_CLOSED, _RAILED, _FROZEN) * 85 + (_FROZEN, _CLOSED),
 ])
 def test_a_block_tick_gives_each_row_its_own_segment_tick(modes):
-    # segment_ticks runs one gemm per segment map over the whole block
-    # and commits only that map's rows; each row must come out as the
-    # bits segment_tick gives it alone, whichever modes share its
-    # segments (the rows also change mode within the tick)
+    # segment_rows runs one gemm per segment map over all its rows and
+    # commits only that map's rows; each row must come out as the bits
+    # segment_tick gives it alone, whichever modes share its segments
+    # (the rows also change mode within the tick)
     drive = simloop._drive()
     nx, R = drive.nx, len(modes)
     rows = _block_rows(drive, modes, np.random.default_rng(R))
     if R > 3:
         rows[5, 0] = float("nan")  # a NaN voltage runs in closed loop
+        # an infinite voltage is railed, and -inf + inf is NaN
+        rows[6, drive.i_ci] = float("inf")
+        rows[7, drive.i_ci] = -float("inf")
+        rows[8, [0, drive.i_ci]] = float("inf")
     alone = np.empty((R, nx))
-    for r, row in enumerate(rows):
-        drive.x[:] = row[:nx]
-        drive.segment_tick(float(row[nx + 1]))
-        alone[r] = drive.x
-    assert {_first_mode(drive, row) for row in rows} == set(modes)
-    drive.reserve(R)
-    drive.block_rows[:R] = rows
-    drive.segment_ticks(R)
-    assert drive.block_rows[:R, :nx].tobytes() == alone.tobytes()
-    # the block's rows kept their current references
-    assert np.array_equal(drive.block_rows[:R, nx + 1], rows[:, nx + 1])
+    together = rows.copy()
+    # inf - inf and an infinite state times a map's zero entry are NaN:
+    # no warning here
+    with np.errstate(invalid="ignore"):
+        assert {_first_mode(drive, row) for row in rows} == set(modes)
+        for r, row in enumerate(rows):
+            drive.x[:] = row[:nx]
+            drive.segment_tick(float(row[nx + 1]))
+            alone[r] = drive.x
+        drive.segment_rows(together)
+    assert together[:, :nx].tobytes() == alone.tobytes()
+    # the rows kept their current references
+    assert np.array_equal(together[:, nx + 1], rows[:, nx + 1])
 
 
 def test_map_products_do_not_depend_on_the_row_count():
     # The rail-free tick multiplies a two-row block in a single run and
     # up to a chunk's runs plus a pad row in a batch; a segment map
     # multiplies two rows in segment_tick and up to a chunk's runs in
-    # segment_ticks.  Their rows agree only if this BLAS computes a gemm
+    # segment_rows.  Their rows agree only if this BLAS computes a gemm
     # row the same way for any row count and offset: true of the
     # OpenBLAS builds this was written on, but not a BLAS guarantee, so
     # a build where it fails must fail here.  All four maps rely on it.
@@ -401,27 +407,6 @@ def test_the_operand_pad_row_stays_zero(monkeypatch, chunk_log):
     list(simulate_batch(_BATCH_ROWS, profile))
     assert [runs for _, runs in chunk_log()] == [2, 2, 2, 1]
     assert _pad_is_zero(drive)
-
-
-def test_the_block_is_zero_after_a_batch(monkeypatch, chunk_log):
-    # the railed rows' block is scratch shared by every chunk; once a
-    # batch has run, no row of it holds a run's state
-    drive = simloop._drive()
-    real = drive.segment_ticks
-    used = []
-
-    def counted(R):
-        used.append(R)
-        return real(R)
-
-    monkeypatch.setattr(drive, "segment_ticks", counted)
-    monkeypatch.setattr(simloop, "LOCKSTEP_ROWS", 2)
-    profile = benchmark_profile()
-    monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 3 * len(profile))
-    list(simulate_batch(_BATCH_ROWS, profile))
-    assert [runs for _, runs in chunk_log()] == [3, 3, 1]
-    assert used
-    assert drive.block.tobytes() == bytes(8 * len(drive.block))
 
 
 def test_a_single_run_between_batch_items_changes_no_trace(monkeypatch,
@@ -499,7 +484,7 @@ def test_a_non_finite_state_flags_divergence_in_both_loops(monkeypatch, bad):
     railed = [4200.0, 0.5, 900.0]
     clean = simulate(GainVector(*railed), profile)
     calm = simulate(WELL_DAMPED, profile)
-    real_one, real_block = drive.segment_tick, drive.segment_ticks
+    real_one, real_rows = drive.segment_tick, drive.segment_rows
     for slot in range(drive.nx):
         ticks = [0]
 
@@ -509,23 +494,23 @@ def test_a_non_finite_state_flags_divergence_in_both_loops(monkeypatch, bad):
             if ticks[0] == 3:
                 drive.operand[slot] = bad
 
-        def block(R):
-            # rows 0 and 1 rail together, so they are the block's first
+        def rows(Z):
+            # rows 0 and 1 rail together, so they are the routine's first
             # two rows at every one of their railed ticks
-            real_block(R)
+            real_rows(Z)
             ticks[0] += 1
             if ticks[0] == 3:
-                drive.block[slot] = bad
+                Z[0, slot] = bad
 
         monkeypatch.setattr(drive, "segment_tick", one)
         single = simulate(GainVector(*railed), profile)
         monkeypatch.setattr(drive, "segment_tick", real_one)
-        monkeypatch.setattr(drive, "segment_ticks", block)
+        monkeypatch.setattr(drive, "segment_rows", rows)
         ticks[0] = 0
         batch = list(simulate_batch(
             [railed, railed, [WELL_DAMPED.kp, WELL_DAMPED.kv, WELL_DAMPED.ki]],
             profile))
-        monkeypatch.setattr(drive, "segment_ticks", real_block)
+        monkeypatch.setattr(drive, "segment_rows", real_rows)
         clamped = slot == drive.i_w and not np.isnan(bad)
         assert single.diverged is not clamped, slot
         _assert_traces_equal(batch[0], single)
