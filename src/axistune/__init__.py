@@ -23,6 +23,10 @@ Layers, bottom up:
 - :mod:`axistune.baselines` -- relay, ultimate-gain, and ITAE tuning.
 - :mod:`axistune.presets` / :mod:`axistune.cli` -- named configurations
   and the command-line front end.
+
+The simulator, the bench and grid search need numpy alone; scipy loads
+the first time a GP hyperparameter fit, posterior or limit-cycle probe
+runs, so ``simulate`` and ``grid`` never import it.
 """
 
 from .baselines import (

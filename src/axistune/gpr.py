@@ -28,6 +28,16 @@ kernel matrix, its factor and the NLML's m x m products into scratch
 buffers owned by the dataset; :func:`fit` copies out what its
 posterior keeps, so no returned array aliases the scratch.  Hence no
 two threads may evaluate one ``Dataset`` at once.
+
+scipy (its LAPACK wrappers, L-BFGS-B and the Sobol sampler) is
+imported inside the functions that call it, the first time one runs.
+Loading ``scipy.linalg``, ``scipy.optimize`` and ``scipy.stats`` takes
+about 0.7 s (2 vCPUs), several times numpy's import, and the package
+imports this module everywhere; the commands that never fit a GP
+(``simulate``, ``grid``) and the forked scoring workers need numpy
+alone.  The LAPACK routines of the NLML path are bound once, by
+:func:`_lapack`: two import statements per call would cost about 3 us
+even with the module loaded, some 3% of an NLML call.
 """
 
 from __future__ import annotations
@@ -37,10 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 __all__ = [
     "GpHyperparams",
@@ -236,6 +242,14 @@ def _input_transform(bounds: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarr
     return b[:, 0].copy(), span
 
 
+@functools.cache
+def _lapack():
+    """scipy's ``dpotrf``, ``dpotrs`` and ``dtrtri``, imported on first use."""
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+
+    return dpotrf, dpotrs, dtrtri
+
+
 def _inv_sq_lengths(h: GpHyperparams, span: np.ndarray) -> np.ndarray:
     """1 / l_i^2 in input units: lengthscales are in unit-box units."""
     return 1.0 / np.square(span * np.asarray(h.lengthscales))
@@ -257,6 +271,7 @@ def _factor(
     """
     if h.dim != data.dim:
         raise ValueError("hyperparameter dimension does not match the data")
+    dpotrf, dpotrs, _ = _lapack()
     s = data._scratch
     s.use_bounds(input_bounds)
     inv_sq = _inv_sq_lengths(h, s.span)
@@ -315,6 +330,8 @@ def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows are processed ``_PREDICT_CHUNK`` at a time, so peak memory stays
     bounded on acquisition grids with millions of candidates.
     """
+    from scipy.linalg import solve_triangular
+
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     mu = np.empty(n)
@@ -364,6 +381,7 @@ def nlml(data: Dataset, h: GpHyperparams,
     with K_y the regularized kernel matrix.
     """
     s, inv_sq, alpha, _ = _factor(data, h, input_bounds)
+    _, _, dtrtri = _lapack()
     fit_term = 0.5 * float(s.y @ alpha)
     logdet = float(np.sum(np.log(s.factor_diag)))
     value = fit_term + logdet + s.log_2pi_term
@@ -422,6 +440,9 @@ def fit_hyperparams(
     HyperparamSearchError
         No start, ``init`` included, yielded a finite likelihood.
     """
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
+
     if data.m < 3:
         raise ValueError("hyperparameter fitting needs at least 3 observations")
     box = default_hyper_bounds(data.dim)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import math
 import numbers
 import os
@@ -460,7 +461,13 @@ def grid_search(
 
 
 def _table_key(fset: FeasibleSet, bench_key: str) -> str:
-    return repr((fset, bench_key))
+    # the set's repr does not decide its points or the triples they are
+    # scored as, so the key also digests both: a change to `grid` or
+    # `canonical` that keeps the repr misses the cache
+    grid = fset.grid()
+    h = hashlib.sha256(grid.tobytes())
+    h.update(fset.canonical(grid).tobytes())
+    return repr((fset, bench_key, h.hexdigest()))
 
 
 def save_grid_table(path, fset: FeasibleSet, table: np.ndarray,
@@ -485,7 +492,11 @@ def save_grid_table(path, fset: FeasibleSet, table: np.ndarray,
 
 
 def load_grid_table(path, fset: FeasibleSet, bench_key: str) -> np.ndarray | None:
-    """Load a table saved for this exact feasible set and oracle, else None."""
+    """Load a table saved for this exact feasible set and oracle, else None.
+
+    The set matches when its repr, its grid points and the controller
+    triples :meth:`FeasibleSet.canonical` maps them to all match.
+    """
     try:
         # the file is opened here, so it is closed when numpy rejects it
         with open(path, "rb") as f, np.load(f, allow_pickle=False) as data:

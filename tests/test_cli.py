@@ -23,23 +23,49 @@ def _load_record(path):
     return rec
 
 
-def test_importing_the_cli_does_not_import_scipy_signal():
-    # only compare's classical probes need scipy.signal; every other call,
-    # and a call that fails on a bad flag, must not pay for importing it
+def test_importing_the_cli_does_not_import_scipy_signal(tmp_path):
+    # only the GP needs scipy (and only compare's classical probes need
+    # scipy.signal): importing the cli, a simulate call and a grid search
+    # must run on numpy alone, and the first hyperparameter fit loads it
     import os
     import subprocess
     import sys
 
     import axistune
 
+    script = """
+import contextlib, io, sys
+import numpy as np
+import axistune.cli
+from axistune.gpr import Dataset, GpHyperparams, fit_hyperparams
+from axistune.presets import get_preset
+from axistune.tuner import FeasibleSet, grid_search
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = axistune.cli.main(["simulate", "--preset", "desk", "--gains",
+                            "150,0.5,90", "--out", sys.argv[1]])
+assert rc == 0
+fset = FeasibleSet(kp=(150.0, 300.0), kv=(0.2, 0.5), third=(30.0, 90.0),
+                   n_kp=2, n_kv=2, n_third=2)
+_, cost, _ = grid_search(fset, get_preset("desk").bench().evaluate_many)
+assert np.isfinite(cost)
+print(scipy_modules())
+data = Dataset(fset.grid(), np.arange(fset.size, dtype=float))
+fit_hyperparams(data, GpHyperparams(1.0, (0.3, 0.3, 0.3), 1e-3),
+                fset.bounds(), seed=0)
+print("scipy.optimize" in sys.modules)
+"""
     src = os.path.dirname(os.path.dirname(axistune.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, axistune.cli; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-c", script, str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
         text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n[]\nTrue\n"
 
 
 # -- simulate ----------------------------------------------------------------

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from axistune import gpr
 from axistune.gpr import (
     Dataset,
     GpHyperparams,
@@ -415,15 +414,19 @@ def test_nlml_fit_and_predict_reproduce_pinned_bits(m, monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         nlml(data, GpHyperparams.from_log_vector(np.array(LOG_FAILS)), DESK_BOUNDS)
 
-    # the descent's objective, caught on its way into the optimizer
+    # the descent's objective, caught on its way into the optimizer;
+    # fit_hyperparams imports minimize when it runs, so the spy goes on
+    # scipy.optimize, where that import reads it
+    import scipy.optimize
+
     objectives = []
-    real_minimize = gpr.minimize
+    real_minimize = scipy.optimize.minimize
 
     def spy(fun, x0, **kwargs):
         objectives.append(fun)
         return real_minimize(fun, x0, **kwargs)
 
-    monkeypatch.setattr(gpr, "minimize", spy)
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
     h = fit_hyperparams(data, GpHyperparams(1.0, (0.3, 0.3, 0.3), 1e-3),
                         DESK_BOUNDS, seed=pin["seed"])
     assert (h.sigma_f, h.lengthscales, h.sigma_w) == pin["fit"]

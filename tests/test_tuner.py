@@ -463,6 +463,31 @@ def test_grid_table_cache_round_trip(tmp_path):
     assert load_grid_table(bad, SMALL, "bench-a") is None
 
 
+def test_a_changed_search_layer_misses_the_grid_cache(tmp_path, monkeypatch):
+    # the table's rows are the costs of the triples `canonical` gave the
+    # grid points; a set whose repr is unchanged but whose points or
+    # triples moved must not be served them
+    _, _, table = grid_search(SMALL, _quadratic_oracle(SMALL))
+    path = tmp_path / "table.npz"
+    save_grid_table(path, SMALL, table, "bench-a")
+    real_canonical = FeasibleSet.canonical
+
+    def doubled_ki(self, points):
+        pts = real_canonical(self, points)
+        pts[:, 2] *= 2.0
+        return pts
+
+    monkeypatch.setattr(FeasibleSet, "canonical", doubled_ki)
+    assert load_grid_table(path, SMALL, "bench-a") is None
+    monkeypatch.setattr(FeasibleSet, "canonical", real_canonical)
+    assert np.array_equal(load_grid_table(path, SMALL, "bench-a"), table)
+
+    moved = SMALL.grid() + 1.0
+    moved.setflags(write=False)
+    monkeypatch.setattr(FeasibleSet, "grid", lambda self: moved)
+    assert load_grid_table(path, SMALL, "bench-a") is None
+
+
 def test_a_damaged_grid_table_loads_as_a_miss_or_unchanged(tmp_path):
     # every byte of a small saved table, inverted and with its low bit
     # flipped: zipfile and numpy reject the damage in many ways, and each
