@@ -14,20 +14,20 @@ Implements exactly what the tuner needs, from first principles:
 * multi-start hyperparameter fitting by L-BFGS-B descents on that
   gradient, bounded to the hyperparameter box.
 
-Inputs are normalized to the unit box of given bounds and targets
-standardized to zero mean / unit deviation before fitting; prediction
-undoes both.
+A :class:`Dataset` holds its input box: inputs are normalized to the
+unit box of those bounds and targets standardized to zero mean / unit
+deviation before fitting; prediction undoes both.
 
 A hyperparameter fit evaluates the NLML thousands of times on one
 dataset, so what does not depend on the hyperparameters is computed
-once per :class:`Dataset`: the standardized targets, the per-dimension
-squared input differences, the m/2 log(2 pi) term, and the unit-box
-inputs and span of the last input bounds seen.  :func:`nlml` and
-:func:`fit` share one kernel-and-Cholesky routine, which writes the
-kernel matrix, its factor and the NLML's m x m products into scratch
-buffers owned by the dataset; :func:`fit` copies out what its
-posterior keeps, so no returned array aliases the scratch.  Hence no
-two threads may evaluate one ``Dataset`` at once.
+once, when the :class:`Dataset` is built: the unit-box inputs, the
+standardized targets, the m/2 log(2 pi) term and the m x m work
+buffers, and on first use the per-dimension squared input differences.
+:func:`nlml` and :func:`fit` share one kernel-and-Cholesky routine,
+which writes the kernel matrix, its factor and the NLML's m x m
+products into the dataset's buffers; :func:`fit` copies out what its
+posterior keeps, so no returned array aliases them.  Hence no two
+threads may evaluate one ``Dataset`` at once.
 
 scipy (its LAPACK wrappers, L-BFGS-B and the Sobol sampler) is
 imported inside the functions that call it, the first time one runs.
@@ -114,26 +114,63 @@ class GpHyperparams:
         return cls(e[0], tuple(e[1:-1]), max(e[-1], NOISE_FLOOR))
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Observed inputs (m, d) and targets (m,).
+    """Observed inputs (m, d) and targets (m,) in an input box (d, 2).
 
-    Treated as immutable: quantities derived from it are computed once
-    and cached on it.
+    The kernel sees the inputs in the unit box of ``bounds``, so
+    lengthscales are in normalized units.  Treated as immutable; what
+    every fit on it shares, whatever the hyperparameters, is computed
+    here, once:
+
+    * ``shift``, ``span`` and ``x_unit``, the inputs in the unit box
+      (read-only: posteriors share them);
+    * ``z``, the targets as (y - y_mean) / y_scale, a constant-y dataset
+      keeping ``y_scale`` 1;
+    * ``log_2pi_term``, the NLML's m/2 log(2 pi);
+    * the m x m work buffers of :func:`_factor`: ``kernel`` holds the
+      scaled squared distances and then, in place, the noise-free kernel
+      matrix K; ``factor`` (Fortran order, as LAPACK writes it) holds
+      K + (sigma_w^2 + jitter) I, then its Cholesky factor L, then
+      whatever the caller of :func:`_factor` overwrites it with; ``w`` is
+      the NLML gradient's K_y^-1 - alpha alpha^T.
     """
 
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
+    def __init__(self, X: np.ndarray, y: np.ndarray, bounds: np.ndarray) -> None:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y disagree on the number of observations")
         if X.shape[0] == 0:
             raise ValueError("empty dataset")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        for name, a in (("X", X), ("y", y)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
+        b = np.asarray(bounds, dtype=float)
+        if b.shape != (X.shape[1], 2):
+            raise ValueError("input_bounds must be (dim, 2)")
+        if not np.isfinite(b).all():
+            raise ValueError("input_bounds must be finite")
+        span = b[:, 1] - b[:, 0]
+        if np.any(span <= 0.0):
+            raise ValueError("input_bounds must have positive width")
+        shift = b[:, 0].copy()
+        x_unit = (X - shift) / span
+        for a in (shift, span, x_unit):
+            a.setflags(write=False)
+        self.X, self.y = X, y
+        self.shift, self.span, self.x_unit = shift, span, x_unit
+
+        self.y_mean = float(y.mean())
+        sd = float(y.std())
+        self.y_scale = sd if sd > 0.0 else 1.0
+        self.z = (y - self.y_mean) / self.y_scale
+
+        m = self.m
+        self.log_2pi_term = 0.5 * m * math.log(2.0 * math.pi)
+        self.kernel = np.empty(m * m)
+        self.factor = np.empty((m, m), order="F")
+        self.factor_diag = self.factor.ravel(order="F")[::m + 1]
+        self.w = np.empty((m, m))
 
     @property
     def m(self) -> int:
@@ -142,17 +179,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    @functools.cached_property
-    def standardized(self) -> tuple[np.ndarray, float, float]:
-        """Targets as (y - mean) / deviation, with that mean and deviation.
-
-        A constant-y dataset keeps deviation 1.
-        """
-        y_mean = float(self.y.mean())
-        sd = float(self.y.std())
-        y_scale = sd if sd > 0.0 else 1.0
-        return (self.y - y_mean) / y_scale, y_mean, y_scale
 
     @functools.cached_property
     def sq_diffs(self) -> np.ndarray:
@@ -166,47 +192,6 @@ class Dataset:
         diff = cols[:, :, None] - cols[:, None, :]
         np.square(diff, out=diff)
         return diff.reshape(self.dim, -1)
-
-    @functools.cached_property
-    def _scratch(self) -> "_Scratch":
-        return _Scratch(self)
-
-
-class _Scratch:
-    """Constants and m x m work buffers of one dataset's factorizations.
-
-    ``kernel`` holds the scaled squared distances and then, in place,
-    the noise-free kernel matrix K; ``factor`` (Fortran order, as LAPACK
-    writes it) holds K + (sigma_w^2 + jitter) I, then its Cholesky
-    factor L, then whatever the caller of :func:`_factor` overwrites it
-    with; ``w`` is the NLML gradient's K_y^-1 - alpha alpha^T.
-    """
-
-    def __init__(self, data: Dataset) -> None:
-        m = data.m
-        self.y, self.y_mean, self.y_scale = data.standardized
-        self.log_2pi_term = 0.5 * m * math.log(2.0 * math.pi)
-        self.kernel = np.empty(m * m)
-        self.factor = np.empty((m, m), order="F")
-        self.factor_diag = self.factor.ravel(order="F")[::m + 1]
-        self.w = np.empty((m, m))
-        self._X = data.X
-        self._bounds_key = None
-
-    def use_bounds(self, input_bounds: np.ndarray) -> None:
-        """Set ``shift``, ``span`` and ``x_unit`` (the inputs in the unit
-        box) for these bounds, validating and computing them only when
-        the bounds differ from the last ones seen."""
-        b = np.asarray(input_bounds, dtype=float)
-        key = (b.shape, b.tobytes())
-        if key == self._bounds_key:
-            return
-        shift, span = _input_transform(b, self._X.shape[1])
-        x_unit = (self._X - shift) / span
-        for a in (shift, span, x_unit):
-            a.setflags(write=False)  # kept across calls; posteriors share shift, span
-        self.shift, self.span, self.x_unit = shift, span, x_unit
-        self._bounds_key = key
 
 
 @dataclass(frozen=True)
@@ -230,18 +215,6 @@ class GpPosterior:
     y_scale: float
 
 
-def _input_transform(bounds: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    b = np.asarray(bounds, dtype=float)
-    if b.shape != (dim, 2):
-        raise ValueError("input_bounds must be (dim, 2)")
-    if not np.isfinite(b).all():
-        raise ValueError("input_bounds must be finite")
-    span = b[:, 1] - b[:, 0]
-    if np.any(span <= 0.0):
-        raise ValueError("input_bounds must have positive width")
-    return b[:, 0].copy(), span
-
-
 @functools.cache
 def _lapack():
     """scipy's ``dpotrf``, ``dpotrs`` and ``dtrtri``, imported on first use."""
@@ -255,16 +228,12 @@ def _inv_sq_lengths(h: GpHyperparams, span: np.ndarray) -> np.ndarray:
     return 1.0 / np.square(span * np.asarray(h.lengthscales))
 
 
-def _factor(
-    data: Dataset,
-    h: GpHyperparams,
-    input_bounds: np.ndarray,
-) -> tuple[_Scratch, np.ndarray, np.ndarray, float]:
+def _factor(data: Dataset, h: GpHyperparams) -> tuple[np.ndarray, np.ndarray, float]:
     """Factor K + sigma_w^2 I on the standardized targets of the dataset.
 
-    Returns the dataset's scratch, with the noise-free K in ``kernel``
-    and the lower Cholesky factor L in ``factor``, the inverse squared
-    lengthscales in input units, alpha = L^-T L^-1 y (a new array), and
+    Leaves the noise-free K in the dataset's ``kernel`` and the lower
+    Cholesky factor L in its ``factor``, and returns the inverse squared
+    lengthscales in input units, alpha = L^-T L^-1 z (a new array), and
     the extra diagonal jitter the factorization needed: escalated
     tenfold from ``_JITTER_START`` until LAPACK accepts the matrix.
     Both buffers are overwritten by the next call on the dataset.
@@ -272,10 +241,8 @@ def _factor(
     if h.dim != data.dim:
         raise ValueError("hyperparameter dimension does not match the data")
     dpotrf, dpotrs, _ = _lapack()
-    s = data._scratch
-    s.use_bounds(input_bounds)
-    inv_sq = _inv_sq_lengths(h, s.span)
-    d2 = np.matmul(inv_sq, data.sq_diffs, out=s.kernel)
+    inv_sq = _inv_sq_lengths(h, data.span)
+    d2 = np.matmul(inv_sq, data.sq_diffs, out=data.kernel)
     np.minimum(d2, _MAX_SQ_DIST, out=d2)
     d2 *= -0.5
     np.exp(d2, out=d2)
@@ -284,11 +251,11 @@ def _factor(
     noise = h.sigma_w * h.sigma_w
     jitter = 0.0
     while True:
-        s.factor[...] = K
-        s.factor_diag += noise
-        s.factor_diag += jitter
+        data.factor[...] = K
+        data.factor_diag += noise
+        data.factor_diag += jitter
         # the lower triangle is factored in place; clean=1 zeroes the upper
-        _, info = dpotrf(s.factor, lower=1, clean=1, overwrite_a=1)
+        _, info = dpotrf(data.factor, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             break
         jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
@@ -296,29 +263,28 @@ def _factor(
             raise np.linalg.LinAlgError("kernel matrix is not positive definite")
     # LAPACK's Cholesky solve, the routine behind scipy's cho_solve,
     # called directly: the wrapper's checks cost more than the solve
-    alpha, _ = dpotrs(s.factor, s.y, lower=1)
-    return s, inv_sq, alpha, jitter
+    alpha, _ = dpotrs(data.factor, data.z, lower=1)
+    return inv_sq, alpha, jitter
 
 
-def fit(data: Dataset, h: GpHyperparams, input_bounds: np.ndarray) -> GpPosterior:
+def fit(data: Dataset, h: GpHyperparams) -> GpPosterior:
     """Condition a GP on the dataset.
 
-    ``input_bounds`` (shape (d, 2)) maps inputs to the unit box before the
-    kernel sees them, so lengthscales are in normalized units.  The GP is
-    fitted on the standardized targets (see :attr:`Dataset.standardized`)
-    and :func:`predict` undoes that affine map.
+    The kernel sees the inputs in the unit box of the dataset's bounds,
+    and the GP is fitted on its standardized targets ``z``;
+    :func:`predict` undoes both maps.
     """
-    s, _, alpha, jitter = _factor(data, h, input_bounds)
+    _, alpha, jitter = _factor(data, h)
     return GpPosterior(
         h=h,
-        X_scaled=s.x_unit / np.asarray(h.lengthscales),
-        L=s.factor.copy(order="F"),
+        X_scaled=data.x_unit / np.asarray(h.lengthscales),
+        L=data.factor.copy(order="F"),
         alpha=alpha,
         jitter_used=jitter,
-        input_shift=s.shift,
-        input_span=s.span,
-        y_mean=s.y_mean,
-        y_scale=s.y_scale,
+        input_shift=data.shift,
+        input_span=data.span,
+        y_mean=data.y_mean,
+        y_scale=data.y_scale,
     )
 
 
@@ -368,35 +334,34 @@ def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu * g.y_scale + g.y_mean, var * (g.y_scale * g.y_scale)
 
 
-def nlml(data: Dataset, h: GpHyperparams,
-         input_bounds: np.ndarray) -> tuple[float, np.ndarray]:
+def nlml(data: Dataset, h: GpHyperparams) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood of the data under h, and its gradient.
 
     Of the targets as :func:`fit` sees them: standardized, with inputs
-    in the unit box of ``input_bounds``.
+    in the unit box of the dataset's bounds.
 
     The gradient is with respect to the log hyperparameters, in the
     order of :meth:`GpHyperparams.to_log_vector` (sigma_f, lengthscales,
     sigma_w): component j is 1/2 tr((K_y^-1 - alpha alpha^T) dK_y/dtheta_j),
     with K_y the regularized kernel matrix.
     """
-    s, inv_sq, alpha, _ = _factor(data, h, input_bounds)
+    inv_sq, alpha, _ = _factor(data, h)
     _, _, dtrtri = _lapack()
-    fit_term = 0.5 * float(s.y @ alpha)
-    logdet = float(np.sum(np.log(s.factor_diag)))
-    value = fit_term + logdet + s.log_2pi_term
+    fit_term = 0.5 * float(data.z @ alpha)
+    logdet = float(np.sum(np.log(data.factor_diag)))
+    value = fit_term + logdet + data.log_2pi_term
 
     # W = K_y^-1 - alpha alpha^T; dK_y/dlog sigma_f = 2 K,
     # dK_y/dlog l_i = K * D_i / l_i^2 and dK_y/dlog sigma_w = 2 sigma_w^2 I
     # L^-1 replaces L in place (a Cholesky factor is never singular),
     # then alpha alpha^T replaces L^-1, written through the C-order
     # transpose: the product is symmetric, entry by entry
-    L_inv, _ = dtrtri(s.factor, lower=1, overwrite_c=1)
-    W = np.matmul(L_inv.T, L_inv, out=s.w)
+    L_inv, _ = dtrtri(data.factor, lower=1, overwrite_c=1)
+    W = np.matmul(L_inv.T, L_inv, out=data.w)
     W -= np.multiply(alpha[:, None], alpha, out=L_inv.T)
     grad = np.empty(h.dim + 2)
     grad[-1] = h.sigma_w * h.sigma_w * np.trace(W)
-    W *= s.kernel.reshape(data.m, data.m)
+    W *= data.kernel.reshape(data.m, data.m)
     grad[0] = np.sum(W)
     grad[1:-1] = 0.5 * inv_sq * (data.sq_diffs @ W.ravel())
     return value, grad
@@ -419,7 +384,6 @@ class HyperparamSearchError(RuntimeError):
 def fit_hyperparams(
     data: Dataset,
     init: GpHyperparams,
-    input_bounds: np.ndarray,
     seed: int,
 ) -> GpHyperparams:
     """Pick hyperparameters by multi-start NLML descent.
@@ -453,8 +417,7 @@ def fit_hyperparams(
         # a descent that starts there stops at once
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                f, grad = nlml(data, GpHyperparams.from_log_vector(logv),
-                               input_bounds)
+                f, grad = nlml(data, GpHyperparams.from_log_vector(logv))
         except (np.linalg.LinAlgError, ValueError):
             f = math.inf
         if math.isfinite(f) and np.isfinite(grad).all():

@@ -392,11 +392,12 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
        in a one-row call, and update the incumbent (strict improvement
        moves it, so ties keep the earliest observation).
 
-    The GP sees inputs scaled to the feasible box and standardized
-    targets (see :mod:`~axistune.gpr`).  Stops with reason "repeat" once ``REPEAT_THRESHOLD``
-    consecutive proposals land within ``STOP_RADIUS`` grid cells of an
-    unchanged incumbent or tie its cost exactly, or with
-    "max_iterations".
+    Each GP dataset holds the feasible box, ``fset.bounds()``, so the GP
+    sees inputs scaled to that box and standardized targets (see
+    :class:`~axistune.gpr.Dataset`).  Stops with reason "repeat" once
+    ``REPEAT_THRESHOLD`` consecutive proposals land within
+    ``STOP_RADIUS`` grid cells of an unchanged incumbent or tie its cost
+    exactly, or with "max_iterations".
     An oracle call that raises, or returns other than one finite cost
     per row, raises :class:`OracleAbort` carrying the partial state; a
     failed design call leaves it without points, all or nothing.
@@ -408,12 +409,12 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
         state._observe(point, y)
 
     bounds = fset.bounds()
-    h = fit_hyperparams(Dataset(X=state.X, y=state.y), _INIT_HYPERPARAMS,
-                        bounds, seed=config.seed + 1)
+    h = fit_hyperparams(Dataset(state.X, state.y, bounds), _INIT_HYPERPARAMS,
+                        seed=config.seed + 1)
     state.hyperparams = h
 
     for t in range(1, config.max_iterations + 1):
-        posterior = fit(Dataset(X=state.X, y=state.y), h, bounds)
+        posterior = fit(Dataset(state.X, state.y, bounds), h)
         point, mu, sigma, _ = next_point(posterior, fset, config.beta)
         y = float(_evaluate(oracle, fset, point[None], state)[0])
         moved = state._observe(point, y)
@@ -429,7 +430,7 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
             state.stop_reason = "repeat"
             break
         if t < config.max_iterations and t % REFIT_EVERY == 0:
-            h = fit_hyperparams(Dataset(X=state.X, y=state.y), h, bounds,
+            h = fit_hyperparams(Dataset(state.X, state.y, bounds), h,
                                 seed=config.seed + 1 + t)
             state.hyperparams = h
     else:

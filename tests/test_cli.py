@@ -54,9 +54,8 @@ fset = FeasibleSet(kp=(150.0, 300.0), kv=(0.2, 0.5), third=(30.0, 90.0),
 _, cost, _ = grid_search(fset, get_preset("desk").bench().evaluate_many)
 assert np.isfinite(cost)
 print(scipy_modules())
-data = Dataset(fset.grid(), np.arange(fset.size, dtype=float))
-fit_hyperparams(data, GpHyperparams(1.0, (0.3, 0.3, 0.3), 1e-3),
-                fset.bounds(), seed=0)
+data = Dataset(fset.grid(), np.arange(fset.size, dtype=float), fset.bounds())
+fit_hyperparams(data, GpHyperparams(1.0, (0.3, 0.3, 0.3), 1e-3), seed=0)
 print("scipy.optimize" in sys.modules)
 """
     src = os.path.dirname(os.path.dirname(axistune.__file__))

@@ -1,8 +1,8 @@
 """Gaussian-process regression checks against dense linear-algebra oracles.
 
-The GP always works on inputs scaled to the unit box of given bounds and
-on standardized targets, so the oracles run the textbook equations on
-both and map predictions back to target units.
+The GP always works on inputs scaled to the unit box of its dataset's
+bounds and on standardized targets, so the oracles run the textbook
+equations on both and map predictions back to target units.
 """
 
 import math
@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from axistune import gpr
 from axistune.gpr import (
     Dataset,
     GpHyperparams,
@@ -83,7 +84,7 @@ def _oracle_nlml(X, y, h, bounds):
 def _random_dataset(rng, m, d):
     X = rng.uniform(-2.0, 2.0, size=(m, d))
     y = np.sin(X).sum(axis=1) + 0.05 * rng.standard_normal(m)
-    return Dataset(X, y)
+    return Dataset(X, y, _box(d))
 
 
 def test_kernel_basic_identities():
@@ -102,7 +103,7 @@ def test_kernel_basic_identities():
     # of the unit-box inputs
     rng = np.random.default_rng(3)
     data = _random_dataset(rng, 12, 2)
-    g = fit(data, h, _box(2))
+    g = fit(data, h)
     K = _dense_kernel_matrix(_unit(data.X, _box(2)), h) + h.sigma_w**2 * np.eye(data.m)
     assert np.allclose(g.L @ g.L.T, K, rtol=0.0, atol=1e-12)
 
@@ -112,7 +113,7 @@ def test_posterior_matches_the_dense_oracle():
     h = GpHyperparams(1.5, (0.8, 0.6, 1.2), 0.2)
     for _ in range(10):
         data = _random_dataset(rng, int(rng.integers(3, 30)), 3)
-        g = fit(data, h, _box(3))
+        g = fit(data, h)
         assert g.jitter_used == 0.0
         probes = rng.uniform(-2.0, 2.0, size=(5, 3))
         mu, var = predict(g, probes)
@@ -127,7 +128,7 @@ def test_nlml_matches_the_dense_oracle():
     h = GpHyperparams(1.2, (0.7, 0.9), 0.15)
     for _ in range(15):
         data = _random_dataset(rng, int(rng.integers(3, 40)), 2)
-        ours = nlml(data, h, _box(2))[0]
+        ours = nlml(data, h)[0]
         ref = _oracle_nlml(data.X, data.y, h, _box(2))
         assert ours == pytest.approx(ref, abs=1e-8)
 
@@ -136,11 +137,11 @@ def test_single_zero_observation_closed_form():
     # with one observation y=0 the marginal likelihood reduces to a
     # univariate normal: 0.5*log(sigma_f^2 + sigma_w^2) + 0.5*log(2*pi)
     h = GpHyperparams(1.7, (0.4,), 0.3)
-    data = Dataset(np.zeros((1, 1)), np.zeros(1))
+    data = Dataset(np.zeros((1, 1)), np.zeros(1), _box(1, 0.0, 1.0))
     expected = 0.5 * math.log(h.sigma_f**2 + h.sigma_w**2) + 0.5 * math.log(
         2.0 * math.pi
     )
-    assert nlml(data, h, _box(1, 0.0, 1.0))[0] == pytest.approx(expected, rel=1e-12)
+    assert nlml(data, h)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_interpolation_with_small_noise():
@@ -148,7 +149,7 @@ def test_interpolation_with_small_noise():
     h = GpHyperparams(1.0, (0.25,), 1e-3)
     X = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
     y = np.sin(3.0 * X[:, 0])
-    g = fit(Dataset(X, y), h, _box(1, -1.0, 1.0))
+    g = fit(Dataset(X, y, _box(1, -1.0, 1.0)), h)
     mu, var = predict(g, X)
     # the noise and the prior variance are in standardized units
     sd = float(np.std(y))
@@ -164,7 +165,7 @@ def test_variance_bounds_everywhere():
     rng = np.random.default_rng(33)
     h = GpHyperparams(2.5, (0.4, 0.7), 0.05)
     data = _random_dataset(rng, 40, 2)
-    g = fit(data, h, _box(2))
+    g = fit(data, h)
     probes = rng.uniform(-3.0, 3.0, size=(200, 2))
     _, var = predict(g, probes)
     assert np.all(var >= 0.0)
@@ -176,7 +177,7 @@ def test_posterior_mean_inherits_data_symmetry():
     h = GpHyperparams(1.0, (0.7,), 0.1)
     X = np.array([[-1.5], [-0.5], [0.5], [1.5]])
     y = np.array([-2.0, -1.0, 1.0, 2.0])
-    g = fit(Dataset(X, y), h, _box(1))  # symmetric about zero
+    g = fit(Dataset(X, y, _box(1)), h)  # symmetric about zero
     xv = np.array([[0.2], [0.9], [1.7]])
     mu_p, _ = predict(g, xv)
     mu_n, _ = predict(g, -xv)
@@ -189,8 +190,8 @@ def test_standardized_fit_returns_original_units():
     rng = np.random.default_rng(55)
     h = GpHyperparams(1.0, (0.5, 0.5), 0.1)
     data = _random_dataset(rng, 20, 2)
-    shifted = Dataset(data.X, data.y + 500.0)
-    g = fit(shifted, h, _box(2))
+    shifted = Dataset(data.X, data.y + 500.0, _box(2))
+    g = fit(shifted, h)
     mu, var = predict(g, data.X[0])
     assert abs(mu[0] - shifted.y[0]) <= 3.0  # right neighborhood, original units
     assert var[0] >= 0.0
@@ -206,14 +207,14 @@ def test_fitted_lengthscale_tracks_the_data_roughness():
     X = rng.uniform(-2.0, 2.0, size=(60, 1))
     noise = 0.05 * rng.standard_normal(60)
     init = GpHyperparams(1.0, (0.3,), 1e-2)
-    fast = Dataset(X, 2.0 * np.sin(8.0 * X[:, 0]) + noise)
-    slow = Dataset(X, 2.0 * np.sin(0.8 * X[:, 0]) + noise)
     box = _box(1)
-    h_fast = fit_hyperparams(fast, init, box, seed=3)
-    h_slow = fit_hyperparams(slow, init, box, seed=3)
+    fast = Dataset(X, 2.0 * np.sin(8.0 * X[:, 0]) + noise, box)
+    slow = Dataset(X, 2.0 * np.sin(0.8 * X[:, 0]) + noise, box)
+    h_fast = fit_hyperparams(fast, init, seed=3)
+    h_slow = fit_hyperparams(slow, init, seed=3)
     assert h_slow.lengthscales[0] >= 2.0 * h_fast.lengthscales[0]
-    assert nlml(fast, h_fast, box)[0] <= nlml(fast, init, box)[0] + 1e-9
-    assert nlml(slow, h_slow, box)[0] <= nlml(slow, init, box)[0] + 1e-9
+    assert nlml(fast, h_fast)[0] <= nlml(fast, init)[0] + 1e-9
+    assert nlml(slow, h_slow)[0] <= nlml(slow, init)[0] + 1e-9
 
 
 def test_constant_targets_still_yield_a_usable_posterior():
@@ -221,11 +222,10 @@ def test_constant_targets_still_yield_a_usable_posterior():
     # likelihood valley the search lands in, the posterior must reproduce
     # the constant with near-zero uncertainty at the data
     X = np.linspace(0.0, 1.0, 12).reshape(-1, 1)
-    data = Dataset(X, np.full(12, 3.7))
+    data = Dataset(X, np.full(12, 3.7), _box(1, 0.0, 1.0))
     init = GpHyperparams(1.0, (0.3,), 1e-2)
-    box = _box(1, 0.0, 1.0)
-    h = fit_hyperparams(data, init, box, seed=1)
-    g = fit(data, h, box)
+    h = fit_hyperparams(data, init, seed=1)
+    g = fit(data, h)
     mu, var = predict(g, np.array([0.5]))
     assert mu[0] == pytest.approx(3.7, abs=1e-3)
     assert 0.0 <= var[0] <= 1e-2
@@ -247,40 +247,59 @@ def test_nlml_gradient_matches_central_differences(h):
     X = bounds[:, 0] + rng.uniform(0.0, 1.0, size=(25, 3)) * (bounds[:, 1] - bounds[:, 0])
     u = (X - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
     y = 300.0 + 200.0 * np.sin(4.0 * u[:, 0]) * np.cos(3.0 * u[:, 1]) + 50.0 * u[:, 2]
-    data = Dataset(X, y + rng.standard_normal(25))
+    data = Dataset(X, y + rng.standard_normal(25), bounds)
 
     def value(v):
-        return nlml(data, GpHyperparams.from_log_vector(v), bounds)[0]
+        return nlml(data, GpHyperparams.from_log_vector(v))[0]
 
     v = h.to_log_vector()
     step = 1e-5
     central = np.array([(value(v + step * e) - value(v - step * e)) / (2.0 * step)
                         for e in np.eye(len(v))])
-    _, grad = nlml(data, h, bounds)
+    _, grad = nlml(data, h)
     assert grad == pytest.approx(central, rel=1e-5)
 
 
-@pytest.mark.parametrize("in_inputs", [False, True])
+@pytest.mark.parametrize("in_grad", [False, True])
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_fit_hyperparams_raises_when_no_start_has_a_finite_nlml(bad, in_inputs):
-    # one non-finite target, or one non-finite input coordinate
+def test_fit_hyperparams_raises_when_no_start_has_a_finite_nlml(bad, in_grad,
+                                                                 monkeypatch):
+    # a dataset holds finite data only, so the NLML the descent reads is
+    # made non-finite at every start: its value, or one gradient component
+    real_nlml = gpr.nlml
+
+    def non_finite_nlml(data, h):
+        value, grad = real_nlml(data, h)
+        if in_grad:
+            grad[0] = bad
+            return value, grad
+        return bad, grad
+
+    monkeypatch.setattr(gpr, "nlml", non_finite_nlml)
     rng = np.random.default_rng(4)
     X = rng.uniform(0.0, 1.0, size=(10, 2))
     y = np.sin(3.0 * X[:, 0]) + X[:, 1]
-    if in_inputs:
-        X[3, 0] = bad
-    else:
-        y[3] = bad
     with pytest.raises(HyperparamSearchError):
-        fit_hyperparams(Dataset(X, y), GpHyperparams(1.0, (0.3, 0.3), 1e-2),
-                        _box(2, 0.0, 1.0), seed=0)
+        fit_hyperparams(Dataset(X, y, _box(2, 0.0, 1.0)),
+                        GpHyperparams(1.0, (0.3, 0.3), 1e-2), seed=0)
+
+
+@pytest.mark.parametrize("name", ["X", "y"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_data_is_rejected_by_name(name, bad):
+    # a non-finite target or input would fit, then predict NaN or fail
+    # every hyperparameter start
+    rng = np.random.default_rng(4)
+    data = {"X": rng.uniform(0.0, 1.0, size=(10, 2)), "y": np.arange(10.0)}
+    data[name][3] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Dataset(data["X"], data["y"], _box(2, 0.0, 1.0))
 
 
 def test_fit_hyperparams_needs_enough_points():
-    data = Dataset(np.zeros((2, 1)), np.zeros(2))
+    data = Dataset(np.zeros((2, 1)), np.zeros(2), _box(1, 0.0, 1.0))
     with pytest.raises(ValueError):
-        fit_hyperparams(data, GpHyperparams(1.0, (0.3,), 1e-2),
-                        _box(1, 0.0, 1.0), seed=0)
+        fit_hyperparams(data, GpHyperparams(1.0, (0.3,), 1e-2), seed=0)
 
 
 def test_validation_rejects_degenerate_inputs():
@@ -291,18 +310,17 @@ def test_validation_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         GpHyperparams(1.0, (0.3,), -0.1)
     with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.zeros(4))
+        Dataset(np.zeros((3, 2)), np.zeros(4), _box(2))
     with pytest.raises(ValueError):
-        Dataset(np.zeros((0, 2)), np.zeros(0))
-    h1 = GpHyperparams(1.0, (0.3,), 0.1)
+        Dataset(np.zeros((0, 2)), np.zeros(0), _box(2))
     h2 = GpHyperparams(1.0, (0.3, 0.4), 0.1)
-    data = Dataset(np.zeros((3, 1)), np.zeros(3))
+    data = Dataset(np.zeros((3, 1)), np.zeros(3), _box(1))
     with pytest.raises(ValueError):
-        fit(data, h2, _box(1))  # dimension mismatch
+        fit(data, h2)  # dimension mismatch
     with pytest.raises(ValueError):
-        fit(data, h1, _box(2))  # bounds of the wrong shape
+        Dataset(data.X, data.y, _box(2))  # bounds of the wrong shape
     with pytest.raises(ValueError):
-        fit(data, h1, _box(1, 1.0, 1.0))  # a box of zero width
+        Dataset(data.X, data.y, _box(1, 1.0, 1.0))  # a box of zero width
 
 
 @pytest.mark.parametrize("sigma_f, lengthscales, sigma_w, name", [
@@ -322,9 +340,9 @@ def test_non_finite_hyperparameters_are_rejected(sigma_f, lengthscales, sigma_w,
 @pytest.mark.parametrize("bounds", [[[0.0, math.nan]], [[math.nan, 1.0]],
                                     [[-math.inf, 1.0]]])
 def test_non_finite_input_bounds_are_rejected(bounds):
-    data = Dataset(np.array([[0.1], [0.5], [0.9]]), np.array([1.0, 2.0, 0.5]))
     with pytest.raises(ValueError, match="input_bounds must be finite"):
-        fit(data, GpHyperparams(1.0, (0.3,), 0.1), np.array(bounds))
+        Dataset(np.array([[0.1], [0.5], [0.9]]), np.array([1.0, 2.0, 0.5]),
+                np.array(bounds))
 
 
 def test_hyperparam_search_error_is_exported():
@@ -353,7 +371,7 @@ def _decades_dataset(m, seed):
     X = DESK_BOUNDS[:, 0] + u * (DESK_BOUNDS[:, 1] - DESK_BOUNDS[:, 0])
     y = 62.0 * np.exp(7.7 * u[:, 0] ** 2 * (1.2 - u[:, 1])
                       + 0.3 * rng.uniform(0.0, 1.0, m))
-    return Dataset(X, y)
+    return Dataset(X, y, DESK_BOUNDS)
 
 
 PINNED = {
@@ -401,18 +419,17 @@ def test_nlml_fit_and_predict_reproduce_pinned_bits(m, monkeypatch):
     pin = PINNED[m]
     data = _decades_dataset(m, pin["seed"])
 
-    value, grad = nlml(data, GpHyperparams.from_log_vector(np.array(LOG_INSIDE)),
-                       DESK_BOUNDS)
+    value, grad = nlml(data, GpHyperparams.from_log_vector(np.array(LOG_INSIDE)))
     assert value == pin["inside"][0] and _same_bytes(grad, pin["inside"][1])
 
     h_jitter = GpHyperparams.from_log_vector(np.array(LOG_JITTER))
     jitter, value, grad_pin = pin["jitter"]
-    assert fit(data, h_jitter, DESK_BOUNDS).jitter_used == jitter
-    value_j, grad_j = nlml(data, h_jitter, DESK_BOUNDS)
+    assert fit(data, h_jitter).jitter_used == jitter
+    value_j, grad_j = nlml(data, h_jitter)
     assert value_j == value and _same_bytes(grad_j, grad_pin)
 
     with pytest.raises(np.linalg.LinAlgError):
-        nlml(data, GpHyperparams.from_log_vector(np.array(LOG_FAILS)), DESK_BOUNDS)
+        nlml(data, GpHyperparams.from_log_vector(np.array(LOG_FAILS)))
 
     # the descent's objective, caught on its way into the optimizer;
     # fit_hyperparams imports minimize when it runs, so the spy goes on
@@ -428,13 +445,13 @@ def test_nlml_fit_and_predict_reproduce_pinned_bits(m, monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "minimize", spy)
     h = fit_hyperparams(data, GpHyperparams(1.0, (0.3, 0.3, 0.3), 1e-3),
-                        DESK_BOUNDS, seed=pin["seed"])
+                        seed=pin["seed"])
     assert (h.sigma_f, h.lengthscales, h.sigma_w) == pin["fit"]
     # a failed evaluation is an infinite NLML with a flat gradient
     f, g = objectives[0](np.array(LOG_FAILS))
     assert f == math.inf and _same_bytes(g, [0.0] * 5)
 
-    mu, var = predict(fit(data, h, DESK_BOUNDS), data.X[:5] * 1.01)
+    mu, var = predict(fit(data, h), data.X[:5] * 1.01)
     assert _same_bytes(mu, pin["mu"]) and _same_bytes(var, pin["var"])
 
 
@@ -443,16 +460,14 @@ def test_returned_arrays_do_not_alias_the_scratch():
     # they return must survive later calls on the same dataset
     data = _decades_dataset(20, 1)
     h = GpHyperparams.from_log_vector(np.array(LOG_INSIDE))
-    g = fit(data, h, DESK_BOUNDS)
-    value, grad = nlml(data, h, DESK_BOUNDS)
+    g = fit(data, h)
+    value, grad = nlml(data, h)
     kept = [g.X_scaled, g.L, g.alpha, g.input_shift, g.input_span, grad]
     before = [a.tobytes() for a in kept]
 
     other = GpHyperparams.from_log_vector(np.array(LOG_JITTER))
-    wider = DESK_BOUNDS * np.array([0.5, 2.0])
-    for bounds in (DESK_BOUNDS, wider):
-        nlml(data, other, bounds)
-        fit(data, other, bounds)
-    nlml(data, other, DESK_BOUNDS)
+    nlml(data, other)
+    fit(data, other)
+    nlml(data, other)
     assert [a.tobytes() for a in kept] == before
-    assert nlml(data, h, DESK_BOUNDS)[0] == value
+    assert nlml(data, h)[0] == value

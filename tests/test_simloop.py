@@ -30,7 +30,7 @@ def _gentle_profile():
     return generate_profile(TrajectorySpec(0.05, 0.1, 2.0, 2.0, dwell_time=0.8))
 
 
-def test_gain_vector_integral_time_conversion():
+def test_gain_vector_takes_canonical_gains_and_rejects_negative_ones():
     # a reset time reaches the simulator only through the feasible set's
     # map ki = kv / tn
     tn_set = FeasibleSet(kp=(50.0, 150.0), kv=(0.25, 0.5), third=(0.005, 0.01),
@@ -434,7 +434,7 @@ def test_a_single_run_between_batch_items_changes_no_trace(monkeypatch,
                for t in straight[2:])
 
 
-def test_batch_rejects_unsupported_modes():
+def test_batch_rejects_a_two_column_array():
     profile = benchmark_profile()
     with pytest.raises(ValueError):
         list(simulate_batch(np.zeros((1, 2)), profile))

@@ -69,3 +69,46 @@ def test_a_traced_bench_run_counts_every_run_and_tick(monkeypatch):
         np.count_nonzero(np.abs(t.i_ref) >= rails.current_limit) for t in traces)
     assert tracer.counters["simloop.rail_v"] == sum(
         np.count_nonzero(np.abs(t.v_q) >= rails.voltage_limit) for t in traces)
+
+
+def test_a_traced_search_counts_every_gp_fit(monkeypatch):
+    # the GP counters wrap ``tuner.fit``, ``tuner.fit_hyperparams`` and
+    # ``gpr.nlml`` by name; each must count the calls the search made,
+    # here counted independently: one posterior per iteration, one
+    # descent per hyperparameter start, one NLML per objective call
+    import scipy.optimize
+
+    layers, spans = _perfbench_modules(monkeypatch)
+    descents, objective_calls = [], []
+    real_minimize = scipy.optimize.minimize
+
+    def spy(fun, x0, **kwargs):
+        def counted(v):
+            objective_calls.append(1)
+            return fun(v)
+
+        descents.append(1)
+        return real_minimize(counted, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    fset = tuner.FeasibleSet(kp=(1.0, 9.0), kv=(1.0, 9.0), third=(1.0, 9.0),
+                             n_kp=9, n_kv=9, n_third=9)
+
+    def oracle(rows):
+        return np.sum(np.sin(3.0 * np.log(rows)) + 0.1 * rows, axis=1)
+
+    tracer = spans.Tracer()
+    patches = layers.install(tracer)
+    try:
+        state = tuner.run_bo(oracle, fset,
+                             tuner.BoConfig(m0=5, max_iterations=12, seed=0))
+    finally:
+        patches.undo()
+
+    got = layers.layer_metrics(tracer)
+    # twelve iterations refit once, at the tenth
+    assert state.iterations == len(state.records) == 12
+    assert got["gpr.fit.calls"] == 12
+    assert got["gpr.hyperfit.calls"] * gpr.N_HYPER_STARTS == len(descents) == 16
+    assert got["gpr.nlml.calls"] == len(objective_calls) > len(descents)
+    assert 0 <= got["gpr.jitter_fits"] <= got["gpr.fit.calls"]

@@ -192,7 +192,7 @@ def test_next_point_explores_away_from_a_single_high_observation():
                        n_kp=5, n_kv=5, n_third=5)
     center = np.array([3.0, 3.0, 3.0])
     h = GpHyperparams(1.0, (0.3, 0.3, 0.3), 1e-3)
-    g = fit(Dataset(center.reshape(1, 3), np.array([10.0])), h, fset.bounds())
+    g = fit(Dataset(center.reshape(1, 3), np.array([10.0]), fset.bounds()), h)
     point, mu, sigma, flat = next_point(g, fset, beta=100.0)
     # far from the only (bad) observation the bound is dominated by the
     # exploration term, and the all-corners tie resolves to flat index 0
