@@ -26,7 +26,11 @@ Layers, bottom up:
 
 The simulator, the bench and grid search need numpy alone; scipy loads
 the first time a GP hyperparameter fit, posterior or limit-cycle probe
-runs, so ``simulate`` and ``grid`` never import it.
+runs, so ``simulate`` and ``grid`` never import it.  The GP takes only
+``scipy.linalg``'s LAPACK wrappers and ``scipy.optimize``; it draws its
+scrambled Sobol hyperfit starts in numpy, so ``tune`` and ``sweep-m0``
+never load scipy's statistics subpackage (``compare`` does, through
+``scipy.signal``).
 """
 
 from .baselines import (

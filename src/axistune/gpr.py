@@ -29,15 +29,18 @@ products into the dataset's buffers; :func:`fit` copies out what its
 posterior keeps, so no returned array aliases them.  Hence no two
 threads may evaluate one ``Dataset`` at once.
 
-scipy (its LAPACK wrappers, L-BFGS-B and the Sobol sampler) is
-imported inside the functions that call it, the first time one runs.
-Loading ``scipy.linalg``, ``scipy.optimize`` and ``scipy.stats`` takes
-about 0.7 s (2 vCPUs), several times numpy's import, and the package
-imports this module everywhere; the commands that never fit a GP
-(``simulate``, ``grid``) and the forked scoring workers need numpy
-alone.  The LAPACK routines of the NLML path are bound once, by
-:func:`_lapack`: two import statements per call would cost about 3 us
-even with the module loaded, some 3% of an NLML call.
+scipy (its LAPACK wrappers and L-BFGS-B) is imported inside the
+functions that call it, the first time one runs.  Loading
+``scipy.linalg`` and ``scipy.optimize`` takes about 0.5 s raw and grows
+the resident set from 33 to 77 MB (numpy and this package, 2 vCPUs),
+and the package imports this module everywhere; the commands that never
+fit a GP (``simulate``, ``grid``) and the forked scoring workers need
+numpy alone.  The LAPACK routines are bound once, by :func:`_lapack`:
+two import statements per call would cost about 3 us even with the
+module loaded, some 3% of an NLML call.  The hyperfit's scrambled Sobol
+starts are drawn here, in numpy, bit for bit as scipy's Sobol engine
+draws them, so no command loads scipy's statistics subpackage for them:
+that import alone took about another 0.5 s and 22.6 MB.
 """
 
 from __future__ import annotations
@@ -78,9 +81,17 @@ HYPERFIT_MAXITER = 500
 # Smallest noise deviation a hyperparameter set may carry, and the lower
 # bound of its fit.
 NOISE_FLOOR = 1e-8
-# Descent starts per hyperparameter fit: the initial guess plus Sobol
-# points.  A power of two, so the Sobol draw stays balanced.
+# Descent starts per hyperparameter fit: the initial guess plus the first
+# N_HYPER_STARTS - 1 points of a scrambled Sobol sequence (see
+# `_sobol_starts`), as a balanced draw of N_HYPER_STARTS would begin.
 N_HYPER_STARTS = 8
+# Joe & Kuo's primitive polynomials (leading and constant terms included)
+# and initial direction numbers m_1..m_s for the first Sobol dimensions,
+# as scipy tabulates them: one per hyperparameter of a 3-input GP.  The
+# first dimension is the van der Corput sequence.  S. Joe and F. Y. Kuo, SIAM J. Sci. Comput. 30 (2008).
+_SOBOL_POLY = (1, 3, 7, 11, 13)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1))
+_SOBOL_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -217,10 +228,10 @@ class GpPosterior:
 
 @functools.cache
 def _lapack():
-    """scipy's ``dpotrf``, ``dpotrs`` and ``dtrtri``, imported on first use."""
-    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+    """scipy's ``dpotrf``, ``dpotrs``, ``dtrtri`` and ``dtrtrs``, imported on first use."""
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
-    return dpotrf, dpotrs, dtrtri
+    return dpotrf, dpotrs, dtrtri, dtrtrs
 
 
 def _inv_sq_lengths(h: GpHyperparams, span: np.ndarray) -> np.ndarray:
@@ -240,7 +251,7 @@ def _factor(data: Dataset, h: GpHyperparams) -> tuple[np.ndarray, np.ndarray, fl
     """
     if h.dim != data.dim:
         raise ValueError("hyperparameter dimension does not match the data")
-    dpotrf, dpotrs, _ = _lapack()
+    dpotrf, dpotrs, _, _ = _lapack()
     inv_sq = _inv_sq_lengths(h, data.span)
     d2 = np.matmul(inv_sq, data.sq_diffs, out=data.kernel)
     np.minimum(d2, _MAX_SQ_DIST, out=d2)
@@ -296,8 +307,7 @@ def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows are processed ``_PREDICT_CHUNK`` at a time, so peak memory stays
     bounded on acquisition grids with millions of candidates.
     """
-    from scipy.linalg import solve_triangular
-
+    _, _, _, dtrtrs = _lapack()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     mu = np.empty(n)
@@ -325,8 +335,8 @@ def predict(g: GpPosterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.exp(Kxs, out=Kxs)
         Kxs *= sf2  # (chunk, m)
         mu[sl] = Kxs @ g.alpha
-        V = solve_triangular(g.L, Kxs.T, lower=True, overwrite_b=True,
-                             check_finite=False)  # (m, chunk)
+        # L^-1 Kxs^T, solved in place on the Fortran-order transpose
+        V, _ = dtrtrs(g.L, Kxs.T, lower=1, overwrite_b=1)  # (m, chunk)
         V *= V
         v = sf2 - np.sum(V, axis=0)
         np.maximum(v, 0.0, out=v)
@@ -346,7 +356,7 @@ def nlml(data: Dataset, h: GpHyperparams) -> tuple[float, np.ndarray]:
     with K_y the regularized kernel matrix.
     """
     inv_sq, alpha, _ = _factor(data, h)
-    _, _, dtrtri = _lapack()
+    _, _, dtrtri, _ = _lapack()
     fit_term = 0.5 * float(data.z @ alpha)
     logdet = float(np.sum(np.log(data.factor_diag)))
     value = fit_term + logdet + data.log_2pi_term
@@ -377,6 +387,59 @@ def default_hyper_bounds(dim: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+@functools.cache
+def _sobol_directions(d: int) -> np.ndarray:
+    """Direction numbers v_jk of the first d Sobol dimensions, (d, bits).
+
+    Bratley & Fox's recurrence (ACM TOMS 14, 1988) on the Joe-Kuo
+    initial values, with m_k left-aligned in ``_SOBOL_BITS`` bits.
+    """
+    if d > len(_SOBOL_POLY):
+        raise ValueError(f"Sobol starts cover at most {len(_SOBOL_POLY)} dimensions")
+    v = np.empty((d, _SOBOL_BITS), dtype=np.int64)
+    for j in range(d):
+        p = _SOBOL_POLY[j]
+        s = p.bit_length() - 1  # the polynomial's degree
+        m = list(_SOBOL_VINIT[j]) if s else [1] * _SOBOL_BITS
+        for k in range(len(m), _SOBOL_BITS):
+            new = m[k - s] ^ (m[k - s] << s)
+            for i in range(1, s):
+                if (p >> (s - i)) & 1:
+                    new ^= m[k - i] << i
+            m.append(new)
+        v[j] = np.array(m) << np.arange(_SOBOL_BITS - 1, -1, -1)
+    v.setflags(write=False)
+    return v
+
+
+def _sobol_starts(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of a scrambled Sobol sequence in [0, 1)^d, (n, d).
+
+    Linear matrix scrambling plus a digital shift (Matousek,
+    J. Complexity 14, 1998), drawn from ``np.random.default_rng(seed)``
+    in the order scipy's ``Sobol(d, scramble=True, seed=seed)`` engine
+    draws them, so its ``random(n)`` gives the same points, bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    msb = np.arange(_SOBOL_BITS - 1, -1, -1)  # bit weights, most significant first
+    # the digital shift, which is also the first point
+    q = rng.integers(0, 2, (d, _SOBOL_BITS), dtype=np.uint32) @ (1 << msb[::-1])
+    ltm = np.tril(rng.integers(0, 2, (d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    # output bit i of a scrambled direction number (counted from the top)
+    # is the parity of row i of its dimension's matrix against its bits
+    bits = (_sobol_directions(d)[:, :, None] >> msb) & 1
+    scrambled = ((bits @ ltm.transpose(0, 2, 1)) & 1) @ (1 << msb)
+    # point i is point i - 1 with the direction number of the lowest zero
+    # bit of i - 1 XORed in (a Gray-code walk)
+    points = np.empty((n, d))
+    points[0] = q / 2**_SOBOL_BITS
+    for i in range(1, n):
+        q ^= scrambled[:, (~(i - 1) & i).bit_length() - 1]
+        points[i] = q / 2**_SOBOL_BITS
+    return points
+
+
 class HyperparamSearchError(RuntimeError):
     """Every descent start failed to produce a finite marginal likelihood."""
 
@@ -391,21 +454,23 @@ def fit_hyperparams(
     Runs L-BFGS-B on the analytic NLML gradient in log-parameter space,
     bounded to :func:`default_hyper_bounds`, from ``init`` (clipped into
     the box) plus ``N_HYPER_STARTS - 1`` scrambled Sobol starts spread
-    over the box, seeded by ``seed``, and returns the best result --
-    never worse than the clipped ``init``, since each descent only
-    decreases the NLML.  A start at
-    which the NLML is not finite, or cannot be evaluated, has a zero
+    over the box, and returns the best result -- never worse than the
+    clipped ``init``, since each descent only decreases the NLML.  The
+    starts are those of scipy's scrambled Sobol engine in d = dim + 2
+    dimensions, seeded with ``seed``, drawn by :func:`_sobol_starts`
+    without loading scipy's statistics subpackage.  A start at which
+    the NLML is not finite, or cannot be evaluated, has a zero
     projected gradient there and fails.
 
     Raises
     ------
     ValueError
-        Fewer than 3 observations.
+        Fewer than 3 observations, or more than 3 input dimensions (the
+        Sobol table's 5 less sigma_f and sigma_w).
     HyperparamSearchError
         No start, ``init`` included, yielded a finite likelihood.
     """
     from scipy.optimize import minimize
-    from scipy.stats import qmc
 
     if data.m < 3:
         raise ValueError("hyperparameter fitting needs at least 3 observations")
@@ -424,8 +489,7 @@ def fit_hyperparams(
             return f, grad
         return math.inf, np.zeros_like(logv)
 
-    sampler = qmc.Sobol(d=len(lb), scramble=True, seed=seed)
-    unit = sampler.random(N_HYPER_STARTS)[:N_HYPER_STARTS - 1]
+    unit = _sobol_starts(len(lb), N_HYPER_STARTS - 1, seed)
     starts = [np.clip(init.to_log_vector(), lb, ub), *(lb + unit * (ub - lb))]
 
     best_v, best_f = None, math.inf

@@ -302,6 +302,15 @@ def test_fit_hyperparams_needs_enough_points():
         fit_hyperparams(data, GpHyperparams(1.0, (0.3,), 1e-2), seed=0)
 
 
+def test_fit_hyperparams_rejects_more_dimensions_than_its_sobol_table():
+    # d inputs plus sigma_f and sigma_w take d + 2 Sobol dimensions: 3
+    # inputs, as every search space has, fill the table; 4 overrun it
+    d = len(gpr._SOBOL_POLY) - 1
+    data = Dataset(np.eye(d), np.arange(d, dtype=float), _box(d))
+    with pytest.raises(ValueError, match="at most 5 dimensions"):
+        fit_hyperparams(data, GpHyperparams(1.0, (0.3,) * d, 1e-2), seed=0)
+
+
 def test_validation_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         GpHyperparams(0.0, (0.3,), 0.1)
@@ -471,3 +480,61 @@ def test_returned_arrays_do_not_alias_the_scratch():
     nlml(data, other)
     assert [a.tobytes() for a in kept] == before
     assert nlml(data, h)[0] == value
+
+
+# -- Sobol starts ----------------------------------------------------------------
+
+# seed 1's starts at the desk search's 5 hyperparameters, as scipy 1.17's
+# qmc.Sobol(d=5, scramble=True, seed=1).random(8)[:7] drew them: the
+# pinned search paths rest on these, whatever scipy's sampler becomes
+SOBOL_SEED_1 = [
+    ("0x1.3e6499cp-3", "0x1.2d704a2p-1", "0x1.370e751p-1", "0x1.f06f67ep-3", "0x1.b0fe35a8p-1"),
+    ("0x1.5956023p-1", "0x1.d991c3ap-2", "0x1.2b1eff2p-3", "0x1.e2e4fd78p-1", "0x1.1cd12cp-8"),
+    ("0x1.e313614p-1", "0x1.f9b22a08p-1", "0x1.bda3798p-1", "0x1.c397ee4p-2", "0x1.11237fbp-2"),
+    ("0x1.ebb88ap-2", "0x1.c0540fcp-4", "0x1.80d566bp-2", "0x1.7f34d3ap-1", "0x1.3a562828p-1"),
+    ("0x1.4e71e0fp-2", "0x1.861d1d38p-1", "0x1.bb3efcp-7", "0x1.10f082f8p-1", "0x1.5e8bb548p-1"),
+    ("0x1.b1f7d438p-1", "0x1.1e96db2p-3", "0x1.7b253128p-1", "0x1.1c1f4cfp-2", "0x1.d898457p-2"),
+    ("0x1.0bb2b748p-1", "0x1.52df7d1p-1", "0x1.1883eecp-2", "0x1.8d20ac2p-1", "0x1.9b90fcep-3"),
+]
+
+
+def test_sobol_starts_of_seed_1_are_pinned(monkeypatch):
+    unit = np.array([[float.fromhex(x) for x in row] for row in SOBOL_SEED_1])
+    assert gpr._sobol_starts(5, 7, 1).tobytes() == unit.tobytes()
+
+    # and fit_hyperparams descends from them, after the clipped init
+    import scipy.optimize
+
+    x0s = []
+    real_minimize = scipy.optimize.minimize
+
+    def spy(fun, x0, **kwargs):
+        x0s.append(np.array(x0))
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    fit_hyperparams(_decades_dataset(20, 1), GpHyperparams(1.0, (0.3,) * 3, 1e-3),
+                    seed=1)
+    box = np.log(default_hyper_bounds(3))
+    starts = box[:, 0] + unit * (box[:, 1] - box[:, 0])
+    assert np.array(x0s[1:]).tobytes() == starts.tobytes()
+
+
+def test_sobol_starts_match_scipy_bitwise():
+    # scipy.stats loads here only: the GP draws its starts without it.
+    # The seed goes in as an int, which scipy maps to default_rng(seed);
+    # a Generator passed as rng= would be spawned, a different stream
+    from scipy.stats import qmc
+
+    def scipy_starts(d, s):
+        return qmc.Sobol(d=d, scramble=True, seed=s).random(8)[:7]
+
+    for s in [*range(2000), 2**31 - 1, 2**40 + 3]:
+        assert gpr._sobol_starts(5, 7, s).tobytes() == scipy_starts(5, s).tobytes(), s
+    # the 1- and 2-input fits above, and every tabulated dimension
+    for d in range(1, len(gpr._SOBOL_POLY) + 1):
+        for s in (0, 1, 2**40 + 3):
+            assert gpr._sobol_starts(d, 7, s).tobytes() == scipy_starts(d, s).tobytes()
+    # past the 7 starts the Gray-code walk continues as scipy's does
+    many = qmc.Sobol(d=5, scramble=True, seed=3).random(64)
+    assert gpr._sobol_starts(5, 64, 3).tobytes() == many.tobytes()
