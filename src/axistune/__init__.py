@@ -14,15 +14,16 @@ Layers, bottom up:
 - :mod:`axistune.simloop` -- the sampled cascade simulator.
 - :mod:`axistune.metrics` -- step-response metrics and the scalar cost.
 - :mod:`axistune.bench` -- the memoized cost oracle tying those together;
-  it scores controller triples (kp, kv, ki).
+  it scores controller triples (kp, kv, ki) on the move it is given.
 - :mod:`axistune.gpr` -- Gaussian-process regression (squared-exponential
   kernel, Cholesky solves, marginal-likelihood hyperparameter fit).
 - :mod:`axistune.tuner` -- feasible gain grids and their map to
   controller triples, confidence-bound acquisition, the optimization
   loop, and exhaustive grid search.
-- :mod:`axistune.baselines` -- relay, ultimate-gain, and ITAE tuning.
-- :mod:`axistune.presets` / :mod:`axistune.cli` -- named configurations
-  and the command-line front end.
+- :mod:`axistune.baselines` -- relay, ultimate-gain, and ITAE tuning; the
+  relay and ultimate-gain probes run the simulator directly.
+- :mod:`axistune.presets` / :mod:`axistune.cli` -- the named moves,
+  weights and gain boxes, and the command-line front end.
 
 The simulator, the bench and grid search need numpy alone; scipy loads
 the first time a GP hyperparameter fit, posterior or limit-cycle probe
@@ -41,7 +42,7 @@ from .baselines import (
     relay_tune,
     ziegler_nichols,
 )
-from .bench import BENCH_MOVE, TuningBench, benchmark_profile
+from .bench import TuningBench
 from .gpr import (
     Dataset,
     GpHyperparams,

@@ -4,19 +4,22 @@ All three produce a `TuningResult` whose cost comes from the same bench
 as the optimizer's, so the methods are directly comparable.  The two
 frequency-domain methods probe the speed loop (the innermost tunable
 loop, tuned first as in standard cascade commissioning) with the
-position loop open, kp = 0: Ziegler-Nichols bisects the proportional
-speed gain to the sustained-oscillation boundary of a step to
-``PROBE_SPEED``, relay feedback induces a limit cycle at standstill
-and applies the describing-function relation Ku = 4d / (pi * a).  The
-probe settings are the module constants below.  Both then map
-(Ku, Tu) through the classic PI table Kv = 0.45 Ku, Ti = Tu / 1.2 and
-raise the position gain to the largest value keeping overshoot under
-25 %.
+position loop open, kp = 0.  These probes are not scored moves, so they
+call :func:`~axistune.simloop.simulate` directly rather than the bench:
+Ziegler-Nichols bisects the proportional speed gain to the
+sustained-oscillation boundary of a step to ``PROBE_SPEED``, relay
+feedback induces a limit cycle at standstill and applies the
+describing-function relation Ku = 4d / (pi * a).  The probe settings
+are the module constants below.  Both then map (Ku, Tu) through the
+classic PI table Kv = 0.45 Ku, Ti = Tu / 1.2 and raise the position
+gain to the largest value keeping overshoot, read from the bench's
+memoized metrics, under 25 % of the move.
 
 The oscillation probes may sweep the speed gain beyond the feasible
-box: the box bounds what gains are committed, not what a boundary
-search transiently visits.  Gains that land outside it are clamped to
-the nearest feasible value and the result is flagged.
+box, up or down by up to ``PROBE_GAIN_REACH``: the box bounds what
+gains are committed, not what a boundary search transiently visits.
+Gains that land outside it are clamped to the nearest feasible value
+and the result is flagged.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 
 from .bench import TuningBench
 from .plant import LAB_SERVO
-from .refgen import TICK
-from .simloop import RAILS, SimTrace
+from .refgen import TICK, constant_speed_profile
+from .simloop import RAILS, GainVector, SimTrace, simulate
 from .tuner import FeasibleSet
 
 __all__ = [
@@ -47,7 +50,7 @@ _OVERSHOOT_LIMIT = 25.0  # percent of the move
 
 PROBE_SPEED = 0.1         # Ziegler-Nichols step setpoint [m/s]
 PROBE_DURATION = 2.0      # horizon of every speed-loop probe [s]
-PROBE_GAIN_REACH = 100.0  # upward search limit, in feasible kv ceilings
+PROBE_GAIN_REACH = 100.0  # search reach past the feasible kv range, as a factor
 BISECT_REL_TOL = 1e-3     # relative width that ends a gain bisection
 RELAY_FRACTION = 0.1      # relay amplitude, as a share of the current limit
 LIMIT_CYCLES = 5          # cycles a period measurement averages over
@@ -168,10 +171,15 @@ def _position_gain(bench: TuningBench, fset: FeasibleSet, kv: float,
                    ki: float) -> tuple[float, list[tuple[float, float]]]:
     """Largest feasible kp keeping position overshoot under the 25 % bound."""
     lo, hi = fset.kp
+    move = float(np.max(np.abs(bench.profile.position)))
     history: list[tuple[float, float]] = []
 
     def overshoot(kp: float) -> float:
-        pct = bench.position_overshoot_pct((kp, kv, ki))
+        m = bench.metrics((kp, kv, ki))
+        if m.is_diverged:
+            pct = math.inf
+        else:
+            pct = 100.0 * m.pos_overshoot / move if move > 0.0 else 0.0
         history.append((kp, pct))
         return pct
 
@@ -219,17 +227,20 @@ def ziegler_nichols(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
 
     With the position loop open and the speed integral off, bisects the
     speed gain to the sustained-oscillation boundary of a step probe at
-    ``PROBE_SPEED``.  The upward search doubles from the feasible
-    ceiling and gives up past ``PROBE_GAIN_REACH`` times it.
+    ``PROBE_SPEED``.  If the box's smallest speed gain is stable, the
+    upward search doubles from the feasible ceiling and gives up past
+    ``PROBE_GAIN_REACH`` times it; if it oscillates, the downward search
+    halves from it and gives up past ``1 / PROBE_GAIN_REACH`` times it.
 
     Raises
     ------
     TuningError
-        No oscillation boundary within reach, oscillation already
-        sustained at the smallest feasible gain, or no measurable period
-        at the boundary.
+        No oscillation boundary within reach above the box, no stable
+        speed gain within reach below it, or no measurable period at
+        the boundary.
     """
     floor = 1e-4 * PROBE_SPEED
+    profile = constant_speed_profile(PROBE_SPEED, PROBE_DURATION)
     probes: list[dict] = []
     trace: SimTrace | None = None
     boundary_period: float | None = None
@@ -237,8 +248,7 @@ def ziegler_nichols(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
     def stable(kv: float) -> bool:
         """Probe ``kv``; keep the period of an oscillating probe that has one."""
         nonlocal trace, boundary_period
-        trace = bench.speed_step(kv, 0.0, speed=PROBE_SPEED,
-                                 duration=PROBE_DURATION)
+        trace = simulate(GainVector(0.0, kv, 0.0), profile)
         osc, amp, period = _oscillation(trace, floor)
         probes.append({"kv": kv, "oscillating": osc, "amplitude": amp,
                        "period": period})
@@ -246,23 +256,28 @@ def ziegler_nichols(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
             boundary_period = period
         return not osc
 
-    lo = fset.kv[0]
-    if not stable(lo):
-        raise TuningError(
-            "oscillation already sustained at the smallest feasible speed gain",
-            diagnostics={"probes": probes}, trace=trace,
-        )
-    hi = fset.kv[1]
-    cap = PROBE_GAIN_REACH * fset.kv[1]
-    while stable(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > cap:
-            raise TuningError(
-                f"no oscillation boundary found below {cap:.4g} "
-                f"({PROBE_GAIN_REACH:.0f}x the feasible speed-gain ceiling)",
-                diagnostics={"probes": probes}, trace=trace,
-            )
+    lo, hi = fset.kv
+    bottom, cap = lo / PROBE_GAIN_REACH, PROBE_GAIN_REACH * hi
+    if stable(lo):
+        while stable(hi):
+            lo, hi = hi, 2.0 * hi
+            if hi > cap:
+                raise TuningError(
+                    f"no oscillation boundary found below {cap:.4g} "
+                    f"({PROBE_GAIN_REACH:.0f}x the feasible speed-gain ceiling)",
+                    diagnostics={"probes": probes}, trace=trace,
+                )
+    else:
+        while True:
+            lo, hi = 0.5 * lo, lo
+            if lo < bottom:
+                raise TuningError(
+                    f"no stable speed gain found above {bottom:.4g} "
+                    f"(1/{PROBE_GAIN_REACH:.0f} of the feasible speed-gain floor)",
+                    diagnostics={"probes": probes}, trace=trace,
+                )
+            if stable(lo):
+                break
     _, hi = _bisect(lo, hi, stable)
     if boundary_period is None:
         raise TuningError("no measurable oscillation period at the boundary",
@@ -288,7 +303,8 @@ def relay_tune(bench: TuningBench, fset: FeasibleSet) -> TuningResult:
         Fewer than five limit cycles visible within the horizon.
     """
     d = RELAY_FRACTION * RAILS.current_limit
-    trace = bench.relay_run(d, PROBE_DURATION)
+    trace = simulate(GainVector(0.0, 1.0, 0.0),
+                     constant_speed_profile(0.0, PROBE_DURATION), relay=d)
     if trace.diverged:
         raise TuningError("relay probe diverged", trace=trace)
     e = np.asarray(trace.e_speed, dtype=float)

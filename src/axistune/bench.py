@@ -3,13 +3,18 @@
 Every tuning strategy in this package -- Bayesian optimization, grid
 search, and the classical baselines -- scores candidate gains through
 one :class:`TuningBench` so their costs are directly comparable and
-repeated queries hit a memo instead of the simulator.  The bench owns
-the reference trajectory and the cost weights; the axis it simulates,
-with its current-loop PI and rails, is the one fixed in
-:mod:`~axistune.simloop`.  The bench scores controller triples
-(kp, kv, ki) only: the searches keep their points in a feasible set's
-coordinates, where the third axis may be the reset time Tn, and map
-each point to its triple (`FeasibleSet.canonical`) before they query.
+repeated queries hit a memo instead of the simulator.  The bench is
+only that memoized cost oracle: it holds the cost weights and the
+scoring trajectory it is given (the named ones live in
+:mod:`~axistune.presets`), and the axis it simulates, with its
+current-loop PI and rails, is the one fixed in
+:mod:`~axistune.simloop`.  Experiments that are not a scored move, such
+as the classical tuners' open-loop probes, call the simulator
+themselves (:mod:`~axistune.baselines`).  The bench scores controller
+triples (kp, kv, ki) only: the searches keep their points in a feasible
+set's coordinates, where the third axis may be the reset time Tn, and
+map each point to its triple (`FeasibleSet.canonical`) before they
+query.
 
 `metrics`, `cost` and `evaluate_many` are views of `metric_table`, the
 one code that validates, simulates, scores and memoizes (N, 3) rows, so
@@ -34,7 +39,6 @@ which is what happens with one usable CPU, a small query, or no
 from __future__ import annotations
 
 import hashlib
-import math
 import multiprocessing
 import os
 
@@ -43,15 +47,10 @@ import numpy as np
 from . import metrics as metric_module, plant, refgen, simloop
 from .metrics import CostWeights, MetricVector, cost as metric_cost, extract_metrics
 from .plant import LAB_SERVO
-from .refgen import (
-    ReferenceProfile,
-    TrajectorySpec,
-    constant_speed_profile,
-    generate_profile,
-)
+from .refgen import ReferenceProfile
 from .simloop import GainVector, SimTrace, simulate, simulate_batch
 
-__all__ = ["BENCH_MOVE", "TuningBench", "benchmark_profile"]
+__all__ = ["TuningBench"]
 
 # Run-ticks (runs times profile ticks) of fresh rows per forked scoring
 # worker: a query gets one more worker for each further 256 runs of the
@@ -61,43 +60,22 @@ __all__ = ["BENCH_MOVE", "TuningBench", "benchmark_profile"]
 # they took a median 0.116-0.164 s against 0.093-0.146 s in-process.
 WORKER_RUN_TICKS = 256 * 1451
 
-# Default scoring move: 0.1 m point-to-point at 0.25 m/s with 5 m/s^2
-# ramps, then a 1 s dwell so the settling and terminal-error metrics
-# have a window to observe.
-BENCH_MOVE = TrajectorySpec(
-    position_setpoint=0.1,
-    speed_setpoint=0.25,
-    acceleration=5.0,
-    deceleration=5.0,
-    dwell_time=1.0,
-)
-
-
-def benchmark_profile() -> ReferenceProfile:
-    """Default scoring trajectory, sampled at the controller tick."""
-    return generate_profile(BENCH_MOVE)
-
 
 class TuningBench:
     """Memoized cost oracle over the axis's position-cascade gain triples.
-
-    The bench scores the PI cascade; the probe helpers run it with the
-    position loop open (kp = 0), and `relay_run` swaps the speed PI for
-    a relay.
 
     Parameters
     ----------
     weights : CostWeights
         Scalarization of the metric vector; every metric is extracted
         with the fixed settling band ``metrics.SETTLE_BAND``.
-    profile : ReferenceProfile, optional
-        Scoring trajectory; defaults to :func:`benchmark_profile`.
+    profile : ReferenceProfile
+        Scoring trajectory.
     """
 
-    def __init__(self, weights: CostWeights,
-                 profile: ReferenceProfile | None = None):
+    def __init__(self, weights: CostWeights, profile: ReferenceProfile):
         self.weights = weights
-        self.profile = profile if profile is not None else benchmark_profile()
+        self.profile = profile
         self._memo: dict[tuple[float, float, float], MetricVector] = {}
         self.n_sims = 0
 
@@ -180,37 +158,6 @@ class TuningBench:
             with open(path, "rb") as f:
                 h.update(f.read())
         return h.hexdigest()
-
-    # -- probe runs for the classical autotuners --------------------------------
-
-    def speed_step(self, kv: float, ki: float, speed: float,
-                   duration: float) -> SimTrace:
-        """Speed-loop step response with the position loop open.
-
-        Drives the speed cascade (kp = 0; PI with the given gains, ki = 0
-        is a pure P loop) toward a constant linear-speed setpoint.
-        """
-        profile = constant_speed_profile(speed, duration)
-        return simulate(GainVector(0.0, kv, ki), profile)
-
-    def relay_run(self, amplitude: float, duration: float) -> SimTrace:
-        """Replace the speed controller with an ideal relay at standstill.
-
-        With the position loop open, the current reference switches
-        between +/- `amplitude` on the sign of the angular speed error,
-        inducing a limit cycle around zero speed.
-        """
-        profile = constant_speed_profile(0.0, duration)
-        return simulate(GainVector(0.0, 1.0, 0.0), profile,
-                        relay=float(amplitude))
-
-    def position_overshoot_pct(self, triple) -> float:
-        """Position overshoot as a percentage of the commanded move."""
-        m = self.metrics(triple)
-        if m.is_diverged:
-            return math.inf
-        move = float(np.max(np.abs(self.profile.position)))
-        return 100.0 * m.pos_overshoot / move if move > 0.0 else 0.0
 
     # -- internals ---------------------------------------------------------------
 

@@ -158,12 +158,12 @@ class Dataset:
                 raise ValueError(f"{name} must be finite")
         b = np.asarray(bounds, dtype=float)
         if b.shape != (X.shape[1], 2):
-            raise ValueError("input_bounds must be (dim, 2)")
+            raise ValueError("bounds must be (dim, 2)")
         if not np.isfinite(b).all():
-            raise ValueError("input_bounds must be finite")
+            raise ValueError("bounds must be finite")
         span = b[:, 1] - b[:, 0]
         if np.any(span <= 0.0):
-            raise ValueError("input_bounds must have positive width")
+            raise ValueError("bounds must have positive width")
         shift = b[:, 0].copy()
         x_unit = (X - shift) / span
         for a in (shift, span, x_unit):

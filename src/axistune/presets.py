@@ -4,8 +4,9 @@ Every experiment in this package runs the same axis: the
 ``plant.LAB_SERVO`` plant under the current-loop PI
 ``simloop.CURRENT_LOOP_KP``, ``simloop.CURRENT_LOOP_KI``, inside the
 rails ``simloop.RAILS``.  What varies is the reference trajectory, the
-cost weights, and the feasible gain box.  This module gives the
-canonical combinations names so command-line runs are reproducible
+cost weights, and the feasible gain box.  This module defines each of
+them, the benchmark's scoring move ``"bench-move"`` included, and gives
+the canonical combinations names so command-line runs are reproducible
 from a preset string plus a seed.
 
 Presets
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bench import BENCH_MOVE, TuningBench
+from .bench import TuningBench
 from .metrics import CostWeights
 from .refgen import TrajectorySpec, generate_profile
 from .tuner import FeasibleSet
@@ -100,8 +101,16 @@ FEASIBLE_PRESETS: dict[str, FeasibleSet] = {
 # -- trajectories --------------------------------------------------------
 
 TRAJECTORY_PRESETS: dict[str, TrajectorySpec] = {
-    # default scoring move for the simulated benchmark
-    "bench-move": BENCH_MOVE,
+    # scoring move of the simulated benchmark: 0.1 m point-to-point at
+    # 0.25 m/s with 5 m/s^2 ramps, then a 1 s dwell so the settling and
+    # terminal-error metrics have a window to observe
+    "bench-move": TrajectorySpec(
+        position_setpoint=0.1,
+        speed_setpoint=0.25,
+        acceleration=5.0,
+        deceleration=5.0,
+        dwell_time=1.0,
+    ),
     # long-stroke commissioning move: out 0.5 m, hold, and return, with
     # ramps steep enough to act as step commands for both loops
     "long-stroke": TrajectorySpec(
@@ -135,7 +144,7 @@ class Preset:
     def bench(self, weights: CostWeights | None = None) -> TuningBench:
         """Assemble the memoized cost oracle this preset describes."""
         w = weights if weights is not None else WEIGHT_PRESETS[self.weights]
-        return TuningBench(w, profile=generate_profile(self.trajectory))
+        return TuningBench(w, generate_profile(self.trajectory))
 
 
 PRESETS: dict[str, Preset] = {

@@ -6,10 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from axistune import baselines, simloop
 from axistune.baselines import (
     PROBE_GAIN_REACH,
     TuningError,
     TuningResult,
+    _position_gain,
     itae_tune,
     measure_limit_cycle,
     relay_tune,
@@ -17,7 +19,6 @@ from axistune.baselines import (
 )
 from axistune.metrics import MetricVector
 from axistune.presets import get_preset
-from axistune.refgen import TICK
 from axistune.tuner import FeasibleSet
 
 
@@ -164,17 +165,50 @@ def test_probe_results_are_pinned():
     assert ry.cost == pytest.approx(147100.30764053456, rel=1e-9)
 
 
-def test_never_oscillating_plant_raises_with_diagnostics():
-    class DeadBench:
-        def speed_step(self, kv, ki, speed, duration):
-            n = int(duration / TICK)
-            t = np.arange(n) * TICK
-            e = speed * np.exp(-t / 0.05)  # pure decay at any gain
-            return SimpleNamespace(e_speed=e, diverged=False)
+def test_ziegler_nichols_searches_below_an_oscillating_box(desk_bench):
+    # every speed gain of this box oscillates, so the search halves below
+    # it to kv = 1, then bisects the same [1, 2] as on the desk box
+    f = get_preset("desk").feasible
+    box = FeasibleSet(kp=f.kp, kv=(2.0, 5.0), third=f.third,
+                      n_kp=4, n_kv=4, n_third=4)
+    res = ziegler_nichols(desk_bench, box)
+    assert res.diagnostics["ku"] == 1.4384765625
+    assert res.diagnostics["tu"] == 0.007
+    probes = res.diagnostics["probes"]
+    assert len(probes) == 12
+    assert [p["oscillating"] for p in probes[:2]] == [True, False]
+    assert res.gains[1] == 2.0
+    assert res.clamped
 
+
+def _fake_probe(monkeypatch, e_speed):
+    """Make every probe run return ``e_speed(t)`` as its speed error."""
+
+    def probe(gains, profile, relay=None):
+        return SimpleNamespace(e_speed=e_speed(profile.t), diverged=False)
+
+    monkeypatch.setattr(baselines, "simulate", probe)
+
+
+def test_always_oscillating_plant_raises_at_the_floor(monkeypatch):
+    _fake_probe(monkeypatch, lambda t: 0.01 * np.sin(2 * np.pi * t / 0.01))
+    fset = get_preset("desk").feasible
+    bottom = fset.kv[0] / PROBE_GAIN_REACH
+    with pytest.raises(TuningError) as exc:
+        ziegler_nichols(get_preset("desk").bench(), fset)
+    assert f"no stable speed gain found above {bottom:.4g}" in str(exc.value)
+    probes = exc.value.diagnostics["probes"]
+    assert all(p["oscillating"] for p in probes)
+    # the downward sweep halved to the floor before giving up
+    assert bottom <= probes[-1]["kv"] < 2.0 * bottom
+    assert len(probes) == 7
+
+
+def test_never_oscillating_plant_raises_with_diagnostics(monkeypatch):
+    _fake_probe(monkeypatch, lambda t: 0.1 * np.exp(-t / 0.05))  # pure decay
     fset = get_preset("desk").feasible
     with pytest.raises(TuningError) as exc:
-        ziegler_nichols(DeadBench(), fset)
+        ziegler_nichols(get_preset("desk").bench(), fset)
     assert "no oscillation boundary" in str(exc.value)
     probes = exc.value.diagnostics["probes"]
     assert len(probes) >= 3
@@ -183,16 +217,36 @@ def test_never_oscillating_plant_raises_with_diagnostics():
     assert probes[-1]["kv"] > PROBE_GAIN_REACH * fset.kv[1] / 2.0
 
 
-def test_relay_without_a_limit_cycle_raises():
-    class StuckBench:
-        def relay_run(self, amplitude, duration):
-            return SimpleNamespace(e_speed=np.zeros(int(duration / TICK)),
-                                   diverged=False)
-
+def test_relay_without_a_limit_cycle_raises(monkeypatch):
+    _fake_probe(monkeypatch, np.zeros_like)
     fset = get_preset("desk").feasible
     with pytest.raises(TuningError) as exc:
-        relay_tune(StuckBench(), fset)
+        relay_tune(get_preset("desk").bench(), fset)
     assert "no limit cycle" in str(exc.value)
+
+
+# -- position gain -------------------------------------------------------------------
+
+
+def test_position_gain_reads_the_overshoot_from_the_bench(desk_bench):
+    fset = get_preset("desk").feasible
+    kv, ki = 0.35, 90.0
+    _, history = _position_gain(desk_bench, fset, kv, ki)
+    for kp, pct in history:
+        m = desk_bench.metrics((kp, kv, ki))
+        # a percentage of the 0.1 m move
+        assert pct == pytest.approx(100.0 * m.pos_overshoot / 0.1, rel=1e-9)
+        assert pct >= 0.0
+
+
+def test_position_gain_counts_a_diverged_run_as_infinite_overshoot(monkeypatch):
+    monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
+    fset = get_preset("desk").feasible
+    with pytest.raises(TuningError) as exc:
+        _position_gain(get_preset("desk").bench(), fset, 0.35, 90.0)
+    history = exc.value.diagnostics["overshoot_history"]
+    assert [kp for kp, _ in history] == [fset.kp[1], fset.kp[0]]
+    assert all(math.isinf(pct) for _, pct in history)
 
 
 # -- exhaustive ITAE -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Evaluation-bench checks: memoization, batch path, probe helpers."""
+"""Evaluation-bench checks: memoization, batch path, workers, fingerprint."""
 
 import itertools
 import math
@@ -11,26 +11,19 @@ import pytest
 
 import axistune.bench as bench_module
 from axistune import simloop
-from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
+from axistune.bench import TuningBench
 from axistune.metrics import DIVERGENCE_PENALTY, CostWeights, cost as metric_cost
+from axistune.presets import TRAJECTORY_PRESETS
 from axistune.refgen import TrajectorySpec, generate_profile
 from axistune.tuner import BoConfig, FeasibleSet, run_bo
 
 
-def _new_bench(**kwargs):
-    weights = kwargs.pop(
-        "weights",
-        CostWeights(pos_settling=1e5, pos_inf=1e3, spd_itae=1e4),
-    )
-    return TuningBench(weights, **kwargs)
+MOVE = generate_profile(TRAJECTORY_PRESETS["bench-move"])
 
 
-def test_default_profile_is_the_benchmark_move():
-    bench = _new_bench()
-    prof = benchmark_profile()
-    assert len(bench.profile) == len(prof)
-    assert np.array_equal(bench.profile.position, prof.position)
-    assert bench.profile.spec == BENCH_MOVE
+def _new_bench(weights=CostWeights(pos_settling=1e5, pos_inf=1e3, spd_itae=1e4),
+               profile=MOVE):
+    return TuningBench(weights, profile)
 
 
 def test_cost_queries_are_memoized():
@@ -150,37 +143,6 @@ def test_divergent_point_costs_the_penalty(monkeypatch):
     assert bench.metrics((150.0, 0.5, 90.0)).is_diverged
     batch = bench.evaluate_many(np.array([[150.0, 0.5, 90.0], [600.0, 0.3, 360.0]]))
     assert np.all(batch == DIVERGENCE_PENALTY)
-
-
-def test_speed_step_probe():
-    bench = _new_bench()
-    trace = bench.speed_step(kv=0.5, ki=0.0, speed=0.1, duration=0.5)
-    assert np.all(trace.r_speed == 0.1)
-    # a pure P speed loop at healthy gain reaches the neighborhood fast
-    assert abs(trace.y_speed[-1] - 0.1) <= 0.05
-    assert bench.n_sims == 0  # probe runs do not touch the cost memo
-
-
-def test_relay_run_switches_the_current():
-    bench = _new_bench()
-    trace = bench.relay_run(amplitude=2.0, duration=1.0)
-    applied = np.unique(trace.i_ref)
-    assert set(applied) <= {-2.0, 0.0, 2.0}
-    flips = np.sum(np.abs(np.diff(np.sign(trace.i_ref[5:]))) > 0)
-    assert flips >= 4
-
-
-def test_position_overshoot_percentage(monkeypatch):
-    bench = _new_bench()
-    triple = (2400.0, 0.35, 90.0)
-    pct = bench.position_overshoot_pct(triple)
-    m = bench.metrics(triple)
-    assert pct == pytest.approx(100.0 * m.pos_overshoot / 0.1, rel=1e-9)
-    assert pct >= 0.0
-
-    monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
-    diverging = _new_bench()
-    assert math.isinf(diverging.position_overshoot_pct(triple))
 
 
 def test_fingerprint_covers_every_constant_that_decides_a_cost(monkeypatch):

@@ -349,7 +349,7 @@ def test_non_finite_hyperparameters_are_rejected(sigma_f, lengthscales, sigma_w,
 @pytest.mark.parametrize("bounds", [[[0.0, math.nan]], [[math.nan, 1.0]],
                                     [[-math.inf, 1.0]]])
 def test_non_finite_input_bounds_are_rejected(bounds):
-    with pytest.raises(ValueError, match="input_bounds must be finite"):
+    with pytest.raises(ValueError, match="^bounds must be finite$"):
         Dataset(np.array([[0.1], [0.5], [0.9]]), np.array([1.0, 2.0, 0.5]),
                 np.array(bounds))
 

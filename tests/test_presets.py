@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from axistune.bench import BENCH_MOVE, TuningBench
+from axistune.bench import TuningBench
 from axistune.plant import LAB_SERVO
 from axistune.presets import (
     DEFAULT_PRESET,
@@ -15,6 +15,7 @@ from axistune.presets import (
     get_preset,
     get_weights,
 )
+from axistune.refgen import TrajectorySpec
 from axistune import simloop
 from axistune.tuner import BoConfig
 
@@ -83,7 +84,8 @@ def test_weight_presets_are_selective():
 
 def test_desk_uses_the_benchmark_move_and_accurate_solver():
     pre = get_preset("desk")
-    assert pre.trajectory is BENCH_MOVE
+    assert pre.trajectory is TRAJECTORY_PRESETS["bench-move"]
+    assert pre.trajectory == TrajectorySpec(0.1, 0.25, 5.0, 5.0, dwell_time=1.0)
     assert pre.weights == "sim-tracking"
     # the commands search with the default BO config
     assert BoConfig().m0 == 20

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from axistune import simloop
-from axistune.bench import BENCH_MOVE, TuningBench, benchmark_profile
+from axistune.bench import TuningBench
 from axistune.metrics import CostWeights
+from axistune.presets import TRAJECTORY_PRESETS
 from axistune.refgen import TICK, constant_speed_profile, generate_profile
 from axistune.simloop import (
     RAILS,
@@ -21,6 +22,10 @@ from axistune.tuner import FeasibleSet
 
 # high kv, light integral: the speed loop has a healthy phase margin here
 WELL_DAMPED = GainVector(150.0, 0.5, 90.0)
+
+
+def _bench_move():
+    return generate_profile(TRAJECTORY_PRESETS["bench-move"])
 
 
 def _gentle_profile():
@@ -111,8 +116,8 @@ def test_the_integrator_step_resolves_every_drive_mode():
 
 
 def test_standstill_stays_at_rest():
-    profile = generate_profile(
-        dataclasses.replace(BENCH_MOVE, position_setpoint=0.0, dwell_time=0.5))
+    profile = generate_profile(dataclasses.replace(
+        TRAJECTORY_PRESETS["bench-move"], position_setpoint=0.0, dwell_time=0.5))
     trace = simulate(WELL_DAMPED, profile)
     for name in ("y_pos", "y_speed", "i_q", "i_ref", "v_q", "e_pos", "e_speed"):
         assert np.all(getattr(trace, name) == 0.0), name
@@ -120,7 +125,7 @@ def test_standstill_stays_at_rest():
 
 
 def test_simulation_is_deterministic():
-    profile = benchmark_profile()
+    profile = _bench_move()
     a = simulate(WELL_DAMPED, profile)
     b = simulate(WELL_DAMPED, profile)
     for name in ("y_pos", "y_speed", "i_q", "i_ref", "v_q"):
@@ -128,7 +133,7 @@ def test_simulation_is_deterministic():
 
 
 def test_tracking_quality_at_reference_gains(monkeypatch):
-    profile = benchmark_profile()
+    profile = _bench_move()
     trace = simulate(WELL_DAMPED, profile)
     assert not trace.diverged
     assert len(trace.t) == len(profile)
@@ -147,7 +152,7 @@ def test_tracking_quality_at_reference_gains(monkeypatch):
 
 def test_actuator_limits_are_respected():
     aggressive = GainVector(4200.0, 0.5, 900.0)
-    trace = simulate(aggressive, benchmark_profile())
+    trace = simulate(aggressive, _bench_move())
     assert np.max(np.abs(trace.i_ref)) <= RAILS.current_limit + 1e-12
     assert np.max(np.abs(trace.v_q)) <= RAILS.voltage_limit + 1e-12
     # this move is harsh enough to actually hit the current rail
@@ -196,7 +201,7 @@ def test_batch_matches_scalar_runs(monkeypatch):
     # both paths do the same IEEE operations per run, so the traces agree
     # bitwise, also once the rails engage and switching instants would
     # amplify any roundoff difference
-    for profile, delay in ((_gentle_profile(), 0), (benchmark_profile(), 1)):
+    for profile, delay in ((_gentle_profile(), 0), (_bench_move(), 1)):
         monkeypatch.setattr(simloop, "COMMAND_DELAY_TICKS", delay)
         _check_batch_matches_scalar_runs(profile)
 
@@ -233,7 +238,7 @@ def test_batch_traces_do_not_depend_on_the_lockstep_rows(monkeypatch,
     # a tick's railed rows run one by one or in lockstep by their count;
     # either way each batch trace is its single run's, bitwise
     monkeypatch.setattr(simloop, "LOCKSTEP_ROWS", lockstep_rows)
-    _check_batch_matches_scalar_runs(benchmark_profile())
+    _check_batch_matches_scalar_runs(_bench_move())
 
 
 def test_railed_ticks_of_both_loops_go_through_one_routine(monkeypatch):
@@ -258,7 +263,7 @@ def test_railed_ticks_of_both_loops_go_through_one_routine(monkeypatch):
     monkeypatch.setattr(drive, "segment_tick", one)
     monkeypatch.setattr(drive, "segment_rows", rows)
     monkeypatch.setattr(simloop, "LOCKSTEP_ROWS", 2)
-    profile = benchmark_profile()
+    profile = _bench_move()
     list(simulate_batch(_BATCH_ROWS, profile))
     batch_row_ticks = sum(row_ticks)
     assert block_rows and min(block_rows) >= 2
@@ -397,7 +402,7 @@ def test_the_operand_pad_row_stays_zero(monkeypatch, chunk_log):
     # every gemm's second row is the pad; a run that wrote it would
     # change the products of every later run
     drive = simloop._drive()
-    profile = benchmark_profile()
+    profile = _bench_move()
     simulate(GainVector(4200.0, 0.5, 900.0), profile)
     assert _pad_is_zero(drive)
     simulate(GainVector(0.0, 0.5, 90.0), constant_speed_profile(0.2, 0.2),
@@ -415,7 +420,7 @@ def test_a_single_run_between_batch_items_changes_no_trace(monkeypatch,
     # made while a multi-chunk batch is suspended between its yields must
     # leave the batch's later chunks as they would have been, and run as
     # it would have alone
-    profile = benchmark_profile()
+    profile = _bench_move()
     monkeypatch.setattr(simloop, "BATCH_RUN_TICKS", 2 * len(profile))
     straight = list(simulate_batch(_BATCH_ROWS, profile))
     railed_gains = GainVector(4200.0, 0.5, 900.0)
@@ -435,7 +440,7 @@ def test_a_single_run_between_batch_items_changes_no_trace(monkeypatch,
 
 
 def test_batch_rejects_a_two_column_array():
-    profile = benchmark_profile()
+    profile = _bench_move()
     with pytest.raises(ValueError):
         list(simulate_batch(np.zeros((1, 2)), profile))
 
@@ -452,12 +457,12 @@ def test_batch_rejects_a_two_column_array():
 def test_batch_rejects_rows_the_gain_vector_rejects(row):
     # a row a single run cannot take is refused, not simulated
     with pytest.raises(ValueError):
-        list(simulate_batch([[150.0, 0.5, 90.0], row], benchmark_profile()))
+        list(simulate_batch([[150.0, 0.5, 90.0], row], _bench_move()))
 
 
 def test_divergence_truncates_and_flags(monkeypatch):
     monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
-    profile = benchmark_profile()
+    profile = _bench_move()
     trace = simulate(WELL_DAMPED, profile)
     assert trace.diverged
     assert trace.t_diverged is not None
@@ -480,7 +485,7 @@ def test_a_non_finite_state_flags_divergence_in_both_loops(monkeypatch, bad):
     # clamped, in both loops alike, not flagged.
     drive = simloop._drive()
     monkeypatch.setattr(simloop, "LOCKSTEP_ROWS", 2)
-    profile = benchmark_profile()
+    profile = _bench_move()
     railed = [4200.0, 0.5, 900.0]
     clean = simulate(GainVector(*railed), profile)
     calm = simulate(WELL_DAMPED, profile)
@@ -536,8 +541,26 @@ def test_relay_probe_produces_a_limit_cycle():
     assert flips >= 4
 
 
+def test_relay_at_standstill_switches_the_current():
+    # the classical tuners' relay probe: the current reference flips
+    # between +/- the amplitude
+    trace = simulate(GainVector(0.0, 1.0, 0.0), constant_speed_profile(0.0, 1.0),
+                     relay=2.0)
+    assert set(np.unique(trace.i_ref)) <= {-2.0, 0.0, 2.0}
+    flips = np.sum(np.abs(np.diff(np.sign(trace.i_ref[5:]))) > 0)
+    assert flips >= 4
+
+
+def test_speed_step_with_the_position_loop_open():
+    # the Ziegler-Nichols probe: a pure P speed loop (kp = 0, ki = 0) at
+    # healthy gain stepped to a constant speed reaches its neighborhood
+    trace = simulate(GainVector(0.0, 0.5, 0.0), constant_speed_profile(0.1, 0.5))
+    assert np.all(trace.r_speed == 0.1)
+    assert abs(trace.y_speed[-1] - 0.1) <= 0.05
+
+
 def test_trace_is_a_plain_record():
-    trace = simulate(WELL_DAMPED, benchmark_profile())
+    trace = simulate(WELL_DAMPED, _bench_move())
     assert isinstance(trace, SimTrace)
     assert np.array_equal(trace.e_pos, trace.r_pos - trace.y_pos)
     assert np.array_equal(trace.e_speed, trace.r_speed - trace.y_speed)
@@ -553,9 +576,10 @@ def test_cascade_relay_and_batch_runs_share_one_drive(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(simloop, "_drive", recorded)
-    bench = TuningBench(CostWeights(pos_settling=1.0))
+    bench = TuningBench(CostWeights(pos_settling=1.0), _bench_move())
     bench.cost((150.0, 0.5, 90.0))
-    bench.relay_run(amplitude=2.0, duration=0.05)
+    simulate(GainVector(0.0, 1.0, 0.0), constant_speed_profile(0.0, 0.05),
+             relay=2.0)
     bench.evaluate_many([[300.0, 0.45, 90.0], [600.0, 0.3, 360.0]])
     assert len(built) == 3
     assert all(d is real() for d in built)
