@@ -25,13 +25,12 @@ Layers, bottom up:
 - :mod:`axistune.presets` / :mod:`axistune.cli` -- the named moves,
   weights and gain boxes, and the command-line front end.
 
-The simulator, the bench and grid search need numpy alone; scipy loads
-the first time a GP hyperparameter fit, posterior or limit-cycle probe
-runs, so ``simulate`` and ``grid`` never import it.  The GP takes only
-``scipy.linalg``'s LAPACK wrappers and ``scipy.optimize``; it draws its
-scrambled Sobol hyperfit starts in numpy, so ``tune`` and ``sweep-m0``
-never load scipy's statistics subpackage (``compare`` does, through
-``scipy.signal``).
+The simulator, the bench, grid search and the classical baselines need
+numpy alone; scipy loads the first time a GP hyperparameter fit or
+posterior runs, so ``simulate`` and ``grid`` never import it.  The GP
+takes only ``scipy.linalg``'s LAPACK wrappers and ``scipy.optimize``; it
+draws its scrambled Sobol hyperfit starts in numpy, so no command loads
+scipy's statistics subpackage.
 """
 
 from .baselines import (

@@ -110,24 +110,61 @@ def _oscillation(trace: SimTrace, floor: float) -> tuple[bool, float, float | No
     return oscillating, amplitude, period
 
 
+def _lows_since_higher(values: list[float]) -> list[float]:
+    """For each entry, the least value from just after the nearest
+    earlier entry holding more than it (or from the first entry) up to
+    the entry itself."""
+    lows: list[float] = []
+    stack: list[tuple[float, float]] = []   # (value, least since the one below)
+    for value in values:
+        low = value
+        while stack and stack[-1][0] <= value:
+            low = min(low, stack.pop()[1])
+        stack.append((value, low))
+        lows.append(low)
+    return lows
+
+
+def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the peaks of ``x`` whose prominence is at least
+    ``min_prominence``, by the rules of scipy's ``find_peaks``.
+
+    A peak is a sample, or a run of equal samples, above both of its
+    neighbours; a run counts once, at its middle sample rounded down.
+    Its prominence is its height above the higher of the two least
+    values between it and the nearest higher sample on each side (or
+    the signal's end).
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    if len(starts) < 3:
+        return np.empty(0, dtype=np.intp)
+    runs = x[starts]   # one value per run of equal samples
+    up = runs[1:] > runs[:-1]
+    is_peak = np.r_[False, up[:-1] & ~up[1:], False]
+    heights = runs.tolist()
+    left = _lows_since_higher(heights)
+    right = _lows_since_higher(heights[::-1])[::-1]
+    prominence = runs - np.maximum(left, right)
+    kept = np.flatnonzero(is_peak & (prominence >= min_prominence))
+    ends = np.r_[starts[1:], len(x)] - 1
+    return (starts[kept] + ends[kept]) // 2
+
+
 def measure_limit_cycle(signal: np.ndarray,
                         dt: float) -> tuple[float, float | None, int]:
     """Amplitude and period of a steady oscillation.
 
     Amplitude is half the peak-to-peak span; the period is the mean
-    spacing of the last ``LIMIT_CYCLES`` prominent positive peaks (None
-    if fewer are visible).  Returns (amplitude, period, n_peaks).
+    spacing of the last ``LIMIT_CYCLES`` positive peaks of prominence at
+    least 0.3 times the amplitude (None if fewer are visible).  Returns
+    (amplitude, period, n_peaks).
     """
     w = np.asarray(signal, dtype=float)
     w = w - np.mean(w)
     amplitude = float(w.max() - w.min()) / 2.0
     if amplitude <= 0.0:
         return 0.0, None, 0
-    # only the classical probes need scipy.signal, so a command that runs
-    # none of them does not pay for importing it
-    from scipy.signal import find_peaks
-
-    peaks, _ = find_peaks(w, prominence=0.3 * amplitude)
+    peaks = _prominent_peaks(w, 0.3 * amplitude)
     if len(peaks) < LIMIT_CYCLES + 1:
         return amplitude, None, len(peaks)
     last = peaks[-(LIMIT_CYCLES + 1):]

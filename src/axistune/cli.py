@@ -316,9 +316,8 @@ def cmd_tune(res: Resolved) -> int:
         "m", "x1", "x2", "x3", "y", "mu", "sigma", "beta", "incumbent_cost",
         "mu_minus_3sigma", "mu_plus_3sigma",
     ), (
-        (rec.m, *np.asarray(rec.point, dtype=float).reshape(3).tolist(), rec.y,
-         rec.mu, rec.sigma, rec.beta, rec.incumbent_cost,
-         rec.mu - 3.0 * rec.sigma, rec.mu + 3.0 * rec.sigma)
+        (rec.m, *rec.point, rec.y, rec.mu, rec.sigma, rec.beta,
+         rec.incumbent_cost, rec.mu - 3.0 * rec.sigma, rec.mu + 3.0 * rec.sigma)
         for rec in state.records
     ))
 
@@ -333,15 +332,7 @@ def cmd_tune(res: Resolved) -> int:
             "stop_reason": state.stop_reason, "evaluations": state.evaluations,
             "iterations": state.iterations,
         },
-        "iteration_log": [
-            {
-                "m": rec.m,
-                "point": [float(v) for v in np.asarray(rec.point).reshape(3)],
-                "y": rec.y, "mu": rec.mu, "sigma": rec.sigma,
-                "beta": rec.beta, "incumbent_cost": rec.incumbent_cost,
-            }
-            for rec in state.records
-        ],
+        "iteration_log": [dataclasses.asdict(rec) for rec in state.records],
         "gains": list(gains),
         "metrics": metrics.as_dict(),
         "cost": total,

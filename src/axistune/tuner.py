@@ -4,8 +4,9 @@ The search space is a box of strictly positive gain intervals quantized
 to a finite grid (`FeasibleSet`).  `run_bo` minimizes a black-box cost
 over that grid with a Gaussian-process surrogate and the lower-
 confidence-bound acquisition rule: evaluate a seeded Latin-hypercube
-batch, fit kernel hyperparameters on it, then repeatedly evaluate the
-grid point minimizing mu - beta * sigma with a constant beta.  The loop
+batch, then per iteration evaluate the grid point minimizing
+mu - beta * sigma with a constant beta, refitting the kernel
+hyperparameters every `REFIT_EVERY` iterations from the first.  The loop
 stops when proposals keep landing on or next to the reigning best point:
 once the incumbent survives `REPEAT_THRESHOLD` consecutive iterations
 whose proposals fall within `STOP_RADIUS` grid cells of it (or tie its
@@ -217,8 +218,8 @@ def _grid_cached(s: FeasibleSet) -> np.ndarray:
 # grid cells of an unchanged incumbent (or tying its cost) end the search.
 REPEAT_THRESHOLD = 3
 STOP_RADIUS = 1
-# Kernel hyperparameters are refitted every REFIT_EVERY iterations, each
-# fit a multi-start descent (see `gpr.fit_hyperparams`).
+# Kernel hyperparameters are fitted at iteration 1 and every REFIT_EVERY
+# after it, each fit a multi-start descent (see `gpr.fit_hyperparams`).
 REFIT_EVERY = 10
 
 
@@ -386,14 +387,16 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
 
     1. evaluate a seeded Latin-hypercube design of ``m0`` grid points in
        one oracle call;
-    2. fit kernel hyperparameters on that design (refreshed every
-       ``REFIT_EVERY`` iterations thereafter);
-    3. until stopped, propose the LCB argmin over the grid, evaluate it
-       in a one-row call, and update the incumbent (strict improvement
-       moves it, so ties keep the earliest observation).
+    2. until stopped, at iteration t: on one GP dataset of the
+       evaluations so far, refit kernel hyperparameters when
+       (t - 1) % ``REFIT_EVERY`` is 0 (seeded ``config.seed + t``), then
+       fit the posterior; evaluate the LCB argmin over the grid in a
+       one-row call and update the incumbent (strict improvement moves
+       it, so ties keep the earliest observation).
 
-    Each GP dataset holds the feasible box, ``fset.bounds()``, so the GP
-    sees inputs scaled to that box and standardized targets (see
+    So ``max_iterations = 0`` fits nothing and leaves ``hyperparams``
+    None.  Each GP dataset holds the feasible box, ``fset.bounds()``, so
+    the GP sees inputs scaled to that box and standardized targets (see
     :class:`~axistune.gpr.Dataset`).  Stops with reason "repeat" once
     ``REPEAT_THRESHOLD`` consecutive proposals land within
     ``STOP_RADIUS`` grid cells of an unchanged incumbent or tie its cost
@@ -409,12 +412,14 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
         state._observe(point, y)
 
     bounds = fset.bounds()
-    h = fit_hyperparams(Dataset(state.X, state.y, bounds), _INIT_HYPERPARAMS,
-                        seed=config.seed + 1)
-    state.hyperparams = h
-
+    h = _INIT_HYPERPARAMS
     for t in range(1, config.max_iterations + 1):
-        posterior = fit(Dataset(state.X, state.y, bounds), h)
+        data = Dataset(state.X, state.y, bounds)
+        if (t - 1) % REFIT_EVERY == 0:
+            h = fit_hyperparams(data, h, seed=config.seed + t)
+            state.hyperparams = h
+        posterior = fit(data, h)
+        del data   # free its m x m work buffers before the oracle call
         point, mu, sigma, _ = next_point(posterior, fset, config.beta)
         y = float(_evaluate(oracle, fset, point[None], state)[0])
         moved = state._observe(point, y)
@@ -429,10 +434,6 @@ def run_bo(oracle, fset: FeasibleSet, config: BoConfig = BoConfig()) -> BoState:
         if state.repeat_count >= REPEAT_THRESHOLD:
             state.stop_reason = "repeat"
             break
-        if t < config.max_iterations and t % REFIT_EVERY == 0:
-            h = fit_hyperparams(Dataset(state.X, state.y, bounds), h,
-                                seed=config.seed + 1 + t)
-            state.hyperparams = h
     else:
         state.stop_reason = "max_iterations"
     return state

@@ -11,7 +11,9 @@ from axistune.baselines import (
     PROBE_GAIN_REACH,
     TuningError,
     TuningResult,
+    _oscillation,
     _position_gain,
+    _prominent_peaks,
     itae_tune,
     measure_limit_cycle,
     relay_tune,
@@ -64,6 +66,56 @@ def test_limit_cycle_degenerate_signals():
     assert amp > 0.9
     assert period is None
     assert n < 6
+
+
+def _scipy_peaks(x, min_prominence):
+    # scipy.signal is imported here only: the package finds peaks in numpy
+    from scipy.signal import find_peaks
+
+    return find_peaks(x, prominence=min_prominence)[0]
+
+
+def test_peaks_of_the_probe_signals_match_scipy(monkeypatch):
+    # every signal the desk and plc speed-loop probes measure, with the
+    # threshold measure_limit_cycle gives it; the probes' gains are not
+    # committed, so no bench is needed
+    seen = []
+
+    def spy(x, min_prominence):
+        seen.append((x.copy(), min_prominence))
+        return _prominent_peaks(x, min_prominence)
+
+    monkeypatch.setattr(baselines, "_prominent_peaks", spy)
+    monkeypatch.setattr(baselines, "_from_ultimate", lambda *args: None)
+    for name in ("desk", "plc"):
+        ziegler_nichols(None, get_preset(name).feasible)
+    relay_tune(None, get_preset("desk").feasible)
+    # 14 Ziegler-Nichols probes on each preset, and the relay probe
+    assert len(seen) == 29
+    for x, min_prominence in seen:
+        assert _prominent_peaks(x, min_prominence).tolist() == \
+            _scipy_peaks(x, min_prominence).tolist()
+
+
+def test_peaks_of_random_walks_with_ties_match_scipy():
+    # rounding puts flat tops, flat valleys and equal peak heights in
+    # every walk
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        n = int(rng.integers(3, 300))
+        x = np.round(np.cumsum(rng.normal(size=n)) * rng.choice([0.5, 1.0, 4.0]))
+        span = float(x.max() - x.min())
+        for min_prominence in (0.0, 0.15 * span, float(rng.uniform(0.0, span))):
+            assert _prominent_peaks(x, min_prominence).tolist() == \
+                _scipy_peaks(x, min_prominence).tolist()
+
+
+def test_oscillation_of_a_diverged_or_too_short_probe():
+    diverged = SimpleNamespace(diverged=True)
+    assert _oscillation(diverged, 1e-5) == (True, math.inf, None)
+    # 10 samples leave a 6-sample tail after the transient
+    short = SimpleNamespace(diverged=False, e_speed=np.sin(np.arange(10.0)))
+    assert _oscillation(short, 1e-5) == (False, 0.0, None)
 
 
 # -- ultimate-gain methods ---------------------------------------------------------
@@ -217,6 +269,33 @@ def test_never_oscillating_plant_raises_with_diagnostics(monkeypatch):
     assert probes[-1]["kv"] > PROBE_GAIN_REACH * fset.kv[1] / 2.0
 
 
+def test_ziegler_nichols_without_a_measurable_period_raises(monkeypatch):
+    # speed gains above 1 oscillate, but with a 0.5 s period, so the
+    # final 0.6 s window of a probe never holds the six peaks a period
+    # needs
+    def probe(gains, profile, relay=None):
+        e = 0.01 * np.sin(2 * np.pi * profile.t / 0.5) if gains.kv > 1.0 \
+            else np.zeros(len(profile))
+        return SimpleNamespace(e_speed=e, diverged=False)
+
+    monkeypatch.setattr(baselines, "simulate", probe)
+    with pytest.raises(TuningError) as exc:
+        ziegler_nichols(None, get_preset("desk").feasible)
+    assert "no measurable oscillation period" in str(exc.value)
+    probes = exc.value.diagnostics["probes"]
+    assert any(p["oscillating"] for p in probes)
+    assert all(p["period"] is None for p in probes)
+
+
+def test_a_diverged_relay_probe_raises(monkeypatch):
+    monkeypatch.setattr(baselines, "simulate",
+                        lambda gains, profile, relay=None:
+                        SimpleNamespace(diverged=True))
+    with pytest.raises(TuningError, match="relay probe diverged") as exc:
+        relay_tune(None, get_preset("desk").feasible)
+    assert exc.value.trace.diverged
+
+
 def test_relay_without_a_limit_cycle_raises(monkeypatch):
     _fake_probe(monkeypatch, np.zeros_like)
     fset = get_preset("desk").feasible
@@ -237,6 +316,27 @@ def test_position_gain_reads_the_overshoot_from_the_bench(desk_bench):
         # a percentage of the 0.1 m move
         assert pct == pytest.approx(100.0 * m.pos_overshoot / 0.1, rel=1e-9)
         assert pct >= 0.0
+
+
+def test_position_gain_bisects_to_the_overshoot_bound():
+    # overshoot grows linearly from 5% at the smallest feasible kp to 50%
+    # at the largest, so the bound of 25% lies between them
+    fset = get_preset("desk").feasible
+    lo, hi = fset.kp
+    move = 0.1
+
+    def metrics(triple):
+        share = 0.05 + 0.45 * (triple[0] - lo) / (hi - lo)
+        return MetricVector(pos_overshoot=share * move)
+
+    bench = SimpleNamespace(profile=SimpleNamespace(position=np.array([0.0, move])),
+                            metrics=metrics)
+    kp, history = _position_gain(bench, fset, 0.35, 90.0)
+    bound = lo + (hi - lo) * (0.25 - 0.05) / 0.45
+    assert [k for k, _ in history[:2]] == [hi, lo]
+    assert len(history) > 3
+    assert bound - baselines.BISECT_REL_TOL * hi <= kp < bound
+    assert 100.0 * metrics((kp, 0.35, 90.0)).pos_overshoot / move < 25.0
 
 
 def test_position_gain_counts_a_diverged_run_as_infinite_overshoot(monkeypatch):

@@ -4,13 +4,17 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import zipfile
 import zlib
 
 import numpy as np
 import pytest
 
+import axistune
 from axistune import simloop
 from axistune.cli import main
 from axistune.presets import get_preset
@@ -23,17 +27,23 @@ def _load_record(path):
     return rec
 
 
+def _run_script(script, out):
+    """Run ``script`` in a fresh interpreter on this checkout's package,
+    with ``out`` as its one argument; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(axistune.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(out)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, check=True)
+    return done.stdout
+
+
 def test_importing_the_cli_loads_no_scipy_and_the_gp_no_scipy_stats(tmp_path):
-    # only the GP needs scipy (and only compare's classical probes need
-    # scipy.signal): importing the cli, a simulate call and a grid search
-    # must run on numpy alone; the first hyperparameter fit and posterior
-    # load scipy's LAPACK wrappers and optimizer, and never scipy.stats
-    import os
-    import subprocess
-    import sys
-
-    import axistune
-
+    # only the GP needs scipy: importing the cli, a simulate call and a
+    # grid search must run on numpy alone; the first hyperparameter fit
+    # and posterior load scipy's LAPACK wrappers and optimizer, and never
+    # scipy.stats
     script = """
 import contextlib, io, sys
 import numpy as np
@@ -61,13 +71,22 @@ mu, var = predict(fit(data, h), fset.grid())
 assert np.isfinite(mu).all() and np.isfinite(var).all()
 print("scipy.optimize" in sys.modules, "scipy.stats" in sys.modules)
 """
-    src = os.path.dirname(os.path.dirname(axistune.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-        text=True, check=True)
-    assert done.stdout == "[]\n[]\nTrue False\n"
+    assert _run_script(script, tmp_path) == "[]\n[]\nTrue False\n"
+
+
+def test_compare_loads_no_scipy_stats(tmp_path):
+    # the classical probes find their peaks in numpy, so compare loads
+    # only the scipy modules its GP search needs
+    script = """
+import contextlib, io, sys
+import axistune.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = axistune.cli.main(["compare", "--preset", "desk", "--seed", "0",
+                            "--max-iters", "2", "--out", sys.argv[1]])
+assert rc == 0
+print("scipy.optimize" in sys.modules, "scipy.stats" in sys.modules)
+"""
+    assert _run_script(script, tmp_path) == "True False\n"
 
 
 # -- simulate ----------------------------------------------------------------

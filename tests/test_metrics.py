@@ -8,6 +8,7 @@ import pytest
 
 from axistune.metrics import (
     DIVERGENCE_PENALTY,
+    SETTLE_BAND,
     CostWeights,
     MetricVector,
     cost,
@@ -140,6 +141,43 @@ def test_steady_state_error_is_the_tail_mean():
     e[plateau.stop - n10 : plateau.stop] = 2e-4
     m = extract_metrics(_fake_trace(profile, e_pos=e), profile)
     assert m.pos_ss == pytest.approx(2e-4)
+
+
+def test_a_triangular_move_settles_speed_against_the_setpoint_band():
+    # too short to reach 0.25 m/s: no cruise plateau, so no speed
+    # plateau statistics, and speed settling runs up to the dwell
+    profile = generate_profile(TrajectorySpec(0.01, 0.25, 5.0, 5.0, dwell_time=0.5))
+    assert profile.cruise_span(0) is None
+    i0 = profile.motion_start_index()
+    dwell = profile.forward_plateau().start
+    band = SETTLE_BAND * 0.25
+    e_s = np.zeros(len(profile))
+    e_s[i0:i0 + 30] = 1.5 * band
+    e_s[dwell + 10] = 1.0   # after the motion: not a settling violation
+    m = extract_metrics(_fake_trace(profile, e_speed=e_s), profile)
+    assert m.spd_settling == pytest.approx(30 * TICK)
+    assert m.spd_inf == 1.0
+    assert m.spd_overshoot == m.spd_undershoot == m.spd_ss == 0.0
+    # the band is 2% of the setpoint, not of the lower peak speed
+    e = 0.96 * band
+    assert e > SETTLE_BAND * float(np.max(profile.speed))
+    m = extract_metrics(_fake_trace(profile, e_speed=np.full(len(profile), e)),
+                        profile)
+    assert m.spd_settling == 0.0
+
+
+def test_a_dwell_free_move_has_no_position_plateau_statistics():
+    profile = generate_profile(TrajectorySpec(0.1, 0.25, 5.0, 5.0))
+    assert profile.forward_plateau() is None
+    i0 = profile.motion_start_index()
+    e = np.zeros(len(profile))
+    e[-20:] = -0.003   # the axis ends 3 mm past the target
+    m = extract_metrics(_fake_trace(profile, e_pos=e), profile)
+    assert m.pos_overshoot == m.pos_undershoot == m.pos_ss == 0.0
+    assert m.pos_inf == pytest.approx(0.003)
+    # settling is judged over the whole run, whose last sample is outside
+    # the band
+    assert m.pos_settling == pytest.approx((len(profile) - 1 - i0) * TICK)
 
 
 # -- metric vector and cost -----------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from axistune import tuner
 from axistune.gpr import Dataset, GpHyperparams, fit
 from axistune.tuner import (
     REPEAT_THRESHOLD,
@@ -287,6 +288,64 @@ def test_max_iterations_stop():
     assert state.iterations <= 4
     if state.stop_reason == "max_iterations":
         assert state.iterations == 4
+
+
+def _spy_on_the_gp(monkeypatch):
+    """Log each hyperparameter fit as ("hyperfit", data, seed) and each
+    posterior fit as ("fit", data), in call order."""
+    log = []
+    real_hyperfit, real_fit = tuner.fit_hyperparams, tuner.fit
+
+    def hyperfit(data, h, seed):
+        log.append(("hyperfit", data, seed))
+        return real_hyperfit(data, h, seed=seed)
+
+    def fit(data, h):
+        log.append(("fit", data))
+        return real_fit(data, h)
+
+    monkeypatch.setattr(tuner, "fit_hyperparams", hyperfit)
+    monkeypatch.setattr(tuner, "fit", fit)
+    return log
+
+
+def test_no_iterations_fit_no_hyperparameters(monkeypatch):
+    log = _spy_on_the_gp(monkeypatch)
+    state = run_bo(_quadratic_oracle(SMALL), SMALL,
+                   BoConfig(m0=5, max_iterations=0, seed=3))
+    assert log == []
+    assert state.hyperparams is None
+    assert state.evaluations == 5 and state.records == []
+    assert state.stop_reason == "max_iterations"
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_hyperparameters_are_refitted_on_the_iterations_dataset(monkeypatch,
+                                                                every):
+    # iteration t refits when (t - 1) % REFIT_EVERY == 0, seeded seed + t,
+    # on the m0 + t - 1 points so far, and fits its posterior on that
+    # same dataset
+    monkeypatch.setattr(tuner, "REFIT_EVERY", every)
+    log = _spy_on_the_gp(monkeypatch)
+    fset = FeasibleSet(kp=(1.0, 3.0), kv=(1.0, 3.0), third=(1.0, 3.0),
+                       n_kp=7, n_kv=7, n_third=7)
+
+    def oracle(X):
+        return np.sum((X - 2.1) ** 2 + 0.01 * np.sin(13.0 * X), axis=1)
+
+    cfg = BoConfig(m0=5, max_iterations=10, seed=4)
+    state = run_bo(oracle, fset, cfg)
+    assert state.iterations == cfg.max_iterations
+    fits = [entry for entry in log if entry[0] == "fit"]
+    assert [data.m for _, data in fits] == [cfg.m0 + t for t in range(10)]
+    refits = [t for t in range(1, state.iterations + 1) if (t - 1) % every == 0]
+    assert [(data.m, seed) for _, data, seed in
+            (entry for entry in log if entry[0] == "hyperfit")] == [
+        (cfg.m0 + t - 1, cfg.seed + t) for t in refits]
+    for entry, after in zip(log, log[1:]):
+        if entry[0] == "hyperfit":
+            assert after[0] == "fit" and after[1] is entry[1]
+    assert state.hyperparams is not None
 
 
 def test_oracle_failure_carries_partial_state():
