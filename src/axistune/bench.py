@@ -18,22 +18,27 @@ query.
 
 `metrics`, `cost` and `evaluate_many` are views of `metric_table`, the
 one code that validates, simulates, scores and memoizes (N, 3) rows, so
-a triple is simulated at most once per bench.  A share of one fresh row
-runs `simulate`, a larger one the vectorized `simulate_batch`; both do
-the same arithmetic (see :mod:`~axistune.simloop`), so a triple's cost
-does not depend on which loop simulated it first.
+a triple is simulated at most once per bench.
 
 A query's fresh rows are dealt round-robin to forked worker processes,
 one per usable CPU but at most one per ``WORKER_RUN_TICKS`` run-ticks
 of fresh rows.  Each worker inherits the bench from the fork, simulates
-and scores its share -- one `simulate_batch` chunk unless the share
-passes the chunk's memory cap, ``simloop.BATCH_RUN_TICKS`` -- and sends
-back only metric vectors, which the parent memoizes in row order.  A
-row's trace depends on neither its chunk nor the rows beside it, and a
-forked worker runs the same code on the same BLAS build as the parent,
-so the costs are bitwise those of scoring the batch in one process,
-which is what happens with one usable CPU, a small query, or no
-``fork`` start method.
+and scores its share and sends back only metric vectors, which the
+parent memoizes in row order.  With one usable CPU, a small query, or
+no ``fork`` start method the calling process scores the rows itself.
+A scoring process runs a share of fewer than ``BATCH_ROWS`` rows
+through `simulate`, a row at a time, and a larger one through the
+vectorized `simulate_batch`, in chunks of at most
+``simloop.BATCH_RUN_TICKS`` run-ticks.  Both loops do the same
+arithmetic (see :mod:`~axistune.simloop`), a row's trace depends on
+neither its chunk nor the rows beside it, and a forked worker runs the
+same code on the same BLAS build as the parent, so a triple's cost does
+not depend on which loop or process simulated it first.
+
+The calling process keeps the simulated channels of the lowest-cost
+row it has scored, so `trace` rebuilds that row's trace -- usually a
+search's incumbent -- without simulating it again.  Rows scored only in
+a worker are simulated again.
 """
 
 from __future__ import annotations
@@ -55,10 +60,30 @@ __all__ = ["TuningBench"]
 # Run-ticks (runs times profile ticks) of fresh rows per forked scoring
 # worker: a query gets one more worker for each further 256 runs of the
 # 1,451-tick desk move, or 14 of the 25,009-tick plc move, up to the
-# usable CPUs.  Two workers do not pay off on a 20-run desk design: in
-# three sets of 15 alternating queries (2 vCPUs, BLAS on one thread)
-# they took a median 0.116-0.164 s against 0.093-0.146 s in-process.
+# usable CPUs, so a 20-run plc design goes to two workers that each run
+# their 10 rows as single runs (``BATCH_ROWS``).  Two workers do not pay
+# off on a 20-run desk design: in three sets of 15 alternating queries
+# (2 vCPUs, BLAS on one thread) they took a median 0.116-0.164 s against
+# 0.093-0.146 s in-process.
 WORKER_RUN_TICKS = 256 * 1451
+
+# Fewest fresh rows that one scoring process runs as a `simulate_batch`;
+# a smaller share runs `simulate` a row at a time.  A batch tick pays
+# fixed numpy work (array calls, the rail test, the record writes)
+# whatever its row count; a single run pays interpreted work per row and
+# tick.  Both are paid on every tick, so the break-even row count does
+# not depend on the move's length.  CPU seconds for R rows, batched
+# against R single runs (2 vCPUs, BLAS on one thread):
+#
+#     R                 4      8      12     16     20     24
+#     desk batched    0.046  0.049  0.054  0.056  0.060  0.066
+#     desk single     0.016  0.030  0.044  0.057  0.071  0.089
+#     plc batched     0.84   0.87   0.91   0.95
+#     plc single      0.30   0.51   0.73   0.98
+BATCH_ROWS = 16
+
+# the channels `simulate` computes; the rest of a trace is the profile
+_CHANNELS = ("y_pos", "y_speed", "i_q", "i_ref", "v_q")
 
 
 class TuningBench:
@@ -78,6 +103,9 @@ class TuningBench:
         self.profile = profile
         self._memo: dict[tuple[float, float, float], MetricVector] = {}
         self.n_sims = 0
+        # (row, cost, channels, divergence tick) of the lowest-cost row
+        # scored in this process
+        self._kept: tuple | None = None
 
     # -- core cost queries ----------------------------------------------------
 
@@ -122,9 +150,18 @@ class TuningBench:
         return [self._memo[k] for k in keys]
 
     def trace(self, triple) -> SimTrace:
-        """Full simulation trace at (kp, kv, ki); never memoized."""
-        gains = GainVector(*np.asarray(triple, dtype=float).reshape(3).tolist())
-        return simulate(gains, self.profile)
+        """Full simulation trace at (kp, kv, ki).
+
+        The lowest-cost row this bench has scored in the calling process
+        (the earliest among equal costs) is rebuilt from its kept
+        channels without simulating; any other row is simulated.  Each
+        call returns arrays that no other call shares.
+        """
+        key = tuple(np.asarray(triple, dtype=float).reshape(3).tolist())
+        if self._kept is not None and self._kept[0] == key:
+            _, _, channels, div_at = self._kept
+            return simloop._trace(self.profile, div_at, *channels)
+        return simulate(GainVector(*key), self.profile)
 
     def score(self, trace: SimTrace) -> MetricVector:
         """Metric vector of a trace of this bench's profile."""
@@ -166,7 +203,7 @@ class TuningBench:
         per_worker = max(1, WORKER_RUN_TICKS // len(self.profile))
         n = min(_usable_cpus(), -(-len(batch) // per_worker))
         if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
-            return self._score_rows(batch)
+            return self._score_rows(batch, keep=True)
         ctx = multiprocessing.get_context("fork")
         workers = []
         try:
@@ -191,10 +228,22 @@ class TuningBench:
                 recv.close()
         return [parts[i % n][i // n] for i in range(len(batch))]
 
-    def _score_rows(self, batch: np.ndarray) -> list[MetricVector]:
-        traces = ([simulate(GainVector(*batch[0].tolist()), self.profile)]
-                  if len(batch) == 1 else simulate_batch(batch, self.profile))
-        return [self.score(trace) for trace in traces]
+    def _score_rows(self, batch: np.ndarray, keep: bool = False) -> list[MetricVector]:
+        """Metric vectors of ``batch``'s rows; with ``keep``, also keep the
+        channels of a row that costs strictly less than the kept one."""
+        rows = batch.tolist()
+        traces = (simulate_batch(batch, self.profile) if len(rows) >= BATCH_ROWS
+                  else (simulate(GainVector(*row), self.profile) for row in rows))
+        scores = []
+        for row, trace in zip(rows, traces):
+            scores.append(self.score(trace))
+            if keep:
+                c = metric_cost(scores[-1], self.weights)
+                if self._kept is None or c < self._kept[1]:
+                    self._kept = (tuple(row), c,
+                                  tuple(getattr(trace, ch) for ch in _CHANNELS),
+                                  len(trace) if trace.diverged else None)
+        return scores
 
     def _send_scores(self, batch: np.ndarray, conn) -> None:
         # a worker that raises prints its traceback and closes ``conn``

@@ -433,9 +433,9 @@ def _sobol_starts(d: int, n: int, seed: int) -> np.ndarray:
     # point i is point i - 1 with the direction number of the lowest zero
     # bit of i - 1 XORed in (a Gray-code walk)
     points = np.empty((n, d))
-    points[0] = q / 2**_SOBOL_BITS
-    for i in range(1, n):
-        q ^= scrambled[:, (~(i - 1) & i).bit_length() - 1]
+    for i in range(n):
+        if i:
+            q ^= scrambled[:, (~(i - 1) & i).bit_length() - 1]
         points[i] = q / 2**_SOBOL_BITS
     return points
 

@@ -58,7 +58,8 @@ a batch tick with more takes its ``segment_rows``, which does the same
 IEEE operations on numpy arrays of those rows, elementwise, and runs
 each segment map once for all of them, so each row still gets the bits
 of its own gemm.  So a gain triple has one trace, bitwise, whichever
-loop or chunk ran it, and ``TuningBench`` picks the loop by row count.
+loop or chunk ran it, and ``TuningBench`` picks the cheaper loop for a
+share of rows by its row count alone (``bench.BATCH_ROWS``).
 That holds across worker processes too: ``TuningBench.metric_table``
 scores fresh rows in forked workers, each of which runs this code on
 the same BLAS library and builds, or inherits, the same drive maps

@@ -1,5 +1,6 @@
 """Evaluation-bench checks: memoization, batch path, workers, fingerprint."""
 
+import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -12,7 +13,8 @@ import pytest
 import axistune.bench as bench_module
 from axistune import simloop
 from axistune.bench import TuningBench
-from axistune.metrics import DIVERGENCE_PENALTY, CostWeights, cost as metric_cost
+from axistune.metrics import (DIVERGENCE_PENALTY, CostWeights, cost as metric_cost,
+                               extract_metrics)
 from axistune.presets import TRAJECTORY_PRESETS
 from axistune.refgen import TrajectorySpec, generate_profile
 from axistune.tuner import BoConfig, FeasibleSet, run_bo
@@ -87,16 +89,23 @@ def test_a_fresh_one_row_query_runs_the_single_loop(monkeypatch):
     for n, query in enumerate(queries, start=1):
         query((150.0 * n, 0.5, 90.0))
         assert runs == {"single": n, "batch": 0}
-    bench.evaluate_many([(150.0, 0.4, 90.0), (300.0, 0.4, 90.0)])
-    assert runs == {"single": 4, "batch": 2}
-    assert bench.n_sims == 6
+    # a share of fewer than BATCH_ROWS fresh rows runs the single loop,
+    # one of BATCH_ROWS runs the batch loop
+    assert bench_module.BATCH_ROWS == 16
+    bench.evaluate_many([(150.0 + 10.0 * j, 0.4, 90.0) for j in range(15)])
+    assert runs == {"single": 19, "batch": 0}
+    bench.evaluate_many([(150.0 + 10.0 * j, 0.3, 90.0) for j in range(16)])
+    assert runs == {"single": 19, "batch": 16}
+    assert bench.n_sims == 35
 
 
 def test_every_query_fills_one_memo(monkeypatch):
     # each triple is simulated once, whatever the order of the queries;
-    # only a query with two fresh rows runs the batch loop
+    # with the break-even at two rows, only a query with two fresh rows
+    # runs the batch loop
     a, b = (150.0, 0.5, 90.0), (300.0, 0.45, 90.0)
     for order in itertools.permutations(("metrics", "cost", "evaluate_many")):
+        monkeypatch.setattr(bench_module, "BATCH_ROWS", 2)
         runs = _counted_runs(monkeypatch)
         bench = _new_bench(profile=SHORT)
         queries = {"metrics": lambda: bench.metrics(a),
@@ -136,8 +145,104 @@ def test_trace_is_not_memoized():
     assert bench.n_sims == before  # trace queries bypass the memo counter
 
 
+def _trace_fields(trace):
+    """Every field of a trace, its arrays as bytes."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else v
+            for v in (getattr(trace, f.name) for f in dataclasses.fields(trace))]
+
+
+def test_the_lowest_cost_rows_trace_is_kept(monkeypatch):
+    bench = _new_bench(profile=SHORT)
+    rows = [(300.0, 0.45, 90.0), (150.0, 0.5, 90.0), (600.0, 0.3, 360.0)]
+    costs = bench.evaluate_many(rows)
+    assert len(set(costs.tolist())) == 3
+    best = rows[int(np.argmin(costs))]
+    fresh = simloop.simulate(simloop.GainVector(*best), SHORT)
+
+    runs = _counted_runs(monkeypatch)
+    kept = bench.trace(best)
+    assert runs == {"single": 0, "batch": 0}
+    assert _trace_fields(kept) == _trace_fields(fresh)
+    # each call returns arrays of its own
+    for f in dataclasses.fields(kept):
+        if isinstance(getattr(kept, f.name), np.ndarray):
+            getattr(kept, f.name)[:] = math.nan
+    assert _trace_fields(bench.trace(np.array(best))) == _trace_fields(fresh)
+    assert runs == {"single": 0, "batch": 0}
+    # a row that was not kept is simulated
+    other = rows[int(np.argmax(costs))]
+    assert _trace_fields(bench.trace(other)) == _trace_fields(
+        simloop.simulate(simloop.GainVector(*other), SHORT))
+    assert runs == {"single": 1, "batch": 0}
+    assert bench.n_sims == 3
+
+
+def test_a_later_row_replaces_the_kept_one_only_at_a_lower_cost(monkeypatch):
+    # every run diverges at once and costs the penalty, so the first row
+    # stays kept; its trace is the truncated one
+    monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
+    bench = _new_bench(profile=SHORT)
+    first, second = (150.0, 0.5, 90.0), (300.0, 0.45, 90.0)
+    assert bench.cost(first) == bench.cost(second) == DIVERGENCE_PENALTY
+    runs = _counted_runs(monkeypatch)
+    kept = bench.trace(first)
+    assert kept.diverged and len(kept) < len(SHORT)
+    assert _trace_fields(kept) == _trace_fields(
+        simloop.simulate(simloop.GainVector(*first), SHORT))
+    assert runs == {"single": 0, "batch": 0}
+    bench.trace(second)
+    assert runs == {"single": 1, "batch": 0}
+
+
+def test_a_row_scored_only_in_a_worker_is_simulated_again(monkeypatch):
+    # one worker per row, so both rows are scored in forked workers and
+    # this process keeps nothing
+    monkeypatch.setattr(bench_module, "WORKER_RUN_TICKS", len(SHORT))
+    monkeypatch.setattr(bench_module, "_usable_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    bench = _new_bench(profile=SHORT)
+    rows = [(150.0, 0.5, 90.0), (300.0, 0.45, 90.0)]
+    costs = bench.evaluate_many(rows)
+    assert len(forks) == 2
+    runs = _counted_runs(monkeypatch)
+    best = rows[int(np.argmin(costs))]
+    assert _trace_fields(bench.trace(best)) == _trace_fields(
+        simloop.simulate(simloop.GainVector(*best), SHORT))
+    assert runs == {"single": 1, "batch": 0}
+
+
+def test_small_shares_score_as_the_batch_loop_does(monkeypatch):
+    # shares below BATCH_ROWS run single runs; their railed rows get the
+    # metric vectors simulate_batch gives them, bitwise, in this process
+    # and on forked workers (one per row here, two in all)
+    from axistune.presets import get_preset
+
+    for name, points in (("desk", [(450.0, 0.25, 720.0), (600.0, 0.3, 360.0),
+                                   (4200.0, 0.5, 900.0)]),
+                         ("plc", [(1000.0, 100.0, 10000.0), (65000.0, 10.0, 0.0025)])):
+        pre = get_preset(name)
+        profile = pre.bench().profile
+        rows = pre.feasible.canonical(points)
+        assert len(rows) < bench_module.BATCH_ROWS
+        batch = _metric_bytes([extract_metrics(t, profile)
+                               for t in simloop.simulate_batch(rows, profile)])
+        monkeypatch.setattr(bench_module, "WORKER_RUN_TICKS", len(profile))
+        for workers in (1, 2):
+            monkeypatch.setattr(bench_module, "_usable_cpus", lambda: workers)
+            forks = _count_forks(monkeypatch)
+            runs = _counted_runs(monkeypatch)
+            table = pre.bench().metric_table(rows)
+            assert len(forks) == (workers if workers > 1 else 0), name
+            # the spy sees only this process's runs
+            assert runs == {"single": len(rows) if workers == 1 else 0,
+                            "batch": 0}, name
+            assert _metric_bytes(table) == batch, (name, workers)
+
+
 def test_divergent_point_costs_the_penalty(monkeypatch):
     monkeypatch.setattr(simloop, "DIVERGENCE_LIMIT", 1e-9)
+    # the two-row query below runs the batch loop
+    monkeypatch.setattr(bench_module, "BATCH_ROWS", 2)
     bench = _new_bench(weights=CostWeights(pos_settling=1e5))
     assert bench.cost((150.0, 0.5, 90.0)) == DIVERGENCE_PENALTY == 1e9
     assert bench.metrics((150.0, 0.5, 90.0)).is_diverged
@@ -261,13 +366,16 @@ def test_railed_single_run_costs_are_pinned(preset, point, cost):
 
 
 @pytest.mark.parametrize("preset, point, cost", RAILED_PINS)
-def test_single_and_batch_costs_are_bitwise_equal(preset, point, cost):
+def test_single_and_batch_costs_are_bitwise_equal(monkeypatch, preset, point,
+                                                  cost):
     # a gain triple has one cost, whichever path simulated it
     from axistune.presets import get_preset
 
     pre = get_preset(preset)
     single = pre.bench().cost(pre.feasible.gains(point))
-    # a second row makes the query a batch run
+    # with the break-even at two rows, a second row makes the query a
+    # batch run
+    monkeypatch.setattr(bench_module, "BATCH_ROWS", 2)
     other = pre.feasible.grid()[0]
     batch = pre.bench().evaluate_many(pre.feasible.canonical([point, other]))
     assert single == batch[0] == cost
@@ -319,6 +427,8 @@ def test_pooled_costs_do_not_depend_on_the_worker_count(monkeypatch, chunk_log):
                       railed[::-1], memo[1:], memo[:1]])
     single = pre.bench()
     expected = np.array([single.cost(row) for row in rows])
+    # every share below, of two to seven rows, runs the batch loop
+    monkeypatch.setattr(bench_module, "BATCH_ROWS", 2)
 
     forks = _count_forks(monkeypatch)
     runs = []

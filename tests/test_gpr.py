@@ -520,6 +520,36 @@ def test_sobol_starts_of_seed_1_are_pinned(monkeypatch):
     assert np.array(x0s[1:]).tobytes() == starts.tobytes()
 
 
+def test_zero_sobol_starts_are_an_empty_array():
+    from scipy.stats import qmc
+
+    for d in (1, 5):
+        want = qmc.Sobol(d=d, scramble=True, seed=3).random(0)
+        got = gpr._sobol_starts(d, 0, 3)
+        assert got.shape == want.shape == (0, d)
+        assert got.dtype == want.dtype
+
+
+def test_one_hyperfit_start_runs_only_the_warm_start(monkeypatch):
+    import scipy.optimize
+
+    x0s = []
+    real_minimize = scipy.optimize.minimize
+
+    def spy(fun, x0, **kwargs):
+        x0s.append(np.array(x0))
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    monkeypatch.setattr(gpr, "N_HYPER_STARTS", 1)
+    init = GpHyperparams(1.0, (0.3,) * 3, 1e-3)
+    fit_hyperparams(_decades_dataset(20, 1), init, seed=1)
+    box = np.log(default_hyper_bounds(3))
+    assert len(x0s) == 1
+    assert x0s[0].tobytes() == np.clip(init.to_log_vector(),
+                                       box[:, 0], box[:, 1]).tobytes()
+
+
 def test_sobol_starts_match_scipy_bitwise():
     # scipy.stats loads here only: the GP draws its starts without it.
     # The seed goes in as an int, which scipy maps to default_rng(seed);

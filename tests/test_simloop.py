@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import axistune.bench as bench_module
 from axistune import simloop
 from axistune.bench import TuningBench
 from axistune.metrics import CostWeights
@@ -576,6 +577,8 @@ def test_cascade_relay_and_batch_runs_share_one_drive(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(simloop, "_drive", recorded)
+    # the two-row query below runs the batch loop
+    monkeypatch.setattr(bench_module, "BATCH_ROWS", 2)
     bench = TuningBench(CostWeights(pos_settling=1.0), _bench_move())
     bench.cost((150.0, 0.5, 90.0))
     simulate(GainVector(0.0, 1.0, 0.0), constant_speed_profile(0.0, 0.05),

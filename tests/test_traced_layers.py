@@ -48,6 +48,8 @@ def test_a_traced_bench_run_counts_every_run_and_tick(monkeypatch):
     # of the rails the runs had, so they catch any drift between
     # ``simloop.RAILS`` and the ``SimConfig`` defaults the counters use
     layers, spans = _perfbench_modules(monkeypatch)
+    # the two-row query below runs the batch loop
+    monkeypatch.setattr(bench, "BATCH_ROWS", 2)
     move = generate_profile(TrajectorySpec(0.01, 0.1, 5.0, 5.0, dwell_time=0.05))
     desk = bench.TuningBench(CostWeights(pos_settling=1.0), profile=move)
     single, pair = (150.0, 0.5, 90.0), [[300.0, 0.45, 90.0], [600.0, 0.3, 360.0]]
