@@ -17,7 +17,8 @@ Loop structure, innermost to outermost:
 * The current reference is clamped at the tick; the speed integrator
   uses conditional anti-windup (it stops accumulating while the clamp
   is active and the error keeps pushing outward).  The drive acts on
-  the command issued ``COMMAND_DELAY_TICKS`` ticks earlier.
+  the command issued ``COMMAND_DELAY_TICKS`` ticks earlier: both loops
+  write each command into the ``i_ref`` record that many ticks on.
 
 The controller tick is ``refgen.TICK``, the grid every profile is
 sampled on, so a profile and the loop cannot disagree about it.
@@ -74,15 +75,15 @@ are two arrays of C doubles allocated with the drive and viewed by
 numpy through ``frombuffer``.  Each map writes its product into the
 second array (``ndarray.dot`` with ``out``): the same dgemm on the same
 bytes as the allocating product, which the test suite also checks.  A
-single run keeps its state in the operand from tick to tick and reads
-it as Python floats.  A batch loads a tick's few railed rows one by one
-into the operand and copies each back after its tick; many railed rows
-go to ``segment_rows`` as a copy of their rows of the tick's array.
-The operand and product are per-process scratch that every run uses
-and that each forked worker gets its own copy of, so no run may yield
-mid-run (`simulate` returns, and a batch chunk yields its traces, only
-after the last tick), and no two threads of one process may simulate
-at once.
+single run keeps its state in the operand, reads it as Python floats
+and runs its rail-free ticks' gemms itself.  A batch loads a tick's
+few railed rows one by one into the operand and copies each back after
+its tick; many railed rows go to ``segment_rows`` as a copy of their
+rows of the tick's array.  The operand and product are per-process
+scratch that every run uses and that each forked worker gets its own
+copy of, so no run may yield mid-run (`simulate` returns, and a batch
+chunk yields its traces, only after the last tick), and no two threads
+of one process may simulate at once.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class GainVector:
 
     Every gain is finite.  Kp may be zero (position loop off, pure
     feed-forward); the speed gain must be positive and the integral gain
-    non-negative.
+    non-negative.  Gains are kept as Python floats, `simulate`'s fastest.
     """
 
     kp: float
@@ -173,6 +174,7 @@ class GainVector:
 
     def __post_init__(self) -> None:
         for name in ("kp", "kv", "ki"):
+            object.__setattr__(self, name, float(getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.kp < 0.0:
@@ -282,10 +284,10 @@ class _Drive:
     takes each two-row product, the next state first.  ``x`` is a numpy
     view of the operand's state, and ``state`` and ``product`` are
     memoryviews of the two states, so ``state[:] = product`` commits a
-    step.  ``advance`` applies one map, leaving the next state in
-    ``prod``, and ``segment_tick`` advances the operand's state one
-    railed tick.  ``segment_rows`` advances an array of such rows, at
-    least two, one railed tick together, in place; it uses no scratch.
+    step.  ``dot(S, res)`` writes map ``S``'s product into ``prod``
+    (``res`` is its numpy view); ``segment_tick`` advances the operand's
+    state one railed tick, and ``segment_rows`` an array of such rows,
+    at least two, together and in place, using no scratch.
     """
 
     def __init__(self):
@@ -372,27 +374,24 @@ class _Drive:
         i_v, i_i = nx, nx + 1
         count_nonzero = np.count_nonzero
 
-        def advance(S: np.ndarray, v: float, i_ref: float) -> None:
-            """Apply map ``S`` to the operand's state under ``v`` and
-            ``i_ref``; the next state is left in ``prod``."""
-            operand[i_v] = v
-            operand[i_i] = i_ref
-            dot(S, res)
-
         def segment_tick(i_ref: float) -> None:
             """Advance the operand's state one tick at the voltage-update
             rate; both loops' railed ticks."""
             operand[i_i] = i_ref
             v_ref = d_v * i_ref
             for _ in range(SEGMENTS_PER_TICK):
-                v = (cv0 * operand[0] + cv_ci * operand[i_ci]) + v_ref
-                if v > vmax or v < -vmax:
-                    S = S_frz if (i_ref > operand[0]) == (v > 0.0) else S_ol
-                    operand[i_v] = math.copysign(vmax, v)
+                x0 = operand[0]
+                v = (cv0 * x0 + cv_ci * operand[i_ci]) + v_ref
+                # a NaN voltage fails both rail tests: closed loop
+                if v > vmax:
+                    operand[i_v] = vmax
+                    dot(S_frz if i_ref > x0 else S_ol, res)
+                elif v < -vmax:
+                    operand[i_v] = -vmax
+                    dot(S_ol if i_ref > x0 else S_frz, res)
                 else:
-                    S = S_cl
                     operand[i_v] = v
-                dot(S, res)
+                    dot(S_cl, res)
                 state[:] = product
 
         def segment_rows(Z: np.ndarray) -> None:
@@ -439,8 +438,8 @@ class _Drive:
                     for P, mode in products:
                         np.copyto(X, P, where=mode)
 
-        self.advance, self.segment_tick = advance, segment_tick
-        self.segment_rows = segment_rows
+        self.dot, self.res = dot, res
+        self.segment_tick, self.segment_rows = segment_tick, segment_rows
 
 
 @functools.cache
@@ -513,29 +512,30 @@ def simulate(
     n = len(profile)
     dt = TICK
 
-    # the per-tick arithmetic runs on Python floats; arrays of C doubles
-    # hold them at 8 bytes each
+    # the per-tick arithmetic runs on Python floats, held in arrays of C
+    # doubles; the last ``delay`` commands land past the ``i_ref`` trace
+    delay = COMMAND_DELAY_TICKS
     r_pos, r_spd = array("d", profile.position), array("d", profile.speed)
-    y_pos_a, y_speed_a, i_q_a, i_ref_a, v_q_a = (array("d") for _ in range(5))
+    y_pos_a, y_speed_a, i_q_a, v_q_a = (array("d", bytes(8 * n)) for _ in range(4))
+    i_ref_a = array("d", bytes(8 * (n + delay)))
 
-    T_cl, advance, segment_tick = drive.T_cl, drive.advance, drive.segment_tick
-    xs, prod = drive.operand, drive.prod
+    T_cl, dot, res = drive.T_cl, drive.dot, drive.res
+    segment_tick, xs, prod = drive.segment_tick, drive.operand, drive.prod
     state, product = drive.state, drive.product
     cv0, cv_ci, d_v = drive.cv0, drive.cv_ci, drive.d_v
     i_w, i_th, i_ci = drive.i_w, drive.i_th, drive.i_ci
+    i_v, i_i = drive.nx, drive.nx + 1
 
     vmax, imax, wmax = RAILS.voltage_limit, RAILS.current_limit, drive.wmax
     div_lim = DIVERGENCE_LIMIT
 
-    # the state is the drive operand's first row, read as Python floats
     drive.x[:] = 0.0
     integ = 0.0  # speed-loop integral of angular speed error [rad]
-    delay = COMMAND_DELAY_TICKS
-    cmd_hist = array("d")  # clamped current commands, by tick
     relay_sign = 1.0
     div_at: int | None = None
 
     for k in range(n):
+        x0 = xs[0]
         y_pos = xs[i_th] * lead
         y_spd = xs[i_w] * lead
 
@@ -560,42 +560,42 @@ def simulate(
         if relay is None and (i_raw == i_cmd or (i_raw > 0.0) != (w_err > 0.0)):
             integ += w_err * dt
 
-        # the drive acts on the command issued ``delay`` ticks ago
-        cmd_hist.append(i_cmd)
-        i_ref = cmd_hist[k - delay] if k >= delay else 0.0
+        i_ref_a[k + delay] = i_cmd
+        i_ref = i_ref_a[k]
 
-        v_pred = (cv0 * xs[0] + cv_ci * xs[i_ci]) + d_v * i_ref
+        v_ref = d_v * i_ref
+        v_pred = (cv0 * x0 + cv_ci * xs[i_ci]) + v_ref
         in_rails = -vmax <= v_pred <= vmax
 
-        y_pos_a.append(y_pos)
-        y_speed_a.append(y_spd)
-        i_q_a.append(xs[0])
-        i_ref_a.append(i_ref)
-        v_q_a.append(v_pred if in_rails else math.copysign(vmax, v_pred))
+        y_pos_a[k] = y_pos
+        y_speed_a[k] = y_spd
+        i_q_a[k] = x0
+        v_q_a[k] = v_pred if in_rails else math.copysign(vmax, v_pred)
 
         if k == n - 1:
             break
 
         if in_rails:
-            advance(T_cl, v_pred, i_ref)
-            v_end = (cv0 * prod[0] + cv_ci * prod[i_ci]) + d_v * i_ref
-            if -vmax <= v_end <= vmax:
-                state[:] = product
-            else:
-                segment_tick(i_ref)
+            xs[i_v] = v_pred
+            xs[i_i] = i_ref
+            dot(T_cl, res)
+            v_end = (cv0 * prod[0] + cv_ci * prod[i_ci]) + v_ref
+        if in_rails and -vmax <= v_end <= vmax:
+            state[:] = product
         else:
             segment_tick(i_ref)
 
-        if xs[i_w] > wmax:
+        w = xs[i_w]
+        if w > wmax:
             xs[i_w] = wmax
-        elif xs[i_w] < -wmax:
+        elif w < -wmax:
             xs[i_w] = -wmax
 
-        # one comparison per state (the unpacking fails on any other
-        # count); a NaN fails its comparison, so it flags divergence too
+        # one chained comparison per state (the unpacking fails on any
+        # other count); a NaN fails it, so it flags divergence too
         s0, s1, s2, s3 = state
-        if not (abs(s0) < div_lim and abs(s1) < div_lim
-                and abs(s2) < div_lim and abs(s3) < div_lim):
+        if not (-div_lim < s0 < div_lim and -div_lim < s1 < div_lim
+                and -div_lim < s2 < div_lim and -div_lim < s3 < div_lim):
             div_at = k + 1
             break
 

@@ -352,6 +352,10 @@ RAILED_PINS = [
                  id="desk-600-0.3-360"),
     pytest.param("plc", (1000.0, 100.0, 10000.0), 10236681.414856032,
                  id="plc-1000-100-10000"),
+    # plc-tune's incumbent, the most railed path here: 5,009 of its 6,741
+    # railed ticks run frozen-integrator segments, then closed-loop ones
+    pytest.param("plc", (10.0, 10.0, 8000.0), 1337352.4195559786,
+                 id="plc-10-10-8000"),
 ]
 
 

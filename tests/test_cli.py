@@ -363,6 +363,25 @@ def test_desk_tune_seed_0_is_pinned(tmp_path, capsys):
         "f349cbd1031e75f3eb7e612d1ed3657d1edf4aff03fb40b24488f271573ead46")
 
 
+def test_plc_tune_is_pinned(tmp_path, capsys):
+    # the benchmark's plc-tune call, bitwise: nearly every plc tick is
+    # railed, so any change to the single run's tick arithmetic moves it
+    assert main(["tune", "--preset", "plc", "--max-iters", "10", "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rec = _load_record(tmp_path / "record_tune.json")
+    assert rec["cost"] == 1337352.4195559786
+    assert rec["bo"]["evaluations"] == 30
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("convergence.csv", "trace_tune.csv")}
+    assert digests == {
+        "convergence.csv":
+            "504862dd4db5d89ec4623c51b1886036cd69cc95a47b39922f3e0c2d3ab049cf",
+        "trace_tune.csv":
+            "0dc6f5f74e5337dbdff2f12270a42982502a64576c520549f828964abd7659f8",
+    }
+
+
 # -- grid and compare ---------------------------------------------------------------
 
 

@@ -61,6 +61,18 @@ def test_gain_vector_rejects_non_finite_gains(field, bad):
         GainVector(**gains)
 
 
+def test_gain_vector_holds_python_floats():
+    # gains taken from a numpy row must not run every tick of `simulate`
+    # in numpy-scalar arithmetic: the fields are floats, and the railed
+    # trace is bitwise the float one's
+    row = np.array([450.0, 0.25, 720.0])
+    from_numpy = GainVector(*row)
+    assert all(type(g) is float for g in dataclasses.astuple(from_numpy))
+    profile = _bench_move()
+    _assert_traces_equal(simulate(from_numpy, profile),
+                         simulate(GainVector(450.0, 0.25, 720.0), profile))
+
+
 def test_config_validation():
     probe = constant_speed_profile(0.0, 0.1)
     open_loop = GainVector(0.0, 0.5, 90.0)
@@ -387,7 +399,8 @@ def test_in_place_products_equal_the_allocating_products():
         alone = np.empty((n, nx))
         for r, row in enumerate(block):
             drive.x[:] = row[:nx]
-            drive.advance(S, float(row[nx]), float(row[nx + 1]))
+            drive.operand[nx], drive.operand[nx + 1] = row[nx], row[nx + 1]
+            drive.dot(S, drive.res)
             in_place[r] = drive.prod[:nx]
             pair[0] = row
             alone[r] = pair.dot(S)[0]
