@@ -72,14 +72,20 @@ WORKER_RUN_TICKS = 256 * 1451
 # fixed numpy work (array calls, the rail test, the record writes)
 # whatever its row count; a single run pays interpreted work per row and
 # tick.  Both are paid on every tick, so the break-even row count does
-# not depend on the move's length.  CPU seconds for R rows, batched
-# against R single runs (2 vCPUs, BLAS on one thread):
+# not depend on the move's length.  Median CPU seconds of one process
+# scoring R rows of a Latin-hypercube design, batched against R single
+# runs (15 desk and 5 plc designs per R, 2 vCPUs, BLAS on one thread):
 #
 #     R                 4      8      12     16     20     24
-#     desk batched    0.046  0.049  0.054  0.056  0.060  0.066
-#     desk single     0.016  0.030  0.044  0.057  0.071  0.089
-#     plc batched     0.84   0.87   0.91   0.95
-#     plc single      0.30   0.51   0.73   0.98
+#     desk batched    0.052  0.054  0.056  0.059  0.062  0.071
+#     desk single     0.015  0.028  0.039  0.054  0.067  0.078
+#     plc batched     0.75   0.81   0.88   0.86   1.00
+#     plc single      0.20   0.40   0.61   0.80   1.04
+#
+# Both break even near 18 rows; single runs were the cheaper in 13 of 15
+# desk designs of 16 rows, 9 of 15 of 18 and 1 of 15 of 20.  No search
+# queries a share that size: desk designs run 20 rows in one process,
+# plc designs 10 rows on each of two workers.
 BATCH_ROWS = 16
 
 # the channels `simulate` computes; the rest of a trace is the profile

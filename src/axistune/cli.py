@@ -376,6 +376,8 @@ def cmd_compare(res: Resolved) -> int:
     bench = res.bench
     rows: list[dict] = []
     traces: list[str] = []
+    # what each classical baseline measured on its way to its gains
+    diagnostics: dict[str, dict] = {}
 
     def add_row(method: str, gains, cost_value: float,
                 clamped: bool = False) -> None:
@@ -399,6 +401,7 @@ def cmd_compare(res: Resolved) -> int:
             raise RunFailure(f"{tuner_fn.__name__} failed: {e}") from e
         # TuningResult gains are already canonical (kp, kv, ki)
         add_row(result.method, result.gains, result.cost, result.clamped)
+        diagnostics[result.method] = result.diagnostics
 
     state = _run_bo(res, bo)
     add_row("bo", fset.gains(state.incumbent_point), state.incumbent_cost)
@@ -411,6 +414,7 @@ def cmd_compare(res: Resolved) -> int:
 
     _write_record(res, {
         "rows": rows,
+        "diagnostics": diagnostics,
         "traces": traces + [table_path.name],
     })
     width = max(len(r["method"]) for r in rows)

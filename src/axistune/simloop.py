@@ -144,10 +144,11 @@ DIVERGENCE_LIMIT = 1e12
 # Fewest railed rows of a batch tick that advance together through
 # `_Drive.segment_rows` (at least two, so that no gemm runs on one row);
 # fewer run one by one through ``segment_tick``.  Both give the same
-# bits.  Per railed tick, one by one costs 13 to 15 us a row, together
-# 150 to 260 us plus about 1 us a row (rows recorded from desk and plc
-# batches, R = 2 to 32, best of five alternations, 2 vCPUs), so they
-# break even near 10 plc rows and 12 to 15 desk rows.
+# bits.  Per railed tick, one by one costs 11 to 13 us a row, together
+# 125 to 175 us, flat on plc and about 130 us plus 1.3 us a row on desk
+# (rows recorded from desk and plc batches, R = 2 to 32, best of five
+# alternations, 2 vCPUs), so they break even near 11 plc rows and 13 to
+# 14 desk rows.
 LOCKSTEP_ROWS = 12
 
 # Run-ticks (runs times profile ticks) per vectorized chunk in

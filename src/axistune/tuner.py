@@ -101,11 +101,15 @@ class FeasibleSet:
     def size(self) -> int:
         return self.n_kp * self.n_kv * self.n_third
 
-    @property
+    @functools.cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (np.linspace(*self.kp, self.n_kp),
+        """The three grid axes as read-only arrays, built once per set."""
+        axes = (np.linspace(*self.kp, self.n_kp),
                 np.linspace(*self.kv, self.n_kv),
                 np.linspace(*self.third, self.n_third))
+        for ax in axes:
+            ax.setflags(write=False)
+        return axes
 
     def bounds(self) -> np.ndarray:
         """(3, 2) interval matrix, the GP's input-normalization box."""
@@ -117,7 +121,14 @@ class FeasibleSet:
         Rows are in C order with kp the slowest axis, so the first flat
         index among equals is the lexicographically lowest point.
         """
-        return _grid_cached(self)
+        return self._grid
+
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=1)
+        grid.setflags(write=False)
+        return grid
 
     def nearest_index(self, point) -> tuple[int, int, int]:
         """Per-axis index of the grid point closest to ``point``."""
@@ -202,14 +213,6 @@ def _count(obj, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
-
-
-@functools.lru_cache(maxsize=8)
-def _grid_cached(s: FeasibleSet) -> np.ndarray:
-    mesh = np.meshgrid(*s.axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    grid.setflags(write=False)
-    return grid
 
 
 # -- optimizer configuration and state -----------------------------------------

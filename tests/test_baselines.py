@@ -23,6 +23,8 @@ from axistune.metrics import MetricVector
 from axistune.presets import get_preset
 from axistune.tuner import FeasibleSet
 
+from test_pins import ZN_KU, ZN_TU
+
 
 # -- limit-cycle measurement -----------------------------------------------------
 
@@ -199,24 +201,6 @@ def test_ziegler_nichols_respects_a_reset_time_axis(desk_bench):
     assert kv / ki == pytest.approx(0.01, rel=1e-12)
 
 
-def test_probe_results_are_pinned():
-    # the speed-loop probes on a fresh desk bench, so every cost is a
-    # single run; any change to the probe loop shows up here
-    fset = get_preset("desk").feasible
-    zn = ziegler_nichols(get_preset("desk").bench(), fset)
-    assert zn.diagnostics["ku"] == 1.4384765625
-    assert zn.diagnostics["tu"] == 0.007
-    assert len(zn.diagnostics["probes"]) == 14
-    assert zn.gains == pytest.approx((4200.0, 0.5, 110.96819196428571), rel=1e-9)
-    assert zn.cost == pytest.approx(147071.96948305838, rel=1e-9)
-
-    ry = relay_tune(get_preset("desk").bench(), fset)
-    assert ry.diagnostics["a"] == pytest.approx(1.147887767751502, rel=1e-9)
-    assert ry.diagnostics["tu"] == 0.008
-    assert ry.gains == pytest.approx((4200.0, 0.4991409536954476, 90.0), rel=1e-9)
-    assert ry.cost == pytest.approx(147100.30764053456, rel=1e-9)
-
-
 def test_ziegler_nichols_searches_below_an_oscillating_box(desk_bench):
     # every speed gain of this box oscillates, so the search halves below
     # it to kv = 1, then bisects the same [1, 2] as on the desk box
@@ -224,8 +208,8 @@ def test_ziegler_nichols_searches_below_an_oscillating_box(desk_bench):
     box = FeasibleSet(kp=f.kp, kv=(2.0, 5.0), third=f.third,
                       n_kp=4, n_kv=4, n_third=4)
     res = ziegler_nichols(desk_bench, box)
-    assert res.diagnostics["ku"] == 1.4384765625
-    assert res.diagnostics["tu"] == 0.007
+    assert res.diagnostics["ku"] == ZN_KU
+    assert res.diagnostics["tu"] == ZN_TU
     probes = res.diagnostics["probes"]
     assert len(probes) == 12
     assert [p["oscillating"] for p in probes[:2]] == [True, False]

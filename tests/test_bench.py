@@ -308,83 +308,6 @@ def test_fingerprint_covers_the_cost_code(monkeypatch, tmp_path, module):
     assert bench.fingerprint != before
 
 
-# rail-free points, where a cost is not chaotic: (preset, triple, the
-# cost with the screw modelled as a 3e7 N*m/rad spring, the rigid cost)
-RAIL_FREE_COSTS = [
-    pytest.param("desk", (150.0, 0.5, 90.0), 61.99755248866082,
-                 61.99758024795093, id="desk-150-0.5-90"),
-    pytest.param("desk", (15.93, 1.339, 1.0), 32.21171816185186,
-                 32.21172093508339, id="desk-15.93-1.339-1"),
-    pytest.param("plc", (40.0, 1.0, 20.0), 17002.2403402572,
-                 17002.236176815306, id="plc-40-1-20"),
-]
-
-
-@pytest.mark.parametrize("preset, triple, sprung, rigid", RAIL_FREE_COSTS)
-def test_rail_free_costs_do_not_see_the_screw_spring(preset, triple, sprung,
-                                                     rigid):
-    # the screw's axial mode sits at 172 kHz, so a rigid axis scores
-    # settled gains as the sprung one did, to well within 1e-6
-    from axistune.presets import get_preset
-
-    got = get_preset(preset).bench().cost(triple)
-    assert got == rigid
-    assert got == pytest.approx(sprung, rel=1e-6)
-
-
-def test_desk_optimum_costs_are_pinned():
-    # (150, 0.5, 90) never touches a rail, so its cost is not chaotic; any
-    # change to the drive maps shows up here and must be a deliberate edit
-    from axistune.presets import get_preset
-
-    triple = (150.0, 0.5, 90.0)
-    single = get_preset("desk").bench().cost(triple)
-    # a second row makes the query a batch run
-    batch = get_preset("desk").bench().evaluate_many([triple, (300.0, 0.45, 90.0)])[0]
-    assert single == batch == 61.99758024795093
-
-
-# named by preset and point, not cost, so a deliberate re-pin keeps the ids
-RAILED_PINS = [
-    pytest.param("desk", (450.0, 0.25, 720.0), 97450.96663779316,
-                 id="desk-450-0.25-720"),
-    pytest.param("desk", (600.0, 0.3, 360.0), 1444.9880072696371,
-                 id="desk-600-0.3-360"),
-    pytest.param("plc", (1000.0, 100.0, 10000.0), 10236681.414856032,
-                 id="plc-1000-100-10000"),
-    # plc-tune's incumbent, the most railed path here: 5,009 of its 6,741
-    # railed ticks run frozen-integrator segments, then closed-loop ones
-    pytest.param("plc", (10.0, 10.0, 8000.0), 1337352.4195559786,
-                 id="plc-10-10-8000"),
-]
-
-
-@pytest.mark.parametrize("preset, point, cost", RAILED_PINS)
-def test_railed_single_run_costs_are_pinned(preset, point, cost):
-    # the rails amplify roundoff, so these costs move with any change to
-    # the tick arithmetic or its order; they must hold bitwise
-    from axistune.presets import get_preset
-
-    pre = get_preset(preset)
-    assert pre.bench().cost(pre.feasible.gains(point)) == cost
-
-
-@pytest.mark.parametrize("preset, point, cost", RAILED_PINS)
-def test_single_and_batch_costs_are_bitwise_equal(monkeypatch, preset, point,
-                                                  cost):
-    # a gain triple has one cost, whichever path simulated it
-    from axistune.presets import get_preset
-
-    pre = get_preset(preset)
-    single = pre.bench().cost(pre.feasible.gains(point))
-    # with the break-even at two rows, a second row makes the query a
-    # batch run
-    monkeypatch.setattr(bench_module, "BATCH_ROWS", 2)
-    other = pre.feasible.grid()[0]
-    batch = pre.bench().evaluate_many(pre.feasible.canonical([point, other]))
-    assert single == batch[0] == cost
-
-
 @pytest.mark.parametrize("rows", [7, 1])
 def test_batch_costs_do_not_depend_on_the_chunk(monkeypatch, chunk_log, rows):
     from axistune.presets import get_preset

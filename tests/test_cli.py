@@ -1,10 +1,9 @@
 """End-to-end command-line checks, run in-process via main()."""
 
 import dataclasses
-import hashlib
 import io
-import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -20,11 +19,8 @@ from axistune.cli import main
 from axistune.presets import get_preset
 from axistune.tuner import FeasibleSet
 
-
-def _load_record(path):
-    rec = json.loads(path.read_text())
-    assert rec.pop("timestamp")
-    return rec
+from conftest import (COMPARE_DESK, GRID_DESK, SIMULATE_DESK, SWEEP_M0_DESK,
+                      load_record)
 
 
 def _run_script(script, out):
@@ -92,16 +88,14 @@ print("scipy.optimize" in sys.modules, "scipy.stats" in sys.modules)
 # -- simulate ----------------------------------------------------------------
 
 
-def test_simulate_writes_trace_and_record(tmp_path, capsys):
-    rc = main(["simulate", "--preset", "desk", "--gains", "150,0.5,90",
-               "--out", str(tmp_path)])
+def test_simulate_writes_trace_and_record(cli_run):
+    rc, stdout, out = cli_run(*SIMULATE_DESK)
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "cost = " in out
-    trace = (tmp_path / "trace_simulate.csv").read_text().splitlines()
+    assert "cost = " in stdout
+    trace = (out / "trace_simulate.csv").read_text().splitlines()
     assert trace[0] == "t,r_pos,y_pos,r_speed,y_speed,i_q,i_ref,v_q,e_pos,e_speed"
     assert len(trace) > 1000
-    rec = _load_record(tmp_path / "record_simulate.json")
+    rec = load_record(out / "record_simulate.json")
     assert rec["command"] == "simulate"
     assert rec["gains"] == [150.0, 0.5, 90.0]
     assert rec["diverged"] is False
@@ -131,49 +125,8 @@ def test_simulate_divergence_exits_1(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert "diverged" in capsys.readouterr().err
     # the record is still written so the failure can be inspected
-    rec = _load_record(tmp_path / "record_simulate.json")
+    rec = load_record(tmp_path / "record_simulate.json")
     assert rec["diverged"] is True
-
-
-# the trace, metrics and cost of one run per preset, bitwise: a change
-# that is meant to leave every output as it is must leave these
-SIMULATE_PINS = {
-    ("desk", "150,0.5,90"): (
-        "b0e242c60346eec9c282d7a41d1d1e581abec59b909fd2eda1e6a0ae69e7ff8e",
-        {"pos_inf": 7.745899622899066e-05, "pos_itae": 1.3637003416485804e-06,
-         "pos_overshoot": 2.053991387709897e-05, "pos_settling": 0.0,
-         "pos_ss": 2.9941354950935307e-13, "pos_undershoot": 3.0146154731000574e-05,
-         "pos_zero": 0.0, "spd_inf": 0.017085251612297098,
-         "spd_itae": 0.0004353225313744616, "spd_overshoot": 0.011108070220529231,
-         "spd_settling": 0.098, "spd_ss": 6.073081932755908e-06,
-         "spd_undershoot": 0.014101743483037082},
-        61.99758024795093,
-    ),
-    ("plc", "1000,100,10000"): (
-        "99ffbb46f763dd0e5fbcfbd0b7fd1803a5d264bc32fdecc3777571f1a88d47d1",
-        {"pos_inf": 0.004568517887347023, "pos_itae": 0.3861544973983139,
-         "pos_overshoot": 0.004568517887347023, "pos_settling": 0.0,
-         "pos_ss": 0.0013932757303929094, "pos_undershoot": 0.0034913860284002673,
-         "pos_zero": 0.001929687512746693, "spd_inf": 0.3797660026259875,
-         "spd_itae": 40.94042627571073, "spd_overshoot": 0.26741744691305264,
-         "spd_settling": 2.499, "spd_ss": 0.12456050879036339,
-         "spd_undershoot": 0.2726738435157636},
-        10236681.414856032,
-    ),
-}
-
-
-def test_simulate_outputs_are_pinned(tmp_path, capsys):
-    for (preset, gains), (trace_sha, metrics, cost) in SIMULATE_PINS.items():
-        out = tmp_path / preset
-        assert main(["simulate", "--preset", preset, "--gains", gains,
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
-        trace = (out / "trace_simulate.csv").read_bytes()
-        assert hashlib.sha256(trace).hexdigest() == trace_sha, preset
-        rec = _load_record(out / "record_simulate.json")
-        assert rec["metrics"] == metrics, preset
-        assert rec["cost"] == cost, preset
 
 
 # -- configuration plumbing ----------------------------------------------------
@@ -186,7 +139,7 @@ def test_config_file_merging_and_flag_priority(tmp_path, capsys):
                "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0
     capsys.readouterr()
-    rec = _load_record(tmp_path / "record_tune.json")
+    rec = load_record(tmp_path / "record_tune.json")
     assert rec["seed"] == 3  # flag beats file
     assert rec["config"]["max_iters"] == "1"
     assert rec["bo"]["m0"] == 3
@@ -244,8 +197,8 @@ def test_flags_and_config_files_record_the_same_config(tmp_path, capsys):
     assert main(["tune", "--preset", "desk", "--config", str(cfg),
                  "--out", str(tmp_path / "file")]) == 0
     capsys.readouterr()
-    by_flag = _load_record(tmp_path / "flags" / "record_tune.json")
-    by_file = _load_record(tmp_path / "file" / "record_tune.json")
+    by_flag = load_record(tmp_path / "flags" / "record_tune.json")
+    by_file = load_record(tmp_path / "file" / "record_tune.json")
     assert by_flag["config"] == by_file["config"] == {"preset": "desk", **keys}
     assert by_flag["config_hash"] == by_file["config_hash"]
 
@@ -331,8 +284,8 @@ def test_tune_is_reproducible_bitwise(tmp_path, capsys):
         "m,x1,x2,x3,y,mu,sigma,beta,incumbent_cost,"
         "mu_minus_3sigma,mu_plus_3sigma"
     )
-    ra = _load_record(a / "record_tune.json")
-    rb = _load_record(b / "record_tune.json")
+    ra = load_record(a / "record_tune.json")
+    rb = load_record(b / "record_tune.json")
     assert ra == rb
     assert ra["seed"] == 7
     assert ra["bo"]["m0"] == 5
@@ -344,81 +297,40 @@ def test_tune_is_reproducible_bitwise(tmp_path, capsys):
     assert (a / "trace_tune.csv").is_file()
 
 
-def test_desk_tune_seed_0_is_pinned(tmp_path, capsys):
-    # the whole search path of one default run, bitwise: any change to
-    # the GP arithmetic, the design or the stopping rule moves it
-    assert main(["tune", "--preset", "desk", "--seed", "0",
-                 "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    rec = _load_record(tmp_path / "record_tune.json")
-    assert rec["bo"]["evaluations"] == 80
-    assert rec["bo"]["stop_reason"] == "max_iterations"
-    assert rec["gains"] == [150.0, 0.5, 90.0]
-    assert rec["cost"] == 61.99758024795093
-    last = rec["iteration_log"][-1]
-    assert last["mu"] == 52720.11771667532
-    assert last["sigma"] == 32483.344654359636
-    # every proposal's posterior mean and deviation, not only the last
-    assert hashlib.sha256((tmp_path / "convergence.csv").read_bytes()).hexdigest() == (
-        "f349cbd1031e75f3eb7e612d1ed3657d1edf4aff03fb40b24488f271573ead46")
-
-
-def test_plc_tune_is_pinned(tmp_path, capsys):
-    # the benchmark's plc-tune call, bitwise: nearly every plc tick is
-    # railed, so any change to the single run's tick arithmetic moves it
-    assert main(["tune", "--preset", "plc", "--max-iters", "10", "--seed", "0",
-                 "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    rec = _load_record(tmp_path / "record_tune.json")
-    assert rec["cost"] == 1337352.4195559786
-    assert rec["bo"]["evaluations"] == 30
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("convergence.csv", "trace_tune.csv")}
-    assert digests == {
-        "convergence.csv":
-            "504862dd4db5d89ec4623c51b1886036cd69cc95a47b39922f3e0c2d3ab049cf",
-        "trace_tune.csv":
-            "0dc6f5f74e5337dbdff2f12270a42982502a64576c520549f828964abd7659f8",
-    }
-
-
 # -- grid and compare ---------------------------------------------------------------
 
 
-def test_grid_command_and_cache(tmp_path, capsys):
-    assert main(["grid", "--preset", "desk", "--out", str(tmp_path)]) == 0
-    first = capsys.readouterr().out
-    assert "grid best" in first
-    assert (tmp_path / "grid_cache_desk.npz").is_file()
-    rec1 = _load_record(tmp_path / "record_grid.json")
-    lines = (tmp_path / "grid.csv").read_text().splitlines()
+def test_grid_command_and_cache(cli_run, tmp_path, capsys):
+    rc, stdout, out = cli_run(*GRID_DESK)
+    assert rc == 0
+    assert "grid best" in stdout
+    assert (out / "grid_cache_desk.npz").is_file()
+    rec1 = load_record(out / "record_grid.json")
+    lines = (out / "grid.csv").read_text().splitlines()
     assert lines[0] == "kp,kv,ki,cost"
     assert len(lines) == 1 + 2800
     assert rec1["grid_shape"] == [28, 10, 10]
     costs = [float(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
     assert rec1["best_cost"] == min(costs)
-    # every railed cost is pinned, bitwise: the table is roundoff chaos,
-    # so any change to the simulator's arithmetic moves its digest
-    assert hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest() == (
-        "91fc97a8688428caa13c9dac61760e43bc972fd48bc6803c1065c8723a980a8f")
 
-    # the second run is served from the cache and reproduces the record
-    assert main(["grid", "--preset", "desk", "--out", str(tmp_path)]) == 0
+    # a second run into a copy of the first's directory is served from
+    # the cache and reproduces the record
+    again = tmp_path / "again"
+    shutil.copytree(out, again)
+    assert main([*GRID_DESK, "--out", str(again)]) == 0
     capsys.readouterr()
-    rec2 = _load_record(tmp_path / "record_grid.json")
+    rec2 = load_record(again / "record_grid.json")
     assert rec1 == rec2
 
 
-def test_compare_lists_all_methods(tmp_path, capsys):
-    rc = main(["compare", "--preset", "desk", "--seed", "0", "--m0", "5",
-               "--max-iters", "2", "--out", str(tmp_path)])
+def test_compare_lists_all_methods(cli_run):
+    rc, stdout, out = cli_run(*COMPARE_DESK)
     assert rc == 0
-    out = capsys.readouterr().out
-    lines = (tmp_path / "comparison.csv").read_text().splitlines()
+    lines = (out / "comparison.csv").read_text().splitlines()
     assert lines[0] == "method,kp,kv,ki,cost,clamped"
     methods = [ln.split(",", 1)[0] for ln in lines[1:]]
     assert methods == ["grid", "ziegler-nichols", "itae", "relay", "bo"]
-    rec = _load_record(tmp_path / "record_compare.json")
+    rec = load_record(out / "record_compare.json")
     rows = {r["method"]: r for r in rec["rows"]}
     # the oscillation-boundary methods land outside the box and get clamped
     assert rows["ziegler-nichols"]["clamped"]
@@ -428,29 +340,22 @@ def test_compare_lists_all_methods(tmp_path, capsys):
     grid_cost = rows["grid"]["cost"]
     for method in ("ziegler-nichols", "itae", "relay"):
         assert grid_cost <= rows[method]["cost"] * 1.001
-        assert method in out
+        assert method in stdout
     for method in methods:
-        assert (tmp_path / f"trace_{method.replace('-', '_')}.csv").is_file()
-    assert hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest() == (
-        "98ebb7f674f33aeff005d7a897c7bfcc201aed98adb6712002e97497efaa039e")
+        assert (out / f"trace_{method.replace('-', '_')}.csv").is_file()
 
 
 # -- sweep-m0 ------------------------------------------------------------------------
 
 
-def test_sweep_m0_summary(tmp_path, capsys):
-    rc = main(["sweep-m0", "--preset", "desk", "--m0", "3,4",
-               "--repeats", "1", "--max-iters", "2", "--seed", "1",
-               "--out", str(tmp_path)])
+def test_sweep_m0_summary(cli_run, tmp_path):
+    rc, _, out = cli_run(*SWEEP_M0_DESK)
     assert rc == 0
-    capsys.readouterr()
-    lines = (tmp_path / "sweep_m0.csv").read_text().splitlines()
+    lines = (out / "sweep_m0.csv").read_text().splitlines()
     assert lines[0] == ("m0,repeats,median_iterations,"
                         "cost_q10,cost_q50,cost_q90")
     assert len(lines) == 3
-    assert hashlib.sha256((tmp_path / "sweep_m0.csv").read_bytes()).hexdigest() == (
-        "a96bdf281f4976632e6f24a46136c7267ac2eec07f62c002977c40f2e1a38ef8")
-    rec = _load_record(tmp_path / "record_sweep_m0.json")
+    rec = load_record(out / "record_sweep_m0.json")
     assert [row["m0"] for row in rec["summary"]] == [3, 4]
     for row in rec["summary"]:
         assert row["repeats"] == 1
@@ -486,7 +391,7 @@ def test_reset_time_points_are_scored_as_their_gains(tmp_path, monkeypatch,
     assert main(["grid", "--out", str(grid)]) == 0
     capsys.readouterr()
 
-    rec = _load_record(tune / "record_tune.json")
+    rec = load_record(tune / "record_tune.json")
     assert rec["iteration_log"]
     for it in rec["iteration_log"]:
         kp, kv, tn = it["point"]
@@ -508,13 +413,13 @@ def test_grid_cache_is_keyed_on_the_bench(tmp_path, monkeypatch, capsys):
     _desk_with(monkeypatch, feasible=small)
     shared, cold = tmp_path / "shared", tmp_path / "cold"
     assert main(["grid", "--out", str(shared)]) == 0
-    sim = _load_record(shared / "record_grid.json")
+    sim = load_record(shared / "record_grid.json")
     # other weights into the same directory must not replay the cached table
     assert main(["grid", "--weights", "exp-tracking", "--out", str(shared)]) == 0
     assert main(["grid", "--weights", "exp-tracking", "--out", str(cold)]) == 0
     capsys.readouterr()
-    warm = _load_record(shared / "record_grid.json")
-    fresh = _load_record(cold / "record_grid.json")
+    warm = load_record(shared / "record_grid.json")
+    fresh = load_record(cold / "record_grid.json")
     assert warm["best_cost"] == fresh["best_cost"] != sim["best_cost"]
     assert (shared / "grid.csv").read_bytes() == (cold / "grid.csv").read_bytes()
 
@@ -524,8 +429,8 @@ def test_grid_cache_is_keyed_on_the_bench(tmp_path, monkeypatch, capsys):
     for out in (shared, cold):
         assert main(["grid", "--weights", "exp-tracking", "--out", str(out)]) == 0
     capsys.readouterr()
-    banded = _load_record(cold / "record_grid.json")
-    assert _load_record(shared / "record_grid.json") == banded
+    banded = load_record(cold / "record_grid.json")
+    assert load_record(shared / "record_grid.json") == banded
     assert banded["best_cost"] != fresh["best_cost"]
     assert (shared / "grid.csv").read_bytes() == (cold / "grid.csv").read_bytes()
 

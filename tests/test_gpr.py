@@ -22,6 +22,8 @@ from axistune.gpr import (
     predict,
 )
 
+from conftest import LOG_INSIDE, LOG_JITTER, decades_dataset
+
 
 def kernel(x, xp, h):
     """Squared-exponential covariance of two points, summed term by term."""
@@ -358,116 +360,10 @@ def test_hyperparam_search_error_is_exported():
     assert issubclass(HyperparamSearchError, Exception)
 
 
-# -- pinned bits ---------------------------------------------------------------
-
-# The desk box, and two datasets in it whose targets span more than
-# two decades, like railed costs.  Every value below must hold bit for
-# bit, so an operation reordered or fused anywhere in the kernel, the
-# factorization, the NLML, its gradient, the fit or the prediction
-# shows here.
-DESK_BOUNDS = np.array([[150.0, 4200.0], [0.05, 0.5], [90.0, 900.0]])
-LOG_INSIDE = [0.0, -1.0, -1.2, -0.8, -4.0]
-# the box corner of largest amplitude and lengthscales, least noise:
-# the factorization needs jitter there
-LOG_JITTER = [math.log(1e3)] + [math.log(1e2)] * 3 + [math.log(1e-8)]
-# far outside the box: no jitter up to the cap saves the factorization
-LOG_FAILS = [math.log(1e100)] + [math.log(1e2)] * 3 + [math.log(1e-8)]
-
-
-def _decades_dataset(m, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 1.0, size=(m, 3))
-    X = DESK_BOUNDS[:, 0] + u * (DESK_BOUNDS[:, 1] - DESK_BOUNDS[:, 0])
-    y = 62.0 * np.exp(7.7 * u[:, 0] ** 2 * (1.2 - u[:, 1])
-                      + 0.3 * rng.uniform(0.0, 1.0, m))
-    return Dataset(X, y, DESK_BOUNDS)
-
-
-PINNED = {
-    20: dict(
-        seed=1,
-        inside=(51.57797166562317,
-                [-70.76105043576395, 65.31620538757589, 31.540216420425185,
-                 27.382851303258207, -0.5805267111921875]),
-        jitter=(1e-09, 776629268.3350302,
-                [-654311424.0, 1074183156.588507, 449058109.06074035,
-                 339240022.5083888, -90.4232348170884]),
-        fit=(1.7532455372052334,
-             (0.16613574156870733, 0.3949497320119368, 100.00000000000004),
-             1.046539714694744e-06),
-        mu=[280.5384465402167, 30433.90583653831, 5531.8981567746705,
-            74.19218013988393, 78.03759083149816],
-        var=[57212.714844498165, 87001.17880190667, 25520.462847063307,
-             5640.655898041262, 9877.866251717804],
-    ),
-    60: dict(
-        seed=2,
-        inside=(326.7876230443814,
-                [-625.0456520018652, 683.8452668303582, 459.6525296744345,
-                 417.4119027502919, -42.4048470779692]),
-        jitter=(1e-08, 769279811.8771584,
-                [-243793920.0, 329992320.7383651, 404565419.29876506,
-                 51489353.619767174, -12.73902872008271]),
-        fit=(3.2444429871273717,
-             (0.3040024203902, 0.24351635845758254, 2.1474457852008686),
-             5.658086945254029e-08),
-        mu=[208.3237510266208, 236.38906246742954, -84.39586061763839,
-            730.245789407134, -121.69408462670435],
-        var=[11863.100848366274, 80040.60974397682, 30400.69043924076,
-             65648.55436365395, 36921.93907344145],
-    ),
-}
-
-
-def _same_bytes(a, pinned):
-    return np.asarray(a, dtype=float).tobytes() == np.array(pinned).tobytes()
-
-
-@pytest.mark.parametrize("m", sorted(PINNED))
-def test_nlml_fit_and_predict_reproduce_pinned_bits(m, monkeypatch):
-    pin = PINNED[m]
-    data = _decades_dataset(m, pin["seed"])
-
-    value, grad = nlml(data, GpHyperparams.from_log_vector(np.array(LOG_INSIDE)))
-    assert value == pin["inside"][0] and _same_bytes(grad, pin["inside"][1])
-
-    h_jitter = GpHyperparams.from_log_vector(np.array(LOG_JITTER))
-    jitter, value, grad_pin = pin["jitter"]
-    assert fit(data, h_jitter).jitter_used == jitter
-    value_j, grad_j = nlml(data, h_jitter)
-    assert value_j == value and _same_bytes(grad_j, grad_pin)
-
-    with pytest.raises(np.linalg.LinAlgError):
-        nlml(data, GpHyperparams.from_log_vector(np.array(LOG_FAILS)))
-
-    # the descent's objective, caught on its way into the optimizer;
-    # fit_hyperparams imports minimize when it runs, so the spy goes on
-    # scipy.optimize, where that import reads it
-    import scipy.optimize
-
-    objectives = []
-    real_minimize = scipy.optimize.minimize
-
-    def spy(fun, x0, **kwargs):
-        objectives.append(fun)
-        return real_minimize(fun, x0, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
-    h = fit_hyperparams(data, GpHyperparams(1.0, (0.3, 0.3, 0.3), 1e-3),
-                        seed=pin["seed"])
-    assert (h.sigma_f, h.lengthscales, h.sigma_w) == pin["fit"]
-    # a failed evaluation is an infinite NLML with a flat gradient
-    f, g = objectives[0](np.array(LOG_FAILS))
-    assert f == math.inf and _same_bytes(g, [0.0] * 5)
-
-    mu, var = predict(fit(data, h), data.X[:5] * 1.01)
-    assert _same_bytes(mu, pin["mu"]) and _same_bytes(var, pin["var"])
-
-
 def test_returned_arrays_do_not_alias_the_scratch():
     # nlml and fit write their work into buffers the dataset owns; what
     # they return must survive later calls on the same dataset
-    data = _decades_dataset(20, 1)
+    data = decades_dataset(20, 1)
     h = GpHyperparams.from_log_vector(np.array(LOG_INSIDE))
     g = fit(data, h)
     value, grad = nlml(data, h)
@@ -498,25 +394,16 @@ SOBOL_SEED_1 = [
 ]
 
 
-def test_sobol_starts_of_seed_1_are_pinned(monkeypatch):
+def test_sobol_starts_of_seed_1_are_pinned(minimize_calls):
     unit = np.array([[float.fromhex(x) for x in row] for row in SOBOL_SEED_1])
     assert gpr._sobol_starts(5, 7, 1).tobytes() == unit.tobytes()
 
     # and fit_hyperparams descends from them, after the clipped init
-    import scipy.optimize
-
-    x0s = []
-    real_minimize = scipy.optimize.minimize
-
-    def spy(fun, x0, **kwargs):
-        x0s.append(np.array(x0))
-        return real_minimize(fun, x0, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
-    fit_hyperparams(_decades_dataset(20, 1), GpHyperparams(1.0, (0.3,) * 3, 1e-3),
+    fit_hyperparams(decades_dataset(20, 1), GpHyperparams(1.0, (0.3,) * 3, 1e-3),
                     seed=1)
     box = np.log(default_hyper_bounds(3))
     starts = box[:, 0] + unit * (box[:, 1] - box[:, 0])
+    x0s = [x0 for _, x0 in minimize_calls]
     assert np.array(x0s[1:]).tobytes() == starts.tobytes()
 
 
@@ -530,23 +417,13 @@ def test_zero_sobol_starts_are_an_empty_array():
         assert got.dtype == want.dtype
 
 
-def test_one_hyperfit_start_runs_only_the_warm_start(monkeypatch):
-    import scipy.optimize
-
-    x0s = []
-    real_minimize = scipy.optimize.minimize
-
-    def spy(fun, x0, **kwargs):
-        x0s.append(np.array(x0))
-        return real_minimize(fun, x0, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+def test_one_hyperfit_start_runs_only_the_warm_start(monkeypatch, minimize_calls):
     monkeypatch.setattr(gpr, "N_HYPER_STARTS", 1)
     init = GpHyperparams(1.0, (0.3,) * 3, 1e-3)
-    fit_hyperparams(_decades_dataset(20, 1), init, seed=1)
+    fit_hyperparams(decades_dataset(20, 1), init, seed=1)
     box = np.log(default_hyper_bounds(3))
-    assert len(x0s) == 1
-    assert x0s[0].tobytes() == np.clip(init.to_log_vector(),
+    ((_, x0),) = minimize_calls
+    assert x0.tobytes() == np.clip(init.to_log_vector(),
                                        box[:, 0], box[:, 1]).tobytes()
 
 

@@ -49,6 +49,9 @@ def test_axes_are_inclusive_linear_spacings():
     assert np.allclose(ax_kp, [1.0, 2.0, 3.0, 4.0])
     assert np.allclose(ax_kv, [0.1, 0.2, 0.3, 0.4, 0.5])
     assert np.allclose(ax_th, [10.0, 20.0, 30.0, 40.0])
+    # built once, and shared read-only like the grid
+    assert SMALL.axes is SMALL.axes
+    assert not any(ax.flags.writeable for ax in SMALL.axes)
     assert SMALL.shape == (4, 5, 4)
     assert SMALL.size == 80
     assert np.array_equal(SMALL.bounds(), [[1.0, 4.0], [0.1, 0.5], [10.0, 40.0]])
