@@ -28,7 +28,8 @@ Layers, bottom up:
 The simulator, the bench, grid search and the classical baselines need
 numpy alone; scipy loads the first time a GP hyperparameter fit or
 posterior runs, so ``simulate`` and ``grid`` never import it.  The GP
-takes only ``scipy.linalg``'s LAPACK wrappers and ``scipy.optimize``; it
+takes only four of ``scipy.linalg``'s LAPACK routines and L-BFGS-B's
+compiled core from ``scipy.optimize``; it
 draws its scrambled Sobol hyperfit starts in numpy, so no command loads
 scipy's statistics subpackage.
 """

@@ -29,9 +29,23 @@ products into the dataset's buffers; :func:`fit` copies out what its
 posterior keeps, so no returned array aliases them.  Hence no two
 threads may evaluate one ``Dataset`` at once.
 
-scipy (its LAPACK wrappers and L-BFGS-B) is imported inside the
-functions that call it, the first time one runs.  Loading
-``scipy.linalg`` and ``scipy.optimize`` takes about 0.5 s raw and grows
+What is taken from scipy is four LAPACK routines (``dpotrf``,
+``dpotrs``, ``dtrtri``, ``dtrtrs``) and the compiled core of L-BFGS-B,
+``setulb`` (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995;
+Zhu et al., ACM TOMS 23, 1997).  L-BFGS-B communicates in reverse: it
+hands back each point it wants evaluated, so :func:`_lbfgsb_descent`
+runs the loop of ``scipy.optimize.minimize(method="L-BFGS-B")`` itself,
+without the wrapper ``minimize`` puts around every evaluation
+(``ScalarFunction``, ``MemoizeJac``, array checks).  That wrapper cost
+about 32 us of Python per evaluation, 36.1 us around a 4.0 us
+objective, beside an NLML of 35-190 us at m = 20-80 (2 vCPUs, Python
+3.11.7, numpy 2.4.6, scipy 1.17.1); perfbench's desk-tune makes 10,740
+of them.  ``tests/test_gpr.py`` ties the loop to ``minimize``: same
+point, value, evaluation and iteration counts, bit for bit.
+
+scipy is imported inside the functions that call it, the first time
+one runs.  Loading ``scipy.linalg`` and ``scipy.optimize`` (which
+importing ``setulb`` loads whole) takes about 0.5 s raw and grows
 the resident set from 33 to 77 MB (numpy and this package, 2 vCPUs),
 and the package imports this module everywhere; the commands that never
 fit a GP (``simulate``, ``grid``) and the forked scoring workers need
@@ -47,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +93,11 @@ _MAX_SQ_DIST = 600.0
 HYPERFIT_FTOL = 1e-12
 HYPERFIT_GTOL = 1e-6
 HYPERFIT_MAXITER = 500
+# The rest of each descent's settings, scipy's L-BFGS-B defaults: stored
+# correction pairs, line-search steps per iteration, evaluation cap.
+_LBFGSB_MAXCOR = 10
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15_000
 # Smallest noise deviation a hyperparameter set may carry, and the lower
 # bound of its fit.
 NOISE_FLOOR = 1e-8
@@ -440,6 +460,67 @@ def _sobol_starts(d: int, n: int, seed: int) -> np.ndarray:
     return points
 
 
+def _lbfgsb_descent(
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+) -> tuple[np.ndarray, float, int, int]:
+    """One L-BFGS-B descent of ``objective`` from ``x0``, bounded to [lb, ub].
+
+    ``objective(x)`` returns the value and gradient at x; ``lb`` and
+    ``ub`` are contiguous float64 arrays, as ``setulb`` takes them.
+
+    This is the reverse-communication loop of scipy 1.17's
+    ``_minimize_lbfgsb`` on its compiled core ``setulb``, so the result
+    is, bit for bit, that of ``scipy.optimize.minimize(objective, x0,
+    jac=True, method="L-BFGS-B")`` with the box as ``bounds`` and the
+    HYPERFIT_* stopping rule as ``options``: x0 is clipped into the box;
+    the objective runs once there, then whenever ``setulb`` asks for a
+    point other than the last one evaluated, on a copy of it; the
+    descent stops at ``HYPERFIT_MAXITER`` iterations, after more than
+    ``_LBFGSB_MAXFUN`` evaluations, or when ``setulb`` ends it.
+
+    Returns the final point (a new array), the last value the objective
+    returned, and the evaluation and iteration counts.
+    """
+    from scipy.optimize._lbfgsb import setulb
+
+    n, m = x0.size, _LBFGSB_MAXCOR
+    x = np.clip(x0, lb, ub)
+    nbd = np.full(n, 2, dtype=np.int32)  # every coordinate bounded on both sides
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    factr = HYPERFIT_FTOL / np.finfo(float).eps
+
+    seen = x.copy()
+    f, g = fg = objective(x.copy())
+    nfev, nit = 1, 0
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, lb, ub, nbd, f, g, factr, HYPERFIT_GTOL, wa, iwa, task,
+               lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == 3:  # FG: the value and gradient at x
+            if not np.array_equal(x, seen):
+                seen = x.copy()
+                fg = objective(x.copy())
+                nfev += 1
+            f, g = fg
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            nit += 1
+            if nit >= HYPERFIT_MAXITER:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > _LBFGSB_MAXFUN:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            return x.copy(), f, nfev, nit
+
+
 class HyperparamSearchError(RuntimeError):
     """Every descent start failed to produce a finite marginal likelihood."""
 
@@ -451,9 +532,10 @@ def fit_hyperparams(
 ) -> GpHyperparams:
     """Pick hyperparameters by multi-start NLML descent.
 
-    Runs L-BFGS-B on the analytic NLML gradient in log-parameter space,
-    bounded to :func:`default_hyper_bounds`, from ``init`` (clipped into
-    the box) plus ``N_HYPER_STARTS - 1`` scrambled Sobol starts spread
+    Runs one L-BFGS-B descent (:func:`_lbfgsb_descent`) on the analytic
+    NLML gradient in log-parameter space, bounded to
+    :func:`default_hyper_bounds`, from each of ``init`` (clipped into
+    the box) and ``N_HYPER_STARTS - 1`` scrambled Sobol starts spread
     over the box, and returns the best result -- never worse than the
     clipped ``init``, since each descent only decreases the NLML.  The
     starts are those of scipy's scrambled Sobol engine in d = dim + 2
@@ -470,8 +552,6 @@ def fit_hyperparams(
     HyperparamSearchError
         No start, ``init`` included, yielded a finite likelihood.
     """
-    from scipy.optimize import minimize
-
     if data.m < 3:
         raise ValueError("hyperparameter fitting needs at least 3 observations")
     box = default_hyper_bounds(data.dim)
@@ -494,14 +574,11 @@ def fit_hyperparams(
 
     best_v, best_f = None, math.inf
     for s in starts:
-        res = minimize(objective, s, jac=True, method="L-BFGS-B",
-                       bounds=list(zip(lb, ub)),
-                       options={"maxiter": HYPERFIT_MAXITER,
-                                "ftol": HYPERFIT_FTOL, "gtol": HYPERFIT_GTOL})
-        if float(res.fun) < best_f:
-            best_v, best_f = res.x, float(res.fun)
+        v, f, _, _ = _lbfgsb_descent(objective, s, lb, ub)
+        if f < best_f:
+            best_v, best_f = v, f
     if best_v is None:
         raise HyperparamSearchError(
             "no hyperparameter start produced a finite marginal likelihood"
         )
-    return GpHyperparams.from_log_vector(np.asarray(best_v, dtype=float))
+    return GpHyperparams.from_log_vector(best_v)

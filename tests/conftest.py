@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from axistune import simloop
+from axistune import gpr, simloop
 from axistune.cli import main
 from axistune.gpr import Dataset
 from axistune.presets import get_preset
@@ -55,20 +55,17 @@ def cli_run(tmp_path_factory):
 
 
 @pytest.fixture
-def minimize_calls(monkeypatch):
-    """Every `scipy.optimize.minimize` call from now on, as an (objective,
-    start) pair; fit_hyperparams imports minimize when it runs, so the
-    spy goes on scipy.optimize, where that import reads it."""
-    import scipy.optimize
-
+def descent_calls(monkeypatch):
+    """Every hyperfit descent (`gpr._lbfgsb_descent` call) from now on,
+    as an (objective, start) pair."""
     calls = []
-    real = scipy.optimize.minimize
+    real = gpr._lbfgsb_descent
 
-    def spy(fun, x0, **kwargs):
-        calls.append((fun, np.array(x0)))
-        return real(fun, x0, **kwargs)
+    def spy(objective, x0, lb, ub):
+        calls.append((objective, np.array(x0)))
+        return real(objective, x0, lb, ub)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    monkeypatch.setattr(gpr, "_lbfgsb_descent", spy)
     return calls
 
 

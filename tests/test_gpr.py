@@ -22,7 +22,7 @@ from axistune.gpr import (
     predict,
 )
 
-from conftest import LOG_INSIDE, LOG_JITTER, decades_dataset
+from conftest import LOG_FAILS, LOG_INSIDE, LOG_JITTER, decades_dataset
 
 
 def kernel(x, xp, h):
@@ -394,7 +394,7 @@ SOBOL_SEED_1 = [
 ]
 
 
-def test_sobol_starts_of_seed_1_are_pinned(minimize_calls):
+def test_sobol_starts_of_seed_1_are_pinned(descent_calls):
     unit = np.array([[float.fromhex(x) for x in row] for row in SOBOL_SEED_1])
     assert gpr._sobol_starts(5, 7, 1).tobytes() == unit.tobytes()
 
@@ -403,7 +403,7 @@ def test_sobol_starts_of_seed_1_are_pinned(minimize_calls):
                     seed=1)
     box = np.log(default_hyper_bounds(3))
     starts = box[:, 0] + unit * (box[:, 1] - box[:, 0])
-    x0s = [x0 for _, x0 in minimize_calls]
+    x0s = [x0 for _, x0 in descent_calls]
     assert np.array(x0s[1:]).tobytes() == starts.tobytes()
 
 
@@ -417,12 +417,12 @@ def test_zero_sobol_starts_are_an_empty_array():
         assert got.dtype == want.dtype
 
 
-def test_one_hyperfit_start_runs_only_the_warm_start(monkeypatch, minimize_calls):
+def test_one_hyperfit_start_runs_only_the_warm_start(monkeypatch, descent_calls):
     monkeypatch.setattr(gpr, "N_HYPER_STARTS", 1)
     init = GpHyperparams(1.0, (0.3,) * 3, 1e-3)
     fit_hyperparams(decades_dataset(20, 1), init, seed=1)
     box = np.log(default_hyper_bounds(3))
-    ((_, x0),) = minimize_calls
+    ((_, x0),) = descent_calls
     assert x0.tobytes() == np.clip(init.to_log_vector(),
                                        box[:, 0], box[:, 1]).tobytes()
 
@@ -445,3 +445,81 @@ def test_sobol_starts_match_scipy_bitwise():
     # past the 7 starts the Gray-code walk continues as scipy's does
     many = qmc.Sobol(d=5, scramble=True, seed=3).random(64)
     assert gpr._sobol_starts(5, 64, 3).tobytes() == many.tobytes()
+
+
+# -- The descent against scipy's L-BFGS-B ------------------------------------------
+
+# `_lbfgsb_descent` runs scipy's private L-BFGS-B core in the loop of
+# `minimize(method="L-BFGS-B")`; the public call is the reference it must
+# match, bit for bit, on every scipy this package supports
+
+
+def _hyperfit_descents(data, seed, descent_calls):
+    """The (objective, start) pairs of ``data``'s hyperfit, and its box."""
+    fit_hyperparams(data, GpHyperparams(1.0, (0.3,) * data.dim, 1e-3), seed=seed)
+    box = default_hyper_bounds(data.dim)
+    return list(descent_calls), np.log(box[:, 0]), np.log(box[:, 1])
+
+
+def _same_as_minimize(objective, x0, lb, ub):
+    """Run one descent and scipy's minimize from x0; assert they agree."""
+    from scipy.optimize import minimize
+
+    evaluations = []
+
+    def counted(v):
+        evaluations.append(1)
+        return objective(v)
+
+    x, f, nfev, nit = gpr._lbfgsb_descent(counted, x0, lb, ub)
+    ref = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                   bounds=list(zip(lb, ub)),
+                   options={"maxiter": gpr.HYPERFIT_MAXITER,
+                            "ftol": gpr.HYPERFIT_FTOL, "gtol": gpr.HYPERFIT_GTOL})
+    assert x.tobytes() == ref.x.tobytes()
+    assert np.float64(f).tobytes() == np.float64(ref.fun).tobytes()
+    assert (nfev, nit) == (ref.nfev, ref.nit) and nfev == len(evaluations)
+    return x, f, nfev, nit
+
+
+@pytest.mark.parametrize("m,seed", [(20, 1), (60, 2)])
+def test_every_hyperfit_descent_matches_scipy_minimize(m, seed, descent_calls):
+    # the pinned datasets, from every start their fit descends from
+    calls, lb, ub = _hyperfit_descents(decades_dataset(m, seed), seed,
+                                       descent_calls)
+    assert len(calls) == gpr.N_HYPER_STARTS
+    for objective, x0 in calls:
+        _same_as_minimize(objective, x0, lb, ub)
+
+
+def test_a_descent_ending_on_the_noise_floor_matches_scipy_minimize(descent_calls):
+    # noise-free linear targets: some descents end with sigma_w on the
+    # bound, where the projected gradient drops that coordinate
+    rng = np.random.default_rng(30)
+    X = rng.uniform(0.0, 1.0, size=(30, 3))
+    y = X[:, 0] + 2.0 * X[:, 1] - X[:, 2]
+    calls, lb, ub = _hyperfit_descents(Dataset(X, y, _box(3, 0.0, 1.0)), 0,
+                                       descent_calls)
+    ends = [_same_as_minimize(objective, x0, lb, ub)[0] for objective, x0 in calls]
+    assert any(x[-1] == lb[-1] == math.log(gpr.NOISE_FLOOR) for x in ends)
+
+
+def test_a_descent_from_a_failed_start_stops_after_one_evaluation(descent_calls):
+    # the box is widened to hold LOG_FAILS; the default box clips it to
+    # the LOG_JITTER corner, where the descent runs
+    calls, lb, ub = _hyperfit_descents(decades_dataset(20, 1), 1, descent_calls)
+    start = np.array(LOG_FAILS)
+    x, f, nfev, nit = _same_as_minimize(calls[0][0], start, lb,
+                                        np.maximum(ub, start))
+    assert x.tobytes() == start.tobytes() and f == math.inf
+    assert (nfev, nit) == (1, 0)
+    _, f, _, nit = _same_as_minimize(calls[0][0], start, lb, ub)
+    assert math.isfinite(f) and nit > 0
+
+
+def test_an_iteration_capped_descent_matches_scipy_minimize(monkeypatch,
+                                                            descent_calls):
+    calls, lb, ub = _hyperfit_descents(decades_dataset(20, 1), 1, descent_calls)
+    monkeypatch.setattr(gpr, "HYPERFIT_MAXITER", 3)
+    for objective, x0 in calls:
+        assert _same_as_minimize(objective, x0, lb, ub)[3] == 3

@@ -283,7 +283,7 @@ def _same_bytes(a, pinned):
 
 
 @pytest.mark.parametrize("m", sorted(PINNED))
-def test_nlml_fit_and_predict_reproduce_pinned_bits(m, minimize_calls):
+def test_nlml_fit_and_predict_reproduce_pinned_bits(m, descent_calls):
     pin = PINNED[m]
     data = decades_dataset(m, pin["seed"])
 
@@ -304,7 +304,7 @@ def test_nlml_fit_and_predict_reproduce_pinned_bits(m, minimize_calls):
     assert (h.sigma_f, h.lengthscales, h.sigma_w) == pin["fit"]
     # a failed evaluation is an infinite NLML with a flat gradient: the
     # descent's objective, caught on its way into the optimizer
-    f, g = minimize_calls[0][0](np.array(LOG_FAILS))
+    f, g = descent_calls[0][0](np.array(LOG_FAILS))
     assert f == math.inf and _same_bytes(g, [0.0] * 5)
 
     mu, var = predict(fit(data, h), data.X[:5] * 1.01)

@@ -78,21 +78,19 @@ def test_a_traced_search_counts_every_gp_fit(monkeypatch):
     # ``gpr.nlml`` by name; each must count the calls the search made,
     # here counted independently: one posterior per iteration, one
     # descent per hyperparameter start, one NLML per objective call
-    import scipy.optimize
-
     layers, spans = _perfbench_modules(monkeypatch)
     descents, objective_calls = [], []
-    real_minimize = scipy.optimize.minimize
+    real_descent = gpr._lbfgsb_descent
 
-    def spy(fun, x0, **kwargs):
+    def spy(objective, x0, lb, ub):
         def counted(v):
             objective_calls.append(1)
-            return fun(v)
+            return objective(v)
 
         descents.append(1)
-        return real_minimize(counted, x0, **kwargs)
+        return real_descent(counted, x0, lb, ub)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    monkeypatch.setattr(gpr, "_lbfgsb_descent", spy)
     fset = tuner.FeasibleSet(kp=(1.0, 9.0), kv=(1.0, 9.0), third=(1.0, 9.0),
                              n_kp=9, n_kv=9, n_third=9)
 
